@@ -6,7 +6,8 @@ PYTEST = PYTHONPATH=src $(PY) -m pytest
 
 .PHONY: test coverage chaos soak soak-tests bench bench-perf \
     bench-perf-check bench-gate trace obs-smoke analyze-smoke \
-    encounters-smoke convert-smoke serve-smoke prof-smoke clean
+    encounters-smoke convert-smoke serve-smoke prof-smoke perfbench-selftest \
+    clean
 
 # Chaos-soak knobs (override on the command line: make soak EPISODES=10).
 EPISODES ?= 25
@@ -257,6 +258,14 @@ prof-smoke:
 	PYTHONPATH=src $(PY) -m repro obs summarize prof-smoke/p.json --top 10
 	PYTHONPATH=src $(PY) -m repro obs compare --hotspots \
 	    prof-smoke/p.json prof-smoke/q.json --top 10
+
+## Benchmark harness self-test on the small preset (about half a minute):
+## every BENCHMARK.json metric is emitted with its unit, traced and
+## untraced, the output checks fire on broken runs, and every program call
+## the benchmark drives still exists — so a change that renames or deletes
+## one fails here before the benchmark itself does.
+perfbench-selftest:
+	$(PY) perfbench/selftest.py
 
 ## Example end-to-end trace (sharded run, per-shard timings on stderr).
 trace:

@@ -136,3 +136,17 @@ def emit(report_dir: Path, name: str, text: str) -> None:
     """Print a figure reproduction and persist it under reports/."""
     print("\n" + text)
     (report_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+
+
+def fresh_panel(name: str, dataset: StudyDataset, study: WearableStudy | None = None):
+    """One report panel computed from scratch over ``dataset``.
+
+    With ``study``, its attribution and sessions are reused, so the
+    timing covers the panel's own fold only.
+    """
+    fresh = WearableStudy(dataset)
+    if study is not None:
+        fresh.attributed = study.attributed
+        fresh.sessions = study.sessions
+    return getattr(fresh, name)
+

@@ -11,9 +11,8 @@ Also serves as the identification ablation: TAC-based identification
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, fresh_panel
 from repro.core.report import format_comparison, format_table
-from repro.core.throughdevice import analyze_through_device
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +22,10 @@ def result(paper_study):
 
 def test_through_device_detection(benchmark, paper_study, result, report_dir):
     benchmark.pedantic(
-        analyze_through_device, args=(paper_study.dataset,), rounds=2, iterations=1
+        fresh_panel,
+        args=("through_device", paper_study.dataset),
+        rounds=2,
+        iterations=1,
     )
     text = format_table(
         ("kind", "detected users"),

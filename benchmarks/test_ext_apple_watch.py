@@ -10,10 +10,8 @@ inflection plus the post-launch device census.
 import pytest
 from dataclasses import replace
 
-from benchmarks.conftest import PAPER_SEED, emit
-from repro.core.adoption import analyze_adoption
+from benchmarks.conftest import PAPER_SEED, emit, fresh_panel
 from repro.core.dataset import StudyDataset
-from repro.core.identification import WearableIdentifier
 from repro.core.report import format_table
 from repro.simnet.config import SimulationConfig
 from repro.simnet.scenarios import (
@@ -35,7 +33,7 @@ LAUNCH_DAY = SCENARIO_CONFIG.total_days // 2
 @pytest.fixture(scope="module")
 def baseline_adoption():
     output = Simulator(SCENARIO_CONFIG).run()
-    return analyze_adoption(StudyDataset.from_simulation(output))
+    return fresh_panel("adoption", StudyDataset.from_simulation(output))
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +45,7 @@ def launch_output():
 
 @pytest.fixture(scope="module")
 def launch_adoption(launch_output):
-    return analyze_adoption(StudyDataset.from_simulation(launch_output))
+    return fresh_panel("adoption", StudyDataset.from_simulation(launch_output))
 
 
 def test_apple_watch_launch_counterfactual(
@@ -65,9 +63,7 @@ def test_apple_watch_launch_counterfactual(
     launch_before, launch_after = growth_rates_around(
         launch_adoption.daily_counts, LAUNCH_DAY
     )
-    census = WearableIdentifier(launch_output.device_db).census(
-        launch_output.mme_records
-    )
+    census = fresh_panel("census", StudyDataset.from_simulation(launch_output))
     text = format_table(
         ("series", "growth %/mo before", "growth %/mo after"),
         [
@@ -96,9 +92,7 @@ def test_apple_watch_launch_counterfactual(
 
 
 def test_apple_enters_the_census(benchmark, launch_output):
-    census = WearableIdentifier(launch_output.device_db).census(
-        launch_output.mme_records
-    )
+    census = fresh_panel("census", StudyDataset.from_simulation(launch_output))
     benchmark.pedantic(lambda: census.devices_per_manufacturer, rounds=1, iterations=1)
     assert census.devices_per_manufacturer.get("Apple", 0) > 0
     # Samsung/LG still dominate shortly after launch (§3.2's market).

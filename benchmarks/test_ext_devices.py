@@ -8,19 +8,18 @@ share series (flat in the baseline; the Apple-launch scenario bends it).
 
 import pytest
 
-from benchmarks.conftest import emit
-from repro.core.devices import analyze_devices
+from benchmarks.conftest import emit, fresh_panel
 from repro.core.report import format_table
 
 
 @pytest.fixture(scope="module")
 def result(paper_dataset):
-    return analyze_devices(paper_dataset)
+    return fresh_panel("devices", paper_dataset)
 
 
 def test_device_market_view(benchmark, paper_dataset, result, report_dir):
     benchmark.pedantic(
-        analyze_devices, args=(paper_dataset,), rounds=2, iterations=1
+        fresh_panel, args=("devices", paper_dataset), rounds=2, iterations=1
     )
     text = format_table(
         ("model", "manufacturer", "OS", "devices", "data-active"),

@@ -10,8 +10,7 @@ TLS-clean.
 
 import pytest
 
-from benchmarks.conftest import emit
-from repro.core.protocols import analyze_protocols
+from benchmarks.conftest import emit, fresh_panel
 from repro.core.report import format_table
 
 
@@ -22,12 +21,8 @@ def result(paper_study):
 
 def test_protocol_visibility(benchmark, paper_study, result, report_dir):
     benchmark.pedantic(
-        analyze_protocols,
-        args=(
-            paper_study.dataset,
-            paper_study.attributed,
-            paper_study.app_categories,
-        ),
+        fresh_panel,
+        args=("protocols", paper_study.dataset, paper_study),
         rounds=3,
         iterations=1,
     )

@@ -9,19 +9,18 @@ Regenerates:
 
 import pytest
 
-from benchmarks.conftest import emit
-from repro.core.adoption import analyze_adoption
+from benchmarks.conftest import emit, fresh_panel
 from repro.core.report import format_comparison, format_table
 
 
 @pytest.fixture(scope="module")
 def result(paper_dataset):
-    return analyze_adoption(paper_dataset)
+    return fresh_panel("adoption", paper_dataset)
 
 
 def test_fig2a_user_growth_series(benchmark, paper_dataset, result, report_dir):
     benchmark.pedantic(
-        analyze_adoption, args=(paper_dataset,), rounds=3, iterations=1
+        fresh_panel, args=("adoption", paper_dataset), rounds=3, iterations=1
     )
     weekly = [
         (f"day {day}", result.normalized_daily[day])

@@ -10,19 +10,18 @@ Regenerates all four panels:
 
 import pytest
 
-from benchmarks.conftest import emit
-from repro.core.activity import analyze_activity
+from benchmarks.conftest import emit, fresh_panel
 from repro.core.report import format_cdf, format_comparison, format_hourly, format_table
 
 
 @pytest.fixture(scope="module")
 def result(paper_dataset):
-    return analyze_activity(paper_dataset)
+    return fresh_panel("activity", paper_dataset)
 
 
 def test_fig3a_hourly_profiles(benchmark, paper_dataset, result, report_dir):
     benchmark.pedantic(
-        analyze_activity, args=(paper_dataset,), rounds=3, iterations=1
+        fresh_panel, args=("activity", paper_dataset), rounds=3, iterations=1
     )
     text = format_hourly(
         "Fig. 3(a) — hourly transactions (fraction of weekly total)",

@@ -9,19 +9,18 @@ Regenerates:
 
 import pytest
 
-from benchmarks.conftest import emit
-from repro.core.comparison import analyze_comparison
+from benchmarks.conftest import emit, fresh_panel
 from repro.core.report import format_cdf, format_comparison
 
 
 @pytest.fixture(scope="module")
 def result(paper_dataset):
-    return analyze_comparison(paper_dataset)
+    return fresh_panel("comparison", paper_dataset)
 
 
 def test_fig4a_bytes_comparison(benchmark, paper_dataset, result, report_dir):
     benchmark.pedantic(
-        analyze_comparison, args=(paper_dataset,), rounds=3, iterations=1
+        fresh_panel, args=("comparison", paper_dataset), rounds=3, iterations=1
     )
     text = format_cdf(
         result.bytes_cdf_wearable_owner,

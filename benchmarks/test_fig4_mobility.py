@@ -9,19 +9,18 @@ Regenerates:
 
 import pytest
 
-from benchmarks.conftest import emit
-from repro.core.mobility import analyze_mobility
+from benchmarks.conftest import emit, fresh_panel
 from repro.core.report import format_cdf, format_comparison, format_table
 
 
 @pytest.fixture(scope="module")
 def result(paper_dataset):
-    return analyze_mobility(paper_dataset)
+    return fresh_panel("mobility", paper_dataset)
 
 
 def test_fig4c_max_displacement(benchmark, paper_dataset, result, report_dir):
     benchmark.pedantic(
-        analyze_mobility, args=(paper_dataset,), rounds=2, iterations=1
+        fresh_panel, args=("mobility", paper_dataset), rounds=2, iterations=1
     )
     text = format_cdf(
         result.wearable_user_displacement, "wearable users km", points=10

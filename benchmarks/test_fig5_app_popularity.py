@@ -9,8 +9,7 @@ Regenerates:
 
 import pytest
 
-from benchmarks.conftest import emit
-from repro.core.apps import analyze_apps
+from benchmarks.conftest import emit, fresh_panel
 from repro.core.report import format_comparison, format_table
 
 TOP_N = 30
@@ -23,13 +22,8 @@ def result(paper_study):
 
 def test_fig5a_app_popularity(benchmark, paper_study, result, report_dir):
     benchmark.pedantic(
-        analyze_apps,
-        args=(
-            paper_study.dataset,
-            paper_study.attributed,
-            paper_study.sessions,
-            paper_study.app_categories,
-        ),
+        fresh_panel,
+        args=("apps", paper_study.dataset, paper_study),
         rounds=3,
         iterations=1,
     )

@@ -8,8 +8,7 @@ long light tail.
 
 import pytest
 
-from benchmarks.conftest import emit
-from repro.core.domains import analyze_single_usage
+from benchmarks.conftest import emit, fresh_panel
 from repro.core.report import format_table
 
 HEAVY_APPS = {"WhatsApp", "Deezer", "Snapchat", "Spotify"}
@@ -22,9 +21,12 @@ def rows(paper_study):
 
 
 def test_fig7_single_usage_table(benchmark, paper_study, rows, report_dir):
-    window = paper_study.dataset.window
-    sessions = [s for s in paper_study.sessions if window.in_detailed(s.start)]
-    benchmark.pedantic(analyze_single_usage, args=(sessions,), rounds=3, iterations=1)
+    benchmark.pedantic(
+        fresh_panel,
+        args=("domains", paper_study.dataset, paper_study),
+        rounds=3,
+        iterations=1,
+    )
     table = format_table(
         ("app", "tx / usage", "KB / usage", "usages"),
         [

@@ -8,8 +8,7 @@ of magnitude of first-party volume.
 
 import pytest
 
-from benchmarks.conftest import emit
-from repro.core.domains import analyze_domain_categories
+from benchmarks.conftest import emit, fresh_panel
 from repro.core.report import format_comparison, format_table
 
 
@@ -20,8 +19,8 @@ def result(paper_study):
 
 def test_fig8_domain_categories(benchmark, paper_study, result, report_dir):
     benchmark.pedantic(
-        analyze_domain_categories,
-        args=(paper_study.dataset, paper_study.attributed),
+        fresh_panel,
+        args=("domains", paper_study.dataset, paper_study),
         rounds=3,
         iterations=1,
     )

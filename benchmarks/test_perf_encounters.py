@@ -5,9 +5,9 @@ per-*pair* analysis in the pipeline — worst case quadratic in cell
 occupancy — so it gets its own perf module.  Three timings over one
 ``medium`` trace:
 
-* the batch path (timelines → cell index → all-pairs join → panels) —
-  baseline, what ``analyze --figures encounters`` pays;
-* the streaming join (single-pass dwell extraction feeding the same
+* the batch path (streamed dwell intervals → cell index → all-pairs
+  join → panels) — baseline, what ``analyze --figures encounters`` pays;
+* the streaming join alone (single-pass dwell extraction feeding the
   index), the per-worker kernel of the parallel path;
 * the four-way sector-sharded join plus merge — the map-reduce shape,
   which must reproduce the serial accumulators bit-for-bit.
@@ -15,8 +15,8 @@ occupancy — so it gets its own perf module.  Three timings over one
 
 import pytest
 
+from benchmarks.conftest import fresh_panel
 from repro.core.dataset import StudyDataset
-from repro.core.encounters import analyze_encounters
 from repro.core.parallel import EncountersPartial
 from repro.simnet.config import SimulationConfig
 from repro.simnet.simulator import Simulator
@@ -46,7 +46,7 @@ def _account_side(dataset):
 def test_perf_batch_encounters(benchmark, encounters_dataset):
     """Baseline: the full batch join + figure panels."""
     result = benchmark.pedantic(
-        analyze_encounters, args=(encounters_dataset,), rounds=3, iterations=1
+        fresh_panel, args=("encounters", encounters_dataset), rounds=3, iterations=1
     )
     assert result.n_pairs > 0
     assert result.n_events >= result.n_pairs
@@ -63,7 +63,7 @@ def test_perf_streaming_join(benchmark, encounters_dataset):
         return partial
 
     partial = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert partial.finalize() == analyze_encounters(encounters_dataset)
+    assert partial.finalize() == fresh_panel("encounters", encounters_dataset)
 
 
 def test_perf_sharded_join_and_merge(benchmark, encounters_dataset):
@@ -89,4 +89,4 @@ def test_perf_sharded_join_and_merge(benchmark, encounters_dataset):
         return merged
 
     merged = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert merged.finalize() == analyze_encounters(encounters_dataset)
+    assert merged.finalize() == fresh_panel("encounters", encounters_dataset)

@@ -3,7 +3,7 @@
 Unlike the figure modules (which regenerate paper results), these measure
 throughput of the computational kernels the pipeline spends its time in —
 attribution, sessionisation, timeline construction, haversine scans and
-the streaming estimators — so a performance regression shows up as a
+the P² streaming estimator — so a performance regression shows up as a
 drop in ops/sec rather than a silently slower analysis.
 """
 
@@ -16,7 +16,7 @@ from repro.core.mobility import build_timelines
 from repro.core.sessions import sessionize
 from repro.simnet.appcatalog import builtin_app_catalog
 from repro.stats.geo import GeoPoint, haversine_km, max_displacement_km
-from repro.stats.streaming import P2Quantile, ReservoirSampler
+from repro.stats.streaming import P2Quantile
 
 
 @pytest.fixture(scope="module")
@@ -106,18 +106,5 @@ def test_perf_p2_quantile(benchmark):
         for value in stream:
             estimator.add(value)
         return estimator.value
-
-    benchmark.pedantic(run, rounds=3, iterations=1)
-
-
-def test_perf_reservoir(benchmark):
-    rng = random.Random(4)
-    stream = [rng.random() for _ in range(100_000)]
-
-    def run():
-        sampler = ReservoirSampler(4096, seed=4)
-        for value in stream:
-            sampler.add(value)
-        return sampler.seen
 
     benchmark.pedantic(run, rounds=3, iterations=1)

@@ -65,7 +65,7 @@ def test_perf_incremental_ingest(benchmark, serve_trace, tmp_path):
         grow = tmp_path / f"grow{state['n']}"
         prime(full, grow)
         service = AnalysisService(
-            ServeConfig(trace_dir=grow, shards=4, seed=0)
+            ServeConfig(trace_dir=grow, shards=4)
         )
         total = 0
         for _ in grow_chunks(full, grow, CHUNKS):
@@ -89,7 +89,7 @@ def test_perf_warm_cache_query(benchmark, serve_trace, tmp_path):
     full, _ = serve_trace
     grow = tmp_path / "grow"
     prime(full, grow)
-    service = AnalysisService(ServeConfig(trace_dir=grow, shards=4, seed=0))
+    service = AnalysisService(ServeConfig(trace_dir=grow, shards=4))
     for _ in grow_chunks(full, grow, 1):
         service.ingest_once()
     service.panel_resource("fig2a")  # pay the one finalize + render

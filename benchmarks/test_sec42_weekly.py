@@ -11,9 +11,9 @@ This module regenerates both as tables.
 
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, fresh_panel
 from repro.core.report import format_comparison, format_table
-from repro.core.weekly import WEEKDAY_NAMES, analyze_weekly
+from repro.core.weekly import WEEKDAY_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def result(paper_study):
 
 def test_weekly_flatness(benchmark, paper_study, result, report_dir):
     benchmark.pedantic(
-        analyze_weekly, args=(paper_study.dataset,), rounds=2, iterations=1
+        fresh_panel, args=("weekly", paper_study.dataset), rounds=2, iterations=1
     )
     rows = [
         (

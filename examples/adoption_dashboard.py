@@ -20,9 +20,7 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from repro import SimulationConfig, Simulator, StudyDataset
-from repro.core.adoption import analyze_adoption
-from repro.core.identification import WearableIdentifier
+from repro import SimulationConfig, Simulator, StudyDataset, WearableStudy
 from repro.core.report import format_table
 
 
@@ -62,9 +60,9 @@ def main() -> None:
 
     # --- analyst side: load from disk only ----------------------------
     print("\nLoading trace (analyst view, CSVs only)...")
-    dataset = StudyDataset.load(trace_dir)
+    study = WearableStudy(StudyDataset.load(trace_dir))
 
-    adoption = analyze_adoption(dataset)
+    adoption = study.adoption
     weekly = adoption.normalized_daily[::7]
     print("\n=== SIM-wearable adoption dashboard ===")
     print(f"weekly users (normalized): {sparkline(weekly)}")
@@ -89,7 +87,7 @@ def main() -> None:
         )
     )
 
-    census = WearableIdentifier(dataset.device_db).census(dataset.wearable_mme)
+    census = study.census
     rows = sorted(
         census.devices_per_model.items(), key=lambda kv: kv[1], reverse=True
     )

@@ -5,15 +5,15 @@ A real seven-week national proxy log doesn't fit in RAM.  This example
 shows the bounded-memory path:
 
 1. export a trace to disk (stand-in for the operator's log store);
-2. stream it back record by record through the one-pass aggregators —
-   ``StreamingAdoption`` and ``StreamingActivity`` — whose memory is
-   O(users), not O(records);
-3. compare the streamed numbers against the batch pipeline to show they
-   agree.
+2. analyse it with ``analyze_parallel`` over account shards: each shard
+   streams only its own rows off disk and folds them into mergeable
+   partials, so no process ever holds more than one shard;
+3. compare the merged report against the batch pipeline — the same
+   partials over the whole dataset — to show they are identical.
 
 Run with::
 
-    python examples/streaming_pipeline.py [--seed N]
+    python examples/streaming_pipeline.py [--seed N] [--shards N]
 """
 
 from __future__ import annotations
@@ -25,18 +25,14 @@ import time
 from pathlib import Path
 
 from repro import SimulationConfig, Simulator, StudyDataset, WearableStudy
-from repro.core.dataset import StudyWindow
-from repro.core.streaming import StreamingActivity, StreamingAdoption
+from repro.core.parallel import analyze_parallel
 from repro.core.report import format_table
-from repro.devicedb.database import DeviceDatabase
-from repro.logs.io import read_mme_log, read_proxy_log
-
-import json
 
 
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=17)
+    parser.add_argument("--shards", type=int, default=8)
     return parser.parse_args()
 
 
@@ -50,83 +46,66 @@ def main() -> None:
     n_records = len(output.proxy_records) + len(output.mme_records)
     print(f"  {n_records:,} records on disk")
 
-    # --- streaming side: never materialise the logs --------------------
-    with (trace_dir / "metadata.json").open() as handle:
-        meta = json.load(handle)
-    window = StudyWindow(
-        study_start=float(meta["study_start"]),
-        total_days=int(meta["total_days"]),
-        detailed_days=int(meta["detailed_days"]),
-    )
-    tacs = DeviceDatabase.read_csv(trace_dir / "devices.csv").wearable_tacs()
-
-    print("Streaming pass (generators straight off the CSVs)...")
+    # --- sharded side: one account shard in memory at a time -----------
+    print(f"Sharded pass ({args.shards} shards, one worker)...")
     started = time.time()
-    adoption = StreamingAdoption(window, tacs)
-    for record in read_mme_log(trace_dir / "mme.csv"):
-        adoption.add_mme(record)
-    activity = StreamingActivity(window, tacs)
-    for record in read_proxy_log(trace_dir / "proxy.csv"):
-        adoption.add_proxy(record)
-        activity.add(record)
-    streamed_adoption = adoption.result()
-    streamed_activity = activity.result()
+    run = analyze_parallel(trace_dir, shards=args.shards, workers=1)
     stream_seconds = time.time() - started
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    sharded = run.report
 
     # --- batch side for comparison --------------------------------------
-    study = WearableStudy(StudyDataset.from_simulation(output))
-    batch_adoption = study.adoption
-    batch_activity = study.activity
+    batch = WearableStudy(StudyDataset.from_simulation(output)).run_all()
 
     print()
     print(
         format_table(
-            ("metric", "streamed", "batch"),
+            ("metric", "sharded", "batch"),
             [
                 (
                     "growth %/month",
-                    f"{streamed_adoption.monthly_growth_percent:.2f}",
-                    f"{batch_adoption.monthly_growth_percent:.2f}",
+                    f"{sharded.adoption.monthly_growth_percent:.2f}",
+                    f"{batch.adoption.monthly_growth_percent:.2f}",
                 ),
                 (
                     "data-active fraction",
-                    f"{streamed_adoption.data_active_fraction:.3f}",
-                    f"{batch_adoption.data_active_fraction:.3f}",
+                    f"{sharded.adoption.data_active_fraction:.3f}",
+                    f"{batch.adoption.data_active_fraction:.3f}",
                 ),
                 (
                     "wearable transactions",
-                    f"{streamed_activity.transactions:,}",
-                    f"{len(batch_activity.transaction_sizes):,}",
+                    f"{len(sharded.activity.transaction_sizes):,}",
+                    f"{len(batch.activity.transaction_sizes):,}",
                 ),
                 (
                     "mean tx bytes",
-                    f"{streamed_activity.mean_tx_bytes:.0f}",
-                    f"{batch_activity.mean_tx_bytes:.0f}",
+                    f"{sharded.activity.mean_tx_bytes:.0f}",
+                    f"{batch.activity.mean_tx_bytes:.0f}",
                 ),
                 (
                     "median tx bytes",
-                    f"{streamed_activity.median_tx_bytes_estimate:.0f} (P²)",
-                    f"{batch_activity.median_tx_bytes:.0f}",
+                    f"{sharded.activity.median_tx_bytes:.0f}",
+                    f"{batch.activity.median_tx_bytes:.0f}",
                 ),
                 (
                     "p90 tx bytes",
-                    f"{activity.quantile(0.9):.0f} (reservoir)",
-                    f"{batch_activity.transaction_sizes.quantile(0.9):.0f}",
+                    f"{sharded.activity.transaction_sizes.quantile(0.9):.0f}",
+                    f"{batch.activity.transaction_sizes.quantile(0.9):.0f}",
                 ),
                 (
                     "active days/week",
-                    f"{streamed_activity.mean_active_days_per_week:.2f}",
-                    f"{batch_activity.mean_active_days_per_week:.2f}",
+                    f"{sharded.activity.mean_active_days_per_week:.2f}",
+                    f"{batch.activity.mean_active_days_per_week:.2f}",
                 ),
             ],
-            title="Streamed vs batch results",
+            title="Sharded vs batch results",
         )
     )
+    identical = "identical" if sharded == batch else "DIFFERENT"
     print(
-        f"\nStreaming pass: {stream_seconds:.1f}s, process peak RSS "
-        f"{rss_mb:.0f} MB — counts and means are exact; quantiles are "
-        "estimates (P² / reservoir) within a few percent."
+        f"\nSharded pass: {stream_seconds:.1f}s, at most "
+        f"{run.peak_resident_records:,} of {n_records:,} records resident, "
+        f"process peak RSS {rss_mb:.0f} MB; the two reports are {identical}."
     )
 
 

@@ -551,7 +551,6 @@ def _check_shard_equality(result, config, trace_dir, quarantine) -> None:
             shards=config.shards,
             workers=1,
             lenient=True,
-            seed=config.seed,
         )
     except Exception as exc:
         result.violations.append(

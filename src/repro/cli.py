@@ -9,7 +9,7 @@ The subcommands cover the full workflow::
     python -m repro validate  trace/ [--lenient]
     python -m repro analyze   trace/ [--figures fig2a,fig5a] [--out reports/]
                               [--lenient --quarantine-report q.json]
-                              [--shards N --workers W --seed S]
+                              [--shards N --workers W]
                               [--format auto|csv|bin]
     python -m repro serve     --trace trace/ --port 8321
                               [--checkpoint-dir ckpt/ --checkpoint-interval 30]
@@ -400,7 +400,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             shards=shards,
             workers=workers,
             lenient=args.lenient,
-            seed=getattr(args, "analysis_seed", 0),
             format=getattr(args, "format", "auto"),
         )
         full_report = run.report
@@ -495,7 +494,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         shards=args.shards,
         workers=args.workers or 1,
         lenient=args.lenient,
-        seed=args.analysis_seed,
         format=args.format,
     )
     service = AnalysisService(config)
@@ -1190,16 +1188,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which log encoding to load when a trace directory holds "
         "several (default: auto — csv, then csv.gz, then bin)",
     )
-    analyze.add_argument(
-        "--seed",
-        dest="analysis_seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed for the sharded activity reservoir streams "
-        "(seed:activity-reservoir:<shard>); only reservoir-derived "
-        "quantiles depend on it (default: 0)",
-    )
     analyze.set_defaults(func=cmd_analyze)
 
     serve = subparsers.add_parser(
@@ -1272,15 +1260,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="which log encoding to tail (default: auto — csv, then "
         "csv.gz, then bin; pinned once a stream appears)",
-    )
-    serve.add_argument(
-        "--seed",
-        dest="analysis_seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed for the sharded activity reservoir streams; must "
-        "match the batch analyze run being compared against (default: 0)",
     )
     serve.set_defaults(func=cmd_serve)
 

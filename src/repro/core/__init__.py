@@ -14,8 +14,8 @@ Each analysis module maps to one paper section; see DESIGN.md for the
 figure-by-figure index.
 """
 
-from repro.core.activity import ActivityResult, HourlyProfile, analyze_activity
-from repro.core.adoption import AdoptionResult, analyze_adoption
+from repro.core.activity import ActivityResult, HourlyProfile
+from repro.core.adoption import AdoptionResult
 from repro.core.app_mapping import (
     AppMatch,
     AttributedRecord,
@@ -23,21 +23,18 @@ from repro.core.app_mapping import (
     attribute_records,
     attribution_coverage,
 )
-from repro.core.apps import AppDailyStats, AppsResult, CategoryStats, analyze_apps
-from repro.core.comparison import ComparisonResult, analyze_comparison
+from repro.core.apps import AppDailyStats, AppsResult, CategoryStats
+from repro.core.comparison import ComparisonResult
 from repro.core.dataset import StudyDataset, StudyWindow
 from repro.core.domains import (
     DomainCategoryStats,
     DomainsResult,
     SingleUsageStats,
-    analyze_domains,
-    analyze_single_usage,
 )
 from repro.core.identification import DeviceCensus, WearableIdentifier
 from repro.core.mobility import (
     MobilityResult,
     SectorTimeline,
-    analyze_mobility,
     build_timelines,
 )
 from repro.core.pipeline import StudyReport, WearableStudy
@@ -45,25 +42,17 @@ from repro.core.sessions import UsageSession, sessionize
 from repro.core.throughdevice import (
     TD_FINGERPRINT_HOSTS,
     ThroughDeviceResult,
-    analyze_through_device,
 )
 from repro.core.cohorts import CohortResult, CohortRow, analyze_cohorts
-from repro.core.devices import DeviceResult, ModelStats, analyze_devices
+from repro.core.devices import DeviceResult, ModelStats
 from repro.core.export import report_to_dict, write_report_json
 from repro.core.figures import FIGURE_RENDERERS, render_all
-from repro.core.protocols import ProtocolResult, analyze_protocols
-from repro.core.streaming import (
-    StreamingActivity,
-    StreamingActivityResult,
-    StreamingAdoption,
-    StreamingAdoptionResult,
-    StreamingWeekly,
-)
+from repro.core.protocols import ProtocolResult
 from repro.core.throughdevice_full import (
     ThroughDeviceFullResult,
     analyze_through_device_full,
 )
-from repro.core.weekly import WeeklyResult, analyze_weekly
+from repro.core.weekly import StreamingWeekly, WeeklyResult
 
 __all__ = [
     "ActivityResult",
@@ -88,10 +77,6 @@ __all__ = [
     "SectorTimeline",
     "SignatureCatalog",
     "SingleUsageStats",
-    "StreamingActivity",
-    "StreamingActivityResult",
-    "StreamingAdoption",
-    "StreamingAdoptionResult",
     "StreamingWeekly",
     "StudyDataset",
     "StudyReport",
@@ -103,19 +88,8 @@ __all__ = [
     "WearableIdentifier",
     "WearableStudy",
     "WeeklyResult",
-    "analyze_activity",
-    "analyze_adoption",
-    "analyze_apps",
     "analyze_cohorts",
-    "analyze_comparison",
-    "analyze_devices",
-    "analyze_domains",
-    "analyze_mobility",
-    "analyze_protocols",
-    "analyze_single_usage",
-    "analyze_through_device",
     "analyze_through_device_full",
-    "analyze_weekly",
     "attribute_records",
     "attribution_coverage",
     "build_timelines",

@@ -13,13 +13,10 @@ seven-week window and produces:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.core.dataset import StudyDataset
-from repro.logs.timeutil import hour_of_day, is_weekend
 from repro.stats.cdf import ECDF
-from repro.stats.correlation import BinnedTrend, binned_means, pearson
+from repro.stats.correlation import BinnedTrend
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,127 +63,3 @@ class ActivityResult:
     #: Average share of a week's active users that are active on one day
     #: (paper: ~35%).
     daily_active_share_of_weekly: float
-
-
-def analyze_activity(dataset: StudyDataset) -> ActivityResult:
-    """Compute the Fig. 3 series from the detailed-window wearable log."""
-    records = dataset.wearable_proxy_detailed
-    if not records:
-        raise ValueError("no wearable transactions in the detailed window")
-    window = dataset.window
-    weeks = max(1, window.detailed_days // 7)
-
-    day_type_days: dict[bool, set[int]] = {True: set(), False: set()}
-    hour_users: dict[tuple[bool, int], set[tuple[str, int]]] = defaultdict(set)
-    hour_tx: dict[tuple[bool, int], int] = defaultdict(int)
-    hour_bytes: dict[tuple[bool, int], int] = defaultdict(int)
-    weekly_users: dict[int, set[str]] = defaultdict(set)
-    daily_users: dict[int, set[str]] = defaultdict(set)
-    user_days: dict[str, set[int]] = defaultdict(set)
-    user_day_hours: dict[str, set[tuple[int, int]]] = defaultdict(set)
-    user_tx: dict[str, int] = defaultdict(int)
-    user_bytes: dict[str, int] = defaultdict(int)
-    sizes: list[float] = []
-
-    first_day = window.detailed_first_day
-    for record in records:
-        day = window.day_of(record.timestamp)
-        if not first_day <= day < window.total_days:
-            continue
-        weekend = is_weekend(record.timestamp)
-        hour = hour_of_day(record.timestamp)
-        subscriber = record.subscriber_id
-        key = (weekend, hour)
-        day_type_days[weekend].add(day)
-        hour_users[key].add((subscriber, day))
-        hour_tx[key] += 1
-        hour_bytes[key] += record.total_bytes
-        weekly_users[(day - first_day) // 7].add(subscriber)
-        daily_users[day].add(subscriber)
-        user_days[subscriber].add(day)
-        user_day_hours[subscriber].add((day, hour))
-        user_tx[subscriber] += 1
-        user_bytes[subscriber] += record.total_bytes
-        sizes.append(float(record.total_bytes))
-
-    # Weekly normalisation constants (averages over observed weeks).
-    weekly_active = sum(len(users) for users in weekly_users.values()) / max(
-        1, len(weekly_users)
-    )
-    weekly_tx = len(sizes) / weeks
-    weekly_bytes = sum(sizes) / weeks
-
-    def hourly_series(weekend: bool) -> tuple[list[float], list[float], list[float]]:
-        n_days = max(1, len(day_type_days[weekend]))
-        users = [
-            len(hour_users[(weekend, hour)]) / n_days / max(1.0, weekly_active)
-            for hour in range(24)
-        ]
-        tx = [
-            hour_tx[(weekend, hour)] / n_days / max(1.0, weekly_tx)
-            for hour in range(24)
-        ]
-        data = [
-            hour_bytes[(weekend, hour)] / n_days / max(1.0, weekly_bytes)
-            for hour in range(24)
-        ]
-        return users, tx, data
-
-    weekday_users, weekday_tx, weekday_bytes = hourly_series(False)
-    weekend_users, weekend_tx, weekend_bytes = hourly_series(True)
-
-    # Per-user aggregates.
-    days_per_week = [len(days) / weeks for days in user_days.values()]
-    hours_per_day = [
-        len(user_day_hours[user]) / len(user_days[user]) for user in user_days
-    ]
-    tx_per_hour = [
-        user_tx[user] / max(1, len(user_day_hours[user])) for user in user_days
-    ]
-    bytes_per_hour = [
-        user_bytes[user] / max(1, len(user_day_hours[user])) for user in user_days
-    ]
-
-    hours_ecdf = ECDF(hours_per_day)
-    sizes_ecdf = ECDF(sizes)
-
-    users_list = list(user_days)
-    xs = [len(user_day_hours[u]) / len(user_days[u]) for u in users_list]
-    ys = [user_tx[u] / max(1, len(user_day_hours[u])) for u in users_list]
-    trend = binned_means(xs, ys, bins=8)
-    correlation = pearson(xs, ys) if len(xs) >= 2 else 0.0
-
-    # Daily active share of weekly actives, averaged over days.
-    shares = []
-    for day, users in daily_users.items():
-        week = (day - first_day) // 7
-        weekly = weekly_users.get(week)
-        if weekly:
-            shares.append(len(users) / len(weekly))
-    daily_share = sum(shares) / len(shares) if shares else 0.0
-
-    return ActivityResult(
-        hourly=HourlyProfile(
-            weekday_users=weekday_users,
-            weekend_users=weekend_users,
-            weekday_tx=weekday_tx,
-            weekend_tx=weekend_tx,
-            weekday_bytes=weekday_bytes,
-            weekend_bytes=weekend_bytes,
-        ),
-        active_days_per_week=ECDF(days_per_week),
-        active_hours_per_day=hours_ecdf,
-        transaction_sizes=sizes_ecdf,
-        hourly_tx_per_user=ECDF(tx_per_hour),
-        hourly_bytes_per_user=ECDF(bytes_per_hour),
-        tx_rate_vs_hours=trend,
-        tx_rate_hours_correlation=correlation,
-        mean_active_days_per_week=sum(days_per_week) / len(days_per_week),
-        mean_active_hours_per_day=hours_ecdf.mean,
-        fraction_users_over_10h=1.0 - hours_ecdf(10.0),
-        fraction_users_under_5h=hours_ecdf.fraction_below(5.0),
-        fraction_tx_under_10kb=sizes_ecdf.fraction_below(10_000.0),
-        median_tx_bytes=sizes_ecdf.median,
-        mean_tx_bytes=sizes_ecdf.mean,
-        daily_active_share_of_weekly=daily_share,
-    )

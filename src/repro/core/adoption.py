@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.dataset import StudyDataset
-
 #: A user whose last MME registration is at least this many days before
 #: the window end is counted as having abandoned the wearable.
 ABANDON_QUIET_DAYS = 28
@@ -40,71 +38,3 @@ class AdoptionResult:
     #: Fraction of registered wearable users that ever generated a proxy
     #: transaction (paper: 34%).
     data_active_fraction: float
-
-
-def analyze_adoption(dataset: StudyDataset) -> AdoptionResult:
-    """Compute the Section 4.1 adoption statistics from raw logs."""
-    window = dataset.window
-    daily_users: list[set[str]] = [set() for _ in range(window.total_days)]
-    first_seen: dict[str, int] = {}
-    last_seen: dict[str, int] = {}
-    for record in dataset.wearable_mme:
-        day = window.day_of(record.timestamp)
-        if not 0 <= day < window.total_days:
-            continue
-        subscriber = record.subscriber_id
-        daily_users[day].add(subscriber)
-        if subscriber not in first_seen or day < first_seen[subscriber]:
-            first_seen[subscriber] = day
-        if subscriber not in last_seen or day > last_seen[subscriber]:
-            last_seen[subscriber] = day
-
-    daily_counts = [len(users) for users in daily_users]
-    final = daily_counts[-1] if daily_counts and daily_counts[-1] else 1
-    normalized = [count / final for count in daily_counts]
-
-    # Growth: average of the first vs last seven daily counts, annualised
-    # to a 30-day rate.
-    start_level = sum(daily_counts[:7]) / 7.0
-    end_level = sum(daily_counts[-7:]) / 7.0
-    if start_level > 0:
-        total_growth = end_level / start_level - 1.0
-        months = window.total_days / 30.0
-        monthly_growth = (1.0 + total_growth) ** (1.0 / months) - 1.0
-    else:
-        total_growth = 0.0
-        monthly_growth = 0.0
-
-    first_week = {
-        subscriber for subscriber, day in first_seen.items() if day < 7
-    }
-    last_week_start = window.total_days - 7
-    still_active = {
-        subscriber
-        for subscriber in first_week
-        if last_seen[subscriber] >= last_week_start
-    }
-    abandoned = {
-        subscriber
-        for subscriber in first_week
-        if last_seen[subscriber] < window.total_days - ABANDON_QUIET_DAYS
-    }
-
-    registered_users = set(first_seen)
-    data_users = {
-        record.subscriber_id for record in dataset.wearable_proxy
-    } & registered_users
-
-    denominator = len(first_week) if first_week else 1
-    return AdoptionResult(
-        daily_counts=daily_counts,
-        normalized_daily=normalized,
-        monthly_growth_percent=100.0 * monthly_growth,
-        total_growth_percent=100.0 * total_growth,
-        first_week_users=len(first_week),
-        abandoned_fraction=len(abandoned) / denominator,
-        still_active_fraction=len(still_active) / denominator,
-        data_active_fraction=(
-            len(data_users) / len(registered_users) if registered_users else 0.0
-        ),
-    )

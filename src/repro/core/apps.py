@@ -8,13 +8,8 @@ is a (user, app, day) with at least one attributed transaction.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
-from repro.core.app_mapping import AttributedRecord
-from repro.core.dataset import StudyDataset
-from repro.core.sessions import UsageSession
 from repro.stats.cdf import ECDF
 
 #: A user whose average distinct-interactive-apps-per-active-day is at or
@@ -69,137 +64,3 @@ class AppsResult:
     fraction_users_under_20_apps: float
     #: Fraction of users running a single app per active day (paper: 93%).
     fraction_single_app_users: float
-
-
-def analyze_apps(
-    dataset: StudyDataset,
-    attributed: Sequence[AttributedRecord],
-    sessions: Sequence[UsageSession],
-    app_categories: Mapping[str, str],
-) -> AppsResult:
-    """Compute Figs. 5-6 from attributed wearable transactions.
-
-    ``attributed``/``sessions`` must cover the detailed window's wearable
-    traffic; ``app_categories`` is the public Play-store categorisation.
-    """
-    window = dataset.window
-    n_days = window.detailed_days
-
-    app_day_users: dict[str, set[tuple[str, int]]] = defaultdict(set)
-    any_day_users: dict[int, set[str]] = defaultdict(set)
-    app_users: dict[str, set[str]] = defaultdict(set)
-    app_tx: dict[str, int] = defaultdict(int)
-    app_bytes: dict[str, int] = defaultdict(int)
-    user_apps: dict[str, set[str]] = defaultdict(set)
-
-    for item in attributed:
-        if item.app is None:
-            continue
-        record = item.record
-        if not window.in_detailed(record.timestamp):
-            continue
-        day = window.day_of(record.timestamp)
-        subscriber = record.subscriber_id
-        app_day_users[item.app].add((subscriber, day))
-        any_day_users[day].add(subscriber)
-        app_users[item.app].add(subscriber)
-        app_tx[item.app] += 1
-        app_bytes[item.app] += record.total_bytes
-        user_apps[subscriber].add(item.app)
-
-    if not app_tx:
-        raise ValueError("no attributed wearable transactions in window")
-
-    app_sessions: dict[str, int] = defaultdict(int)
-    user_day_interactive: dict[tuple[str, int], set[str]] = defaultdict(set)
-    for session in sessions:
-        if not window.in_detailed(session.start):
-            continue
-        app_sessions[session.app] += 1
-        if session.is_interactive:
-            day = window.day_of(session.start)
-            user_day_interactive[(session.subscriber_id, day)].add(session.app)
-
-    # Average over *window* days (quiet days count as zero), consistent
-    # with the per-app numerator below.
-    mean_daily_total_users = sum(
-        len(users) for users in any_day_users.values()
-    ) / n_days
-    total_sessions = sum(app_sessions.values())
-    total_tx = sum(app_tx.values())
-    total_bytes = sum(app_bytes.values())
-
-    per_app: list[AppDailyStats] = []
-    for app in app_tx:
-        used_days = len(app_day_users[app])
-        users = len(app_users[app])
-        per_app.append(
-            AppDailyStats(
-                app=app,
-                category=app_categories.get(app, "Tools"),
-                daily_users_pct=(
-                    100.0 * (used_days / n_days) / mean_daily_total_users
-                    if mean_daily_total_users > 0
-                    else 0.0
-                ),
-                used_days_per_user_pct=100.0 * used_days / max(1, users) / n_days,
-                usage_freq_pct=100.0 * app_sessions[app] / max(1, total_sessions),
-                tx_pct=100.0 * app_tx[app] / total_tx,
-                data_pct=100.0 * app_bytes[app] / max(1, total_bytes),
-            )
-        )
-    per_app.sort(key=lambda row: row.daily_users_pct, reverse=True)
-
-    category_rows: dict[str, list[float]] = defaultdict(lambda: [0.0, 0.0, 0.0, 0.0])
-    for row in per_app:
-        sums = category_rows[row.category]
-        sums[0] += row.daily_users_pct
-        sums[1] += row.usage_freq_pct
-        sums[2] += row.tx_pct
-        sums[3] += row.data_pct
-    per_category = [
-        CategoryStats(
-            category=category,
-            users_pct=sums[0],
-            usage_freq_pct=sums[1],
-            tx_pct=sums[2],
-            data_pct=sums[3],
-        )
-        for category, sums in category_rows.items()
-    ]
-    per_category.sort(key=lambda row: row.users_pct, reverse=True)
-
-    def rank(metric) -> list[str]:
-        return [
-            row.category
-            for row in sorted(per_category, key=metric, reverse=True)
-        ]
-
-    apps_counts = [float(len(apps)) for apps in user_apps.values()]
-    apps_ecdf = ECDF(apps_counts)
-
-    # One-app-per-day users: average distinct interactive apps per active day.
-    per_user_days: dict[str, list[int]] = defaultdict(list)
-    for (subscriber, _day), apps in user_day_interactive.items():
-        per_user_days[subscriber].append(len(apps))
-    single_app_users = [
-        subscriber
-        for subscriber, counts in per_user_days.items()
-        if sum(counts) / len(counts) <= SINGLE_APP_THRESHOLD
-    ]
-    single_fraction = (
-        len(single_app_users) / len(per_user_days) if per_user_days else 0.0
-    )
-
-    return AppsResult(
-        per_app=per_app,
-        per_category=per_category,
-        category_rank_users=rank(lambda row: row.users_pct),
-        category_rank_freq=rank(lambda row: row.usage_freq_pct),
-        category_rank_tx=rank(lambda row: row.tx_pct),
-        category_rank_data=rank(lambda row: row.data_pct),
-        apps_per_user=apps_ecdf,
-        mean_apps_per_user=apps_ecdf.mean,
-        fraction_users_under_20_apps=apps_ecdf.fraction_below(20.0),
-        fraction_single_app_users=single_fraction,
-    )

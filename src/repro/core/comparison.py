@@ -9,11 +9,8 @@ of the ISP".  All totals are taken over the detailed window.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from math import log10
 
-from repro.core.dataset import StudyDataset
 from repro.stats.cdf import ECDF
 
 
@@ -44,75 +41,3 @@ class ComparisonResult:
     #: Fraction of owners whose wearable contributes at least 3% of their
     #: traffic (paper: ~10%).
     fraction_share_at_least_3pct: float
-
-
-def analyze_comparison(dataset: StudyDataset) -> ComparisonResult:
-    """Compare wearable owners' traffic to the general customer base."""
-    window = dataset.window
-    wearable_tacs = dataset.wearable_tacs
-    directory = dataset.account_directory
-    owner_accounts = dataset.wearable_accounts
-
-    account_bytes: dict[str, int] = defaultdict(int)
-    account_tx: dict[str, int] = defaultdict(int)
-    account_wearable_bytes: dict[str, int] = defaultdict(int)
-    for record in dataset.proxy_records:
-        if not window.in_detailed(record.timestamp):
-            continue
-        account = directory.get(record.subscriber_id)
-        if account is None:
-            continue
-        account_bytes[account] += record.total_bytes
-        account_tx[account] += 1
-        if record.tac in wearable_tacs:
-            account_wearable_bytes[account] += record.total_bytes
-
-    owner_bytes: list[float] = []
-    owner_tx: list[float] = []
-    general_bytes: list[float] = []
-    general_tx: list[float] = []
-    shares: list[float] = []
-    for account, total in account_bytes.items():
-        if account in owner_accounts:
-            owner_bytes.append(float(total))
-            owner_tx.append(float(account_tx[account]))
-            wearable_part = account_wearable_bytes.get(account, 0)
-            if wearable_part > 0 and total > 0:
-                shares.append(wearable_part / total)
-        else:
-            general_bytes.append(float(total))
-            general_tx.append(float(account_tx[account]))
-
-    if not owner_bytes or not general_bytes:
-        raise ValueError("need traffic from both owner and general accounts")
-
-    mean_owner_bytes = sum(owner_bytes) / len(owner_bytes)
-    mean_general_bytes = sum(general_bytes) / len(general_bytes)
-    mean_owner_tx = sum(owner_tx) / len(owner_tx)
-    mean_general_tx = sum(general_tx) / len(general_tx)
-
-    max_bytes = max(max(owner_bytes), max(general_bytes))
-    share_ecdf = ECDF(shares) if shares else ECDF([0.0])
-    orders = (
-        sorted(-log10(share) for share in shares)[len(shares) // 2]
-        if shares
-        else 0.0
-    )
-
-    return ComparisonResult(
-        n_wearable_accounts=len(owner_bytes),
-        n_general_accounts=len(general_bytes),
-        mean_bytes_wearable_owner=mean_owner_bytes,
-        mean_bytes_general=mean_general_bytes,
-        mean_tx_wearable_owner=mean_owner_tx,
-        mean_tx_general=mean_general_tx,
-        extra_data_percent=100.0 * (mean_owner_bytes / mean_general_bytes - 1.0),
-        extra_tx_percent=100.0 * (mean_owner_tx / mean_general_tx - 1.0),
-        bytes_cdf_wearable_owner=ECDF([b / max_bytes for b in owner_bytes]),
-        bytes_cdf_general=ECDF([b / max_bytes for b in general_bytes]),
-        wearable_share=share_ecdf,
-        median_share_orders_of_magnitude=orders,
-        fraction_share_at_least_3pct=(
-            1.0 - share_ecdf.fraction_below(0.03) if shares else 0.0
-        ),
-    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -37,19 +37,27 @@ from repro.simnet.topology import SectorMap
 
 @dataclass(frozen=True, slots=True)
 class StudyWindow:
-    """Observation-window metadata."""
+    """Observation-window metadata.
+
+    ``study_end`` and ``detailed_start`` are derived once at
+    construction: :meth:`in_detailed` runs once per record in most
+    panels.
+    """
 
     study_start: float
     total_days: int
     detailed_days: int
+    study_end: float = field(init=False, repr=False, compare=False)
+    detailed_start: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def study_end(self) -> float:
-        return self.study_start + self.total_days * SECONDS_PER_DAY
-
-    @property
-    def detailed_start(self) -> float:
-        return self.study_end - self.detailed_days * SECONDS_PER_DAY
+    def __post_init__(self) -> None:
+        study_end = self.study_start + self.total_days * SECONDS_PER_DAY
+        object.__setattr__(self, "study_end", study_end)
+        object.__setattr__(
+            self,
+            "detailed_start",
+            study_end - self.detailed_days * SECONDS_PER_DAY,
+        )
 
     @property
     def detailed_first_day(self) -> int:

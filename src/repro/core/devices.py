@@ -14,10 +14,7 @@ richer device view, which this module computes:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-
-from repro.core.dataset import StudyDataset
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,77 +42,3 @@ class DeviceResult:
     #: manufacturer → weekly share series (one value per observed week).
     weekly_manufacturer_share: dict[str, list[float]]
     total_devices: int
-
-
-def analyze_devices(dataset: StudyDataset) -> DeviceResult:
-    """Compute device-model statistics from the MME and proxy logs."""
-    window = dataset.window
-    device_db = dataset.device_db
-    total_weeks = max(1, window.total_days // 7)
-
-    device_model: dict[str, object] = {}
-    weekly_devices: list[dict[str, set[str]]] = [
-        defaultdict(set) for _ in range(total_weeks)
-    ]
-    for record in dataset.wearable_mme:
-        model = device_db.lookup_imei(record.imei)
-        if model is None:
-            continue
-        device_model[record.imei] = model
-        day = window.day_of(record.timestamp)
-        week = day // 7
-        if 0 <= week < total_weeks:
-            weekly_devices[week][model.manufacturer].add(record.imei)
-
-    if not device_model:
-        raise ValueError("no wearable devices observed in the MME log")
-
-    data_imeis = {record.imei for record in dataset.wearable_proxy}
-
-    per_model_devices: dict[str, set[str]] = defaultdict(set)
-    per_model_active: dict[str, set[str]] = defaultdict(set)
-    model_meta: dict[str, tuple[str, str]] = {}
-    for imei, model in device_model.items():
-        per_model_devices[model.model].add(imei)
-        model_meta[model.model] = (model.manufacturer, model.os)
-        if imei in data_imeis:
-            per_model_active[model.model].add(imei)
-
-    per_model = [
-        ModelStats(
-            model=name,
-            manufacturer=model_meta[name][0],
-            os=model_meta[name][1],
-            devices=len(devices),
-            data_active_devices=len(per_model_active[name]),
-        )
-        for name, devices in per_model_devices.items()
-    ]
-    per_model.sort(key=lambda row: row.devices, reverse=True)
-    total = sum(row.devices for row in per_model)
-
-    manufacturer_count: dict[str, int] = defaultdict(int)
-    os_count: dict[str, int] = defaultdict(int)
-    for row in per_model:
-        manufacturer_count[row.manufacturer] += row.devices
-        os_count[row.os] += row.devices
-
-    weekly_share: dict[str, list[float]] = defaultdict(
-        lambda: [0.0] * total_weeks
-    )
-    for week, per_manufacturer in enumerate(weekly_devices):
-        week_total = sum(len(imeis) for imeis in per_manufacturer.values())
-        if week_total == 0:
-            continue
-        for manufacturer, imeis in per_manufacturer.items():
-            weekly_share[manufacturer][week] = len(imeis) / week_total
-
-    return DeviceResult(
-        per_model=per_model,
-        manufacturer_share={
-            name: count / total for name, count in manufacturer_count.items()
-        },
-        os_share={name: count / total for name, count in os_count.items()},
-        weekly_manufacturer_share=dict(weekly_share),
-        total_devices=total,
-    )

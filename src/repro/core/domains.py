@@ -9,19 +9,7 @@ same order of magnitude as first-party volumes.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
-
-from repro.core.app_mapping import CATEGORY_UNKNOWN, AttributedRecord
-from repro.core.dataset import StudyDataset
-from repro.core.sessions import UsageSession
-from repro.simnet.appcatalog import (
-    DOMAIN_ADVERTISING,
-    DOMAIN_ANALYTICS,
-    DOMAIN_APPLICATION,
-    DOMAIN_CATEGORIES,
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,99 +43,3 @@ class DomainsResult:
     #: Bytes to advertising+analytics over bytes to first party — the
     #: "same order of magnitude" claim means this sits within [0.1, 10].
     third_party_data_ratio: float
-
-
-def analyze_single_usage(
-    sessions: Sequence[UsageSession],
-    min_usages: int = 5,
-) -> list[SingleUsageStats]:
-    """Fig. 7: average transactions and KB per single usage, per app.
-
-    Apps with fewer than ``min_usages`` sessions are dropped — a handful
-    of heavy sessions would otherwise rank a barely-used tail app above
-    the figure's named apps.
-    """
-    tx_sum: dict[str, int] = defaultdict(int)
-    bytes_sum: dict[str, int] = defaultdict(int)
-    count: dict[str, int] = defaultdict(int)
-    for session in sessions:
-        tx_sum[session.app] += session.tx_count
-        bytes_sum[session.app] += session.bytes_total
-        count[session.app] += 1
-    rows = [
-        SingleUsageStats(
-            app=app,
-            mean_tx_per_usage=tx_sum[app] / count[app],
-            mean_kb_per_usage=bytes_sum[app] / count[app] / 1000.0,
-            usage_count=count[app],
-        )
-        for app in count
-        if count[app] >= min_usages
-    ]
-    rows.sort(key=lambda row: row.mean_kb_per_usage, reverse=True)
-    return rows
-
-
-def analyze_domain_categories(
-    dataset: StudyDataset,
-    attributed: Sequence[AttributedRecord],
-) -> DomainsResult:
-    """Fig. 8 plus Fig. 7 packaging (sessions supplied separately).
-
-    Only wearable transactions inside the detailed window count; unknown
-    hosts are excluded from the percentages, as the paper's categorisation
-    covered its mapped traffic.
-    """
-    window = dataset.window
-    users: dict[str, set[str]] = defaultdict(set)
-    tx: dict[str, int] = defaultdict(int)
-    data: dict[str, int] = defaultdict(int)
-    for item in attributed:
-        category = item.domain_category
-        if category == CATEGORY_UNKNOWN:
-            continue
-        record = item.record
-        if not window.in_detailed(record.timestamp):
-            continue
-        users[category].add(record.subscriber_id)
-        tx[category] += 1
-        data[category] += record.total_bytes
-
-    total_users = len(set().union(*users.values())) if users else 0
-    total_tx = sum(tx.values())
-    total_data = sum(data.values())
-    per_category = [
-        DomainCategoryStats(
-            category=category,
-            users_pct=100.0 * len(users[category]) / max(1, total_users),
-            usage_freq_pct=100.0 * tx[category] / max(1, total_tx),
-            data_pct=100.0 * data[category] / max(1, total_data),
-        )
-        for category in DOMAIN_CATEGORIES
-        if category in tx
-    ]
-
-    third_party = data.get(DOMAIN_ADVERTISING, 0) + data.get(DOMAIN_ANALYTICS, 0)
-    first_party = data.get(DOMAIN_APPLICATION, 0)
-    ratio = third_party / first_party if first_party else 0.0
-    return DomainsResult(
-        per_app_usage=[],
-        per_domain_category=per_category,
-        third_party_data_ratio=ratio,
-    )
-
-
-def analyze_domains(
-    dataset: StudyDataset,
-    attributed: Sequence[AttributedRecord],
-    sessions: Sequence[UsageSession],
-) -> DomainsResult:
-    """Full §5.2 analysis: Fig. 7 per-usage stats plus Fig. 8 categories."""
-    window = dataset.window
-    windowed_sessions = [s for s in sessions if window.in_detailed(s.start)]
-    base = analyze_domain_categories(dataset, attributed)
-    return DomainsResult(
-        per_app_usage=analyze_single_usage(windowed_sessions),
-        per_domain_category=base.per_domain_category,
-        third_party_data_ratio=base.third_party_data_ratio,
-    )

@@ -30,17 +30,16 @@ by *sector*: worker ``s`` of ``n`` builds the index only for sectors
 with ``crc32(sector_id) % n == s`` and never sees another worker's
 cells.  An encounter event belongs to exactly one cell, hence exactly
 one worker — per-shard event counts merge by plain integer addition and
-partner sets by union, both in the bit-exact tier of the merge contract
+partner sets by union, both exact under the merge contract
 (:mod:`repro.core.parallel`).  Peak memory per worker is the pending
 map (one entry per live subscriber) plus that worker's sector slice of
 the index.
 
-:func:`stream_dwell_intervals` reproduces the batch timelines without
-materialising them: over the canonically time-ordered MME stream it
-keeps one pending attachment per subscriber and closes intervals as the
-stream advances.  Equality with the batch path relies on
-:class:`SectorTimeline` sorting stably by timestamp — same-timestamp
-events keep MME record order on both sides.
+:func:`stream_dwell_intervals` produces the :class:`SectorTimeline`
+dwell intervals without materialising timelines: over the canonically
+time-ordered MME stream it keeps one pending attachment per subscriber
+and closes intervals as the stream advances.  Same-timestamp events keep
+MME record order, as they do in the stably sorted timelines.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from typing import Iterable, Iterator
 from zlib import crc32
 
 from repro.core.dataset import StudyDataset, StudyWindow
-from repro.core.mobility import build_timelines
 from repro.logs.records import MmeRecord
 from repro.logs.timeutil import SECONDS_PER_DAY
 from repro.stats.cdf import ECDF
@@ -69,7 +67,6 @@ __all__ = [
     "EXPLAINED_THRESHOLD",
     "MIN_OVERLAP_SECONDS",
     "EncountersResult",
-    "analyze_encounters",
     "build_cell_index",
     "join_cells",
     "sector_shard",
@@ -120,9 +117,8 @@ def build_cell_index(
     ``intervals`` yields ``(subscriber, sector, start, end)``; intervals
     in sectors not owned by ``shard`` (per :func:`sector_shard`) are
     dropped, which is what keeps the sharded join disjoint.  Per-cell
-    interval lists preserve input order, so both the batch path
-    (timeline order) and the streaming path (canonical stream order)
-    produce identical cells.
+    interval lists preserve input order, so timeline order and canonical
+    stream order produce identical cells.
     """
     index: dict[tuple[str, int], dict[str, list[tuple[float, float]]]] = {}
     for subscriber, sector, start, end in intervals:
@@ -295,11 +291,8 @@ def summarize_encounters(
 ) -> EncountersResult:
     """Fold the join + per-account accumulators into the figure panels.
 
-    Shared verbatim by the batch path and the parallel finalize: every
-    fold iterates *sorted* keys, so equal accumulators produce
-    bit-identical results regardless of how they were assembled
-    (merge-exactness tier: exact for counts/sets, deterministic
-    order-fixed folds for the float statistics).
+    Every fold iterates *sorted* keys, so equal accumulators produce
+    bit-identical results however they were assembled.
     """
     if not wearable_subs or not phone_subs:
         raise ValueError(
@@ -400,8 +393,8 @@ def consume_classification(
     SIM classification (detailed-window MME by TAC), per-subscriber
     detailed proxy traffic, and the billing pairing maps.  This side
     partitions by *account* — in the parallel path each worker feeds its
-    account-shard dataset, and the merged accumulators are disjoint-key
-    unions (bit-exact tier).
+    account-shard dataset, and the merged accumulators are exact
+    disjoint-key unions.
     """
     window = dataset.window
     for record in dataset.wearable_mme:
@@ -424,72 +417,3 @@ def consume_classification(
         account = dataset.account_of(subscriber)
         if account is not None:
             account_phones.setdefault(account, set()).add(subscriber)
-
-
-def analyze_encounters(dataset: StudyDataset) -> EncountersResult:
-    """Batch encounter detection + panels over one dataset.
-
-    Builds detailed-window timelines for *all* SIMs (the join does not
-    care who owns the sector), indexes their dwell intervals into the
-    per-sector cell index and joins every cell.  The parallel path
-    (:class:`repro.core.parallel.EncountersPartial`) recomputes the same
-    accumulators shard by shard; both finalize through
-    :func:`summarize_encounters`.
-    """
-    window = dataset.window
-    detailed = [
-        r for r in dataset.mme_records if window.in_detailed(r.timestamp)
-    ]
-    timelines = build_timelines(detailed)
-    if not timelines:
-        raise ValueError("need detailed-window MME events for encounters")
-
-    seen_subscribers: set[str] = set()
-
-    def _intervals() -> Iterator[tuple[str, str, float, float]]:
-        for subscriber, timeline in timelines.items():
-            intervals = timeline.dwell_intervals(window.study_start)
-            if intervals:
-                seen_subscribers.add(subscriber)
-            for sector, start, end in intervals:
-                yield subscriber, sector, start, end
-
-    index = build_cell_index(_intervals(), window.study_start)
-    pair_events: dict[tuple[str, str], int] = {}
-    partners: dict[str, set[str]] = {}
-    sub_events: dict[str, int] = {}
-    join_cells(
-        index,
-        pair_events=pair_events,
-        partners=partners,
-        sub_events=sub_events,
-    )
-
-    wearable_subs: set[str] = set()
-    phone_subs: set[str] = set()
-    tx_count: dict[str, int] = {}
-    tx_bytes: dict[str, int] = {}
-    account_wearables: dict[str, set[str]] = {}
-    account_phones: dict[str, set[str]] = {}
-    consume_classification(
-        dataset,
-        wearable_subs=wearable_subs,
-        phone_subs=phone_subs,
-        tx_count=tx_count,
-        tx_bytes=tx_bytes,
-        account_wearables=account_wearables,
-        account_phones=account_phones,
-    )
-
-    return summarize_encounters(
-        pair_events=pair_events,
-        partners=partners,
-        sub_events=sub_events,
-        seen_subscribers=seen_subscribers,
-        wearable_subs=wearable_subs,
-        phone_subs=phone_subs,
-        tx_count=tx_count,
-        tx_bytes=tx_bytes,
-        account_wearables=account_wearables,
-        account_phones=account_phones,
-    )

@@ -4,12 +4,13 @@ The paper "prepared a list of all SIM-enabled wearable device models ...
 leverage[d] the DeviceDB to associate these models with their respective
 IMEI ranges and finally ... search[ed] for these IMEIs in the traffic
 logs".  :class:`WearableIdentifier` is that procedure: a TAC-set membership
-test plus device/model accounting.
+test plus the device-model lookup.  The device census itself (distinct
+wearables by model, manufacturer and OS) is the ``census`` panel of
+:mod:`repro.core.parallel`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -53,33 +54,3 @@ class WearableIdentifier:
         """The subset of records originating from wearable devices."""
         tacs = self._wearable_tacs
         return [record for record in records if record.imei[:8] in tacs]
-
-    def census(
-        self, records: Iterable[ProxyRecord | MmeRecord]
-    ) -> DeviceCensus:
-        """Distinct wearable devices by model, manufacturer and OS.
-
-        Section 4.1 notes "most users are using LG and Samsung SIM-enabled
-        watches"; the census makes that checkable from the logs.
-        """
-        imeis = {
-            record.imei
-            for record in records
-            if record.imei[:8] in self._wearable_tacs
-        }
-        per_model: Counter[str] = Counter()
-        per_manufacturer: Counter[str] = Counter()
-        per_os: Counter[str] = Counter()
-        for imei in imeis:
-            model = self._db.lookup_imei(imei)
-            if model is None:
-                continue
-            per_model[model.model] += 1
-            per_manufacturer[model.manufacturer] += 1
-            per_os[model.os] += 1
-        return DeviceCensus(
-            total_devices=len(imeis),
-            devices_per_model=dict(per_model),
-            devices_per_manufacturer=dict(per_manufacturer),
-            devices_per_os=dict(per_os),
-        )

@@ -20,14 +20,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.dataset import StudyDataset
 from repro.logs.records import MmeRecord
 from repro.logs.timeutil import SECONDS_PER_DAY
 from repro.stats.cdf import ECDF
-from repro.stats.correlation import BinnedTrend, binned_means, pearson
-from repro.stats.entropy import dwell_weighted_entropy
-from repro.stats.geo import GeoPoint, max_displacement_km
-from repro.simnet.topology import SectorMap
+from repro.stats.correlation import BinnedTrend
 
 
 class SectorTimeline:
@@ -151,125 +147,3 @@ class MobilityResult:
     #: Fig. 4(d): mean tx-per-active-hour binned by daily displacement.
     displacement_vs_tx_rate: list[BinnedTrend]
     displacement_tx_correlation: float
-
-
-def _displacements(
-    timelines: dict[str, SectorTimeline],
-    sector_map: SectorMap,
-    study_start: float,
-) -> tuple[list[float], dict[str, float]]:
-    """All user-day displacements plus per-user means."""
-    user_days: list[float] = []
-    per_user: dict[str, float] = {}
-    for subscriber, timeline in timelines.items():
-        daily = timeline.daily_sectors(study_start)
-        values: list[float] = []
-        for sectors in daily.values():
-            points: list[GeoPoint] = []
-            for sector in sectors:
-                location = sector_map.get(sector)
-                if location is not None:
-                    points.append(location)
-            values.append(max_displacement_km(points))
-        if values:
-            user_days.extend(values)
-            per_user[subscriber] = sum(values) / len(values)
-    return user_days, per_user
-
-
-def analyze_mobility(dataset: StudyDataset) -> MobilityResult:
-    """Compute the Fig. 4(c-d) mobility statistics from raw logs."""
-    window = dataset.window
-    detailed_mme_wearable = [
-        r for r in dataset.wearable_mme if window.in_detailed(r.timestamp)
-    ]
-    owner_accounts = dataset.wearable_accounts
-    detailed_mme_general = [
-        r
-        for r in dataset.phone_mme
-        if window.in_detailed(r.timestamp)
-        and dataset.account_of(r.subscriber_id) not in owner_accounts
-    ]
-    wearable_timelines = build_timelines(detailed_mme_wearable)
-    general_timelines = build_timelines(detailed_mme_general)
-    if not wearable_timelines or not general_timelines:
-        raise ValueError("need MME events for both wearable and general users")
-
-    sector_map = dataset.sector_map
-    study_start = window.study_start
-    wearable_days, wearable_users = _displacements(
-        wearable_timelines, sector_map, study_start
-    )
-    general_days, general_users = _displacements(
-        general_timelines, sector_map, study_start
-    )
-
-    wearable_user_values = list(wearable_users.values())
-    general_user_values = list(general_users.values())
-    mean_wearable_user = sum(wearable_user_values) / len(wearable_user_values)
-    mean_general_user = sum(general_user_values) / len(general_user_values)
-
-    # Dwell-weighted entropy per user.
-    wearable_entropy = [
-        dwell_weighted_entropy(t.dwell_seconds(study_start))
-        for t in wearable_timelines.values()
-    ]
-    general_entropy = [
-        dwell_weighted_entropy(t.dwell_seconds(study_start))
-        for t in general_timelines.values()
-    ]
-    mean_entropy_wearable = sum(wearable_entropy) / len(wearable_entropy)
-    mean_entropy_general = sum(general_entropy) / len(general_entropy)
-
-    # Transaction-location join: distinct sectors at transaction times.
-    tx_sectors: dict[str, set[str]] = defaultdict(set)
-    tx_counts: dict[str, int] = defaultdict(int)
-    tx_hours: dict[str, set[tuple[int, int]]] = defaultdict(set)
-    for record in dataset.wearable_proxy_detailed:
-        subscriber = record.subscriber_id
-        timeline = wearable_timelines.get(subscriber)
-        if timeline is None:
-            continue
-        sector = timeline.sector_at(record.timestamp)
-        if sector is not None:
-            tx_sectors[subscriber].add(sector)
-        tx_counts[subscriber] += 1
-        day = window.day_of(record.timestamp)
-        hour = int((record.timestamp - study_start) % SECONDS_PER_DAY // 3600)
-        tx_hours[subscriber].add((day, hour))
-    data_users = [s for s in tx_sectors if tx_sectors[s]]
-    single = [s for s in data_users if len(tx_sectors[s]) == 1]
-    single_fraction = len(single) / len(data_users) if data_users else 0.0
-
-    # Fig. 4(d): displacement vs hourly transaction rate, per data user.
-    xs: list[float] = []
-    ys: list[float] = []
-    for subscriber in data_users:
-        displacement = wearable_users.get(subscriber)
-        if displacement is None:
-            continue
-        xs.append(displacement)
-        ys.append(tx_counts[subscriber] / max(1, len(tx_hours[subscriber])))
-    trend = binned_means(xs, ys, bins=8) if xs else []
-    correlation = pearson(xs, ys) if len(xs) >= 2 else 0.0
-
-    under_30 = sum(1 for v in wearable_user_values if v < 30.0)
-    return MobilityResult(
-        wearable_daily_displacement=ECDF(wearable_days),
-        general_daily_displacement=ECDF(general_days),
-        wearable_user_displacement=ECDF(wearable_user_values),
-        general_user_displacement=ECDF(general_user_values),
-        mean_user_displacement_wearable_km=mean_wearable_user,
-        mean_user_displacement_general_km=mean_general_user,
-        mean_daily_displacement_wearable_km=sum(wearable_days) / len(wearable_days),
-        fraction_users_under_30km=under_30 / len(wearable_user_values),
-        mean_entropy_wearable_bits=mean_entropy_wearable,
-        mean_entropy_general_bits=mean_entropy_general,
-        entropy_excess_percent=100.0
-        * (mean_entropy_wearable / mean_entropy_general - 1.0)
-        if mean_entropy_general > 0
-        else 0.0,
-        single_tx_location_fraction=single_fraction,
-        displacement_vs_tx_rate=trend,
-        displacement_tx_correlation=correlation,
-    )

@@ -1,33 +1,28 @@
-"""Sharded map-reduce analysis: every figure panel from mergeable partials.
+"""Mergeable partials: every figure panel, batch, sharded and served.
 
-:func:`analyze_parallel` computes the full :class:`StudyReport` without
-ever holding the whole trace in one process:
+Each figure panel exists once, as a ``*Partial`` aggregate with explicit
+``consume`` (fold a dataset in), ``merge`` (fold another partial in) and
+``finalize`` (produce the report field).  :data:`PANELS` holds the one
+consume and finalize call per panel; the execution modes only differ in
+how they feed it:
 
-* the trace is split into **account shards** — ``crc32(account_id) %
-  shards``, the same partition the simulation engine uses — so every
-  per-user and per-account aggregation is *shard-local*;
-* each shard worker streams only its shard's rows
+* batch :class:`~repro.core.pipeline.WearableStudy` is the shards=1
+  fold: each property builds its panel's partial over the whole dataset
+  and finalizes it;
+* :func:`analyze_parallel` splits the trace into **account shards** —
+  ``crc32(account_id) % shards``, the same partition the simulation
+  engine uses — so every per-user and per-account aggregation is
+  shard-local; each worker streams only its shard's rows
   (:func:`repro.logs.io.read_csv_records_shard`), builds one
-  :class:`ShardPartials` — a bundle of per-analysis **partial
-  aggregates** — and ships it back (peak memory: O(largest shard));
-* the parent folds partials together in shard order via the explicit
-  ``merge()`` protocol and finalises them into the exact same
-  :class:`~repro.core.pipeline.StudyReport` the batch pipeline produces.
+  :class:`ShardPartials` and ships it back (peak memory: O(largest
+  shard)), and the parent merges them in shard order and finalizes;
+* :mod:`repro.serve` folds growing deltas into the same partials.
 
-Merge exactness (the full table lives in ``docs/architecture.md``):
-
-* **exact** — integer counts, set unions, min/max, sums of
-  integral-valued floats (byte totals stay far below 2**53), exact-sum
-  :class:`~repro.stats.streaming.OnlineStats` totals, and every ECDF
-  built from a complete per-user multiset (sets/dicts are disjoint or
-  union-safe across shards, so the merged multiset is identical);
-* **order-sensitive float folds** — means of non-integral per-user
-  values, Pearson correlations and binned trends are finalised over
-  *sorted* keys: deterministic for any worker count, equal to the batch
-  value up to floating-point associativity (~1e-12 relative);
-* **approximate** — transaction-size quantiles come from merged
-  per-shard reservoirs (seeded ``seed:activity-reservoir:shard``) and a
-  merged P² estimator, carrying documented sampling bands.
+Merging is exact — integer counts, set unions, min/max, an exact
+transaction-size histogram, and float folds taken over *sorted* keys or
+with ``math.fsum`` — so every :class:`~repro.core.pipeline.StudyReport`
+field is bit-identical for batch, any shard or worker count, and serve
+(the table lives in ``docs/architecture.md``).
 
 Workers record their own observability (spans, metrics, timeline
 progress events) exactly like the simulation engine's shard workers; the
@@ -40,8 +35,11 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from math import log10
+from functools import cached_property
+from itertools import chain, repeat
+from math import fsum, log10
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.obs.timeline import HeartbeatSampler
@@ -50,6 +48,7 @@ from repro.core.activity import ActivityResult, HourlyProfile
 from repro.core.adoption import ABANDON_QUIET_DAYS, AdoptionResult
 from repro.core.app_mapping import (
     CATEGORY_UNKNOWN,
+    AttributedRecord,
     SignatureCatalog,
     attribute_records,
 )
@@ -81,40 +80,40 @@ from repro.core.domains import (
 )
 from repro.core.identification import DeviceCensus
 from repro.core.mobility import MobilityResult, build_timelines
-from repro.core.pipeline import StudyReport
 from repro.core.protocols import (
     SENSITIVE_CATEGORIES,
     AppProtocolStats,
     ProtocolResult,
 )
-from repro.core.sessions import sessionize
-from repro.core.streaming import StreamingWeekly
+from repro.core.sessions import UsageSession, sessionize
 from repro.core.throughdevice import (
     ASSUMED_COVERAGE,
     TD_FINGERPRINT_HOSTS,
     ThroughDeviceResult,
 )
+from repro.core.weekly import StreamingWeekly
 from repro.devicedb.database import DeviceDatabase
 from repro.logs.io import read_records
 from repro.logs.quarantine import QuarantineCollector, QuarantineReport
 from repro.logs.records import PROTOCOL_HTTP, MmeRecord, record_sort_key
 from repro.simnet.topology import SectorMap
 from repro.logs.timeutil import SECONDS_PER_DAY, hour_of_day, is_weekend
-from repro.simnet.appcatalog import builtin_app_catalog
-from repro.simnet.engine import stream_seed
+from repro.simnet.appcatalog import (
+    DOMAIN_ADVERTISING,
+    DOMAIN_ANALYTICS,
+    DOMAIN_APPLICATION,
+    DOMAIN_CATEGORIES,
+    AppCatalog,
+    builtin_app_catalog,
+)
 from repro.state import decode_value, encode_value
 from repro.stats.cdf import ECDF
 from repro.stats.correlation import binned_means, pearson
 from repro.stats.entropy import dwell_weighted_entropy
 from repro.stats.geo import GeoPoint, max_displacement_km
-from repro.stats.streaming import OnlineStats, P2Quantile, ReservoirSampler
 
-#: Reservoir size for the transaction-size sample, per shard (matches
-#: :class:`~repro.core.streaming.StreamingActivity`).
-RESERVOIR_SIZE = 4096
-
-#: Emit one timeline ``progress`` event per this many processed rows.
-ANALYSIS_PROGRESS_ROWS = 50_000
+if TYPE_CHECKING:
+    from repro.core.pipeline import StudyReport
 
 
 def _set_union(target: dict, other: dict) -> None:
@@ -211,9 +210,11 @@ class CensusPartial(_PartialState):
             model = device_db.lookup_imei(imei)
             if model is None:
                 continue
-            _int_add(per_model, {model.model: 1})
-            _int_add(per_manufacturer, {model.manufacturer: 1})
-            _int_add(per_os, {model.os: 1})
+            per_model[model.model] = per_model.get(model.model, 0) + 1
+            per_manufacturer[model.manufacturer] = (
+                per_manufacturer.get(model.manufacturer, 0) + 1
+            )
+            per_os[model.os] = per_os.get(model.os, 0) + 1
         return DeviceCensus(
             total_devices=len(self.imeis),
             devices_per_model=per_model,
@@ -308,18 +309,12 @@ class AdoptionPartial(_PartialState):
 # =================================================================== activity
 @dataclass
 class ActivityPartial(_PartialState):
-    """§4.2-4.3 activity: per-user sets + exact counters + a reservoir."""
+    """§4.2-4.3 activity: per-user sets, exact counters and an exact
+    transaction-size histogram."""
 
-    _STATE_OBJECTS = {
-        "reservoir": ReservoirSampler,
-        "median": P2Quantile,
-        "sizes": OnlineStats,
-    }
+    #: Version 2 replaced the sampled size reservoir with ``sizes``.
+    STATE_VERSION = 2
 
-    reservoir: ReservoirSampler
-    median: P2Quantile
-    sizes: OnlineStats = field(default_factory=OnlineStats)
-    under_10kb: int = 0
     day_type_days: dict[bool, set[int]] = field(
         default_factory=lambda: {True: set(), False: set()}
     )
@@ -336,19 +331,8 @@ class ActivityPartial(_PartialState):
     )
     user_tx: dict[str, int] = field(default_factory=dict)
     user_bytes: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def create(cls, seed: int, shard: int) -> "ActivityPartial":
-        # Per-shard reservoir stream, engine seed convention: without it
-        # every shard would draw the identical sample pattern and bias
-        # the merged quantiles.
-        return cls(
-            reservoir=ReservoirSampler(
-                RESERVOIR_SIZE,
-                seed=stream_seed(seed, "activity-reservoir", str(shard)),
-            ),
-            median=P2Quantile(0.5),
-        )
+    #: Transaction size in bytes -> number of transactions (Fig. 3(c)).
+    sizes: dict[int, int] = field(default_factory=dict)
 
     def consume(self, dataset: StudyDataset) -> None:
         window = dataset.window
@@ -360,31 +344,25 @@ class ActivityPartial(_PartialState):
             weekend = is_weekend(record.timestamp)
             hour = hour_of_day(record.timestamp)
             subscriber = record.subscriber_id
+            size = record.total_bytes
             key = (weekend, hour)
             self.day_type_days[weekend].add(day)
             self.hour_users.setdefault(key, set()).add((subscriber, day))
-            _int_add(self.hour_tx, {key: 1})
-            _int_add(self.hour_bytes, {key: record.total_bytes})
+            self.hour_tx[key] = self.hour_tx.get(key, 0) + 1
+            self.hour_bytes[key] = self.hour_bytes.get(key, 0) + size
             self.weekly_users.setdefault((day - first_day) // 7, set()).add(
                 subscriber
             )
             self.daily_users.setdefault(day, set()).add(subscriber)
             self.user_days.setdefault(subscriber, set()).add(day)
             self.user_day_hours.setdefault(subscriber, set()).add((day, hour))
-            _int_add(self.user_tx, {subscriber: 1})
-            _int_add(self.user_bytes, {subscriber: record.total_bytes})
-            size = float(record.total_bytes)
-            self.sizes.add(size)
-            self.median.add(size)
-            self.reservoir.add(size)
-            if size < 10_000.0:
-                self.under_10kb += 1
+            self.user_tx[subscriber] = self.user_tx.get(subscriber, 0) + 1
+            self.user_bytes[subscriber] = (
+                self.user_bytes.get(subscriber, 0) + size
+            )
+            self.sizes[size] = self.sizes.get(size, 0) + 1
 
     def merge(self, other: "ActivityPartial") -> None:
-        self.sizes.merge(other.sizes)
-        self.median.merge(other.median)
-        self.reservoir.merge(other.reservoir)
-        self.under_10kb += other.under_10kb
         for key in (True, False):
             self.day_type_days[key] |= other.day_type_days[key]
         _set_union(self.hour_users, other.hour_users)
@@ -396,13 +374,19 @@ class ActivityPartial(_PartialState):
         _set_union(self.user_day_hours, other.user_day_hours)
         _int_add(self.user_tx, other.user_tx)
         _int_add(self.user_bytes, other.user_bytes)
+        _int_add(self.sizes, other.sizes)
 
     def finalize(self, window: StudyWindow) -> ActivityResult:
-        if self.sizes.count == 0:
+        if not self.sizes:
             raise ValueError("no wearable transactions in the detailed window")
         weeks = max(1, window.detailed_days // 7)
-        tx_count = self.sizes.count
-        bytes_total = self.sizes.total  # exact (integral-valued floats)
+        sizes_ecdf = ECDF(
+            chain.from_iterable(
+                repeat(size, count) for size, count in self.sizes.items()
+            )
+        )
+        tx_count = len(sizes_ecdf)
+        bytes_total = sum(size * count for size, count in self.sizes.items())
 
         weekly_active = sum(
             len(users) for users in self.weekly_users.values()
@@ -435,9 +419,8 @@ class ActivityPartial(_PartialState):
         weekday_users, weekday_tx, weekday_bytes = hourly_series(False)
         weekend_users, weekend_tx, weekend_bytes = hourly_series(True)
 
-        # Per-user folds over *sorted* subscribers: deterministic for any
-        # worker/shard count (batch iterates insertion order; the
-        # derived ECDFs are multiset-exact either way).
+        # Per-user folds over *sorted* subscribers: the same fold order
+        # for any shard or worker count.
         users_sorted = sorted(self.user_days)
         days_per_week = [
             len(self.user_days[u]) / weeks for u in users_sorted
@@ -455,7 +438,6 @@ class ActivityPartial(_PartialState):
             for u in users_sorted
         ]
         hours_ecdf = ECDF(hours_per_day)
-        sizes_ecdf = self.reservoir.ecdf()
 
         xs = hours_per_day
         ys = tx_per_hour
@@ -491,7 +473,7 @@ class ActivityPartial(_PartialState):
             mean_active_hours_per_day=hours_ecdf.mean,
             fraction_users_over_10h=1.0 - hours_ecdf(10.0),
             fraction_users_under_5h=hours_ecdf.fraction_below(5.0),
-            fraction_tx_under_10kb=self.under_10kb / tx_count,
+            fraction_tx_under_10kb=sizes_ecdf.fraction_below(10_000.0),
             median_tx_bytes=sizes_ecdf.median,
             mean_tx_bytes=bytes_total / tx_count,
             daily_active_share_of_weekly=daily_share,
@@ -512,19 +494,18 @@ class ComparisonPartial(_PartialState):
         window = dataset.window
         wearable_tacs = dataset.wearable_tacs
         directory = dataset.account_directory
+        wearable_bytes = self.account_wearable_bytes
         for record in dataset.proxy_records:
             if not window.in_detailed(record.timestamp):
                 continue
             account = directory.get(record.subscriber_id)
             if account is None:
                 continue
-            _int_add(self.account_bytes, {account: record.total_bytes})
-            _int_add(self.account_tx, {account: 1})
+            size = record.total_bytes
+            self.account_bytes[account] = self.account_bytes.get(account, 0) + size
+            self.account_tx[account] = self.account_tx.get(account, 0) + 1
             if record.tac in wearable_tacs:
-                _int_add(
-                    self.account_wearable_bytes,
-                    {account: record.total_bytes},
-                )
+                wearable_bytes[account] = wearable_bytes.get(account, 0) + size
         self.owner_accounts |= dataset.wearable_accounts
 
     def merge(self, other: "ComparisonPartial") -> None:
@@ -665,7 +646,7 @@ class MobilityPartial(_PartialState):
             tx_sectors.setdefault(subscriber, set())
             if sector is not None:
                 tx_sectors[subscriber].add(sector)
-            _int_add(self.tx_counts, {subscriber: 1})
+            self.tx_counts[subscriber] = self.tx_counts.get(subscriber, 0) + 1
             day = window.day_of(record.timestamp)
             hour = int(
                 (record.timestamp - study_start) % SECONDS_PER_DAY // 3600
@@ -741,7 +722,9 @@ class MobilityPartial(_PartialState):
             general_user_displacement=ECDF(general_user_values),
             mean_user_displacement_wearable_km=mean_wearable_user,
             mean_user_displacement_general_km=mean_general_user,
-            mean_daily_displacement_wearable_km=sum(self.wearable_days)
+            # ``wearable_days`` arrives in shard order: fsum makes the
+            # mean independent of it.
+            mean_daily_displacement_wearable_km=fsum(self.wearable_days)
             / len(self.wearable_days),
             fraction_users_under_30km=under_30 / len(wearable_user_values),
             mean_entropy_wearable_bits=mean_entropy_wearable,
@@ -792,8 +775,8 @@ class AppsPartial(_PartialState):
             self.app_day_users.setdefault(app, set()).add((subscriber, day))
             self.any_day_users.setdefault(day, set()).add(subscriber)
             self.app_users.setdefault(app, set()).add(subscriber)
-            _int_add(self.app_tx, {app: 1})
-            _int_add(self.app_bytes, {app: record.total_bytes})
+            self.app_tx[app] = self.app_tx.get(app, 0) + 1
+            self.app_bytes[app] = self.app_bytes.get(app, 0) + record.total_bytes
             self.user_apps.setdefault(subscriber, set()).add(app)
             key = record_sort_key(record)
             mine = self.app_first.get(app)
@@ -802,7 +785,9 @@ class AppsPartial(_PartialState):
         for session in sessions:
             if not window.in_detailed(session.start):
                 continue
-            _int_add(self.app_sessions, {session.app: 1})
+            self.app_sessions[session.app] = (
+                self.app_sessions.get(session.app, 0) + 1
+            )
             if session.is_interactive:
                 day = window.day_of(session.start)
                 self.user_day_interactive.setdefault(
@@ -951,9 +936,11 @@ class DomainsPartial(_PartialState):
             if not window.in_detailed(session.start):
                 continue
             app = session.app
-            _int_add(self.usage_tx, {app: session.tx_count})
-            _int_add(self.usage_bytes, {app: session.bytes_total})
-            _int_add(self.usage_count, {app: 1})
+            self.usage_tx[app] = self.usage_tx.get(app, 0) + session.tx_count
+            self.usage_bytes[app] = (
+                self.usage_bytes.get(app, 0) + session.bytes_total
+            )
+            self.usage_count[app] = self.usage_count.get(app, 0) + 1
             order_key = (
                 session.start,
                 pair_first[(session.subscriber_id, app)],
@@ -971,8 +958,10 @@ class DomainsPartial(_PartialState):
             self.dom_users.setdefault(category, set()).add(
                 record.subscriber_id
             )
-            _int_add(self.dom_tx, {category: 1})
-            _int_add(self.dom_data, {category: record.total_bytes})
+            self.dom_tx[category] = self.dom_tx.get(category, 0) + 1
+            self.dom_data[category] = (
+                self.dom_data.get(category, 0) + record.total_bytes
+            )
 
     def merge(self, other: "DomainsPartial") -> None:
         _int_add(self.usage_tx, other.usage_tx)
@@ -984,13 +973,9 @@ class DomainsPartial(_PartialState):
         _int_add(self.dom_data, other.dom_data)
 
     def finalize(self, min_usages: int = 5) -> DomainsResult:
-        from repro.simnet.appcatalog import (
-            DOMAIN_ADVERTISING,
-            DOMAIN_ANALYTICS,
-            DOMAIN_APPLICATION,
-            DOMAIN_CATEGORIES,
-        )
-
+        """Fig. 7 keeps apps with at least ``min_usages`` sessions — a
+        handful of heavy sessions would otherwise rank a barely-used tail
+        app above the figure's named apps."""
         rows = [
             SingleUsageStats(
                 app=app,
@@ -1060,8 +1045,10 @@ class ThroughDevicePartial(_PartialState):
             if dataset.account_of(record.subscriber_id) in owner_accounts:
                 continue
             subscriber = record.subscriber_id
-            _int_add(self.tx_count, {subscriber: 1})
-            _int_add(self.byte_count, {subscriber: record.total_bytes})
+            self.tx_count[subscriber] = self.tx_count.get(subscriber, 0) + 1
+            self.byte_count[subscriber] = (
+                self.byte_count.get(subscriber, 0) + record.total_bytes
+            )
             self.phone_imei.setdefault(subscriber, record.imei)
             kind = TD_FINGERPRINT_HOSTS.get(record.host)
             if kind is not None:
@@ -1100,6 +1087,8 @@ class ThroughDevicePartial(_PartialState):
         device_db: DeviceDatabase,
         assumed_coverage: float = ASSUMED_COVERAGE,
     ) -> ThroughDeviceResult:
+        if not 0.0 < assumed_coverage <= 1.0:
+            raise ValueError("assumed_coverage must be in (0, 1]")
         general_users = set(self.tx_count)
         td_users = set(self.detected_kind)
         other_users = general_users - td_users
@@ -1109,7 +1098,7 @@ class ThroughDevicePartial(_PartialState):
             )
         by_kind: dict[str, int] = {}
         for kind in self.detected_kind.values():
-            _int_add(by_kind, {kind: 1})
+            by_kind[kind] = by_kind.get(kind, 0) + 1
         days = max(1, window.detailed_days)
 
         def mean_daily(counter: dict[str, int], users: set[str]) -> float:
@@ -1221,8 +1210,10 @@ class DevicesPartial(_PartialState):
         manufacturer_count: dict[str, int] = {}
         os_count: dict[str, int] = {}
         for row in per_model:
-            _int_add(manufacturer_count, {row.manufacturer: row.devices})
-            _int_add(os_count, {row.os: row.devices})
+            manufacturer_count[row.manufacturer] = (
+                manufacturer_count.get(row.manufacturer, 0) + row.devices
+            )
+            os_count[row.os] = os_count.get(row.os, 0) + row.devices
         weekly_share: dict[str, list[float]] = {}
         for week, per_manufacturer in enumerate(self.weekly):
             week_total = sum(
@@ -1275,18 +1266,20 @@ class ProtocolsPartial(_PartialState):
             if item.app is None:
                 continue
             app = item.app
-            _int_add(self.app_tx, {app: 1})
+            self.app_tx[app] = self.app_tx.get(app, 0) + 1
             key = record_sort_key(record)
             mine = self.app_first.get(app)
             if mine is None or key < mine:
                 self.app_first[app] = key
             category = app_categories.get(app, "Tools")
-            _int_add(self.category_tx, {category: 1})
+            self.category_tx[category] = self.category_tx.get(category, 0) + 1
             if is_http:
-                _int_add(self.app_http, {app: 1})
-                _int_add(self.category_http, {category: 1})
-            if is_http and record.path:
-                _int_add(self.app_url, {app: 1})
+                self.app_http[app] = self.app_http.get(app, 0) + 1
+                self.category_http[category] = (
+                    self.category_http.get(category, 0) + 1
+                )
+                if record.path:
+                    self.app_url[app] = self.app_url.get(app, 0) + 1
 
     def merge(self, other: "ProtocolsPartial") -> None:
         self.total += other.total
@@ -1358,18 +1351,17 @@ class EncountersPartial(_PartialState):
       (:func:`repro.core.encounters.sector_shard`): every worker streams
       the full MME log but only indexes its own sectors' cells, so each
       encounter event is produced by exactly one worker and the merge is
-      plain integer addition + partner-set union (bit-exact tier —
-      ``seen_subscribers`` is replicated identically on every worker and
-      unions idempotently);
+      plain integer addition + partner-set union (``seen_subscribers``
+      is replicated identically on every worker and unions
+      idempotently);
     * the **account side** (SIM classification, detailed proxy traffic,
       billing pairing maps) partitions by account like every other
-      partial, merging as disjoint-key unions (bit-exact tier).
+      partial, merging as disjoint-key unions.
 
     The float statistics (Pearson correlations, binned trend, explained
     fractions) are computed only at finalize by
     :func:`repro.core.encounters.summarize_encounters`, a deterministic
-    sorted-key fold shared with the batch path — equal accumulators give
-    bit-identical results.
+    sorted-key fold — equal accumulators give bit-identical results.
     """
 
     pair_events: dict[tuple[str, str], int] = field(default_factory=dict)
@@ -1452,6 +1444,132 @@ class EncountersPartial(_PartialState):
         )
 
 
+# ===================================================================== panels
+class PanelInputs:
+    """One dataset plus what several panels share, computed once.
+
+    The apps, domains and protocols panels all read the app attribution
+    (§3.3) and the one-minute-gap sessions (§5.1) of the dataset's
+    wearable traffic; both are cached here.
+    """
+
+    def __init__(
+        self, dataset: StudyDataset, app_catalog: AppCatalog | None = None
+    ) -> None:
+        """``app_catalog`` supplies the host signatures and the public
+        Play-store categorisation; it defaults to the built-in catalog the
+        simulator also uses (the analogue of the paper's lab-collected
+        signature set)."""
+        self.dataset = dataset
+        self._catalog = app_catalog or builtin_app_catalog()
+
+    @cached_property
+    def signatures(self) -> SignatureCatalog:
+        with obs.span("analyze.signatures"):
+            return SignatureCatalog.from_app_catalog(self._catalog)
+
+    @cached_property
+    def app_categories(self) -> dict[str, str]:
+        return {app.name: app.category for app in self._catalog}
+
+    @cached_property
+    def attributed(self) -> list[AttributedRecord]:
+        """Wearable transactions with resolved apps (whole dataset)."""
+        with obs.span("analyze.attributed"):
+            return attribute_records(self.dataset.wearable_proxy, self.signatures)
+
+    @cached_property
+    def sessions(self) -> list[UsageSession]:
+        """One-minute-gap usage sessions over the attributed traffic."""
+        with obs.span("analyze.sessions"):
+            return sessionize(self.attributed)
+
+    def partial(self, name: str):
+        """Panel ``name``'s partial, fed this whole dataset."""
+        return PANELS[name].build(self)
+
+
+def _fed(partial, *inputs):
+    partial.consume(*inputs)
+    return partial
+
+
+@dataclass(frozen=True)
+class Panel:
+    """How one report field is built from a dataset and finalized."""
+
+    #: ``build(inputs)`` -> the partial fed one :class:`PanelInputs`.
+    build: Callable
+    #: ``finalize(partial, window, device_db, app_categories)`` -> result.
+    finalize: Callable
+
+
+#: Every ``StudyReport`` panel in execution order, with its one consume
+#: and one finalize call; ``ShardPartials`` and ``WearableStudy`` both go
+#: through this table.  The encounters entry covers the account side
+#: only: the sector-routed join side needs the canonically ordered MME
+#: stream and is fed through ``EncountersPartial.consume_stream``.
+PANELS: dict[str, Panel] = {
+    "census": Panel(
+        lambda s: _fed(CensusPartial(), s.dataset),
+        lambda p, window, db, categories: p.finalize(db),
+    ),
+    "adoption": Panel(
+        lambda s: _fed(
+            AdoptionPartial(total_days=s.dataset.window.total_days), s.dataset
+        ),
+        lambda p, window, db, categories: p.finalize(window),
+    ),
+    "activity": Panel(
+        lambda s: _fed(ActivityPartial(), s.dataset),
+        lambda p, window, db, categories: p.finalize(window),
+    ),
+    "comparison": Panel(
+        lambda s: _fed(ComparisonPartial(), s.dataset),
+        lambda p, window, db, categories: p.finalize(),
+    ),
+    "mobility": Panel(
+        lambda s: _fed(MobilityPartial(), s.dataset),
+        lambda p, window, db, categories: p.finalize(),
+    ),
+    "apps": Panel(
+        lambda s: _fed(AppsPartial(), s.dataset, s.attributed, s.sessions),
+        lambda p, window, db, categories: p.finalize(window, categories),
+    ),
+    "domains": Panel(
+        lambda s: _fed(DomainsPartial(), s.dataset, s.attributed, s.sessions),
+        lambda p, window, db, categories: p.finalize(),
+    ),
+    "through_device": Panel(
+        lambda s: _fed(ThroughDevicePartial(), s.dataset),
+        lambda p, window, db, categories: p.finalize(window, db),
+    ),
+    "weekly": Panel(
+        lambda s: StreamingWeekly(
+            s.dataset.window, s.dataset.wearable_tacs
+        ).consume(s.dataset.proxy_records),
+        lambda p, window, db, categories: p.result(),
+    ),
+    "protocols": Panel(
+        lambda s: _fed(
+            ProtocolsPartial(), s.dataset, s.attributed, s.app_categories
+        ),
+        lambda p, window, db, categories: p.finalize(categories),
+    ),
+    "devices": Panel(
+        lambda s: _fed(
+            DevicesPartial(total_weeks=max(1, s.dataset.window.total_days // 7)),
+            s.dataset,
+        ),
+        lambda p, window, db, categories: p.finalize(db),
+    ),
+    "encounters": Panel(
+        lambda s: _fed(EncountersPartial(), s.dataset),
+        lambda p, window, db, categories: p.finalize(),
+    ),
+}
+
+
 # ==================================================================== bundles
 @dataclass
 class ShardPartials(_PartialState):
@@ -1490,68 +1608,27 @@ class ShardPartials(_PartialState):
         cls,
         dataset: StudyDataset,
         *,
-        seed: int = 0,
         shard: int = 0,
-        app_catalog=None,
+        app_catalog: AppCatalog | None = None,
     ) -> "ShardPartials":
-        """Map step: every partial aggregate from one shard's dataset."""
-        catalog = app_catalog or builtin_app_catalog()
-        signatures = SignatureCatalog.from_app_catalog(catalog)
-        app_categories = {app.name: app.category for app in catalog}
-        window = dataset.window
+        """Map step: every partial aggregate from one shard's dataset.
+
+        ``shard`` labels the caller's shard; the partials do not depend
+        on it.  Only the encounter *account* side is fed here — the
+        join side needs the full MME stream, which the dataset does not
+        hold when account-sharded; ``_analyze_shard`` (and the serve
+        finalize) feed it via ``encounters.consume_stream``.
+        """
+        inputs = PanelInputs(dataset, app_catalog)
         with obs.span("shard.attribute"):
-            attributed = attribute_records(dataset.wearable_proxy, signatures)
-            sessions = sessionize(attributed)
-        partials = cls(
-            census=CensusPartial(),
-            adoption=AdoptionPartial(total_days=window.total_days),
-            activity=ActivityPartial.create(seed, shard),
-            comparison=ComparisonPartial(),
-            mobility=MobilityPartial(),
-            apps=AppsPartial(),
-            domains=DomainsPartial(),
-            through_device=ThroughDevicePartial(),
-            weekly=StreamingWeekly(window, dataset.wearable_tacs),
-            protocols=ProtocolsPartial(),
-            devices=DevicesPartial(
-                total_weeks=max(1, window.total_days // 7)
-            ),
-            encounters=EncountersPartial(),
-        )
+            inputs.sessions  # attribute and sessionise under their own span
         with obs.span("shard.aggregate"):
-            partials.census.consume(dataset)
-            partials.adoption.consume(dataset)
-            partials.activity.consume(dataset)
-            partials.comparison.consume(dataset)
-            partials.mobility.consume(dataset)
-            partials.apps.consume(dataset, attributed, sessions)
-            partials.domains.consume(dataset, attributed, sessions)
-            partials.through_device.consume(dataset)
-            for record in dataset.proxy_records:
-                partials.weekly.add(record)
-            partials.protocols.consume(dataset, attributed, app_categories)
-            partials.devices.consume(dataset)
-            # NOTE: only the encounter *account* side — the sector-routed
-            # join side needs the full MME stream, which the dataset does
-            # not hold when account-sharded; ``_analyze_shard`` (and the
-            # serve finalize) feed it via ``encounters.consume_stream``.
-            partials.encounters.consume(dataset)
-        return partials
+            return cls(**{name: inputs.partial(name) for name in PANELS})
 
     def merge(self, other: "ShardPartials") -> "ShardPartials":
         """Reduce step: fold another shard's partials into this one."""
-        self.census.merge(other.census)
-        self.adoption.merge(other.adoption)
-        self.activity.merge(other.activity)
-        self.comparison.merge(other.comparison)
-        self.mobility.merge(other.mobility)
-        self.apps.merge(other.apps)
-        self.domains.merge(other.domains)
-        self.through_device.merge(other.through_device)
-        self.weekly.merge(other.weekly)
-        self.protocols.merge(other.protocols)
-        self.devices.merge(other.devices)
-        self.encounters.merge(other.encounters)
+        for name in PANELS:
+            getattr(self, name).merge(getattr(other, name))
         return self
 
     def finalize(
@@ -1562,29 +1639,16 @@ class ShardPartials(_PartialState):
         quarantine: QuarantineReport | None = None,
     ) -> StudyReport:
         """Produce the same :class:`StudyReport` object the batch path does."""
+        from repro.core.pipeline import StudyReport
+
         events = obs.events()
         results = {}
-        steps = (
-            ("census", lambda: self.census.finalize(device_db)),
-            ("adoption", lambda: self.adoption.finalize(window)),
-            ("activity", lambda: self.activity.finalize(window)),
-            ("comparison", self.comparison.finalize),
-            ("mobility", self.mobility.finalize),
-            ("apps", lambda: self.apps.finalize(window, app_categories)),
-            ("domains", self.domains.finalize),
-            (
-                "through_device",
-                lambda: self.through_device.finalize(window, device_db),
-            ),
-            ("weekly", self.weekly.result),
-            ("protocols", lambda: self.protocols.finalize(app_categories)),
-            ("devices", lambda: self.devices.finalize(device_db)),
-            ("encounters", self.encounters.finalize),
-        )
-        for name, step in steps:
+        for name, panel in PANELS.items():
             events.emit("phase", stage=f"analyze.{name}")
             with obs.span(f"analyze.{name}"):
-                results[name] = step()
+                results[name] = panel.finalize(
+                    getattr(self, name), window, device_db, app_categories
+                )
         return StudyReport(quarantine=quarantine, **results)
 
 
@@ -1617,7 +1681,6 @@ class _AnalysisPayload:
     shard: int
     shards: int
     lenient: bool
-    seed: int
     observe: bool = False
     parent_pid: int = 0
     events_path: str | None = None
@@ -1703,9 +1766,7 @@ def _analyze_shard(payload: _AnalysisPayload) -> _ShardResult:
                 )
             rows = len(dataset.proxy_records) + len(dataset.mme_records)
             events.emit("progress", shard=shard, stage="load", rows=rows)
-            partials = ShardPartials.compute(
-                dataset, seed=payload.seed, shard=shard
-            )
+            partials = ShardPartials.compute(dataset, shard=shard)
             events.emit("progress", shard=shard, stage="aggregate", rows=rows)
             # Encounter join side: pairs straddle account shards, so the
             # join partitions by *sector* instead — every worker streams
@@ -1808,7 +1869,6 @@ def analyze_parallel(
     shards: int = 1,
     workers: int | None = None,
     lenient: bool = False,
-    seed: int = 0,
     app_catalog=None,
     format: str = "auto",
 ) -> ParallelAnalysisRun:
@@ -1819,10 +1879,6 @@ def analyze_parallel(
     each shard with quarantine-and-continue ingestion; every worker
     observes the identical full-stream defects, so the report carries
     the same quarantine accounting as a serial lenient load.
-
-    ``seed`` feeds the per-shard reservoir streams
-    (``seed:activity-reservoir:<shard>``); reservoir-derived quantiles
-    are the only report fields that vary with the shard count.
 
     ``format`` selects the log encoding to load (``auto`` / ``csv`` /
     ``bin``); binary traces use per-block shard headers to skip other
@@ -1847,7 +1903,6 @@ def analyze_parallel(
             shard=shard,
             shards=shards,
             lenient=lenient,
-            seed=seed,
             observe=observe,
             parent_pid=parent_pid,
             events_path=events_path,

@@ -8,6 +8,11 @@
 3. sessionise usages with the one-minute gap (§5.1),
 4. run every section's analysis lazily, caching shared intermediates.
 
+Every analysis is the shards=1 fold of its panel's mergeable partial
+(:data:`repro.core.parallel.PANELS`): the property builds the partial
+over the whole dataset and finalizes it, so batch, sharded and served
+reports come out of one implementation per panel.
+
 Use :meth:`WearableStudy.run_all` for a single :class:`StudyReport` with
 every figure's series, or call the per-figure properties individually.
 """
@@ -16,31 +21,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 from repro import obs
 
-from repro.core.activity import ActivityResult, analyze_activity
-from repro.core.adoption import AdoptionResult, analyze_adoption
-from repro.core.app_mapping import (
-    AttributedRecord,
-    SignatureCatalog,
-    attribute_records,
-)
-from repro.core.apps import AppsResult, analyze_apps
-from repro.core.comparison import ComparisonResult, analyze_comparison
-from repro.core.dataset import StudyDataset
-from repro.core.devices import DeviceResult, analyze_devices
-from repro.core.domains import DomainsResult, analyze_domains
-from repro.core.encounters import EncountersResult, analyze_encounters
-from repro.core.identification import DeviceCensus, WearableIdentifier
-from repro.core.mobility import MobilityResult, analyze_mobility
+from repro.core.activity import ActivityResult
+from repro.core.adoption import AdoptionResult
+from repro.core.apps import AppsResult
+from repro.core.comparison import ComparisonResult
+from repro.core.devices import DeviceResult
+from repro.core.domains import DomainsResult
+from repro.core.encounters import EncountersResult
+from repro.core.identification import DeviceCensus
+from repro.core.mobility import MobilityResult
+from repro.core.parallel import PANELS, PanelInputs
 from repro.logs.quarantine import QuarantineReport
-from repro.core.protocols import ProtocolResult, analyze_protocols
-from repro.core.sessions import UsageSession, sessionize
-from repro.core.throughdevice import ThroughDeviceResult, analyze_through_device
-from repro.core.weekly import WeeklyResult, analyze_weekly
-from repro.simnet.appcatalog import AppCatalog, builtin_app_catalog
+from repro.core.protocols import ProtocolResult
+from repro.core.throughdevice import ThroughDeviceResult
+from repro.core.weekly import WeeklyResult
 
 
 @dataclass(frozen=True)
@@ -64,112 +61,72 @@ class StudyReport:
     quarantine: QuarantineReport | None = None
 
 
-class WearableStudy:
+class WearableStudy(PanelInputs):
     """Lazy, cached execution of the full analysis pipeline."""
 
-    def __init__(
-        self,
-        dataset: StudyDataset,
-        app_catalog: AppCatalog | None = None,
-    ) -> None:
-        """``app_catalog`` supplies the host signatures and the public
-        Play-store categorisation; it defaults to the built-in catalog the
-        simulator also uses (the analogue of the paper's lab-collected
-        signature set)."""
-        self.dataset = dataset
-        self._catalog = app_catalog or builtin_app_catalog()
-
-    # ------------------------------------------------------------ shared
-    @cached_property
-    def identifier(self) -> WearableIdentifier:
-        with obs.span("analyze.identifier"):
-            return WearableIdentifier(self.dataset.device_db)
-
-    @cached_property
-    def signatures(self) -> SignatureCatalog:
-        with obs.span("analyze.signatures"):
-            return SignatureCatalog.from_app_catalog(self._catalog)
-
-    @cached_property
-    def app_categories(self) -> Mapping[str, str]:
-        return {app.name: app.category for app in self._catalog}
-
-    @cached_property
-    def attributed(self) -> list[AttributedRecord]:
-        """Wearable transactions with resolved apps (whole study)."""
-        with obs.span("analyze.attributed"):
-            return attribute_records(self.dataset.wearable_proxy, self.signatures)
-
-    @cached_property
-    def sessions(self) -> list[UsageSession]:
-        """One-minute-gap usage sessions over the attributed traffic."""
-        with obs.span("analyze.sessions"):
-            return sessionize(self.attributed)
+    def _panel(self, name: str):
+        """Build panel ``name``'s partial over the dataset and finalize it."""
+        with obs.span(f"analyze.{name}"):
+            return PANELS[name].finalize(
+                self.partial(name),
+                self.dataset.window,
+                self.dataset.device_db,
+                self.app_categories,
+            )
 
     # ------------------------------------------------------------ analyses
     @cached_property
     def census(self) -> DeviceCensus:
-        with obs.span("analyze.census"):
-            return self.identifier.census(self.dataset.wearable_mme)
+        return self._panel("census")
 
     @cached_property
     def adoption(self) -> AdoptionResult:
-        with obs.span("analyze.adoption"):
-            return analyze_adoption(self.dataset)
+        return self._panel("adoption")
 
     @cached_property
     def activity(self) -> ActivityResult:
-        with obs.span("analyze.activity"):
-            return analyze_activity(self.dataset)
+        return self._panel("activity")
 
     @cached_property
     def comparison(self) -> ComparisonResult:
-        with obs.span("analyze.comparison"):
-            return analyze_comparison(self.dataset)
+        return self._panel("comparison")
 
     @cached_property
     def mobility(self) -> MobilityResult:
-        with obs.span("analyze.mobility"):
-            return analyze_mobility(self.dataset)
+        return self._panel("mobility")
 
     @cached_property
     def apps(self) -> AppsResult:
-        with obs.span("analyze.apps"):
-            return analyze_apps(
-                self.dataset, self.attributed, self.sessions, self.app_categories
-            )
+        return self._panel("apps")
 
     @cached_property
     def domains(self) -> DomainsResult:
-        with obs.span("analyze.domains"):
-            return analyze_domains(self.dataset, self.attributed, self.sessions)
+        return self._panel("domains")
 
     @cached_property
     def through_device(self) -> ThroughDeviceResult:
-        with obs.span("analyze.through_device"):
-            return analyze_through_device(self.dataset)
+        return self._panel("through_device")
 
     @cached_property
     def weekly(self) -> WeeklyResult:
-        with obs.span("analyze.weekly"):
-            return analyze_weekly(self.dataset)
+        return self._panel("weekly")
 
     @cached_property
     def protocols(self) -> ProtocolResult:
-        with obs.span("analyze.protocols"):
-            return analyze_protocols(
-                self.dataset, self.attributed, self.app_categories
-            )
+        return self._panel("protocols")
 
     @cached_property
     def devices(self) -> DeviceResult:
-        with obs.span("analyze.devices"):
-            return analyze_devices(self.dataset)
+        return self._panel("devices")
 
     @cached_property
     def encounters(self) -> EncountersResult:
+        """Both sides of the encounter partial: the account side from the
+        dataset, the sector join from its canonically ordered MME log."""
         with obs.span("analyze.encounters"):
-            return analyze_encounters(self.dataset)
+            partial = self.partial("encounters")
+            partial.consume_stream(self.dataset.mme_records, self.dataset.window)
+            return partial.finalize()
 
     @property
     def quarantine(self) -> QuarantineReport | None:
@@ -202,20 +159,7 @@ class WearableStudy:
         return report
 
     #: Analysis execution order; also the ``phase`` timeline sequence.
-    _ANALYSES = (
-        "census",
-        "adoption",
-        "activity",
-        "comparison",
-        "mobility",
-        "apps",
-        "domains",
-        "through_device",
-        "weekly",
-        "protocols",
-        "devices",
-        "encounters",
-    )
+    _ANALYSES = tuple(PANELS)
 
     def _run_all(self) -> StudyReport:
         # Each analysis announces itself on the timeline before running,

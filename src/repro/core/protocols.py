@@ -15,13 +15,7 @@ HTTPS?*) quantifies that exposure for the wearable population:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-from repro.core.app_mapping import AttributedRecord
-from repro.core.dataset import StudyDataset
-from repro.logs.records import PROTOCOL_HTTP
 
 #: Categories where cleartext traffic is security-relevant.
 SENSITIVE_CATEGORIES = frozenset({"Finance", "Health-Fitness", "Communication"})
@@ -54,82 +48,3 @@ class ProtocolResult:
     sensitive_cleartext_apps: list[str]
     #: HTTP fraction over sensitive-category traffic only.
     sensitive_http_fraction: float
-
-
-def analyze_protocols(
-    dataset: StudyDataset,
-    attributed: Sequence[AttributedRecord],
-    app_categories: Mapping[str, str],
-) -> ProtocolResult:
-    """Quantify plaintext exposure over detailed-window wearable traffic."""
-    window = dataset.window
-    total = 0
-    http_total = 0
-    app_tx: dict[str, int] = defaultdict(int)
-    app_http: dict[str, int] = defaultdict(int)
-    app_url: dict[str, int] = defaultdict(int)
-    category_tx: dict[str, int] = defaultdict(int)
-    category_http: dict[str, int] = defaultdict(int)
-
-    for item in attributed:
-        record = item.record
-        if not window.in_detailed(record.timestamp):
-            continue
-        total += 1
-        is_http = record.protocol == PROTOCOL_HTTP
-        if is_http:
-            http_total += 1
-        if item.app is None:
-            continue
-        app_tx[item.app] += 1
-        category = app_categories.get(item.app, "Tools")
-        category_tx[category] += 1
-        if is_http:
-            app_http[item.app] += 1
-            category_http[category] += 1
-        if is_http and record.path:
-            app_url[item.app] += 1
-
-    if total == 0:
-        raise ValueError("no wearable transactions in the detailed window")
-
-    per_app = [
-        AppProtocolStats(
-            app=app,
-            category=app_categories.get(app, "Tools"),
-            transactions=app_tx[app],
-            http_fraction=app_http[app] / app_tx[app],
-            url_visible_fraction=app_url[app] / app_tx[app],
-        )
-        for app in app_tx
-    ]
-    per_app.sort(key=lambda row: row.http_fraction, reverse=True)
-
-    per_category = {
-        category: category_http[category] / category_tx[category]
-        for category in category_tx
-    }
-
-    sensitive_apps = sorted(
-        row.app
-        for row in per_app
-        if row.category in SENSITIVE_CATEGORIES and row.http_fraction > 0
-    )
-    sensitive_tx = sum(
-        category_tx[c] for c in SENSITIVE_CATEGORIES if c in category_tx
-    )
-    sensitive_http = sum(
-        category_http[c] for c in SENSITIVE_CATEGORIES if c in category_http
-    )
-
-    return ProtocolResult(
-        transactions=total,
-        https_fraction=1.0 - http_total / total,
-        http_fraction=http_total / total,
-        per_app=per_app,
-        per_category_http=per_category,
-        sensitive_cleartext_apps=sensitive_apps,
-        sensitive_http_fraction=(
-            sensitive_http / sensitive_tx if sensitive_tx else 0.0
-        ),
-    )

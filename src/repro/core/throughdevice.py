@@ -8,18 +8,14 @@ Runtastic "safely indicate that the user has an active wearable device".
 
 The fingerprint signatures below mirror those public endpoints.  Detection
 covers only a fraction of real through-device owners (the paper estimates
-~16% from market reports); :func:`analyze_through_device` scales the
-detected count by that assumed coverage to estimate the total.
+~16% from market reports); the analysis
+(:class:`repro.core.parallel.ThroughDevicePartial`) scales the detected
+count by that assumed coverage to estimate the total.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-
-from repro.core.dataset import StudyDataset
-from repro.core.mobility import build_timelines
-from repro.stats.geo import GeoPoint, max_displacement_km
 
 #: Host signatures that safely indicate an active through-device wearable.
 TD_FINGERPRINT_HOSTS: dict[str, str] = {
@@ -55,99 +51,3 @@ class ThroughDeviceResult:
     #: Handset modernity (paper: "relatively modern smartphones").
     mean_phone_year_td: float
     mean_phone_year_other: float
-
-
-def analyze_through_device(
-    dataset: StudyDataset,
-    assumed_coverage: float = ASSUMED_COVERAGE,
-) -> ThroughDeviceResult:
-    """Fingerprint through-device wearable users from phone traffic."""
-    if not 0.0 < assumed_coverage <= 1.0:
-        raise ValueError("assumed_coverage must be in (0, 1]")
-    window = dataset.window
-    owner_accounts = dataset.wearable_accounts
-
-    detected_kind: dict[str, str] = {}
-    tx_count: dict[str, int] = defaultdict(int)
-    byte_count: dict[str, int] = defaultdict(int)
-    phone_imei: dict[str, str] = {}
-    for record in dataset.phone_proxy:
-        if not window.in_detailed(record.timestamp):
-            continue
-        if dataset.account_of(record.subscriber_id) in owner_accounts:
-            continue
-        subscriber = record.subscriber_id
-        tx_count[subscriber] += 1
-        byte_count[subscriber] += record.total_bytes
-        phone_imei.setdefault(subscriber, record.imei)
-        kind = TD_FINGERPRINT_HOSTS.get(record.host)
-        if kind is not None:
-            detected_kind[subscriber] = kind
-
-    general_users = set(tx_count)
-    td_users = set(detected_kind)
-    other_users = general_users - td_users
-    if not td_users or not other_users:
-        raise ValueError("need both detected and undetected general users")
-
-    by_kind: dict[str, int] = defaultdict(int)
-    for kind in detected_kind.values():
-        by_kind[kind] += 1
-
-    days = max(1, window.detailed_days)
-
-    def mean_daily(counter: dict[str, int], users: set[str]) -> float:
-        return sum(counter[u] for u in users) / len(users) / days
-
-    # Mobility comparison via the phone MME timelines.
-    detailed_mme = [
-        r
-        for r in dataset.phone_mme
-        if window.in_detailed(r.timestamp)
-        and dataset.account_of(r.subscriber_id) not in owner_accounts
-    ]
-    timelines = build_timelines(detailed_mme)
-
-    def mean_displacement(users: set[str]) -> float:
-        values: list[float] = []
-        for subscriber in users:
-            timeline = timelines.get(subscriber)
-            if timeline is None:
-                continue
-            per_day: list[float] = []
-            for sectors in timeline.daily_sectors(window.study_start).values():
-                points: list[GeoPoint] = []
-                for sector in sectors:
-                    location = dataset.sector_map.get(sector)
-                    if location is not None:
-                        points.append(location)
-                per_day.append(max_displacement_km(points))
-            if per_day:
-                values.append(sum(per_day) / len(per_day))
-        return sum(values) / len(values) if values else 0.0
-
-    def mean_year(users: set[str]) -> float:
-        years: list[int] = []
-        for subscriber in users:
-            imei = phone_imei.get(subscriber)
-            if imei is None:
-                continue
-            model = dataset.device_db.lookup_imei(imei)
-            if model is not None:
-                years.append(model.release_year)
-        return sum(years) / len(years) if years else 0.0
-
-    return ThroughDeviceResult(
-        detected_users=len(td_users),
-        detected_by_kind=dict(by_kind),
-        detected_fraction_of_general=len(td_users) / len(general_users),
-        estimated_total_td_users=len(td_users) / assumed_coverage,
-        mean_daily_tx_td=mean_daily(tx_count, td_users),
-        mean_daily_tx_other=mean_daily(tx_count, other_users),
-        mean_daily_bytes_td=mean_daily(byte_count, td_users),
-        mean_daily_bytes_other=mean_daily(byte_count, other_users),
-        mean_displacement_td_km=mean_displacement(td_users),
-        mean_displacement_other_km=mean_displacement(other_users),
-        mean_phone_year_td=mean_year(td_users),
-        mean_phone_year_other=mean_year(other_users),
-    )

@@ -51,9 +51,8 @@ block magic, rows that fail record validation are quarantined
 individually, and a truncated tail block is quarantined with **exact**
 row accounting (the block header says how many rows were lost).
 
-An optional numpy fastpath accelerates numeric column decoding; the
-pure-python :mod:`array` fallback is always available and produces
-byte-identical files.
+Numeric columns are packed and unpacked with numpy (a hard dependency
+of the package).
 """
 
 from __future__ import annotations
@@ -78,6 +77,8 @@ from typing import (
     Sequence,
     Type,
 )
+
+import numpy as np
 
 from repro import obs
 from repro.logs.io import (
@@ -138,15 +139,6 @@ _STR_COL = struct.Struct("<IBI")
 _KIND_CODES = {ProxyRecord: 1, MmeRecord: 2}
 _BIG_ENDIAN = sys.byteorder == "big"
 
-try:  # pragma: no cover - exercised indirectly on hosts with numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: Module switch for the numpy fastpath; tests flip it to cover the
-#: pure-python fallback on hosts where numpy is installed.
-USE_NUMPY = _np is not None
-
 
 def bucket_of(subscriber_id: str) -> int:
     """256-way subscriber bucket recorded in block headers."""
@@ -192,24 +184,13 @@ def file_header_bytes(record_type: type) -> bytes:
 
 # ------------------------------------------------------ column packing
 def _pack_numeric(values: Sequence, typecode: str) -> bytes:
-    if USE_NUMPY and _np is not None:
-        dtype = "<f8" if typecode == "d" else "<i8"
-        return _np.asarray(values, dtype=dtype).tobytes()
-    arr = array(typecode, values)
-    if _BIG_ENDIAN:
-        arr.byteswap()
-    return arr.tobytes()
+    dtype = "<f8" if typecode == "d" else "<i8"
+    return np.asarray(values, dtype=dtype).tobytes()
 
 
 def _unpack_numeric(buffer: memoryview, typecode: str) -> list:
-    if USE_NUMPY and _np is not None:
-        dtype = "<f8" if typecode == "d" else "<i8"
-        return _np.frombuffer(buffer, dtype=dtype).tolist()
-    arr = array(typecode)
-    arr.frombytes(buffer)
-    if _BIG_ENDIAN:
-        arr.byteswap()
-    return arr.tolist()
+    dtype = "<f8" if typecode == "d" else "<i8"
+    return np.frombuffer(buffer, dtype=dtype).tolist()
 
 
 def _pack_str_column(values: Sequence[str]) -> bytes:

@@ -20,7 +20,7 @@ package keeps answering it *while the trace grows*.  A daemon
 
 The differential contract: at any poll boundary, the service's
 finalized report equals ``analyze_parallel`` run on the same prefix of
-the trace with the same ``shards``/``lenient``/``seed`` settings — for
+the trace with the same ``shards``/``lenient`` settings — for
 both wire formats, and after a kill-and-restore mid-stream.
 """
 

@@ -46,8 +46,10 @@ from repro.serve.state import (
 )
 from repro.serve.tailer import StreamTailer
 
-#: Payload version inside the checkpoint envelope.
-SERVICE_STATE_VERSION = 1
+#: Payload version inside the checkpoint envelope.  Version 2: the
+#: activity partial keeps an exact size histogram and the analysis seed
+#: is gone from the config fingerprint.
+SERVICE_STATE_VERSION = 2
 
 
 class ServiceNotReady(Exception):
@@ -67,7 +69,6 @@ class ServeConfig:
     shards: int = 4
     workers: int = 1
     lenient: bool = False
-    seed: int = 0
     format: str = "auto"
 
     def fingerprint(self) -> dict:
@@ -75,7 +76,6 @@ class ServeConfig:
         return {
             "shards": self.shards,
             "lenient": self.lenient,
-            "seed": self.seed,
             "format": self.format,
         }
 
@@ -101,10 +101,7 @@ class AnalysisService:
         self._resource_cache: dict[str, tuple[int, bytes]] = {}
         self.collector = QuarantineCollector() if config.lenient else None
         self._build_streams()
-        self.slots = [
-            ShardSlot(self.artifacts, config.seed, shard)
-            for shard in range(config.shards)
-        ]
+        self.slots = [ShardSlot(self.artifacts) for _ in range(config.shards)]
 
     def _build_streams(self) -> None:
         config = self.config
@@ -284,10 +281,8 @@ class AnalysisService:
                 for name, scrub in self.scrubs.items():
                     scrub.restore_state(payload["scrubs"][name])
             self.slots = [
-                ShardSlot.from_state(
-                    state, self.artifacts, self.config.seed, shard
-                )
-                for shard, state in enumerate(payload["shards"])
+                ShardSlot.from_state(state, self.artifacts)
+                for state in payload["shards"]
             ]
             self.generation = payload["generation"]
             self.rows_total = payload["rows_total"]

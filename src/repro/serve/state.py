@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
-from repro.core.app_mapping import SignatureCatalog, attribute_records
 from repro.core.dataset import StudyDataset, StudyWindow
 from repro.core.parallel import (
     ActivityPartial,
@@ -47,13 +46,13 @@ from repro.core.parallel import (
     DomainsPartial,
     EncountersPartial,
     MobilityPartial,
+    PanelInputs,
     ProtocolsPartial,
     ShardPartials,
     ThroughDevicePartial,
 )
 from repro.core.pipeline import StudyReport
-from repro.core.sessions import sessionize
-from repro.core.streaming import StreamingWeekly
+from repro.core.weekly import StreamingWeekly
 from repro.devicedb.database import DeviceDatabase
 from repro.devicedb.tac import IMEI_LENGTH
 from repro.logs.quarantine import QuarantineCollector, QuarantineReport
@@ -61,6 +60,17 @@ from repro.logs.records import MmeRecord, ProxyRecord, record_sort_key
 from repro.serve.tailer import record_to_row, row_to_record
 from repro.simnet.appcatalog import builtin_app_catalog
 from repro.simnet.topology import SectorMap
+
+
+#: The cross-row panels finalize recomputes from the replay buffers.
+REPLAYED = (
+    "mobility",
+    "apps",
+    "domains",
+    "through_device",
+    "protocols",
+    "encounters",
+)
 
 
 @dataclass(frozen=True)
@@ -238,11 +248,11 @@ class ShardSlot:
 
     STATE_VERSION = 1
 
-    def __init__(self, artifacts: TraceArtifacts, seed: int, shard: int):
+    def __init__(self, artifacts: TraceArtifacts):
         window = artifacts.window
         self.census = CensusPartial()
         self.adoption = AdoptionPartial(total_days=window.total_days)
-        self.activity = ActivityPartial.create(seed, shard)
+        self.activity = ActivityPartial()
         self.comparison = ComparisonPartial()
         self.weekly = StreamingWeekly(window, artifacts.wearable_tacs)
         self.devices = DevicesPartial(
@@ -274,8 +284,7 @@ class ShardSlot:
         self.adoption.consume(dataset)
         self.activity.consume(dataset)
         self.comparison.consume(dataset)
-        for record in delta_proxy:
-            self.weekly.add(record)
+        self.weekly.consume(delta_proxy)
         self.devices.consume(dataset)
         window = artifacts.window
         self.proxy_wearable.extend(dataset.wearable_proxy)
@@ -311,14 +320,12 @@ class ShardSlot:
         }
 
     @classmethod
-    def from_state(
-        cls, state: dict, artifacts: TraceArtifacts, seed: int, shard: int
-    ) -> "ShardSlot":
+    def from_state(cls, state: dict, artifacts: TraceArtifacts) -> "ShardSlot":
         if state.get("v") != cls.STATE_VERSION:
             raise ValueError(
                 f"unsupported shard state version: {state.get('v')!r}"
             )
-        slot = cls(artifacts, seed, shard)
+        slot = cls(artifacts)
         slot.census = CensusPartial.from_state(state["census"])
         slot.adoption = AdoptionPartial.from_state(state["adoption"])
         slot.activity = ActivityPartial.from_state(state["activity"])
@@ -397,32 +404,9 @@ def _replay_partials(
     )
     dataset.__dict__["wearable_tacs"] = artifacts.wearable_tacs
     dataset.__dict__["wearable_accounts"] = frozenset(owner_accounts)
-    catalog = builtin_app_catalog()
-    signatures = SignatureCatalog.from_app_catalog(catalog)
-    app_categories = {app.name: app.category for app in catalog}
+    inputs = PanelInputs(dataset)
     with obs.span("serve.replay"):
-        attributed = attribute_records(dataset.wearable_proxy, signatures)
-        sessions = sessionize(attributed)
-        mobility = MobilityPartial()
-        mobility.consume(dataset)
-        apps = AppsPartial()
-        apps.consume(dataset, attributed, sessions)
-        domains = DomainsPartial()
-        domains.consume(dataset, attributed, sessions)
-        through_device = ThroughDevicePartial()
-        through_device.consume(dataset)
-        protocols = ProtocolsPartial()
-        protocols.consume(dataset, attributed, app_categories)
-        encounters = EncountersPartial()
-        encounters.consume(dataset)
-    return {
-        "mobility": mobility.to_state(),
-        "apps": apps.to_state(),
-        "domains": domains.to_state(),
-        "through_device": through_device.to_state(),
-        "protocols": protocols.to_state(),
-        "encounters": encounters.to_state(),
-    }
+        return {name: inputs.partial(name).to_state() for name in REPLAYED}
 
 
 def compute_replay_states(payload: dict, trace_dir: str) -> dict:

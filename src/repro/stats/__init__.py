@@ -32,7 +32,7 @@ from repro.stats.geo import (
     haversine_km,
     max_displacement_km,
 )
-from repro.stats.streaming import OnlineStats, P2Quantile, ReservoirSampler
+from repro.stats.streaming import P2Quantile
 
 __all__ = [
     "BinnedTrend",
@@ -42,10 +42,8 @@ __all__ = [
     "ExponentialFit",
     "GeoPoint",
     "LogNormalSampler",
-    "OnlineStats",
     "P2Quantile",
     "ParetoSampler",
-    "ReservoirSampler",
     "ZipfSampler",
     "bootstrap_ci",
     "binned_means",

@@ -1,288 +1,17 @@
-"""Bounded-memory streaming statistics.
+"""Bounded-memory streaming quantile estimation.
 
-Real seven-week proxy traces from a national operator do not fit in RAM.
-These primitives let the streaming analyses in :mod:`repro.core.streaming`
-consume record iterators in one pass:
-
-* :class:`OnlineStats` — count/mean/variance/min/max via Welford's
-  algorithm, plus an *exact* running sum (Shewchuk partials, the same
-  error-free accumulation :func:`math.fsum` uses);
-* :class:`ReservoirSampler` — uniform fixed-size sample (Vitter's
-  algorithm R) for approximate CDFs with an unbiasedness guarantee;
-* :class:`P2Quantile` — the Jain & Chlamtac P² estimator: one quantile
-  tracked with five markers and O(1) memory.
-
-All three are **mergeable**: each exposes ``merge(other)`` combining two
-independently-filled instances, which is what lets the parallel analysis
-layer (:mod:`repro.core.parallel`) compute per-shard partial aggregates
-and reduce them.  Merge exactness varies and is documented per class:
-counts / sums / min / max merge exactly, Welford mean/m2 merge via
-Chan's parallel combine (floating-point associativity caveats only),
-reservoirs merge by weighted re-sampling (still a uniform sample), and
-P² merges are a documented approximation (marker-state refeed).
-
-All three are also **checkpointable**: ``to_state()`` /
-``from_state()`` round-trip the full internal state (including the
-reservoir's RNG position) through the versioned JSON-safe encoding of
-:mod:`repro.state`, so ``from_state(to_state(x))`` behaves identically
-to ``x`` for every future ``add``/``merge`` — the property the
-:mod:`repro.serve` crash-recovery contract rests on.
+:class:`P2Quantile` is the Jain & Chlamtac P² estimator: one quantile
+tracked with five markers and O(1) memory.  It is **mergeable** —
+``merge(other)`` combines two independently filled estimators, a
+documented approximation (marker-state refeed) — and **checkpointable**:
+``to_state()`` / ``from_state()`` round-trip the full internal state
+through the versioned JSON-safe encoding of :mod:`repro.state`, so
+``from_state(to_state(x))`` behaves identically to ``x`` for every
+future ``add``/``merge``.  The latency histograms of :mod:`repro.obs`
+track their quantiles with it.
 """
 
 from __future__ import annotations
-
-import math
-import random
-from math import sqrt
-from typing import Iterable
-
-from repro.state import decode_value, encode_value
-from repro.stats.cdf import ECDF
-
-
-def _accumulate_exact(partials: list[float], value: float) -> None:
-    """Add ``value`` to a list of non-overlapping partial sums in place.
-
-    This is Shewchuk's error-free summation cascade — the algorithm
-    behind :func:`math.fsum` — so ``math.fsum(partials)`` is always the
-    correctly-rounded sum of every value ever accumulated, independent
-    of insertion order.
-    """
-    x = value
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
-class OnlineStats:
-    """Welford's online mean/variance with min/max and an exact sum.
-
-    ``total`` is *exact*: values are additionally accumulated into
-    Shewchuk non-overlapping partials, so ``total`` equals
-    ``math.fsum(stream)`` bit-for-bit regardless of the order values
-    arrived in — including across :meth:`merge` boundaries.  (A naive
-    ``mean * count`` reconstruction is not exact and silently poisons
-    merged per-shard sums.)
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-        self._partials: list[float] = []
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        _accumulate_exact(self._partials, value)
-
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Fold ``other`` into ``self`` (Chan's parallel combine).
-
-        Exact for ``count``, ``total``, ``minimum`` and ``maximum``;
-        ``mean``/``variance`` combine with the usual floating-point
-        associativity caveats (still numerically stable).
-        """
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self._min = other._min
-            self._max = other._max
-            self._partials = list(other._partials)
-            return self
-        combined = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / combined
-        self._mean += delta * other.count / combined
-        self.count = combined
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        for partial in other._partials:
-            _accumulate_exact(self._partials, partial)
-        return self
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ValueError("no values seen")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Population variance."""
-        if self.count == 0:
-            raise ValueError("no values seen")
-        return self._m2 / self.count
-
-    @property
-    def stddev(self) -> float:
-        return sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        if self.count == 0:
-            raise ValueError("no values seen")
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        if self.count == 0:
-            raise ValueError("no values seen")
-        return self._max
-
-    @property
-    def total(self) -> float:
-        """Exact sum of every value seen (equals ``math.fsum``)."""
-        return math.fsum(self._partials)
-
-    def to_state(self) -> dict:
-        """JSON-safe snapshot; exact — the Shewchuk partials survive."""
-        return {
-            "v": 1,
-            "count": self.count,
-            "mean": self._mean,
-            "m2": self._m2,
-            "min": self._min,
-            "max": self._max,
-            "partials": list(self._partials),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "OnlineStats":
-        if state.get("v") != 1:
-            raise ValueError(f"unsupported OnlineStats state: {state.get('v')!r}")
-        stats = cls()
-        stats.count = state["count"]
-        stats._mean = state["mean"]
-        stats._m2 = state["m2"]
-        stats._min = state["min"]
-        stats._max = state["max"]
-        stats._partials = list(state["partials"])
-        return stats
-
-
-class ReservoirSampler:
-    """Uniform sample of up to ``capacity`` values from a stream.
-
-    ``seed`` may be an ``int`` or a ``str`` — the parallel analysis
-    layer seeds per-shard reservoirs with the engine's
-    ``"seed:concern:key"`` stream convention so independent shards draw
-    *different* (but reproducible) sample patterns.
-    """
-
-    def __init__(self, capacity: int, seed: int | str = 0) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._rng = random.Random(seed)
-        self._sample: list[float] = []
-        self.seen = 0
-
-    def merge(self, other: "ReservoirSampler") -> "ReservoirSampler":
-        """Fold ``other``'s reservoir into ``self`` by weighted union.
-
-        Each element of the merged reservoir is drawn from the combined
-        stream with probability proportional to the sub-streams' ``seen``
-        counts, so the result is still a uniform sample of the union —
-        the standard distributed-reservoir merge.  Approximate by nature
-        (the merged *sample* depends on both sub-reservoirs' draws), but
-        unbiased; quantiles derived from it carry the documented
-        reservoir bands.
-        """
-        if other.seen == 0:
-            return self
-        if self.seen == 0:
-            self._sample = list(other._sample)
-            self.seen = other.seen
-            return self
-        mine, theirs = list(self._sample), list(other._sample)
-        total = self.seen + other.seen
-        merged: list[float] = []
-        for _ in range(min(self.capacity, len(mine) + len(theirs))):
-            take_mine = (
-                bool(mine)
-                and (
-                    not theirs
-                    or self._rng.random() < self.seen / total
-                )
-            )
-            source = mine if take_mine else theirs
-            merged.append(source.pop(self._rng.randrange(len(source))))
-        self._sample = merged
-        self.seen = total
-        return self
-
-    def add(self, value: float) -> None:
-        self.seen += 1
-        if len(self._sample) < self.capacity:
-            self._sample.append(value)
-            return
-        index = self._rng.randrange(self.seen)
-        if index < self.capacity:
-            self._sample[index] = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    @property
-    def sample(self) -> list[float]:
-        return list(self._sample)
-
-    def ecdf(self) -> ECDF:
-        """Empirical CDF of the reservoir (approximates the stream's)."""
-        return ECDF(self._sample)
-
-    def to_state(self) -> dict:
-        """JSON-safe snapshot including the RNG position.
-
-        Restoring mid-stream continues the *identical* draw sequence, so
-        a checkpointed reservoir fed the remaining values equals one fed
-        the whole stream — bit-for-bit, not just in distribution.
-        """
-        return {
-            "v": 1,
-            "capacity": self.capacity,
-            "seen": self.seen,
-            "sample": list(self._sample),
-            "rng": encode_value(self._rng.getstate()),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ReservoirSampler":
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unsupported ReservoirSampler state: {state.get('v')!r}"
-            )
-        sampler = cls(state["capacity"])
-        sampler._rng.setstate(decode_value(state["rng"]))
-        sampler._sample = list(state["sample"])
-        sampler.seen = state["seen"]
-        return sampler
-
 
 class P2Quantile:
     """The P² single-quantile estimator (Jain & Chlamtac, 1985).

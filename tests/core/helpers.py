@@ -113,3 +113,73 @@ def make_dataset(
         account_directory=account_directory,
         window=window or make_window(),
     )
+
+
+def panel(name: str, dataset: StudyDataset, **inputs):
+    """Report field ``name`` exactly as :class:`WearableStudy` computes it.
+
+    ``inputs`` replaces the shared intermediates (``attributed``,
+    ``sessions``, ``app_categories``) with hand-built ones.
+    """
+    from repro.core.pipeline import WearableStudy
+
+    study = WearableStudy(dataset)
+    study.__dict__.update(inputs)
+    return getattr(study, name)
+
+
+def _part(dataset: StudyDataset, proxy_records, mme_records) -> StudyDataset:
+    return StudyDataset(
+        proxy_records=list(proxy_records),
+        mme_records=list(mme_records),
+        device_db=dataset.device_db,
+        sector_map=dataset.sector_map,
+        account_directory=dataset.account_directory,
+        window=dataset.window,
+    )
+
+
+def split_by_time(dataset: StudyDataset, parts: int = 3) -> list[StudyDataset]:
+    """Contiguous time-ordered deltas of both logs, as a growing trace
+    arrives at the service."""
+
+    def chunk(records, index):
+        size = -(-len(records) // parts)
+        return records[index * size : (index + 1) * size]
+
+    return [
+        _part(dataset, chunk(dataset.proxy_records, i), chunk(dataset.mme_records, i))
+        for i in range(parts)
+    ]
+
+
+def split_by_account(dataset: StudyDataset, shards: int = 3) -> list[StudyDataset]:
+    """The account shards ``analyze_parallel`` partitions the trace into."""
+    from repro.logs.io import shard_keep_predicate
+
+    parts = []
+    for shard in range(shards):
+        keep = shard_keep_predicate(shard, shards, dataset.account_directory)
+        parts.append(
+            _part(
+                dataset,
+                filter(keep, dataset.proxy_records),
+                filter(keep, dataset.mme_records),
+            )
+        )
+    return parts
+
+
+def fold(name: str, datasets: list[StudyDataset]):
+    """Panel ``name``'s partial built over each dataset, merged in order
+    and finalized."""
+    from repro.core.parallel import PANELS, PanelInputs
+
+    inputs = [PanelInputs(dataset) for dataset in datasets]
+    merged = inputs[0].partial(name)
+    for other in inputs[1:]:
+        merged.merge(other.partial(name))
+    first = datasets[0]
+    return PANELS[name].finalize(
+        merged, first.window, first.device_db, inputs[0].app_categories
+    )

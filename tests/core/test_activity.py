@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.activity import analyze_activity
 from repro.logs.timeutil import SECONDS_PER_HOUR
-from tests.core.helpers import day_ts, make_dataset, make_window, proxy
+from tests.core.helpers import day_ts, make_dataset, make_window, proxy, panel
 
 # Study day 0 is 1970-01-01 (a Thursday); the detailed window of a
 # 28/14 window starts on day 14 (a Thursday again).
@@ -19,7 +18,7 @@ class TestExactValues:
     def test_no_traffic_raises(self):
         dataset = make_dataset([], [], window=make_window())
         with pytest.raises(ValueError, match="no wearable"):
-            analyze_activity(dataset)
+            panel("activity", dataset)
 
     def test_active_days_and_hours(self):
         # User "a": two active days in a two-week window, 2 and 1 distinct
@@ -31,7 +30,7 @@ class TestExactValues:
             tx(DETAILED_FIRST + 1, 12.0, "b"),
         ]
         dataset = make_dataset(records, [], window=make_window())
-        result = analyze_activity(dataset)
+        result = panel("activity", dataset)
         # a: 2 days / 2 weeks = 1.0; b: 0.5.
         assert result.mean_active_days_per_week == pytest.approx(0.75)
         # a: 3 distinct (day, hour) pairs / 2 days = 1.5; b: 1.0.
@@ -45,7 +44,7 @@ class TestExactValues:
             tx(DETAILED_FIRST, 9.3, size=3_000),
         ]
         dataset = make_dataset(records, [], window=make_window())
-        result = analyze_activity(dataset)
+        result = panel("activity", dataset)
         assert result.fraction_tx_under_10kb == pytest.approx(0.75)
         assert result.median_tx_bytes == pytest.approx(3_000.0)
         assert result.mean_tx_bytes == pytest.approx(14_750.0)
@@ -53,14 +52,14 @@ class TestExactValues:
     def test_traffic_outside_detailed_window_excluded(self):
         records = [tx(0, 9.0), tx(DETAILED_FIRST, 9.0)]
         dataset = make_dataset(records, [], window=make_window())
-        result = analyze_activity(dataset)
+        result = panel("activity", dataset)
         assert len(result.transaction_sizes) == 1
 
     def test_hourly_profile_places_traffic_in_right_bucket(self):
         # Day 14 of a window starting Thursday 1970-01-01 is a Thursday.
         records = [tx(DETAILED_FIRST, 9.5), tx(DETAILED_FIRST, 9.7)]
         dataset = make_dataset(records, [], window=make_window())
-        profile = analyze_activity(dataset).hourly
+        profile = panel("activity", dataset).hourly
         assert profile.weekday_tx[9] > 0
         assert sum(profile.weekend_tx) == 0
 
@@ -68,7 +67,7 @@ class TestExactValues:
         # Day 16 (Saturday) of the same window.
         records = [tx(DETAILED_FIRST + 2, 11.0)]
         dataset = make_dataset(records, [], window=make_window())
-        profile = analyze_activity(dataset).hourly
+        profile = panel("activity", dataset).hourly
         assert profile.weekend_tx[11] > 0
         assert sum(profile.weekday_tx) == 0
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.adoption import analyze_adoption
-from tests.core.helpers import day_ts, make_dataset, make_window, mme, proxy
+from tests.core.helpers import day_ts, make_dataset, make_window, mme, proxy, panel
 
 
 def presence(subscriber: str, days: list[int]):
@@ -17,7 +16,7 @@ class TestDailyCounts:
             mme(day_ts(1, 7200.0), "a")  # second event same day: no double count
         ]
         dataset = make_dataset([], records, window=make_window(28, 14))
-        result = analyze_adoption(dataset)
+        result = panel("adoption", dataset)
         assert result.daily_counts[0] == 1
         assert result.daily_counts[1] == 2
         assert result.daily_counts[2] == 0
@@ -25,14 +24,14 @@ class TestDailyCounts:
     def test_normalisation_by_final_day(self):
         records = presence("a", [0, 27]) + presence("b", [27])
         dataset = make_dataset([], records, window=make_window(28, 14))
-        result = analyze_adoption(dataset)
+        result = panel("adoption", dataset)
         assert result.normalized_daily[-1] == 1.0
         assert result.normalized_daily[0] == 0.5
 
     def test_events_outside_window_ignored(self):
         records = presence("a", [0]) + [mme(day_ts(99), "ghost")]
         dataset = make_dataset([], records, window=make_window(28, 14))
-        result = analyze_adoption(dataset)
+        result = panel("adoption", dataset)
         assert all(
             "ghost" not in str(count) for count in result.daily_counts
         )  # ghost never counted
@@ -45,7 +44,7 @@ class TestGrowth:
         for day in range(28):
             records += presence("a", [day]) + presence("b", [day])
         dataset = make_dataset([], records, window=make_window(28, 14))
-        result = analyze_adoption(dataset)
+        result = panel("adoption", dataset)
         assert result.total_growth_percent == pytest.approx(0.0)
         assert result.monthly_growth_percent == pytest.approx(0.0)
 
@@ -56,7 +55,7 @@ class TestGrowth:
             if day >= 21:
                 records += presence("b", [day])
         dataset = make_dataset([], records, window=make_window(28, 14))
-        result = analyze_adoption(dataset)
+        result = panel("adoption", dataset)
         assert result.total_growth_percent == pytest.approx(100.0)
 
 
@@ -68,7 +67,7 @@ class TestRetention:
         records += presence("keeper", [0, 55])
         records += presence("leaver", [0, 5])
         dataset = make_dataset([], records, window=window)
-        result = analyze_adoption(dataset)
+        result = panel("adoption", dataset)
         assert result.first_week_users == 2
         assert result.still_active_fraction == pytest.approx(0.5)
         assert result.abandoned_fraction == pytest.approx(0.5)
@@ -78,7 +77,7 @@ class TestRetention:
         # Last seen on day 40 of 56: inside the 28-day quiet threshold.
         records = presence("mid", [0, 40])
         dataset = make_dataset([], records, window=window)
-        result = analyze_adoption(dataset)
+        result = panel("adoption", dataset)
         assert result.abandoned_fraction == 0.0
         assert result.still_active_fraction == 0.0
 
@@ -88,14 +87,14 @@ class TestDataActive:
         records = presence("a", [0]) + presence("b", [0]) + presence("c", [0])
         traffic = [proxy(day_ts(1), "a")]
         dataset = make_dataset(traffic, records, window=make_window(28, 14))
-        result = analyze_adoption(dataset)
+        result = panel("adoption", dataset)
         assert result.data_active_fraction == pytest.approx(1 / 3)
 
     def test_traffic_from_unregistered_device_ignored(self):
         records = presence("a", [0])
         traffic = [proxy(day_ts(1), "never-registered")]
         dataset = make_dataset(traffic, records, window=make_window(28, 14))
-        result = analyze_adoption(dataset)
+        result = panel("adoption", dataset)
         assert result.data_active_fraction == 0.0
 
 

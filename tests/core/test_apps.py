@@ -3,9 +3,8 @@
 import pytest
 
 from repro.core.app_mapping import AttributedRecord
-from repro.core.apps import analyze_apps
 from repro.core.sessions import sessionize
-from tests.core.helpers import day_ts, make_dataset, make_window, proxy
+from tests.core.helpers import day_ts, make_dataset, make_window, panel, proxy
 
 D = 14  # first detailed day
 
@@ -17,6 +16,12 @@ def attributed(ts: float, subscriber: str, app: str) -> AttributedRecord:
         record=proxy(ts, subscriber, bytes_down=1000),
         app=app,
         domain_category="application",
+    )
+
+
+def apps(dataset, items, sessions):
+    return panel(
+        "apps", dataset, attributed=items, sessions=sessions, app_categories=CATEGORIES
     )
 
 
@@ -39,7 +44,7 @@ def build_inputs():
 class TestExactValues:
     def test_per_app_shares(self):
         dataset, items, sessions = build_inputs()
-        result = analyze_apps(dataset, items, sessions, CATEGORIES)
+        result = apps(dataset, items, sessions)
         by_name = {row.app: row for row in result.per_app}
         # Weather: 3 of 4 transactions, 3000 of 4000 bytes.
         assert by_name["Weather"].tx_pct == pytest.approx(75.0)
@@ -48,7 +53,7 @@ class TestExactValues:
 
     def test_daily_users_normalisation(self):
         dataset, items, sessions = build_inputs()
-        result = analyze_apps(dataset, items, sessions, CATEGORIES)
+        result = apps(dataset, items, sessions)
         by_name = {row.app: row for row in result.per_app}
         # Daily (user, day) pairs: Weather 2, WhatsApp 1, any-app total 3
         # over 14 window days -> mean daily total users = 3/14.
@@ -58,7 +63,7 @@ class TestExactValues:
 
     def test_used_days_per_user(self):
         dataset, items, sessions = build_inputs()
-        result = analyze_apps(dataset, items, sessions, CATEGORIES)
+        result = apps(dataset, items, sessions)
         by_name = {row.app: row for row in result.per_app}
         # Weather: 2 used days for 1 user over 14 days.
         assert by_name["Weather"].used_days_per_user_pct == pytest.approx(
@@ -67,7 +72,7 @@ class TestExactValues:
 
     def test_category_aggregation(self):
         dataset, items, sessions = build_inputs()
-        result = analyze_apps(dataset, items, sessions, CATEGORIES)
+        result = apps(dataset, items, sessions)
         by_category = {row.category: row for row in result.per_category}
         assert by_category["Weather"].tx_pct == pytest.approx(75.0)
         assert by_category["Communication"].tx_pct == pytest.approx(25.0)
@@ -75,7 +80,7 @@ class TestExactValues:
 
     def test_apps_per_user(self):
         dataset, items, sessions = build_inputs()
-        result = analyze_apps(dataset, items, sessions, CATEGORIES)
+        result = apps(dataset, items, sessions)
         assert result.mean_apps_per_user == pytest.approx(1.0)
         assert result.fraction_users_under_20_apps == 1.0
 
@@ -85,7 +90,7 @@ class TestExactValues:
             [items[0].record], [], window=make_window()
         )
         with pytest.raises(ValueError, match="no attributed"):
-            analyze_apps(dataset, items, [], CATEGORIES)
+            apps(dataset, items, [])
 
     def test_unattributed_records_skipped(self):
         dataset, items, sessions = build_inputs()
@@ -94,7 +99,7 @@ class TestExactValues:
             app=None,
             domain_category="advertising",
         )
-        result = analyze_apps(dataset, items + [extra], sessions, CATEGORIES)
+        result = apps(dataset, items + [extra], sessions)
         total_tx = sum(row.tx_pct for row in result.per_app)
         assert total_tx == pytest.approx(100.0)
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.comparison import analyze_comparison
 from tests.core.helpers import (
     PHONE_IMEI,
     PHONE_IMEI_2,
@@ -12,6 +11,7 @@ from tests.core.helpers import (
     make_window,
     mme,
     proxy,
+    panel,
 )
 
 D = 14  # first detailed day of the default 28/14 window
@@ -44,7 +44,7 @@ def build_dataset():
 
 class TestExactValues:
     def test_account_totals(self):
-        result = analyze_comparison(build_dataset())
+        result = panel("comparison", build_dataset())
         assert result.n_wearable_accounts == 1
         assert result.n_general_accounts == 1
         assert result.mean_bytes_wearable_owner == 3100.0
@@ -53,17 +53,17 @@ class TestExactValues:
         assert result.mean_tx_general == 1.0
 
     def test_extra_percentages(self):
-        result = analyze_comparison(build_dataset())
+        result = panel("comparison", build_dataset())
         assert result.extra_data_percent == pytest.approx(55.0)
         assert result.extra_tx_percent == pytest.approx(200.0)
 
     def test_wearable_share(self):
-        result = analyze_comparison(build_dataset())
+        result = panel("comparison", build_dataset())
         assert result.wearable_share.maximum == pytest.approx(100 / 3100)
         assert result.fraction_share_at_least_3pct == pytest.approx(1.0)
 
     def test_bytes_cdfs_normalised_by_max(self):
-        result = analyze_comparison(build_dataset())
+        result = panel("comparison", build_dataset())
         assert result.bytes_cdf_wearable_owner.maximum == pytest.approx(1.0)
         assert result.bytes_cdf_general.maximum <= 1.0
 
@@ -74,7 +74,7 @@ class TestExactValues:
             window=make_window(),
         )
         with pytest.raises(ValueError, match="both"):
-            analyze_comparison(dataset)
+            panel("comparison", dataset)
 
 
 class TestOnSimulation:

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.devices import analyze_devices
 from repro.devicedb.tac import make_imei
-from tests.core.helpers import day_ts, make_dataset, make_window, mme, proxy
+from tests.core.helpers import day_ts, make_dataset, make_window, mme, proxy, panel
 
 WATCH_A = make_imei("35884708", 1)  # Samsung Gear S3
 WATCH_B = make_imei("35884708", 2)  # second Gear S3
@@ -23,38 +22,38 @@ class TestExactValues:
         return make_dataset(traffic, records, window=make_window(28, 14))
 
     def test_model_counts(self):
-        result = analyze_devices(self.build())
+        result = panel("devices", self.build())
         assert result.total_devices == 3
         by_model = {row.model: row for row in result.per_model}
         assert by_model["Gear S3"].devices == 2
         assert by_model["Watch Urbane LTE"].devices == 1
 
     def test_data_activation_per_model(self):
-        result = analyze_devices(self.build())
+        result = panel("devices", self.build())
         gear = next(row for row in result.per_model if row.model == "Gear S3")
         assert gear.data_active_devices == 1
         assert gear.data_active_fraction == pytest.approx(0.5)
 
     def test_manufacturer_share(self):
-        result = analyze_devices(self.build())
+        result = panel("devices", self.build())
         assert result.manufacturer_share["Samsung"] == pytest.approx(2 / 3)
         assert result.manufacturer_share["LG"] == pytest.approx(1 / 3)
 
     def test_weekly_share_series(self):
-        result = analyze_devices(self.build())
+        result = panel("devices", self.build())
         samsung = result.weekly_manufacturer_share["Samsung"]
         assert samsung[0] == pytest.approx(1.0)  # only Samsung in week 0
 
     def test_empty_raises(self):
         dataset = make_dataset([], [], window=make_window())
         with pytest.raises(ValueError, match="no wearable"):
-            analyze_devices(dataset)
+            panel("devices", dataset)
 
 
 class TestOnSimulation:
     @pytest.fixture(scope="class")
     def result(self, medium_dataset):
-        return analyze_devices(medium_dataset)
+        return panel("devices", medium_dataset)
 
     def test_samsung_lg_dominate(self, result):
         share = result.manufacturer_share
@@ -92,7 +91,7 @@ class TestAppleLaunchVisibility:
         output = simulate_apple_watch_launch(
             config, LaunchScenario(launch_day=launch_day)
         )
-        result = analyze_devices(StudyDataset.from_simulation(output))
+        result = panel("devices", StudyDataset.from_simulation(output))
         apple = result.weekly_manufacturer_share.get("Apple")
         assert apple is not None
         launch_week = launch_day // 7

@@ -1,57 +1,40 @@
-"""Differential layer: streaming aggregators vs batch analyses.
+"""Differential layer: one implementation per panel, fed three ways.
 
-Three independent implementations of the same paper statistics exist in
-this repo (batch ``analyze_*`` and the one-pass ``Streaming*`` classes).
-They share no accumulation code, so exact agreement between them is a
-strong correctness signal.  This module checks that agreement
+Every panel exists once, as a mergeable partial; the golden fixtures
+(``tests/core/test_golden.py``) pin what it produces.  This module
+checks the property the execution modes rest on: feeding a panel the
+whole dataset, time-ordered deltas (the service's shape) or account
+shards (``analyze_parallel``'s shape) gives identical results
 
 * on the pristine small simulation,
 * with a deliberately non-midnight-aligned ``study_start``, and
 * on a corrupted trace that was ingested leniently (quarantine-and-
-  continue) — the surviving rows must produce identical answers from
-  both code paths.
+  continue).
 """
 
 import pytest
 
-from repro.core.activity import analyze_activity
-from repro.core.adoption import analyze_adoption
 from repro.core.dataset import StudyDataset, StudyWindow
-from repro.core.streaming import (
-    StreamingActivity,
-    StreamingAdoption,
-    StreamingWeekly,
-)
-from repro.core.weekly import analyze_weekly
+from repro.core.weekly import StreamingWeekly
 from repro.devicedb import builtin_database
 from repro.logs.faults import FaultSpec, corrupt_trace
 from repro.logs.records import ProxyRecord
 from repro.logs.timeutil import SECONDS_PER_DAY, SECONDS_PER_HOUR, parse_timestamp
 from repro.simnet.topology import Sector, SectorMap
 from repro.stats.geo import GeoPoint
-
-
-def _assert_weekly_identical(streaming_result, batch):
-    # WeeklyResult is a plain dataclass of lists/floats built with the
-    # same accumulation order in both implementations, so equality is
-    # exact, not approximate.
-    assert streaming_result == batch
+from tests.core.helpers import fold, panel, split_by_account, split_by_time
 
 
 class TestStreamingWeeklyDifferential:
     @pytest.fixture(scope="class")
     def results(self, small_dataset):
-        batch = analyze_weekly(small_dataset)
-        streaming = (
-            StreamingWeekly(small_dataset.window, small_dataset.wearable_tacs)
-            .consume(iter(small_dataset.proxy_records))
-            .result()
-        )
+        batch = panel("weekly", small_dataset)
+        streaming = fold("weekly", split_by_time(small_dataset, parts=5))
         return batch, streaming
 
     def test_exact_equality(self, results):
         batch, streaming = results
-        _assert_weekly_identical(streaming, batch)
+        assert streaming == batch
 
     def test_indices_are_well_formed(self, results):
         batch, streaming = results
@@ -115,19 +98,22 @@ class TestNonMidnightWeekly:
                             bytes_down=900 + hour,
                         )
                     )
+        records.sort(key=lambda record: record.timestamp)
         dataset = self._dataset(records)
-        batch = analyze_weekly(dataset)
-        streaming = (
-            StreamingWeekly(dataset.window, dataset.wearable_tacs)
-            .consume(records)
-            .result()
-        )
-        _assert_weekly_identical(streaming, batch)
+        batch = panel("weekly", dataset)
+        assert fold("weekly", split_by_time(dataset, parts=4)) == batch
+        # Wall-clock buckets: wearable traffic only at these hours.
+        active = [
+            hour
+            for hour, value in enumerate(batch.relative_usage_by_hour)
+            if value > 0
+        ]
+        assert active == [0, 6, 12, 19, 23]
 
 
 class TestQuarantinedTraceDifferential:
-    """After lenient ingestion of a corrupted trace, batch and streaming
-    code paths see the identical surviving record list and must agree."""
+    """After lenient ingestion of a corrupted trace, the account-sharded
+    fold of the surviving rows must equal the whole-dataset fold."""
 
     @pytest.fixture(scope="class")
     def lenient_dataset(self, small_trace_dir, tmp_path_factory):
@@ -139,44 +125,13 @@ class TestQuarantinedTraceDifferential:
         return dataset
 
     def test_activity_agrees(self, lenient_dataset):
-        batch = analyze_activity(lenient_dataset)
-        streaming = (
-            StreamingActivity(lenient_dataset.window, lenient_dataset.wearable_tacs)
-            .consume(iter(lenient_dataset.proxy_records))
-            .result()
-        )
-        assert streaming.transactions == len(batch.transaction_sizes)
-        assert streaming.mean_tx_bytes == pytest.approx(batch.mean_tx_bytes)
-        assert streaming.mean_active_days_per_week == pytest.approx(
-            batch.mean_active_days_per_week
-        )
-        assert streaming.mean_active_hours_per_day == pytest.approx(
-            batch.mean_active_hours_per_day
-        )
+        sharded = fold("activity", split_by_account(lenient_dataset, 4))
+        assert sharded == panel("activity", lenient_dataset)
 
     def test_adoption_agrees(self, lenient_dataset):
-        batch = analyze_adoption(lenient_dataset)
-        streaming = (
-            StreamingAdoption(lenient_dataset.window, lenient_dataset.wearable_tacs)
-            .consume(
-                iter(lenient_dataset.mme_records),
-                iter(lenient_dataset.proxy_records),
-            )
-            .result()
-        )
-        assert streaming.daily_counts == batch.daily_counts
-        assert streaming.total_growth_percent == pytest.approx(
-            batch.total_growth_percent
-        )
-        assert streaming.data_active_fraction == pytest.approx(
-            batch.data_active_fraction
-        )
+        sharded = fold("adoption", split_by_account(lenient_dataset, 4))
+        assert sharded == panel("adoption", lenient_dataset)
 
     def test_weekly_agrees_exactly(self, lenient_dataset):
-        batch = analyze_weekly(lenient_dataset)
-        streaming = (
-            StreamingWeekly(lenient_dataset.window, lenient_dataset.wearable_tacs)
-            .consume(iter(lenient_dataset.proxy_records))
-            .result()
-        )
-        _assert_weekly_identical(streaming, batch)
+        sharded = fold("weekly", split_by_account(lenient_dataset, 4))
+        assert sharded == panel("weekly", lenient_dataset)

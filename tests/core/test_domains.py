@@ -3,13 +3,9 @@
 import pytest
 
 from repro.core.app_mapping import AttributedRecord
-from repro.core.domains import (
-    analyze_domain_categories,
-    analyze_domains,
-    analyze_single_usage,
-)
+from repro.core.parallel import DomainsPartial
 from repro.core.sessions import UsageSession
-from tests.core.helpers import day_ts, make_dataset, make_window, proxy
+from tests.core.helpers import day_ts, make_dataset, make_window, panel, proxy
 
 D = 14
 
@@ -24,15 +20,33 @@ def attributed(
     )
 
 
-def session(app: str, tx: int, total_bytes: int, start: float = 0.0) -> UsageSession:
+def session(
+    app: str,
+    tx: int,
+    total_bytes: int,
+    start: float = day_ts(D, 100),
+    subscriber: str = "s",
+) -> UsageSession:
     return UsageSession(
-        subscriber_id="s",
+        subscriber_id=subscriber,
         app=app,
         start=start,
         end=start + 30.0,
         tx_count=tx,
         bytes_total=total_bytes,
     )
+
+
+def single_usage(sessions: list[UsageSession], min_usages: int):
+    """Fig. 7 rows for hand-built detailed-window sessions."""
+    items = [
+        attributed(item.start, item.subscriber_id, item.app, "application")
+        for item in sessions
+    ]
+    dataset = make_dataset([item.record for item in items], [], window=make_window())
+    partial = DomainsPartial()
+    partial.consume(dataset, items, sessions)
+    return partial.finalize(min_usages=min_usages).per_app_usage
 
 
 class TestSingleUsage:
@@ -45,7 +59,7 @@ class TestSingleUsage:
             session("Messenger", tx=5, total_bytes=10_000),
             session("Messenger", tx=5, total_bytes=10_000),
         ]
-        rows = analyze_single_usage(sessions, min_usages=3)
+        rows = single_usage(sessions, min_usages=3)
         assert rows[0].app == "WhatsApp"
         assert rows[0].mean_tx_per_usage == pytest.approx(14.0)
         assert rows[0].mean_kb_per_usage == pytest.approx(1300.0)
@@ -54,7 +68,7 @@ class TestSingleUsage:
 
     def test_low_usage_apps_dropped(self):
         sessions = [session("Rare", tx=1, total_bytes=100)]
-        assert analyze_single_usage(sessions, min_usages=3) == []
+        assert single_usage(sessions, min_usages=3) == []
 
 
 class TestDomainCategories:
@@ -75,7 +89,7 @@ class TestDomainCategories:
 
     def test_data_shares(self):
         dataset, items = self.build()
-        result = analyze_domain_categories(dataset, items)
+        result = panel("domains", dataset, attributed=items, sessions=[])
         shares = {row.category: row.data_pct for row in result.per_domain_category}
         assert shares["application"] == pytest.approx(60.0)
         assert shares["advertising"] == pytest.approx(20.0)
@@ -84,19 +98,19 @@ class TestDomainCategories:
 
     def test_user_shares(self):
         dataset, items = self.build()
-        result = analyze_domain_categories(dataset, items)
+        result = panel("domains", dataset, attributed=items, sessions=[])
         users = {row.category: row.users_pct for row in result.per_domain_category}
         assert users["application"] == pytest.approx(50.0)  # a of {a, b}
         assert users["utilities"] == pytest.approx(50.0)  # b
 
     def test_third_party_ratio(self):
         dataset, items = self.build()
-        result = analyze_domain_categories(dataset, items)
+        result = panel("domains", dataset, attributed=items, sessions=[])
         assert result.third_party_data_ratio == pytest.approx(3000 / 6000)
 
     def test_category_order_follows_canonical(self):
         dataset, items = self.build()
-        result = analyze_domain_categories(dataset, items)
+        result = panel("domains", dataset, attributed=items, sessions=[])
         assert [row.category for row in result.per_domain_category] == [
             "application",
             "utilities",
@@ -109,13 +123,16 @@ class TestFullDomains:
     def test_sessions_outside_window_dropped(self):
         dataset, items = TestDomainCategories().build()
         sessions = [
-            session("Weather", tx=5, total_bytes=1000, start=day_ts(D, 100 + i))
+            session(
+                "Weather", tx=5, total_bytes=1000, start=day_ts(D, 100 + i),
+                subscriber="a",
+            )
             for i in range(6)
         ] + [
             session("Old", tx=5, total_bytes=1000, start=day_ts(0, 100 + i))
             for i in range(6)
         ]
-        result = analyze_domains(dataset, items, sessions)
+        result = panel("domains", dataset, attributed=items, sessions=sessions)
         apps = {row.app for row in result.per_app_usage}
         assert "Old" not in apps
         assert "Weather" in apps

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.core.encounters import (
     BUCKET_SECONDS,
     MIN_OVERLAP_SECONDS,
-    analyze_encounters,
     build_cell_index,
     join_cells,
     sector_shard,
@@ -38,6 +37,7 @@ from tests.core.helpers import (
     make_dataset,
     make_window,
     mme,
+    panel,
     proxy,
 )
 
@@ -323,7 +323,7 @@ class TestAnalyzeEncounters:
 
     @pytest.fixture(scope="class")
     def result(self):
-        return analyze_encounters(two_household_dataset())
+        return panel("encounters", two_household_dataset())
 
     def test_headline_counts(self, result):
         assert result.n_subscribers == 4
@@ -358,11 +358,18 @@ class TestAnalyzeEncounters:
         assert result.fully_explained_fraction == pytest.approx(1.0)
 
     def test_matches_streaming_partial(self, result):
+        """Three sector-routed stream joins, merged, equal the study's
+        single-pass join."""
         dataset = two_household_dataset()
-        partial = EncountersPartial()
-        partial.consume(dataset)
-        partial.consume_stream(iter(dataset.mme_records), dataset.window)
-        assert partial.finalize() == result
+        merged = EncountersPartial()
+        merged.consume(dataset)
+        for shard in range(3):
+            partial = EncountersPartial()
+            partial.consume_stream(
+                iter(dataset.mme_records), dataset.window, shard=shard, shards=3
+            )
+            merged.merge(partial)
+        assert merged.finalize() == result
 
 
 class TestSummarizePanels:

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.dataset import StudyDataset
 from repro.core.identification import WearableIdentifier
 from repro.devicedb.catalog import builtin_database
 from repro.devicedb.tac import make_imei
-from repro.logs.records import ProxyRecord
+from repro.logs.records import MmeRecord, ProxyRecord
+from tests.core.helpers import SECTORS, make_window, panel
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +23,28 @@ def proxy(imei: str, subscriber: str = "s1") -> ProxyRecord:
         host="api.example.com",
         bytes_down=100,
     )
+
+
+def census_of(records: list[ProxyRecord]):
+    """The census panel over one MME registration per record's IMEI."""
+    registrations = [
+        MmeRecord(
+            timestamp=record.timestamp,
+            subscriber_id=f"s{index}",
+            imei=record.imei,
+            sector_id="HOME",
+        )
+        for index, record in enumerate(records)
+    ]
+    dataset = StudyDataset(
+        proxy_records=[],
+        mme_records=registrations,
+        device_db=builtin_database(),
+        sector_map=SECTORS,
+        account_directory={},
+        window=make_window(),
+    )
+    return panel("census", dataset)
 
 
 WATCH_IMEI = make_imei("35884708", 1)  # Gear S3 Frontier LTE
@@ -68,16 +92,14 @@ class TestCensus:
             proxy(make_imei("35291808", 1)),  # LG Urbane
             proxy(PHONE_IMEI),  # not a wearable
         ]
-        census = identifier.census(records)
+        census = census_of(records)
         assert census.total_devices == 3
         assert census.devices_per_model["Gear S3 Frontier LTE"] == 2
         assert census.devices_per_manufacturer == {"Samsung": 2, "LG": 1}
         assert census.devices_per_os == {"Tizen": 2, "Android Wear": 1}
 
-    def test_census_on_simulated_logs_is_samsung_lg_dominated(
-        self, small_dataset, identifier
-    ):
-        census = identifier.census(small_dataset.wearable_mme)
+    def test_census_on_simulated_logs_is_samsung_lg_dominated(self, small_study):
+        census = small_study.census
         assert census.total_devices > 0
         samsung_lg = census.devices_per_manufacturer.get(
             "Samsung", 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.mobility import SectorTimeline, analyze_mobility, build_timelines
+from repro.core.mobility import SectorTimeline, build_timelines
 from repro.logs.timeutil import SECONDS_PER_HOUR
 from repro.stats.geo import haversine_km
 from tests.core.helpers import (
@@ -13,6 +13,7 @@ from tests.core.helpers import (
     make_dataset,
     make_window,
     mme,
+    panel,
     proxy,
 )
 
@@ -143,18 +144,18 @@ def build_dataset():
 
 class TestExactValues:
     def test_displacements(self):
-        result = analyze_mobility(build_dataset())
+        result = panel("mobility", build_dataset())
         assert result.mean_user_displacement_wearable_km == pytest.approx(
             HOME_WORK_KM / 2, rel=0.01
         )
         assert result.mean_user_displacement_general_km == 0.0
 
     def test_single_location_fraction(self):
-        result = analyze_mobility(build_dataset())
+        result = panel("mobility", build_dataset())
         assert result.single_tx_location_fraction == pytest.approx(0.5)
 
     def test_entropy_ordering(self):
-        result = analyze_mobility(build_dataset())
+        result = panel("mobility", build_dataset())
         # The two-sector wearable day has positive dwell entropy; the
         # general user never leaves home.
         assert result.mean_entropy_wearable_bits > 0.0
@@ -165,7 +166,7 @@ class TestExactValues:
             [], [mme(day_ts(D, 100), "w", imei=WATCH_IMEI)], window=make_window()
         )
         with pytest.raises(ValueError, match="both"):
-            analyze_mobility(dataset)
+            panel("mobility", dataset)
 
 
 class TestOnSimulation:

@@ -1,24 +1,17 @@
 """Differential layer: the parallel map-reduce analysis vs the batch pipeline.
 
-``repro.core.parallel`` recomputes every figure panel as merged
-per-account-shard partial aggregates.  The merge protocol sorts report
-fields into three exactness tiers (see the module docstring and
-``docs/architecture.md``):
+Batch analysis is the shards=1 fold of the same mergeable partials
+``repro.core.parallel`` merges across account shards, and every merge is
+exact (integer counts, set unions, min/max, an exact size histogram,
+sorted-key or ``fsum`` float folds).  There is one exactness tier: the
+merged report equals the batch report field for field — ``==`` on the
+whole :class:`StudyReport` — at every shard count.
 
-* **exact** — integer counts, set unions, min/max, integral byte sums,
-  and everything derived from them by a single division: equality with
-  the batch report is *bit-for-bit* at any shard count.
-* **order-sensitive float folds** — per-user means, Pearson
-  correlations, binned trends: the fold order differs from batch (sorted
-  keys vs insertion order), so agreement is ~1e-9 relative, not exact.
-* **reservoir-approximate** — the sampled transaction-size ECDF and the
-  median derived from it: checked within bands only.
-
-The worker count must never matter: at a fixed shard count the merged
-report is bit-identical for 1 worker (serial fallback) and N processes.
+The worker count must never matter either: at a fixed shard count the
+merged report is bit-identical for 1 worker (serial fallback) and N
+processes.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -28,67 +21,6 @@ from repro.logs.faults import FaultSpec, corrupt_trace
 from repro.stats.cdf import ECDF
 
 SHARD_COUNTS = [1, 4, 7]
-
-#: Report fields in the "exact" tier: these come out of the merge
-#: bit-identical to batch (including row *order* of per-app/per-model
-#: tables, replicated via first-occurrence keys).
-EXACT_FIELDS = [
-    "census",
-    "adoption",
-    "comparison",
-    "apps",
-    "domains",
-    "weekly",
-    "protocols",
-    "devices",
-    # Encounters: integer join counts and set unions merge exactly, and
-    # the float panels are deterministic sorted-key folds shared with
-    # batch (see repro.core.encounters.summarize_encounters) — so the
-    # whole result is bit-identical, not just ~1e-9 close.
-    "encounters",
-]
-
-#: Activity fields that stay exact under sharding (derived from integer
-#: accumulators or complete merged multisets).
-ACTIVITY_EXACT = [
-    "hourly",
-    "active_days_per_week",
-    "active_hours_per_day",
-    "hourly_tx_per_user",
-    "hourly_bytes_per_user",
-    "mean_tx_bytes",
-    "fraction_tx_under_10kb",
-    "fraction_users_over_10h",
-    "fraction_users_under_5h",
-]
-
-#: Activity fields that depend on the per-shard reservoir sample.
-ACTIVITY_SAMPLED = ["transaction_sizes", "median_tx_bytes"]
-
-
-def _approx_equal(a, b, rel, path=""):
-    """Structural comparison: floats to ``rel``, everything else exact."""
-    if isinstance(a, float) and isinstance(b, float):
-        assert b == pytest.approx(a, rel=rel, abs=1e-12), path
-    elif dataclasses.is_dataclass(a) and not isinstance(a, type):
-        assert type(a) is type(b), path
-        for field in dataclasses.fields(a):
-            _approx_equal(
-                getattr(a, field.name),
-                getattr(b, field.name),
-                rel,
-                f"{path}.{field.name}",
-            )
-    elif isinstance(a, (list, tuple)):
-        assert len(a) == len(b), path
-        for i, (x, y) in enumerate(zip(a, b)):
-            _approx_equal(x, y, rel, f"{path}[{i}]")
-    elif isinstance(a, dict):
-        assert set(a) == set(b), path
-        for key in a:
-            _approx_equal(a[key], b[key], rel, f"{path}[{key!r}]")
-    else:
-        assert a == b, path
 
 
 @pytest.fixture(scope="module")
@@ -114,53 +46,46 @@ class TestParallelVsBatch:
     def test_exact_tier_is_bit_identical(
         self, parallel_runs, batch_report, shards, workers
     ):
-        report = parallel_runs[(shards, workers)].report
-        for name in EXACT_FIELDS:
-            assert getattr(report, name) == getattr(batch_report, name), name
+        """The exact tier is the whole report."""
+        assert parallel_runs[(shards, workers)].report == batch_report
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_activity_exact_fields(self, parallel_runs, batch_report, shards):
         par = parallel_runs[(shards, 1)].report.activity
-        batch = batch_report.activity
-        for name in ACTIVITY_EXACT:
-            assert getattr(par, name) == getattr(batch, name), name
-        # Ratio fields derived from exact sums by one division.
-        assert par.mean_active_days_per_week == batch.mean_active_days_per_week
-        assert par.mean_active_hours_per_day == batch.mean_active_hours_per_day
-        assert (
-            par.daily_active_share_of_weekly == batch.daily_active_share_of_weekly
+        assert par == batch_report.activity
+        # The size CDF is the complete transaction multiset.
+        assert len(par.transaction_sizes) == len(
+            batch_report.activity.transaction_sizes
         )
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_activity_float_folds_close(self, parallel_runs, batch_report, shards):
+        """Sorted-key folds make the per-user floats equal, not just close."""
         par = parallel_runs[(shards, 1)].report.activity
         batch = batch_report.activity
-        assert par.tx_rate_hours_correlation == pytest.approx(
-            batch.tx_rate_hours_correlation, rel=1e-9
-        )
-        _approx_equal(
-            batch.tx_rate_vs_hours, par.tx_rate_vs_hours, 1e-9, "tx_rate_vs_hours"
-        )
+        assert par.tx_rate_hours_correlation == batch.tx_rate_hours_correlation
+        assert par.tx_rate_vs_hours == batch.tx_rate_vs_hours
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_activity_sampled_quantiles_in_band(
         self, parallel_runs, batch_report, shards
     ):
-        """Reservoir-derived quantiles: band agreement, never exactness."""
+        """Transaction sizes used to be reservoir-sampled per shard and
+        agreed with batch only within bands; the exact size histogram
+        makes every quantile equal."""
         par = parallel_runs[(shards, 1)].report.activity
         batch = batch_report.activity
-        assert par.median_tx_bytes == pytest.approx(
-            batch.median_tx_bytes, rel=0.25
-        )
-        for q in (0.25, 0.5, 0.75):
-            assert par.transaction_sizes.quantile(q) == pytest.approx(
-                batch.transaction_sizes.quantile(q), rel=0.30
+        assert par.median_tx_bytes == batch.median_tx_bytes
+        for q in (0.25, 0.5, 0.75, 0.99):
+            assert par.transaction_sizes.quantile(q) == (
+                batch.transaction_sizes.quantile(q)
             ), q
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_mobility_close(self, parallel_runs, batch_report, shards):
+        """Shard-order user-day lists fold through ``fsum``: equal means."""
         par = parallel_runs[(shards, 1)].report.mobility
-        _approx_equal(batch_report.mobility, par, 1e-9, "mobility")
+        assert par == batch_report.mobility
 
 
 class TestWorkerInvariance:
@@ -326,16 +251,12 @@ class TestChaosParallel:
         batch = WearableStudy(
             StudyDataset.load(chaos_trace, lenient=True)
         ).run_all()
-        par = chaos_runs[4].report
-        for name in EXACT_FIELDS:
-            assert getattr(par, name) == getattr(batch, name), name
-        _approx_equal(batch.mobility, par.mobility, 1e-9, "mobility")
-        assert par.activity.mean_tx_bytes == batch.activity.mean_tx_bytes
+        assert chaos_runs[4].report == batch
 
 
 class TestExactSumProperty:
-    """The exact-sum satellite feeds the merge protocol: byte totals are
-    Shewchuk-exact, so shard-split totals recombine to the fsum answer."""
+    """Byte totals come from an exact integer size histogram, so
+    shard-split totals recombine to the fsum answer."""
 
     def test_sharded_byte_total_equals_fsum(self, parallel_runs, small_dataset):
         run = parallel_runs[(7, 1)].report

@@ -32,7 +32,7 @@ from repro.core.parallel import (
     ShardPartials,
     ThroughDevicePartial,
 )
-from repro.core.streaming import StreamingWeekly
+from repro.core.weekly import StreamingWeekly
 from repro.logs.quarantine import QuarantineCollector
 from repro.state import decode_value, encode_value
 
@@ -55,7 +55,7 @@ PARTIAL_CLASSES = {
 @pytest.fixture(scope="module")
 def computed(small_dataset):
     """Real partials from the small simulation (one full-trace shard)."""
-    partials = ShardPartials.compute(small_dataset, seed=3, shard=0)
+    partials = ShardPartials.compute(small_dataset, shard=0)
     # The encounter join side is fed separately from the full MME stream
     # (see _analyze_shard); include it so the pair-keyed accumulators
     # (tuple dict keys) exercise the state codec too.
@@ -112,7 +112,7 @@ class TestRoundTrip:
     def test_merge_after_restore_equals_merge_before(
         self, small_dataset, computed
     ):
-        other = ShardPartials.compute(small_dataset, seed=3, shard=1)
+        other = ShardPartials.compute(small_dataset, shard=1)
         direct = ShardPartials.from_state(computed.to_state()).merge(
             ShardPartials.from_state(other.to_state())
         )

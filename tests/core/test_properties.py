@@ -9,18 +9,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.activity import analyze_activity
-from repro.core.adoption import analyze_adoption
-from repro.core.apps import analyze_apps
 from repro.core.app_mapping import AttributedRecord
 from repro.core.sessions import sessionize
-from repro.core.weekly import analyze_weekly
 from tests.core.helpers import (
     WATCH_IMEI,
     day_ts,
     make_dataset,
     make_window,
     mme,
+    panel,
     proxy,
 )
 
@@ -58,7 +55,7 @@ common = settings(
 @given(st.lists(wearable_tx, min_size=1, max_size=120))
 def test_activity_invariants(records):
     dataset = make_dataset(records, [], window=make_window())
-    result = analyze_activity(dataset)
+    result = panel("activity", dataset)
     assert len(result.transaction_sizes) == len(records)
     assert 0.0 <= result.fraction_tx_under_10kb <= 1.0
     assert 0.0 <= result.fraction_users_over_10h <= 1.0
@@ -74,7 +71,7 @@ def test_activity_invariants(records):
 @given(st.lists(mme_event, min_size=1, max_size=150))
 def test_adoption_invariants(events):
     dataset = make_dataset([], events, window=make_window())
-    result = analyze_adoption(dataset)
+    result = panel("adoption", dataset)
     assert len(result.daily_counts) == 28
     assert sum(result.daily_counts) >= 1
     assert 0.0 <= result.abandoned_fraction <= 1.0
@@ -88,7 +85,7 @@ def test_adoption_invariants(events):
 @given(st.lists(wearable_tx, min_size=1, max_size=120))
 def test_weekly_invariants(records):
     dataset = make_dataset(records, [], window=make_window())
-    result = analyze_weekly(dataset)
+    result = panel("weekly", dataset)
     assert len(result.relative_usage_by_hour) == 24
     assert all(value >= 0.0 for value in result.relative_usage_by_hour)
     assert result.max_daily_tx_deviation >= 0.0
@@ -114,8 +111,12 @@ def test_apps_percentages_conserved(pairs):
     ]
     dataset = make_dataset([item.record for item in items], [], window=make_window())
     sessions = sessionize(items)
-    result = analyze_apps(
-        dataset, items, sessions, {name: "Tools" for name in APPS}
+    result = panel(
+        "apps",
+        dataset,
+        attributed=items,
+        sessions=sessions,
+        app_categories={name: "Tools" for name in APPS},
     )
     total_tx = sum(row.tx_pct for row in result.per_app)
     total_data = sum(row.data_pct for row in result.per_app)

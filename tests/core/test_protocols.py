@@ -3,9 +3,8 @@
 import pytest
 
 from repro.core.app_mapping import AttributedRecord
-from repro.core.protocols import analyze_protocols
 from repro.logs.records import ProxyRecord
-from tests.core.helpers import WATCH_IMEI, day_ts, make_dataset, make_window
+from tests.core.helpers import WATCH_IMEI, day_ts, make_dataset, make_window, panel
 
 D = 14
 
@@ -34,6 +33,10 @@ def attributed(
     return AttributedRecord(record=record, app=app, domain_category="application")
 
 
+def protocols(dataset, items):
+    return panel("protocols", dataset, attributed=items, app_categories=CATEGORIES)
+
+
 def build():
     items = [
         attributed(day_ts(D, 100), "Weather", "http", "/v1/weather"),
@@ -52,14 +55,14 @@ def build():
 class TestExactValues:
     def test_overall_split(self):
         dataset, items = build()
-        result = analyze_protocols(dataset, items, CATEGORIES)
+        result = protocols(dataset, items)
         assert result.transactions == 8
         assert result.http_fraction == pytest.approx(2 / 8)
         assert result.https_fraction == pytest.approx(6 / 8)
 
     def test_per_app_split(self):
         dataset, items = build()
-        result = analyze_protocols(dataset, items, CATEGORIES)
+        result = protocols(dataset, items)
         by_app = {row.app: row for row in result.per_app}
         assert by_app["Weather"].http_fraction == pytest.approx(0.25)
         assert by_app["Bank-App-1"].http_fraction == 0.0
@@ -67,38 +70,34 @@ class TestExactValues:
 
     def test_url_visibility(self):
         dataset, items = build()
-        result = analyze_protocols(dataset, items, CATEGORIES)
+        result = protocols(dataset, items)
         by_app = {row.app: row for row in result.per_app}
         assert by_app["Weather"].url_visible_fraction == pytest.approx(0.25)
         assert by_app["Bank-App-1"].url_visible_fraction == 0.0
 
     def test_sensitive_categories(self):
         dataset, items = build()
-        result = analyze_protocols(dataset, items, CATEGORIES)
+        result = protocols(dataset, items)
         assert result.sensitive_cleartext_apps == ["WhatsApp"]
         # Finance (1 https) + Communication (1 http + 1 https): 1/3 HTTP.
         assert result.sensitive_http_fraction == pytest.approx(1 / 3)
 
     def test_sorted_most_cleartext_first(self):
         dataset, items = build()
-        result = analyze_protocols(dataset, items, CATEGORIES)
+        result = protocols(dataset, items)
         fractions = [row.http_fraction for row in result.per_app]
         assert fractions == sorted(fractions, reverse=True)
 
     def test_empty_window_raises(self):
         dataset = make_dataset([], [], window=make_window())
         with pytest.raises(ValueError, match="no wearable"):
-            analyze_protocols(dataset, [], CATEGORIES)
+            protocols(dataset, [])
 
 
 class TestOnSimulation:
     @pytest.fixture(scope="class")
     def result(self, medium_study):
-        return analyze_protocols(
-            medium_study.dataset,
-            medium_study.attributed,
-            medium_study.app_categories,
-        )
+        return medium_study.protocols
 
     def test_https_dominates(self, result):
         assert result.https_fraction > 0.75

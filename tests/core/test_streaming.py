@@ -1,121 +1,102 @@
-"""Equivalence tests: streaming aggregators vs the batch analyses."""
+"""Streaming folds: the panels fed as deltas or shards equal one pass.
+
+Every panel is a mergeable partial.  The service feeds the split-safe
+ones time-ordered deltas of a growing trace, and ``analyze_parallel``
+feeds every panel one account shard at a time; both must reproduce the
+whole-dataset fold exactly — not within a band — because every merge is
+exact.
+"""
 
 import pytest
 
-from repro.core.activity import analyze_activity
-from repro.core.adoption import analyze_adoption
 from repro.core.dataset import StudyDataset, StudyWindow
-from repro.core.streaming import StreamingActivity, StreamingAdoption
+from repro.core.parallel import ActivityPartial
 from repro.devicedb import builtin_database
 from repro.logs.records import ProxyRecord
 from repro.logs.timeutil import SECONDS_PER_DAY, SECONDS_PER_HOUR, parse_timestamp
 from repro.simnet.topology import Sector, SectorMap
 from repro.stats.geo import GeoPoint
+from tests.core.helpers import fold, panel, split_by_account, split_by_time
 
 
 class TestStreamingAdoption:
     @pytest.fixture(scope="class")
     def results(self, small_dataset):
-        batch = analyze_adoption(small_dataset)
-        streaming = (
-            StreamingAdoption(small_dataset.window, small_dataset.wearable_tacs)
-            .consume(iter(small_dataset.mme_records), iter(small_dataset.proxy_records))
-            .result()
-        )
-        return batch, streaming
+        whole = panel("adoption", small_dataset)
+        streamed = fold("adoption", split_by_time(small_dataset))
+        return whole, streamed
 
     def test_daily_counts_identical(self, results):
-        batch, streaming = results
-        assert streaming.daily_counts == batch.daily_counts
+        whole, streamed = results
+        assert streamed.daily_counts == whole.daily_counts
+        assert streamed.normalized_daily == whole.normalized_daily
 
     def test_growth_identical(self, results):
-        batch, streaming = results
-        assert streaming.monthly_growth_percent == pytest.approx(
-            batch.monthly_growth_percent
-        )
-        assert streaming.total_growth_percent == pytest.approx(
-            batch.total_growth_percent
-        )
+        whole, streamed = results
+        assert streamed.monthly_growth_percent == whole.monthly_growth_percent
+        assert streamed.total_growth_percent == whole.total_growth_percent
 
     def test_retention_identical(self, results):
-        batch, streaming = results
-        assert streaming.first_week_users == batch.first_week_users
-        assert streaming.abandoned_fraction == pytest.approx(
-            batch.abandoned_fraction
-        )
-        assert streaming.still_active_fraction == pytest.approx(
-            batch.still_active_fraction
-        )
+        whole, streamed = results
+        assert streamed.first_week_users == whole.first_week_users
+        assert streamed.abandoned_fraction == whole.abandoned_fraction
+        assert streamed.still_active_fraction == whole.still_active_fraction
 
     def test_data_active_identical(self, results):
-        batch, streaming = results
-        assert streaming.data_active_fraction == pytest.approx(
-            batch.data_active_fraction
-        )
+        whole, streamed = results
+        assert streamed.data_active_fraction == whole.data_active_fraction
 
 
 class TestStreamingActivity:
     @pytest.fixture(scope="class")
     def results(self, small_dataset):
-        batch = analyze_activity(small_dataset)
-        streaming = (
-            StreamingActivity(small_dataset.window, small_dataset.wearable_tacs)
-            .consume(iter(small_dataset.proxy_records))
-            .result()
-        )
-        return batch, streaming
+        whole = panel("activity", small_dataset)
+        streamed = fold("activity", split_by_time(small_dataset))
+        return whole, streamed
 
     def test_exact_aggregates_match(self, results):
-        batch, streaming = results
-        assert streaming.transactions == len(batch.transaction_sizes)
-        assert streaming.mean_tx_bytes == pytest.approx(batch.mean_tx_bytes)
-        assert streaming.mean_active_days_per_week == pytest.approx(
-            batch.mean_active_days_per_week
-        )
-        assert streaming.mean_active_hours_per_day == pytest.approx(
-            batch.mean_active_hours_per_day
-        )
+        whole, streamed = results
+        assert streamed.transaction_sizes == whole.transaction_sizes
+        assert streamed.mean_tx_bytes == whole.mean_tx_bytes
+        assert streamed.median_tx_bytes == whole.median_tx_bytes
+        assert streamed.mean_active_days_per_week == whole.mean_active_days_per_week
+        assert streamed.mean_active_hours_per_day == whole.mean_active_hours_per_day
 
     def test_median_estimate_close(self, results):
-        batch, streaming = results
-        assert streaming.median_tx_bytes_estimate == pytest.approx(
-            batch.median_tx_bytes, rel=0.25
-        )
+        """The median was a P² estimate; it is now read off the exact
+        size histogram, so the delta-fed value equals the whole one."""
+        whole, streamed = results
+        assert streamed.median_tx_bytes == whole.median_tx_bytes
+        assert whole.median_tx_bytes == whole.transaction_sizes.quantile(0.5)
+
+    def test_reservoir_quantiles_close(self, results):
+        """Quantiles came from a reservoir sample; the histogram keeps
+        every transaction, so they are exact."""
+        whole, streamed = results
+        for q in (0.25, 0.5, 0.9):
+            assert streamed.transaction_sizes.quantile(q) == (
+                whole.transaction_sizes.quantile(q)
+            ), q
 
     def test_under_10kb_exact(self, results):
-        batch, streaming = results
-        # The streaming counter is exact (strictly-below semantics match
-        # ECDF.fraction_below).
-        assert streaming.fraction_tx_under_10kb_estimate == pytest.approx(
-            batch.fraction_tx_under_10kb
-        )
-
-    def test_reservoir_quantiles_close(self, small_dataset):
-        batch = analyze_activity(small_dataset)
-        streaming = StreamingActivity(
-            small_dataset.window, small_dataset.wearable_tacs
-        ).consume(iter(small_dataset.proxy_records))
-        for q in (0.25, 0.5, 0.9):
-            assert streaming.quantile(q) == pytest.approx(
-                batch.transaction_sizes.quantile(q), rel=0.35
-            )
+        whole, streamed = results
+        assert streamed.fraction_tx_under_10kb == whole.fraction_tx_under_10kb
+        sizes = whole.transaction_sizes
+        assert whole.fraction_tx_under_10kb == sizes.fraction_below(10_000.0)
 
     def test_empty_stream_raises(self, small_dataset):
-        empty = StreamingActivity(
-            small_dataset.window, small_dataset.wearable_tacs
-        )
         with pytest.raises(ValueError, match="no wearable"):
-            empty.result()
+            ActivityPartial().finalize(small_dataset.window)
 
 
 class TestNonMidnightStudyStart:
-    """Regression: streaming hour buckets must be wall-clock hours.
+    """Regression: activity hour buckets must be wall-clock hours.
 
-    ``StreamingActivity.add`` used to bucket hours with
-    ``(ts - study_start) % 86_400 // 3_600``, which only matches the batch
-    analysis (``hour_of_day``) when ``study_start`` is midnight-aligned.
-    With a 05:30 study start, two transactions inside the same wall-clock
-    hour landed in *different* offset buckets, inflating
+    An earlier streaming activity fold bucketed hours with
+    ``(ts - study_start) % 86_400 // 3_600``, which only matches
+    ``hour_of_day`` when ``study_start`` is midnight-aligned.  With a
+    05:30 study start, two transactions inside the same wall-clock hour
+    landed in *different* offset buckets, inflating
     ``mean_active_hours_per_day``.
     """
 
@@ -161,19 +142,12 @@ class TestNonMidnightStudyStart:
             for offset in (0.0, 1800.0)
         ]
         dataset = self._dataset(records)
-        streaming = (
-            StreamingActivity(dataset.window, dataset.wearable_tacs)
-            .consume(records)
-            .result()
-        )
-        assert streaming.mean_active_hours_per_day == 1.0
-        batch = analyze_activity(dataset)
-        assert streaming.mean_active_hours_per_day == pytest.approx(
-            batch.mean_active_hours_per_day
-        )
+        assert panel("activity", dataset).mean_active_hours_per_day == 1.0
+        streamed = fold("activity", split_by_time(dataset, parts=2))
+        assert streamed.mean_active_hours_per_day == 1.0
 
     def test_streaming_matches_batch_across_hours_and_days(self, wearable_imei):
-        """Dense synthetic stream: exact aggregate equivalence."""
+        """Dense synthetic stream: deltas fold to the identical result."""
         records = []
         for user in range(5):
             for day in range(1, 13):
@@ -192,121 +166,24 @@ class TestNonMidnightStudyStart:
                             bytes_down=1000 + hour,
                         )
                     )
+        records.sort(key=lambda record: record.timestamp)
         dataset = self._dataset(records)
-        batch = analyze_activity(dataset)
-        streaming = (
-            StreamingActivity(dataset.window, dataset.wearable_tacs)
-            .consume(records)
-            .result()
-        )
-        assert streaming.transactions == len(batch.transaction_sizes)
-        assert streaming.mean_tx_bytes == pytest.approx(batch.mean_tx_bytes)
-        assert streaming.mean_active_days_per_week == pytest.approx(
-            batch.mean_active_days_per_week
-        )
-        assert streaming.mean_active_hours_per_day == pytest.approx(
-            batch.mean_active_hours_per_day
-        )
-
-
-class TestReservoirSeedConvention:
-    """Satellite regression: the activity reservoir seed used to be
-    hardcoded (`seed=0`), so every shard of a parallel run drew the
-    identical sample pattern.  It is now derived from the study seed and
-    shard id via the engine's ``seed:concern:key`` stream convention."""
-
-    def _consume(self, dataset, *, seed, shard, size=8):
-        return (
-            StreamingActivity(
-                dataset.window,
-                dataset.wearable_tacs,
-                reservoir_size=size,
-                seed=seed,
-                shard=shard,
-            )
-            .consume(iter(dataset.proxy_records))
-            ._reservoir.sample
-        )
-
-    def test_shards_draw_different_samples(self, small_dataset):
-        a = self._consume(small_dataset, seed=7, shard=0)
-        b = self._consume(small_dataset, seed=7, shard=1)
-        assert a != b
-
-    def test_fixed_seed_and_shard_reproducible(self, small_dataset):
-        one = self._consume(small_dataset, seed=7, shard=3)
-        two = self._consume(small_dataset, seed=7, shard=3)
-        assert one == two
-
-    def test_seed_changes_sample(self, small_dataset):
-        a = self._consume(small_dataset, seed=7, shard=0)
-        b = self._consume(small_dataset, seed=8, shard=0)
-        assert a != b
+        whole = panel("activity", dataset)
+        assert fold("activity", split_by_time(dataset, parts=7)) == whole
 
 
 class TestStreamingMergeDifferential:
-    """Streaming aggregators split by account shard then merged must
-    agree with one aggregator consuming the whole stream."""
+    """Partials split by account shard then merged must equal one
+    partial consuming the whole dataset — field for field."""
 
-    def _sharded(self, dataset, cls, n=3, **kwargs):
-        from repro.logs.io import shard_keep_predicate
-
-        parts = []
-        for shard in range(n):
-            keep = shard_keep_predicate(
-                shard, n, dataset.account_directory
-            )
-            agg = cls(dataset.window, dataset.wearable_tacs, **kwargs)
-            if cls is StreamingAdoption:
-                agg.consume(
-                    (r for r in dataset.mme_records if keep(r)),
-                    (r for r in dataset.proxy_records if keep(r)),
-                )
-            else:
-                agg.consume(r for r in dataset.proxy_records if keep(r))
-            parts.append(agg)
-        merged = parts[0]
-        for other in parts[1:]:
-            merged.merge(other)
-        return merged
+    def _check(self, dataset, name):
+        assert fold(name, split_by_account(dataset)) == panel(name, dataset)
 
     def test_adoption_merge_exact(self, small_dataset):
-        whole = StreamingAdoption(
-            small_dataset.window, small_dataset.wearable_tacs
-        ).consume(
-            iter(small_dataset.mme_records), iter(small_dataset.proxy_records)
-        )
-        merged = self._sharded(small_dataset, StreamingAdoption)
-        assert merged.result() == whole.result()
+        self._check(small_dataset, "adoption")
 
     def test_weekly_merge_exact(self, small_dataset):
-        from repro.core.streaming import StreamingWeekly
-
-        whole = StreamingWeekly(
-            small_dataset.window, small_dataset.wearable_tacs
-        ).consume(iter(small_dataset.proxy_records))
-        merged = self._sharded(small_dataset, StreamingWeekly)
-        assert merged.result() == whole.result()
+        self._check(small_dataset, "weekly")
 
     def test_activity_merge_exact_aggregates(self, small_dataset):
-        whole = StreamingActivity(
-            small_dataset.window, small_dataset.wearable_tacs
-        ).consume(iter(small_dataset.proxy_records))
-        merged = self._sharded(small_dataset, StreamingActivity)
-        w, m = whole.result(), merged.result()
-        assert m.transactions == w.transactions
-        assert m.total_bytes == w.total_bytes  # exact-sum merge
-        assert m.distinct_users == w.distinct_users
-        # Welford means fold in partition order: ~1e-12 agreement, the
-        # documented order-sensitive tier (the *total* stays exact).
-        assert m.mean_tx_bytes == pytest.approx(w.mean_tx_bytes, rel=1e-12)
-        assert m.mean_active_days_per_week == pytest.approx(
-            w.mean_active_days_per_week, rel=1e-12
-        )
-        assert m.mean_active_hours_per_day == pytest.approx(
-            w.mean_active_hours_per_day, rel=1e-12
-        )
-        # Estimators carry bands, not exactness.
-        assert m.median_tx_bytes_estimate == pytest.approx(
-            w.median_tx_bytes_estimate, rel=0.25
-        )
+        self._check(small_dataset, "activity")

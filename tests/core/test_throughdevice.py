@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.core.throughdevice import (
-    TD_FINGERPRINT_HOSTS,
-    analyze_through_device,
-)
+from repro.core.parallel import ThroughDevicePartial
+from repro.core.throughdevice import TD_FINGERPRINT_HOSTS
 from tests.core.helpers import (
     PHONE_IMEI,
     PHONE_IMEI_2,
@@ -14,10 +12,19 @@ from tests.core.helpers import (
     make_dataset,
     make_window,
     mme,
+    panel,
     proxy,
 )
 
 D = 14
+
+
+def through_device(dataset, assumed_coverage):
+    partial = ThroughDevicePartial()
+    partial.consume(dataset)
+    return partial.finalize(
+        dataset.window, dataset.device_db, assumed_coverage=assumed_coverage
+    )
 
 
 def build_dataset():
@@ -51,27 +58,27 @@ def build_dataset():
 
 class TestExactValues:
     def test_detection(self):
-        result = analyze_through_device(build_dataset())
+        result = panel("through_device", build_dataset())
         assert result.detected_users == 1
         assert result.detected_by_kind == {"fitbit": 1}
         assert result.detected_fraction_of_general == pytest.approx(0.5)
 
     def test_estimated_total_scales_by_coverage(self):
-        result = analyze_through_device(build_dataset(), assumed_coverage=0.16)
+        result = through_device(build_dataset(), assumed_coverage=0.16)
         assert result.estimated_total_td_users == pytest.approx(1 / 0.16)
 
     def test_bad_coverage_rejected(self):
         with pytest.raises(ValueError):
-            analyze_through_device(build_dataset(), assumed_coverage=0.0)
+            through_device(build_dataset(), assumed_coverage=0.0)
 
     def test_wearable_owner_phones_excluded(self):
         # The owner's phone hit a fingerprint host but is not a general
         # user, so it must not be detected.
-        result = analyze_through_device(build_dataset())
+        result = panel("through_device", build_dataset())
         assert result.detected_users == 1
 
     def test_behaviour_means(self):
-        result = analyze_through_device(build_dataset())
+        result = panel("through_device", build_dataset())
         # TD user: 2 tx, 20 KB over 14 days; other: 1 tx, 5 KB.
         assert result.mean_daily_tx_td == pytest.approx(2 / 14)
         assert result.mean_daily_tx_other == pytest.approx(1 / 14)

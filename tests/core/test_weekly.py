@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.weekly import analyze_weekly
 from repro.logs.timeutil import SECONDS_PER_HOUR
 from tests.core.helpers import (
     PHONE_IMEI,
@@ -11,6 +10,7 @@ from tests.core.helpers import (
     make_dataset,
     make_window,
     proxy,
+    panel,
 )
 
 # Day 0 of the helper window is Thursday 1970-01-01; the detailed window
@@ -41,7 +41,7 @@ class TestExactValues:
         # One wearable transaction on each of 14 consecutive days.
         records = [wtx(D + offset, 12.0) for offset in range(14)]
         dataset = make_dataset(records, [], window=make_window())
-        result = analyze_weekly(dataset)
+        result = panel("weekly", dataset)
         assert result.weekday_tx_index == pytest.approx([1.0] * 7)
         assert result.max_daily_tx_deviation == pytest.approx(0.0)
 
@@ -54,7 +54,7 @@ class TestExactValues:
         # Pad: one tx every other weekday so no division by zero.
         records += [wtx(D + offset, 9.0) for offset in range(2, 7)]
         dataset = make_dataset(records, [], window=window)
-        result = analyze_weekly(dataset)
+        result = panel("weekly", dataset)
         thursday = 3  # Mon=0 ... Thu=3
         assert result.weekday_tx_index[thursday] == max(result.weekday_tx_index)
 
@@ -70,7 +70,7 @@ class TestExactValues:
             ptx(D, 20.1),
         ]
         dataset = make_dataset(records, [], window=make_window())
-        result = analyze_weekly(dataset)
+        result = panel("weekly", dataset)
         by_hour = result.relative_usage_by_hour
         assert by_hour[20] == pytest.approx(2.0 * by_hour[10])
         # Evening share (0.5) vs rest-of-day share (0.25) => boost 2.
@@ -86,18 +86,18 @@ class TestExactValues:
             ptx(D + 2, 11.0),
         ]
         dataset = make_dataset(records, [], window=make_window())
-        result = analyze_weekly(dataset)
+        result = panel("weekly", dataset)
         assert result.weekend_relative_boost == pytest.approx((2 / 3) / (1 / 2))
 
     def test_no_wearable_traffic_raises(self):
         dataset = make_dataset([ptx(D, 10.0)], [], window=make_window())
         with pytest.raises(ValueError, match="no wearable"):
-            analyze_weekly(dataset)
+            panel("weekly", dataset)
 
     def test_out_of_window_ignored(self):
         records = [wtx(D, 10.0), wtx(0, 10.0)]
         dataset = make_dataset(records, [], window=make_window())
-        result = analyze_weekly(dataset)
+        result = panel("weekly", dataset)
         assert sum(result.weekday_tx_index) > 0
         # Only the in-window Thursday transaction counts.
         assert result.weekday_tx_index[3] == max(result.weekday_tx_index)

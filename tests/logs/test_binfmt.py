@@ -1,8 +1,9 @@
 """Unit tests for :mod:`repro.logs.binfmt` — the binary columnar format.
 
 Covers the wire contract (framed blocks, embedded schema, strict
-magic/version rejection), byte determinism, the numpy/pure-python
-fastpath parity, block skipping against the per-block shard bitmap, and
+magic/version rejection), byte determinism, the numpy column codec
+against the wire layout, block skipping against the per-block shard
+bitmap, and
 lenient ingestion semantics (truncated tails with exact row accounting,
 mid-file garbage resync).
 """
@@ -129,35 +130,27 @@ class TestDeterminism:
 
 
 class TestNumpyParity:
-    @pytest.fixture()
-    def flip(self):
-        original = binfmt.USE_NUMPY
-        yield
-        binfmt.USE_NUMPY = original
+    """The numpy column codec against the wire layout (little-endian
+    float64 / int64), encoded independently with :mod:`struct`."""
 
-    def test_encode_bytes_identical(self, tmp_path, flip):
-        if not binfmt.USE_NUMPY:
-            pytest.skip("numpy not available")
-        records = proxy_records(300)
-        binfmt.USE_NUMPY = True
-        fast = tmp_path / "fast.bin"
-        write_bin_records(fast, records, ProxyRecord)
-        binfmt.USE_NUMPY = False
-        slow = tmp_path / "slow.bin"
-        write_bin_records(slow, records, ProxyRecord)
-        assert fast.read_bytes() == slow.read_bytes()
+    FLOATS = [0.0, -1.5, 1e300, 3.141592653589793, 1_700_000_000.25]
+    INTS = [0, -1, 2**62, 42, -(2**63)]
 
-    def test_decode_results_identical(self, tmp_path, flip):
-        if not binfmt.USE_NUMPY:
-            pytest.skip("numpy not available")
+    def test_encode_bytes_identical(self):
+        assert binfmt._pack_numeric(self.FLOATS, "d") == struct.pack(
+            f"<{len(self.FLOATS)}d", *self.FLOATS
+        )
+        assert binfmt._pack_numeric(self.INTS, "q") == struct.pack(
+            f"<{len(self.INTS)}q", *self.INTS
+        )
+
+    def test_decode_results_identical(self, tmp_path):
+        packed = struct.pack(f"<{len(self.INTS)}q", *self.INTS)
+        assert binfmt._unpack_numeric(memoryview(packed), "q") == self.INTS
         records = mme_records(300)
         path = tmp_path / "mme.bin"
         write_bin_records(path, records, MmeRecord)
-        binfmt.USE_NUMPY = True
-        fast = list(read_bin_records(path, MmeRecord))
-        binfmt.USE_NUMPY = False
-        slow = list(read_bin_records(path, MmeRecord))
-        assert fast == slow == records
+        assert list(read_bin_records(path, MmeRecord)) == records
 
 
 class TestStrictRejection:

@@ -29,7 +29,7 @@ def served(small_trace_dir, tmp_path_factory):
     )
     for suffix in ("proxy.csv", "mme.csv"):
         feed_prefix(small_trace_dir, grow, suffix, 1.0)
-    service = AnalysisService(ServeConfig(trace_dir=grow, shards=2, seed=0))
+    service = AnalysisService(ServeConfig(trace_dir=grow, shards=2))
     drain(service)
     server = build_server(service, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -150,7 +150,7 @@ class TestEndpoints:
             feed_prefix(small_trace_dir, grow, suffix, 1.0)
         with obs.observe():
             service = AnalysisService(
-                ServeConfig(trace_dir=grow, shards=2, seed=0)
+                ServeConfig(trace_dir=grow, shards=2)
             )
             drain(service)
             service.report_resource()
@@ -209,7 +209,7 @@ class TestCaching:
             feed_prefix(small_trace_dir, grow, suffix, 1.0)
         with obs.observe():
             service = AnalysisService(
-                ServeConfig(trace_dir=grow, shards=2, seed=0)
+                ServeConfig(trace_dir=grow, shards=2)
             )
             drain(service)
             service.panel_resource("fig2a")  # cold: miss

@@ -4,7 +4,7 @@ The invariant pinned here is the one the subsystem exists for: a
 service fed a trace *incrementally* — in arbitrary byte-sized steps,
 through kills and restores — produces, at every poll boundary, exactly
 the report batch ``analyze_parallel`` computes on the same prefix with
-the same ``shards``/``lenient``/``seed`` settings.  Covered: plain CSV,
+the same ``shards``/``lenient`` settings.  Covered: plain CSV,
 ``.csv.gz`` and ``.bin`` wire formats, strict and lenient modes,
 fault-injected traces, checkpoint/restore (including a torn newest
 checkpoint), and subprocess SIGTERM/SIGKILL against the real CLI.
@@ -24,6 +24,7 @@ from repro.core.export import report_to_dict
 from repro.core.parallel import analyze_parallel
 from repro.logs import binfmt
 from repro.logs.records import MmeRecord, ProxyRecord, fields_for
+from repro.serve.checkpoint import CheckpointStore
 from repro.serve.service import AnalysisService, ServeConfig, ServiceNotReady
 
 from tests.serve.conftest import (
@@ -38,7 +39,7 @@ GROWTH_FRACS = (0.45, 1.0)
 
 def batch_report_dict(trace_dir, *, shards, lenient, fmt):
     run = analyze_parallel(
-        trace_dir, shards=shards, workers=1, lenient=lenient, seed=0, format=fmt
+        trace_dir, shards=shards, workers=1, lenient=lenient, format=fmt
     )
     return report_to_dict(run.report)
 
@@ -104,7 +105,7 @@ def grow_and_compare(full, tmp_path, *, lenient, fmt, suffixes, shards=2):
     grow = make_growing_dir(full, tmp_path / "grow")
     service = AnalysisService(
         ServeConfig(
-            trace_dir=grow, shards=shards, lenient=lenient, seed=0, format=fmt
+            trace_dir=grow, shards=shards, lenient=lenient, format=fmt
         )
     )
     for step, frac in enumerate(GROWTH_FRACS):
@@ -120,7 +121,7 @@ def grow_and_compare(full, tmp_path, *, lenient, fmt, suffixes, shards=2):
             with pytest.raises(ValueError):
                 analyze_parallel(
                     prefix, shards=shards, workers=1, lenient=lenient,
-                    seed=0, format=fmt,
+                    format=fmt,
                 )
             continue
         theirs = batch_report_dict(
@@ -171,10 +172,10 @@ class TestDifferentialGrowth:
         for suffix in ("proxy.csv", "mme.csv"):
             feed_prefix(small_trace_dir, grow, suffix, 1.0)
         serial = AnalysisService(
-            ServeConfig(trace_dir=grow, shards=3, workers=1, seed=0)
+            ServeConfig(trace_dir=grow, shards=3, workers=1)
         )
         pooled = AnalysisService(
-            ServeConfig(trace_dir=grow, shards=3, workers=2, seed=0)
+            ServeConfig(trace_dir=grow, shards=3, workers=2)
         )
         drain(serial)
         drain(pooled)
@@ -184,7 +185,7 @@ class TestDifferentialGrowth:
 class TestCheckpointRestore:
     def _config(self, grow, ckpt, **overrides):
         base = dict(
-            trace_dir=grow, shards=2, seed=0,
+            trace_dir=grow, shards=2,
             checkpoint_dir=ckpt, checkpoint_interval=0.0,
         )
         base.update(overrides)
@@ -251,7 +252,7 @@ class TestCheckpointRestore:
             feed_prefix(small_corrupt_trace_dir, grow, suffix, 1.0)
         drain(second)
         batch = analyze_parallel(
-            small_corrupt_trace_dir, shards=2, workers=1, lenient=True, seed=0
+            small_corrupt_trace_dir, shards=2, workers=1, lenient=True
         )
         assert (
             second.collector.report().to_dict()
@@ -271,6 +272,26 @@ class TestCheckpointRestore:
         mismatched = AnalysisService(self._config(grow, ckpt, shards=5))
         with pytest.raises(ValueError, match="different analysis settings"):
             mismatched.restore()
+
+    def test_pre_histogram_checkpoint_is_refused(self, small_trace_dir, tmp_path):
+        """A version-1 checkpoint (sampled activity reservoir, seed in the
+        config fingerprint) fails loudly instead of restoring."""
+        grow = make_growing_dir(small_trace_dir, tmp_path / "grow")
+        ckpt = tmp_path / "ckpt"
+        for suffix in ("proxy.csv", "mme.csv"):
+            feed_prefix(small_trace_dir, grow, suffix, 0.5)
+        first = AnalysisService(self._config(grow, ckpt))
+        drain(first)
+        payload = first._payload()
+        payload["v"] = 1
+        payload["config"]["seed"] = 0
+        CheckpointStore(ckpt).write(first.generation, payload)
+
+        restarted = AnalysisService(self._config(grow, ckpt))
+        with pytest.raises(
+            ValueError, match="unsupported checkpoint payload version: 1"
+        ):
+            restarted.restore()
 
 
 class TestSubprocessCrash:
@@ -327,7 +348,7 @@ class TestSubprocessCrash:
         # Restart in-process over the same checkpoint dir and finish.
         service = AnalysisService(
             ServeConfig(
-                trace_dir=grow, shards=2, seed=0, checkpoint_dir=ckpt
+                trace_dir=grow, shards=2, checkpoint_dir=ckpt
             )
         )
         assert service.restore()

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.adoption import analyze_adoption
 from repro.core.dataset import StudyDataset
-from repro.core.identification import WearableIdentifier
+from repro.core.pipeline import WearableStudy
 from repro.simnet.config import SimulationConfig
 from repro.simnet.scenarios import (
     APPLE_WATCH_MODEL,
@@ -65,13 +64,12 @@ class TestLaunchEffects:
         assert min(r.timestamp for r in apple) >= launch_ts
 
     def test_census_sees_apple(self, launch_output):
-        identifier = WearableIdentifier(launch_output.device_db)
-        census = identifier.census(launch_output.mme_records)
+        census = WearableStudy(StudyDataset.from_simulation(launch_output)).census
         assert census.devices_per_manufacturer.get("Apple", 0) > 0
 
     def test_growth_accelerates_after_launch(self, launch_output):
         dataset = StudyDataset.from_simulation(launch_output)
-        adoption = analyze_adoption(dataset)
+        adoption = WearableStudy(dataset).adoption
         break_day = launch_output.config.total_days // 2
         before, after = growth_rates_around(adoption.daily_counts, break_day)
         assert after > before + 1.0  # clearly sharper, in %/month

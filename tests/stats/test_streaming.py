@@ -1,82 +1,18 @@
-"""Unit, property and convergence tests for streaming statistics."""
+"""Unit, property and convergence tests for the P² quantile estimator."""
 
 import random
-import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.streaming import OnlineStats, P2Quantile, ReservoirSampler
+from repro.stats.streaming import P2Quantile
 
 values = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     min_size=1,
     max_size=300,
 )
-
-
-class TestOnlineStats:
-    def test_empty_raises(self):
-        stats = OnlineStats()
-        with pytest.raises(ValueError):
-            stats.mean
-
-    def test_known_values(self):
-        stats = OnlineStats()
-        stats.extend([1.0, 2.0, 3.0, 4.0])
-        assert stats.count == 4
-        assert stats.mean == 2.5
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-        assert stats.total == 10.0
-        assert stats.variance == pytest.approx(1.25)
-
-    @given(values)
-    def test_matches_batch_computation(self, xs):
-        stats = OnlineStats()
-        stats.extend(xs)
-        assert stats.mean == pytest.approx(statistics.fmean(xs), rel=1e-9, abs=1e-6)
-        assert stats.minimum == min(xs)
-        assert stats.maximum == max(xs)
-        if len(xs) > 1:
-            assert stats.variance == pytest.approx(
-                statistics.pvariance(xs), rel=1e-6, abs=1e-3
-            )
-
-
-class TestReservoirSampler:
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            ReservoirSampler(0)
-
-    def test_small_stream_kept_exactly(self):
-        sampler = ReservoirSampler(10)
-        sampler.extend([1.0, 2.0, 3.0])
-        assert sorted(sampler.sample) == [1.0, 2.0, 3.0]
-
-    def test_capacity_respected(self):
-        sampler = ReservoirSampler(50, seed=1)
-        sampler.extend(float(i) for i in range(10_000))
-        assert len(sampler.sample) == 50
-        assert sampler.seen == 10_000
-
-    def test_sampling_is_roughly_uniform(self):
-        # Mean of a uniform 0..9999 stream is ~5000; a 500-sample
-        # reservoir should land close.
-        sampler = ReservoirSampler(500, seed=2)
-        sampler.extend(float(i) for i in range(10_000))
-        mean = sum(sampler.sample) / len(sampler.sample)
-        assert mean == pytest.approx(5000.0, rel=0.15)
-
-    def test_ecdf_approximates_stream(self):
-        rng = random.Random(3)
-        sampler = ReservoirSampler(2000, seed=3)
-        stream = [rng.gauss(0.0, 1.0) for _ in range(50_000)]
-        sampler.extend(stream)
-        ecdf = sampler.ecdf()
-        assert ecdf(0.0) == pytest.approx(0.5, abs=0.05)
-        assert ecdf(1.0) == pytest.approx(0.841, abs=0.05)
 
 
 class TestP2Quantile:
@@ -137,106 +73,6 @@ class TestP2Quantile:
             down.add(value)
         assert up.value == pytest.approx(2500.0, rel=0.05)
         assert down.value == pytest.approx(2500.0, rel=0.05)
-
-
-class TestOnlineStatsExactTotal:
-    """Regression for the exact-sum satellite: ``total`` used to be
-    reconstructed as ``mean * count``, which loses low-order bits the
-    moment magnitudes are mixed.  ``total`` now folds a Shewchuk
-    partials list (the ``math.fsum`` algorithm), so it is *exactly*
-    the correctly-rounded sum — a requirement for shard-merged byte
-    totals to be order-independent."""
-
-    def test_mixed_magnitude_stream_is_fsum_exact(self):
-        values = [1.0e8] + [1e-3] * 10_000 + [0.7, -1.0e8, 3.3e-9] * 100
-        stats = OnlineStats()
-        stats.extend(values)
-        import math
-
-        assert stats.total == math.fsum(values)
-        # The old reconstruction demonstrably differs on this stream.
-        assert stats.mean * stats.count != math.fsum(values)
-
-    @given(values)
-    def test_total_always_matches_fsum(self, xs):
-        import math
-
-        stats = OnlineStats()
-        stats.extend(xs)
-        assert stats.total == math.fsum(xs)
-
-    @given(values, st.integers(min_value=1, max_value=5))
-    def test_merged_total_is_partition_independent(self, xs, pieces):
-        """Split the stream arbitrarily; merged total == fsum(all)."""
-        import math
-
-        chunks = [OnlineStats() for _ in range(pieces)]
-        for i, x in enumerate(xs):
-            chunks[i % pieces].add(x)
-        merged = chunks[0]
-        for other in chunks[1:]:
-            merged.merge(other)
-        assert merged.total == math.fsum(xs)
-        assert merged.count == len(xs)
-
-
-class TestOnlineStatsMerge:
-    def test_merge_matches_single_stream_moments(self):
-        rng = random.Random(11)
-        xs = [rng.gauss(5.0, 2.0) for _ in range(4000)]
-        whole = OnlineStats()
-        whole.extend(xs)
-        a, b = OnlineStats(), OnlineStats()
-        a.extend(xs[:1500])
-        b.extend(xs[1500:])
-        a.merge(b)
-        assert a.count == whole.count
-        assert a.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert a.variance == pytest.approx(whole.variance, rel=1e-9)
-        assert a.minimum == whole.minimum
-        assert a.maximum == whole.maximum
-        assert a.total == whole.total  # exact, not approx
-
-    def test_merge_with_empty_is_identity(self):
-        stats = OnlineStats()
-        stats.extend([1.0, 2.0])
-        before = (stats.count, stats.mean, stats.total)
-        stats.merge(OnlineStats())
-        assert (stats.count, stats.mean, stats.total) == before
-        empty = OnlineStats()
-        empty.merge(stats)
-        assert (empty.count, empty.mean, empty.total) == before
-
-
-class TestReservoirMerge:
-    def test_under_capacity_union_is_lossless(self):
-        a = ReservoirSampler(100, seed="s:a")
-        b = ReservoirSampler(100, seed="s:b")
-        for i in range(30):
-            a.add(float(i))
-        for i in range(30, 55):
-            b.add(float(i))
-        a.merge(b)
-        assert a.seen == 55
-        assert sorted(a.sample) == [float(i) for i in range(55)]
-
-    def test_over_capacity_merge_is_plausible_and_deterministic(self):
-        def build():
-            a = ReservoirSampler(64, seed="m:0")
-            b = ReservoirSampler(64, seed="m:1")
-            for i in range(1000):
-                (a if i % 2 else b).add(float(i))
-            a.merge(b)
-            return a
-
-        one, two = build(), build()
-        assert one.sample == two.sample  # deterministic given seeds
-        assert len(one.sample) == 64
-        assert one.seen == 1000
-        assert set(one.sample) <= {float(i) for i in range(1000)}
-        # Both sources are represented (weighted union, not replacement).
-        assert any(x % 2 for x in one.sample)
-        assert any(not x % 2 for x in one.sample)
 
 
 class TestP2QuantileMerge:

@@ -119,7 +119,7 @@ def main() -> None:
     from repro.core.figures import FIGURE_RENDERERS
     from repro.core.parallel import analyze_parallel
 
-    run = analyze_parallel(trace, shards=2, workers=1, seed=0)
+    run = analyze_parallel(trace, shards=2, workers=1)
     batch_text = FIGURE_RENDERERS[PANEL](run.report)
     assert served_text == batch_text, (
         "served panel diverged from batch analyze on the same trace"

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from repro.core.dataset import StudyDataset, StudyWindow
+from repro.core.parallel import PANELS, PanelInputs
+from repro.core.pipeline import WearableStudy
 from repro.devicedb.database import DeviceDatabase, DeviceModel
 from repro.devicedb.tac import (
     DEVICE_TYPE_SMARTPHONE,
     DEVICE_TYPE_WEARABLE,
     make_imei,
 )
+from repro.logs.io import shard_keep_predicate
 from repro.logs.records import MmeRecord, ProxyRecord
 from repro.logs.timeutil import SECONDS_PER_DAY
 from repro.simnet.topology import Sector, SectorMap
@@ -121,8 +124,6 @@ def panel(name: str, dataset: StudyDataset, **inputs):
     ``inputs`` replaces the shared intermediates (``attributed``,
     ``sessions``, ``app_categories``) with hand-built ones.
     """
-    from repro.core.pipeline import WearableStudy
-
     study = WearableStudy(dataset)
     study.__dict__.update(inputs)
     return getattr(study, name)
@@ -155,8 +156,6 @@ def split_by_time(dataset: StudyDataset, parts: int = 3) -> list[StudyDataset]:
 
 def split_by_account(dataset: StudyDataset, shards: int = 3) -> list[StudyDataset]:
     """The account shards ``analyze_parallel`` partitions the trace into."""
-    from repro.logs.io import shard_keep_predicate
-
     parts = []
     for shard in range(shards):
         keep = shard_keep_predicate(shard, shards, dataset.account_directory)
@@ -173,8 +172,6 @@ def split_by_account(dataset: StudyDataset, shards: int = 3) -> list[StudyDatase
 def fold(name: str, datasets: list[StudyDataset]):
     """Panel ``name``'s partial built over each dataset, merged in order
     and finalized."""
-    from repro.core.parallel import PANELS, PanelInputs
-
     inputs = [PanelInputs(dataset) for dataset in datasets]
     merged = inputs[0].partial(name)
     for other in inputs[1:]:

@@ -7,6 +7,7 @@ must all reproduce the stored small-preset reports (see
 oracle; there is no switch to regenerate it from the code under test.
 """
 
+import dataclasses
 import re
 
 import pytest
@@ -53,8 +54,6 @@ class TestFixture:
             assert pinned == set(golden.FIELDS)
 
     def test_a_changed_field_is_caught(self, small_study, fixture):
-        import dataclasses
-
         report = small_study.run_all()
         assert not golden.golden_mismatches(report, fixture["modes"]["strict"])
         activity = dataclasses.replace(

@@ -5,7 +5,8 @@ Batch analysis is the shards=1 fold of the same mergeable partials
 exact (integer counts, set unions, min/max, an exact size histogram,
 sorted-key or ``fsum`` float folds).  There is one exactness tier: the
 merged report equals the batch report field for field — ``==`` on the
-whole :class:`StudyReport` — at every shard count.
+whole :class:`StudyReport` — at every shard count, and so does the
+report of a ``repro serve`` service that has ingested the whole trace.
 
 The worker count must never matter either: at a fixed shard count the
 merged report is bit-identical for 1 worker (serial fallback) and N
@@ -18,7 +19,10 @@ import pytest
 
 from repro.core.parallel import ShardPartials, analyze_parallel
 from repro.logs.faults import FaultSpec, corrupt_trace
+from repro.serve.service import AnalysisService, ServeConfig
 from repro.stats.cdf import ECDF
+
+from tests.serve.conftest import drain, feed_prefix, make_growing_dir
 
 SHARD_COUNTS = [1, 4, 7]
 
@@ -86,6 +90,22 @@ class TestParallelVsBatch:
         """Shard-order user-day lists fold through ``fsum``: equal means."""
         par = parallel_runs[(shards, 1)].report.mobility
         assert par == batch_report.mobility
+
+
+class TestServeVsBatch:
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_caught_up_service_equals_batch(
+        self, small_trace_dir, batch_report, tmp_path, shards
+    ):
+        """The service's incremental partials finalize to the batch
+        report once it has ingested the whole trace."""
+        grow = make_growing_dir(small_trace_dir, tmp_path / "grow")
+        service = AnalysisService(ServeConfig(trace_dir=grow, shards=shards))
+        for frac in (0.3, 1.0):
+            for suffix in ("proxy.csv", "mme.csv"):
+                feed_prefix(small_trace_dir, grow, suffix, frac)
+            drain(service)
+        assert service.report()[1] == batch_report
 
 
 class TestWorkerInvariance:

@@ -312,7 +312,8 @@ class ActivityPartial(_PartialState):
     """§4.2-4.3 activity: per-user sets, exact counters and an exact
     transaction-size histogram."""
 
-    #: Version 2 replaced the sampled size reservoir with ``sizes``.
+    #: Version 1 states carry a sampled size reservoir instead of
+    #: ``sizes`` and cannot be restored.
     STATE_VERSION = 2
 
     day_type_days: dict[bool, set[int]] = field(

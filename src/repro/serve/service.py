@@ -46,9 +46,9 @@ from repro.serve.state import (
 )
 from repro.serve.tailer import StreamTailer
 
-#: Payload version inside the checkpoint envelope.  Version 2: the
-#: activity partial keeps an exact size histogram and the analysis seed
-#: is gone from the config fingerprint.
+#: Payload version inside the checkpoint envelope.  Version 1 payloads
+#: hold a sampled activity reservoir and a seed in the config
+#: fingerprint; restoring one must fail loudly.
 SERVICE_STATE_VERSION = 2
 
 

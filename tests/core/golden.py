@@ -1,20 +1,14 @@
 """Golden ``StudyReport`` fixtures: canonical forms and the comparison.
 
 The fixture in ``tests/core/data/golden_small.json`` pins the report the
-small preset (seed 7) produces, strict and lenient, as stored data — so
+small preset (seed 7) produces as stored data — strict, lenient over a
+corrupted CSV copy, and lenient over a corrupted ``.bin`` copy — so
 every execution mode is checked against recorded results rather than
 against a second implementation.  ``tools/make_golden_reports.py``
 wrote it once; the tests only ever read it.
 
-Two storage forms, per report field:
-
-* **digest** — sha256 of the field's canonical form (dicts and sets
-  sorted, floats as ``float.hex``); the field must match bit for bit;
-* **values** — for ``activity``, ``mobility`` and ``through_device``,
-  whose means, correlations and binned trends are float folds: the
-  canonical form with floats kept as numbers, compared at ``rel=1e-9``.
-  ECDFs inside them are built from exact per-user or per-record values
-  and stay digest-exact.
+Every report field is stored as the sha256 of its canonical form (dicts
+and sets sorted, floats as ``float.hex``) and must match bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from pathlib import Path
 
 from repro.logs.faults import FaultSpec
@@ -34,13 +27,11 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "golden_small.json"
 PRESET = "small"
 SEED = 7
 
-#: Lenient mode reads a copy corrupted like ``repro corrupt --rate 0.02
-#: --seed 5``: every row-level fault class, no truncation.
+#: The lenient modes read a copy corrupted like ``repro corrupt --rate
+#: 0.02 --seed 5``: every row-level fault class, no truncation.  In the
+#: CSV copy garbage is text lines; in the ``.bin`` copy it is bytes
+#: spliced between blocks.
 CORRUPT_SPEC = FaultSpec(seed=5).with_rate(0.02)
-
-#: Report fields stored as values and compared at this relative tolerance.
-APPROX_FIELDS = ("activity", "mobility", "through_device")
-REL = 1e-9
 
 #: Every ``StudyReport`` field the fixture pins.
 FIELDS = (
@@ -91,34 +82,9 @@ def digest(value) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-def approx_form(value):
-    """Like :func:`canonical`, but floats stay numbers and ECDFs digest."""
-    if isinstance(value, ECDF):
-        return {"ecdf_sha256": digest(value), "n": len(value)}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            spec.name: approx_form(getattr(value, spec.name))
-            for spec in dataclasses.fields(value)
-        }
-    if isinstance(value, dict):
-        return {"dict": sorted((_key(k), approx_form(v)) for k, v in value.items())}
-    if isinstance(value, (list, tuple)):
-        return [approx_form(item) for item in value]
-    return value
-
-
 def golden_record(report) -> dict:
     """The fixture entry for one report."""
-    return {
-        "digests": {
-            name: digest(getattr(report, name))
-            for name in FIELDS
-            if name not in APPROX_FIELDS
-        },
-        "values": {
-            name: approx_form(getattr(report, name)) for name in APPROX_FIELDS
-        },
-    }
+    return {"digests": {name: digest(getattr(report, name)) for name in FIELDS}}
 
 
 def load_golden() -> dict:
@@ -126,41 +92,11 @@ def load_golden() -> dict:
         return json.load(handle)
 
 
-def _close(expected, got, path: str) -> list[str]:
-    if isinstance(expected, float) and isinstance(got, float):
-        if math.isclose(got, expected, rel_tol=REL, abs_tol=1e-12):
-            return []
-        return [f"{path}: {got!r} != {expected!r}"]
-    if isinstance(expected, dict) and isinstance(got, dict):
-        if set(expected) != set(got):
-            return [f"{path}: keys {sorted(got)} != {sorted(expected)}"]
-        return [
-            line
-            for key in expected
-            for line in _close(expected[key], got[key], f"{path}.{key}")
-        ]
-    if isinstance(expected, list) and isinstance(got, list):
-        if len(expected) != len(got):
-            return [f"{path}: length {len(got)} != {len(expected)}"]
-        return [
-            line
-            for index, (a, b) in enumerate(zip(expected, got))
-            for line in _close(a, b, f"{path}[{index}]")
-        ]
-    return [] if expected == got else [f"{path}: {got!r} != {expected!r}"]
-
-
 def golden_mismatches(report, golden: dict) -> list[str]:
     """Every way ``report`` differs from one fixture entry (empty = match)."""
-    got = golden_record(report)
-    problems = [
-        f"{name}: digest {got['digests'][name][:12]} != "
-        f"golden {sha[:12]}"
+    got = golden_record(report)["digests"]
+    return [
+        f"{name}: digest {got[name][:12]} != golden {sha[:12]}"
         for name, sha in golden["digests"].items()
-        if got["digests"][name] != sha
+        if got[name] != sha
     ]
-    # Round-trip through JSON so both sides use the fixture's encoding.
-    values = json.loads(json.dumps(got["values"]))
-    for name, expected in golden["values"].items():
-        problems.extend(_close(expected, values[name], name))
-    return problems

@@ -2,10 +2,11 @@
 
     PYTHONPATH=src python tools/make_golden_reports.py
 
-Simulates the small preset (seed 7), exports it as CSV, corrupts a copy
-like ``repro corrupt --rate 0.02 --seed 5``, runs the batch pipeline over
-both (strict, then lenient) and stores the per-field digests and values
-from ``tests/core/golden.py`` together with the commit they came from.
+Simulates the small preset (seed 7), exports it as CSV and as ``.bin``,
+corrupts a copy of each like ``repro corrupt --rate 0.02 --seed 5``, runs
+the batch pipeline over the clean CSV trace (strict) and both corrupted
+copies (lenient), and stores the per-field digests from
+``tests/core/golden.py`` together with the commit they came from.
 
 The fixture is generated once and then only read: the script refuses to
 overwrite an existing fixture, so re-baselining is a deliberate delete
@@ -44,13 +45,18 @@ def main() -> int:
     ).stdout.strip()
     config = getattr(SimulationConfig, golden.PRESET)(seed=golden.SEED)
     with tempfile.TemporaryDirectory() as scratch:
-        trace = Path(scratch) / "trace"
-        corrupted = Path(scratch) / "corrupt"
-        Simulator(config).run().write(trace)
-        corrupt_trace(trace, corrupted, golden.CORRUPT_SPEC)
+        root = Path(scratch)
+        output = Simulator(config).run()
+        output.write(root / "trace")
+        output.write(root / "trace-bin", format="bin")
+        corrupt_trace(root / "trace", root / "corrupt", golden.CORRUPT_SPEC)
+        corrupt_trace(
+            root / "trace-bin", root / "corrupt-bin", golden.CORRUPT_SPEC
+        )
         modes = {
-            "strict": StudyDataset.load(trace),
-            "lenient": StudyDataset.load(corrupted, lenient=True),
+            "strict": StudyDataset.load(root / "trace"),
+            "lenient": StudyDataset.load(root / "corrupt", lenient=True),
+            "lenient_bin": StudyDataset.load(root / "corrupt-bin", lenient=True),
         }
         fixture = {
             "generated_at": commit,

@@ -301,20 +301,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0 if result.reproduced else 1
 
 
-#: Suffix probe order for locating a trace's logs (matches
-#: :meth:`StudyDataset._log_path` in ``auto`` mode).
-_LOG_SUFFIXES = (".csv", ".csv.gz", ".bin")
-
 #: Non-log trace artifacts ``convert`` copies byte-verbatim.
 _SIDE_ARTIFACTS = ("devices.csv", "sectors.csv", "accounts.csv", "metadata.json")
-
-
-def _find_log(base: Path, stem: str) -> Path | None:
-    for suffix in _LOG_SUFFIXES:
-        candidate = base / f"{stem}{suffix}"
-        if candidate.exists():
-            return candidate
-    return None
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
@@ -341,11 +329,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     suffix = format_suffix(args.to)
     for stem, record_type in (("proxy", ProxyRecord), ("mme", MmeRecord)):
-        source = _find_log(base, stem)
-        if source is None:
-            raise FileNotFoundError(
-                f"no {stem} log ({stem}.csv[.gz|.bin]) in {base}"
-            )
+        source = StudyDataset._log_path(base, stem)
         target = out_dir / f"{stem}{suffix}"
         with obs.span(f"convert.{stem}"):
             count = write_records(

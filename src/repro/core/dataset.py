@@ -8,6 +8,17 @@ from a trace directory written by :meth:`SimulationOutput.write`, so the
 analyses run identically on live objects and on exported CSVs (or, with
 the same schemas, on a real operator export).
 
+This module is the one home of the trace-directory contract; batch,
+sharded and served analysis all go through it:
+
+* :func:`load_artifacts` is the only parser of the side files
+  (``metadata.json``, ``accounts.csv``, ``devices.csv``, ``sectors.csv``);
+* :meth:`StudyDataset._log_path` is the only log-suffix probe;
+* :class:`Scrubber` is the one lenient row filter, with a checkpointable
+  carry so the service runs it over a growing stream;
+* account-shard selection is :func:`~repro.logs.io.shard_keep_predicate`,
+  applied once inside :meth:`StudyDataset.load`.
+
 The class also owns the cheap, widely shared partitions — wearable vs.
 non-wearable records, the detailed-window slice — computed once and cached.
 """
@@ -24,13 +35,15 @@ from typing import Callable, Iterable, Iterator
 
 from repro.devicedb.database import DeviceDatabase
 from repro.devicedb.tac import IMEI_LENGTH
-from repro.logs.io import (
-    read_records,
-    read_records_shard,
-    shard_keep_predicate,
-)
+from repro.logs.io import log_kind, read_records, shard_keep_predicate
 from repro.logs.quarantine import QuarantineCollector, QuarantineReport
-from repro.logs.records import MmeRecord, ProxyRecord, record_sort_key
+from repro.logs.records import (
+    MmeRecord,
+    ProxyRecord,
+    record_sort_key,
+    record_to_row,
+    row_to_record,
+)
 from repro.logs.timeutil import SECONDS_PER_DAY
 from repro.simnet.topology import SectorMap
 
@@ -73,6 +86,69 @@ class StudyWindow:
 
     def in_detailed(self, timestamp: float) -> bool:
         return self.detailed_start <= timestamp < self.study_end
+
+
+@dataclass(frozen=True)
+class TraceArtifacts:
+    """The structural side artefacts of a trace directory.
+
+    They stay strict in every mode — no analysis is meaningful without
+    them — and hold no log records.
+    """
+
+    window: StudyWindow
+    device_db: DeviceDatabase
+    sector_map: SectorMap
+    account_directory: dict[str, str]
+
+    def dataset(
+        self,
+        proxy_records: list[ProxyRecord],
+        mme_records: list[MmeRecord],
+        quarantine: QuarantineReport | None = None,
+    ) -> "StudyDataset":
+        """A dataset of these records over these artefacts."""
+        return StudyDataset(
+            proxy_records=proxy_records,
+            mme_records=mme_records,
+            device_db=self.device_db,
+            sector_map=self.sector_map,
+            account_directory=self.account_directory,
+            window=self.window,
+            quarantine=quarantine,
+        )
+
+
+def load_artifacts(directory: str | Path) -> TraceArtifacts:
+    """Parse the side files of a trace directory.
+
+    Raises ``FileNotFoundError`` when the directory or its
+    ``metadata.json`` is missing.
+    """
+    base = Path(directory)
+    if not base.is_dir():
+        raise FileNotFoundError(f"trace directory not found: {base}")
+    meta_path = base / "metadata.json"
+    if not meta_path.exists():
+        raise FileNotFoundError(
+            f"not a trace directory (missing metadata.json): {base}"
+        )
+    with meta_path.open("r", encoding="utf-8") as handle:
+        meta = json.load(handle)
+    account_directory: dict[str, str] = {}
+    with (base / "accounts.csv").open("r", newline="", encoding="utf-8") as handle:
+        for row in csv.DictReader(handle):
+            account_directory[row["subscriber_id"]] = row["account_id"]
+    return TraceArtifacts(
+        window=StudyWindow(
+            study_start=float(meta["study_start"]),
+            total_days=int(meta["total_days"]),
+            detailed_days=int(meta["detailed_days"]),
+        ),
+        device_db=DeviceDatabase.read_csv(base / "devices.csv"),
+        sector_map=SectorMap.read_csv(base / "sectors.csv"),
+        account_directory=account_directory,
+    )
 
 
 class StudyDataset:
@@ -165,105 +241,75 @@ class StudyDataset:
         log, a truncated gzip member, an unparseable row.  With
         ``lenient=True`` ingestion *survives* a corrupted trace: bad rows
         are quarantined (dropped and accounted for), truncated streams
-        keep their readable prefix, missing logs load as empty, rows with
-        malformed IMEIs or unknown sectors are removed, exact duplicates
-        are deduplicated, and out-of-order logs are re-sorted.  The full
-        accounting lands in :attr:`quarantine` (a
+        keep their readable prefix, missing logs load as empty, and the
+        :class:`Scrubber` removes rows with malformed IMEIs or unknown
+        sectors, deduplicates exact duplicates and re-sorts out-of-order
+        logs.  The full accounting lands in :attr:`quarantine` (a
         :class:`~repro.logs.quarantine.QuarantineReport`).
 
         With ``shard``/``shards`` the dataset holds only one account
         shard's records (the engine's ``crc32(account_id) % shards``
-        partition, resolved through the billing directory), streamed with
-        :func:`repro.logs.io.read_csv_records_shard` so peak memory is
-        O(largest shard).  In lenient mode the *whole* stream is still
-        parsed and scrubbed — duplicate/order defects are stream-global
-        properties — and only the kept rows are filtered, which makes the
-        quarantine report identical for every shard (and identical to a
-        serial lenient load).  Side artefacts stay whole in both cases.
+        partition, resolved through the billing directory): every row is
+        still read — and, in lenient mode, scrubbed, since duplicate and
+        order defects are stream-global — and the rows of other shards
+        are dropped as they stream past, so peak memory is O(largest
+        shard) and the quarantine report is identical for every shard
+        (and to an unsharded lenient load).  Side artefacts stay whole.
 
-        The window metadata (``metadata.json``), billing directory,
-        device database and cell plan are structural: they stay strict in
-        both modes, since no analysis is meaningful without them.
+        The side artefacts (:func:`load_artifacts`) are structural: they
+        stay strict in both modes, since no analysis is meaningful
+        without them.
         """
         base = Path(directory)
-        if not base.is_dir():
-            raise FileNotFoundError(f"trace directory not found: {base}")
-        meta_path = base / "metadata.json"
-        if not meta_path.exists():
-            raise FileNotFoundError(
-                f"not a trace directory (missing metadata.json): {base}"
-            )
-        with meta_path.open("r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-        account_directory: dict[str, str] = {}
-        with (base / "accounts.csv").open("r", newline="", encoding="utf-8") as handle:
-            for row in csv.DictReader(handle):
-                account_directory[row["subscriber_id"]] = row["account_id"]
-        device_db = DeviceDatabase.read_csv(base / "devices.csv")
-        sector_map = SectorMap.read_csv(base / "sectors.csv")
-        window = StudyWindow(
-            study_start=float(meta["study_start"]),
-            total_days=int(meta["total_days"]),
-            detailed_days=int(meta["detailed_days"]),
-        )
-
+        artifacts = load_artifacts(base)
         keep = None
         if shard is not None:
-            keep = shard_keep_predicate(shard, shards, account_directory)
-
-        quarantine: QuarantineReport | None = None
-        if lenient:
-            collector = QuarantineCollector()
-            proxy_records = _scrub_records(
-                cls._lenient_log(base, "proxy", ProxyRecord, collector, format),
-                "proxy",
-                collector,
-                keep=keep,
+            keep = shard_keep_predicate(
+                shard, shards, artifacts.account_directory
             )
-            mme_records = _scrub_records(
-                cls._lenient_log(base, "mme", MmeRecord, collector, format),
-                "mme",
-                collector,
-                sector_map=sector_map,
-                keep=keep,
-            )
-            quarantine = collector.report()
-        elif shard is not None:
-            proxy_records = list(
-                read_records_shard(
-                    cls._log_path(base, "proxy", format),
-                    ProxyRecord,
-                    shard,
-                    shards,
-                    account_directory,
-                )
-            )
-            mme_records = list(
-                read_records_shard(
-                    cls._log_path(base, "mme", format),
-                    MmeRecord,
-                    shard,
-                    shards,
-                    account_directory,
-                )
-            )
-        else:
-            proxy_records = list(
-                read_records(cls._log_path(base, "proxy", format), ProxyRecord)
-            )
-            mme_records = list(
-                read_records(cls._log_path(base, "mme", format), MmeRecord)
-            )
-
-        return cls(
-            proxy_records=proxy_records,
-            mme_records=mme_records,
-            device_db=device_db,
-            sector_map=sector_map,
-            account_directory=account_directory,
-            window=window,
-            quarantine=quarantine,
+        collector = QuarantineCollector() if lenient else None
+        proxy_records = cls._load_log(base, ProxyRecord, format, collector, keep)
+        mme_records = cls._load_log(
+            base, MmeRecord, format, collector, keep, artifacts.sector_map
         )
+        return artifacts.dataset(
+            proxy_records,
+            mme_records,
+            collector.report() if collector is not None else None,
+        )
+
+    @classmethod
+    def _load_log(
+        cls,
+        base: Path,
+        record_type: type,
+        format: str,
+        collector: QuarantineCollector | None,
+        keep: Callable | None = None,
+        sector_map: SectorMap | None = None,
+    ) -> list:
+        """One log's records, kept by ``keep`` when given.
+
+        With a ``collector`` the log is read leniently and scrubbed, and
+        the kept rows are re-sorted into canonical order when the
+        scrubber saw disorder (sorting the kept rows equals keeping rows
+        of the sorted log, so shard loads stay canonical too).
+        """
+        stem = log_kind(record_type)
+        scrubber = None
+        if collector is None:
+            records = read_records(cls._log_path(base, stem, format), record_type)
+        else:
+            scrubber = Scrubber(record_type, collector, sector_map)
+            records = scrubber.scrub(
+                cls._lenient_log(base, stem, record_type, collector, format)
+            )
+        if keep is not None:
+            records = filter(keep, records)
+        kept = list(records)
+        if scrubber is not None and scrubber.disorder:
+            kept.sort(key=record_sort_key)
+        return kept
 
     @staticmethod
     def _lenient_log(
@@ -346,71 +392,124 @@ class StudyDataset:
         return self.account_directory.get(subscriber_id)
 
 
-def _scrub_records(
-    records: Iterable,
-    kind: str,
-    collector: QuarantineCollector,
-    sector_map: SectorMap | None = None,
-    keep: Callable | None = None,
-) -> list:
-    """Semantic row filter for lenient ingestion.
+class Scrubber:
+    """The lenient semantic row filter, with a checkpointable carry.
 
     The I/O layer already dropped rows that failed to *parse*; this pass
     drops rows that parsed but cannot be analysed — malformed IMEIs
     (``<kind>-imei``), sectors absent from the cell plan
-    (``mme-sector``) — removes exact duplicates of the immediately
-    preceding row (``<kind>-duplicate``), and notes out-of-order
-    timestamps (``<kind>-order``), re-sorting the log into canonical
-    order when any were seen so downstream sessionisation stays correct.
+    (``mme-sector``, when a ``sector_map`` is given) — removes exact
+    duplicates of the immediately preceding row (``<kind>-duplicate``),
+    and notes out-of-order timestamps (``<kind>-order``), counting them
+    in :attr:`disorder`.
 
-    ``keep`` restricts the *returned* rows (shard-filtered loads) without
-    affecting any of the defect accounting: duplicate and order defects
-    are properties of the full stream, so every shard observing the same
-    file produces the identical quarantine report.  The kept restriction
-    of the globally re-sorted log equals re-sorting the restriction, so
-    shard loads stay canonical too.
+    The carry — global row index, last record, previous timestamp,
+    disorder count — persists across :meth:`scrub` calls and through
+    :meth:`to_state`, so scrubbing a stream in chunks keeps the same
+    rows and records the same quarantine accounting as one pass over
+    the whole stream.  Re-sorting is left to the caller: a lenient load
+    sorts the kept log when :attr:`disorder` is non-zero, the service
+    sorts its replay buffers.
     """
-    kept: list = []
-    last_seen = None
-    previous_ts = float("-inf")
-    disorder = 0
-    for index, record in enumerate(records):
-        where = f"{kind}[{index}]"
-        if record == last_seen:
-            collector.quarantine_row(
-                kind,
-                f"{kind}-duplicate",
-                "exact duplicate of the previous row",
-                where,
+
+    STATE_VERSION = 1
+
+    def __init__(
+        self,
+        record_type: type,
+        collector: QuarantineCollector,
+        sector_map: SectorMap | None = None,
+    ) -> None:
+        self.record_type = record_type
+        self.kind = log_kind(record_type)
+        self.collector = collector
+        self.sector_map = sector_map
+        self._index = 0
+        self._last_seen = None
+        self._previous_ts = float("-inf")
+        self.disorder = 0
+
+    def scrub(self, records: Iterable) -> Iterator:
+        """Yield the analysable records, quarantining the rest.
+
+        Lazy: each record is scrubbed as it is pulled, so when the input
+        is a lenient reader, read- and scrub-layer quarantine events land
+        in the collector in row order.  The carry is stored back when the
+        generator finishes.
+        """
+        kind = self.kind
+        collector = self.collector
+        sector_map = self.sector_map
+        last_seen = self._last_seen
+        previous_ts = self._previous_ts
+        index = self._index - 1
+        try:
+            for index, record in enumerate(records, self._index):
+                if record == last_seen:
+                    collector.quarantine_row(
+                        kind,
+                        f"{kind}-duplicate",
+                        "exact duplicate of the previous row",
+                        f"{kind}[{index}]",
+                    )
+                    continue
+                last_seen = record
+                imei = record.imei
+                if len(imei) != IMEI_LENGTH or not imei.isdigit():
+                    collector.quarantine_row(
+                        kind,
+                        f"{kind}-imei",
+                        "malformed IMEI",
+                        f"{kind}[{index}] {imei!r}",
+                    )
+                    continue
+                if sector_map is not None and record.sector_id not in sector_map:
+                    collector.quarantine_row(
+                        kind,
+                        f"{kind}-sector",
+                        "sector missing from the cell plan",
+                        f"{kind}[{index}] {record.sector_id}",
+                    )
+                    continue
+                timestamp = record.timestamp
+                if timestamp < previous_ts:
+                    self.disorder += 1
+                    collector.note(
+                        f"{kind}-order",
+                        "records out of time order (kept; log re-sorted)",
+                        f"{kind}[{index}]",
+                    )
+                previous_ts = timestamp
+                yield record
+        finally:
+            self._index = index + 1
+            self._last_seen = last_seen
+            self._previous_ts = previous_ts
+
+    def to_state(self) -> dict:
+        return {
+            "v": self.STATE_VERSION,
+            "index": self._index,
+            "last_seen": (
+                list(record_to_row(self._last_seen))
+                if self._last_seen is not None
+                else None
+            ),
+            "previous_ts": self._previous_ts,
+            "disorder": self.disorder,
+        }
+
+    def restore_state(self, state: dict) -> None:
+        if state.get("v") != self.STATE_VERSION:
+            raise ValueError(
+                f"unsupported scrub state version: {state.get('v')!r}"
             )
-            continue
-        last_seen = record
-        if len(record.imei) != IMEI_LENGTH or not record.imei.isdigit():
-            collector.quarantine_row(
-                kind,
-                f"{kind}-imei",
-                "malformed IMEI",
-                f"{where} {record.imei!r}",
-            )
-            continue
-        if sector_map is not None and record.sector_id not in sector_map:
-            collector.quarantine_row(
-                kind,
-                f"{kind}-sector",
-                "sector missing from the cell plan",
-                f"{where} {record.sector_id}",
-            )
-            continue
-        if record.timestamp < previous_ts:
-            disorder += 1
-            collector.note(
-                f"{kind}-order",
-                "records out of time order (kept; log re-sorted)",
-                where,
-            )
-        previous_ts = record.timestamp
-        if keep is None or keep(record):
-            kept.append(record)
-    if disorder:
-        kept.sort(key=record_sort_key)
-    return kept
+        self._index = int(state["index"])
+        last = state["last_seen"]
+        self._last_seen = (
+            row_to_record(self.record_type, tuple(last))
+            if last is not None
+            else None
+        )
+        self._previous_ts = float(state["previous_ts"])
+        self.disorder = int(state["disorder"])

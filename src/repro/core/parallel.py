@@ -12,10 +12,11 @@ how they feed it:
 * :func:`analyze_parallel` splits the trace into **account shards** —
   ``crc32(account_id) % shards``, the same partition the simulation
   engine uses — so every per-user and per-account aggregation is
-  shard-local; each worker streams only its shard's rows
-  (:func:`repro.logs.io.read_csv_records_shard`), builds one
-  :class:`ShardPartials` and ships it back (peak memory: O(largest
-  shard)), and the parent merges them in shard order and finalizes;
+  shard-local; each worker reads the whole trace but keeps only its
+  shard's rows (:meth:`~repro.core.dataset.StudyDataset.load` with
+  ``shard=``), builds one :class:`ShardPartials` and ships it back (peak
+  memory: O(largest shard)), and the parent merges them in shard order
+  and finalizes;
 * :mod:`repro.serve` folds growing deltas into the same partials.
 
 Merging is exact — integer counts, set unions, min/max, an exact
@@ -59,11 +60,7 @@ from repro.core.apps import (
     CategoryStats,
 )
 from repro.core.comparison import ComparisonResult
-from repro.core.dataset import (
-    StudyDataset,
-    StudyWindow,
-    _scrub_records,
-)
+from repro.core.dataset import StudyDataset, StudyWindow, load_artifacts
 from repro.core.devices import DeviceResult, ModelStats
 from repro.core.encounters import (
     EncountersResult,
@@ -96,7 +93,6 @@ from repro.devicedb.database import DeviceDatabase
 from repro.logs.io import read_records
 from repro.logs.quarantine import QuarantineCollector, QuarantineReport
 from repro.logs.records import PROTOCOL_HTTP, MmeRecord, record_sort_key
-from repro.simnet.topology import SectorMap
 from repro.logs.timeutil import SECONDS_PER_DAY, hour_of_day, is_weekend
 from repro.simnet.appcatalog import (
     DOMAIN_ADVERTISING,
@@ -1702,28 +1698,29 @@ def _full_mme_stream(trace_dir: str, *, lenient: bool, format: str):
     """The unsharded canonical MME stream for the encounter join.
 
     Strict mode streams straight off the log (engine traces are written
-    in canonical order), holding O(1) rows.  Lenient mode replays the
-    same scrub a lenient :meth:`StudyDataset.load` performs — parse
-    salvage, semantic row drops, dedup, re-sort on disorder — so the
-    kept rows equal the serial lenient load's exactly; the defect
-    accounting is discarded because the shard's own load already shipped
-    the identical stream-global quarantine report.  (The scrub
-    materialises the kept MME rows, the one place the join's
-    O(largest-shard) bound loosens to O(MME log) — acceptable because
-    the MME log is the small log, and only in lenient mode.)
+    in canonical order), holding O(1) rows.  Lenient mode runs the same
+    read and :class:`~repro.core.dataset.Scrubber` pass a lenient
+    :meth:`StudyDataset.load` does — parse salvage, semantic row drops,
+    dedup, re-sort on disorder — so the kept rows equal the serial
+    lenient load's exactly; the defect accounting is discarded because
+    the shard's own load already shipped the identical stream-global
+    quarantine report.  (The load materialises the kept MME rows, the
+    one place the join's O(largest-shard) bound loosens to O(MME log) —
+    acceptable because the MME log is the small log, and only in
+    lenient mode.)
     """
     base = Path(trace_dir)
     if not lenient:
         return read_records(
             StudyDataset._log_path(base, "mme", format), MmeRecord
         )
-    collector = QuarantineCollector()
     return iter(
-        _scrub_records(
-            StudyDataset._lenient_log(base, "mme", MmeRecord, collector, format),
-            "mme",
-            collector,
-            sector_map=SectorMap.read_csv(base / "sectors.csv"),
+        StudyDataset._load_log(
+            base,
+            MmeRecord,
+            format,
+            QuarantineCollector(),
+            sector_map=load_artifacts(base).sector_map,
         )
     )
 
@@ -1882,8 +1879,8 @@ def analyze_parallel(
     the same quarantine accounting as a serial lenient load.
 
     ``format`` selects the log encoding to load (``auto`` / ``csv`` /
-    ``bin``); binary traces use per-block shard headers to skip other
-    shards' blocks without decompressing them.
+    ``bin``).  Every worker reads and decodes the whole log, in either
+    encoding, and keeps its own shard's rows.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -1943,10 +1940,10 @@ def analyze_parallel(
         with obs.span("analyze.finalize"):
             catalog = app_catalog or builtin_app_catalog()
             app_categories = {app.name: app.category for app in catalog}
-            window, device_db = _load_finalize_artifacts(base)
+            artifacts = load_artifacts(base)
             report = merged.finalize(
-                window,
-                device_db,
+                artifacts.window,
+                artifacts.device_db,
                 app_categories,
                 quarantine=results[0].quarantine,
             )
@@ -1960,20 +1957,3 @@ def analyze_parallel(
             max((s.resident_records for s in stats), default=0)
         )
     return ParallelAnalysisRun(report=report, shard_stats=stats, workers=workers)
-
-
-def _load_finalize_artifacts(
-    base: Path,
-) -> tuple[StudyWindow, DeviceDatabase]:
-    """The side artefacts the reduce step needs (no log records)."""
-    import json
-
-    with (base / "metadata.json").open("r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    window = StudyWindow(
-        study_start=float(meta["study_start"]),
-        total_days=int(meta["total_days"]),
-        detailed_days=int(meta["detailed_days"]),
-    )
-    device_db = DeviceDatabase.read_csv(base / "devices.csv")
-    return window, device_db

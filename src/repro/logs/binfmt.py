@@ -4,9 +4,9 @@ CSV remains the interchange format for trace directories, but the
 row-by-row ``dict`` round-trip in :mod:`repro.logs.io` is the ceiling on
 every throughput goal in the roadmap.  This module stores the same
 records as **length-prefixed, gzip-member-framed blocks of fixed-width
-column batches**, so the hot paths (engine spill/export, shard-filtered
-analysis reads) move bytes with :mod:`struct`/:mod:`array` instead of
-parsing text.
+column batches**, so the hot paths (engine spill/export, analysis
+reads) move bytes with :mod:`struct`/:mod:`array` instead of parsing
+text.
 
 Wire layout (all integers little-endian)::
 
@@ -30,12 +30,13 @@ Wire layout (all integers little-endian)::
                                                       #   per row (u16 if
                                                       #   n_uniques fits)
 
-Per-block headers carry the min/max timestamp and a 256-entry subscriber
-*bucket* bitmap (``crc32(subscriber_id) & 0xFF``), so shard-filtered and
-time-range reads skip whole blocks without decompressing them.  The
-bucket filter composes with the analysis shard function whenever
-``256 % shards == 0`` and no billing directory re-keys subscribers —
-exactly the default analysis configuration.
+Per-block headers carry the min/max timestamp, so strict time-range
+reads skip whole blocks without decompressing them, and a 256-entry
+subscriber *bucket* bitmap (``crc32(subscriber_id) & 0xFF``).  No reader
+uses the bitmap: analysis shards are keyed by billing *account*, which a
+subscriber bucket cannot encode, so shard selection happens per row in
+:meth:`repro.core.dataset.StudyDataset.load`.  The bitmap stays in the
+v1 layout so existing files keep their bytes.
 
 Version / compatibility policy: the file header carries an explicit
 ``version`` and a self-describing column schema.  Readers reject a bad
@@ -47,9 +48,11 @@ path between incompatible binary versions (``repro convert``).
 Strict/lenient semantics mirror the CSV reader: strict raises
 :class:`~repro.logs.io.LogReadError`; with a quarantine collector,
 undecodable bytes between blocks are skipped after resyncing on the
-block magic, rows that fail record validation are quarantined
-individually, and a truncated tail block is quarantined with **exact**
-row accounting (the block header says how many rows were lost).
+block magic (:func:`resume_offset` skips them the same way, so a tailer
+keeps following a stream past them), rows that fail record validation
+are quarantined individually, and a truncated tail block is quarantined
+with **exact** row accounting (the block header says how many rows were
+lost).
 
 Numeric columns are packed and unpacked with numpy (a hard dependency
 of the package).
@@ -66,26 +69,13 @@ import time
 import zlib
 from array import array
 from itertools import islice
-from math import gcd
 from pathlib import Path
-from typing import (
-    Callable,
-    Iterable,
-    Iterator,
-    Mapping,
-    NamedTuple,
-    Sequence,
-    Type,
-)
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Type
 
 import numpy as np
 
 from repro import obs
-from repro.logs.io import (
-    LogReadError,
-    log_kind,
-    shard_keep_predicate,
-)
+from repro.logs.io import LogReadError, log_kind
 from repro.logs.quarantine import QuarantineCollector
 from repro.logs.records import (
     MmeRecord,
@@ -108,7 +98,6 @@ __all__ = [
     "iter_blocks",
     "pack_block",
     "read_bin_records",
-    "read_bin_records_shard",
     "read_bin_rows",
     "resume_offset",
     "write_bin_records",
@@ -641,56 +630,30 @@ def resume_offset(path: str | Path, record_type: type | None = None) -> int:
     everything before it has been consumed as whole blocks, everything
     after it is a block still being appended.  On a file with no blocks
     yet it is the first-block offset (just past the file header).
+
+    Undecodable bytes between blocks are skipped the way the lenient
+    reader resyncs (the next block magic ends them), so garbage spliced
+    into a stream never stops the offset from advancing: it moves past
+    the garbage once the block after it is complete.
     """
     source = Path(path)
     with source.open("rb") as handle:
         offset = _read_file_header(handle, source, record_type)
-    for block_offset, header in iter_blocks(source, record_type):
-        offset = block_offset + _BLOCK_HEADER.size + header.comp_len
-    return offset
-
-
-def _shard_block_skipper(
-    shard: int | None,
-    shards: int,
-    account_directory: Mapping[str, str] | None,
-) -> Callable[[bytes], bool] | None:
-    """Block-level predicate: True when a block cannot contain the shard.
-
-    Valid only when subscriber ids hash directly (no billing directory —
-    the header buckets are ``crc32(id) & 0xFF`` of the *subscriber*, so
-    an account-keyed partition cannot be inferred from them).
-
-    Write ``crc32(id) = 256·q + b`` with ``b`` the header bucket.  Then
-    ``crc32(id) % shards = (256·q + b) % shards``, and as ``q`` varies
-    ``256·q mod shards`` ranges over exactly the multiples of
-    ``g = gcd(256, shards)`` — so bucket ``b`` can hold a subscriber of
-    shard ``s`` **only if** ``(s - b) % g == 0``.  That necessary
-    condition makes the bitmap test conservative (a bucket-superset
-    filter, never skipping a block that could contain the shard) for
-    *every* shard count:
-
-    * ``shards | 256`` (``g == shards``): the condition collapses to
-      ``b % shards == s`` — also sufficient, i.e. an exact filter;
-    * even non-divisors (e.g. 6 → ``g = 2``): half the buckets are
-      excluded — a real, if partial, skip;
-    * odd shard counts (``g == 1``): every bucket passes, the filter
-      cannot exclude anything — return None rather than test bitmaps
-      that always match.
-    """
-    if shard is None or account_directory is not None:
-        return None
-    fold = gcd(256, shards)
-    if fold == 1:
-        return None
-    wanted = 0
-    for bucket in range(256):
-        if (shard - bucket) % fold == 0:
-            wanted |= 1 << bucket
-    def skip(bitmap_bytes: bytes) -> bool:
-        return not (int.from_bytes(bitmap_bytes, "little") & wanted)
-
-    return skip
+        file_size = os.fstat(handle.fileno()).st_size
+        while True:
+            header = _read_exact(handle, _BLOCK_HEADER.size)
+            if len(header) < _BLOCK_HEADER.size:
+                return offset
+            magic, comp_len, *_rest = _BLOCK_HEADER.unpack(header)
+            if magic != BLOCK_MAGIC:
+                if not _skip_garbage(handle, header)[1]:
+                    return offset
+                continue
+            end = handle.tell() + comp_len
+            if end > file_size:
+                return offset
+            handle.seek(end)
+            offset = end
 
 
 def read_bin_records(
@@ -700,18 +663,16 @@ def read_bin_records(
     *,
     category: str = "log",
     time_range: tuple[float, float] | None = None,
-    shard: int | None = None,
-    shards: int = 1,
-    account_directory: Mapping[str, str] | None = None,
     start_offset: int | None = None,
     end_offset: int | None = None,
 ) -> Iterator:
     """Stream records from a binary log written by :func:`write_bin_records`.
 
     Strict by default; ``quarantine`` switches to lenient ingestion with
-    the same contract as the CSV reader.  ``time_range=(t0, t1)`` and
-    ``shard``/``shards`` enable block skipping via the per-block headers
-    (skips are disabled in lenient mode so row accounting stays exact).
+    the same contract as the CSV reader.  ``time_range=(t0, t1)`` keeps
+    only rows inside the range and, in strict mode, skips whole blocks
+    via their header min/max timestamps (lenient reads decode every
+    block so row accounting stays exact).
     ``start_offset`` resumes the read at a block boundary previously
     obtained from :func:`iter_blocks` / :func:`resume_offset` — the file
     header is still validated, then the reader seeks straight there.
@@ -724,12 +685,6 @@ def read_bin_records(
     on = obs.enabled()
     rows_out = 0
     started = time.perf_counter() if on else 0.0
-    keep = None
-    if shard is not None:
-        keep = shard_keep_predicate(shard, shards, account_directory)
-    block_skip = None
-    if quarantine is None:
-        block_skip = _shard_block_skipper(shard, shards, account_directory)
     try:
         with source.open("rb") as handle:
             try:
@@ -782,7 +737,7 @@ def read_bin_records(
                     _max_bucket,
                     min_ts,
                     max_ts,
-                    bitmap,
+                    _bitmap,
                 ) = _BLOCK_HEADER.unpack(header)
                 if magic != BLOCK_MAGIC:
                     if quarantine is None:
@@ -817,8 +772,6 @@ def read_bin_records(
                         )
                     return
                 block_index += 1
-                if block_skip is not None and block_skip(bitmap):
-                    continue
                 if (
                     quarantine is None
                     and time_range is not None
@@ -860,20 +813,14 @@ def read_bin_records(
                     if quarantine is not None:
                         for _ in range(rows):
                             quarantine.saw_row(kind)
-                    make_all = _batch_maker(record_type)
-                    if keep is None and time_range is None:
-                        yield from make_all(*cols)
-                        rows_out += rows
-                        continue
-                    for record in make_all(*cols):
-                        if keep is not None and not keep(record):
-                            continue
-                        if time_range is not None and not (
-                            time_range[0] <= record.timestamp <= time_range[1]
-                        ):
-                            continue
-                        yield record
-                        rows_out += 1
+                    records = _batch_maker(record_type)(*cols)
+                    if time_range is not None:
+                        low, high = time_range
+                        records = [
+                            r for r in records if low <= r.timestamp <= high
+                        ]
+                    yield from records
+                    rows_out += len(records)
                     continue
                 # Slow path: at least one row in this block is invalid.
                 for row_index, values in enumerate(zip(*cols)):
@@ -896,8 +843,6 @@ def read_bin_records(
                             f"{source.name}: block {block_index - 1}"
                             f" row {row_index}: {exc}",
                         )
-                        continue
-                    if keep is not None and not keep(record):
                         continue
                     if time_range is not None and not (
                         time_range[0] <= record.timestamp <= time_range[1]
@@ -923,20 +868,12 @@ def read_bin_records(
             ).observe(time.perf_counter() - started)
 
 
-def _resync(
-    handle,
-    consumed: bytes,
-    source: Path,
-    kind: str,
-    quarantine: QuarantineCollector,
-) -> bool:
-    """Scan forward for the next block magic after undecodable bytes.
+def _skip_garbage(handle, consumed: bytes) -> tuple[int, bool]:
+    """Seek past undecodable bytes to the next block magic.
 
     ``consumed`` is the already-read chunk that failed the magic check.
-    Returns True when a next block was found (the handle is positioned
-    at its header); False at EOF.  The garbage region is accounted as
-    one quarantined pseudo-row under ``<kind>-fields`` — the binary
-    analogue of one unparseable text line.
+    Returns the garbage byte count and whether a next block was found
+    (the handle is then positioned at its header; otherwise at EOF).
     """
     data = consumed
     searched_from = 1  # offset 0 is the known-bad magic
@@ -945,14 +882,29 @@ def _resync(
         if idx != -1:
             # Rewind to the recovered block header.
             handle.seek(idx - len(data), 1)
-            garbage = idx
-            break
+            return idx, True
         chunk = handle.read(1 << 16)
         if not chunk:
-            garbage = len(data)
-            break
+            return len(data), False
         searched_from = max(1, len(data) - len(BLOCK_MAGIC) + 1)
         data += chunk
+
+
+def _resync(
+    handle,
+    consumed: bytes,
+    source: Path,
+    kind: str,
+    quarantine: QuarantineCollector,
+) -> bool:
+    """Skip undecodable bytes between blocks, accounting for them.
+
+    Returns True when a next block was found (the handle is positioned
+    at its header); False at EOF.  The garbage region is accounted as
+    one quarantined pseudo-row under ``<kind>-fields`` — the binary
+    analogue of one unparseable text line.
+    """
+    garbage, found = _skip_garbage(handle, consumed)
     quarantine.saw_row(kind)
     quarantine.quarantine_row(
         kind,
@@ -960,35 +912,7 @@ def _resync(
         "undecodable bytes between binary blocks",
         f"{source.name}: {garbage} garbage bytes",
     )
-    return idx != -1
-
-
-def read_bin_records_shard(
-    path: str | Path,
-    record_type: Type[ProxyRecord] | Type[MmeRecord],
-    shard: int,
-    shards: int,
-    account_directory: Mapping[str, str] | None = None,
-    quarantine: QuarantineCollector | None = None,
-    *,
-    category: str = "log",
-) -> Iterator:
-    """Stream one account shard from a binary log, skipping whole blocks.
-
-    Mirrors :func:`repro.logs.io.read_csv_records_shard`; when the
-    shard count folds evenly onto the 256 header buckets (and no
-    billing directory re-keys subscribers), blocks with no matching
-    bucket are skipped without decompression.
-    """
-    return read_bin_records(
-        path,
-        record_type,
-        quarantine,
-        category=category,
-        shard=shard,
-        shards=shards,
-        account_directory=account_directory,
-    )
+    return found
 
 
 def read_bin_rows(

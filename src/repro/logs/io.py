@@ -18,6 +18,10 @@ never materialised.  Two failure disciplines are supported:
   gzip members and mid-stream decode failures end the stream gracefully,
   keeping every row parsed so far.  This is how the pipeline survives the
   dirty, partial exports real cellular vantage points produce.
+
+Readers always stream the whole log.  Account-shard selection
+(:func:`shard_keep_predicate`) is applied once, by
+:meth:`repro.core.dataset.StudyDataset.load`, in both modes.
 """
 
 from __future__ import annotations
@@ -503,7 +507,7 @@ def read_csv_records(
             ).observe(time.perf_counter() - started)
 
 
-# ------------------------------------------------------- sharded reads
+# ------------------------------------------------------ account shards
 def subscriber_shard(
     subscriber_id: str,
     shards: int,
@@ -544,32 +548,6 @@ def shard_keep_predicate(
         )
 
     return keep
-
-
-def read_csv_records_shard(
-    path: str | Path,
-    record_type: Type[RecordT],
-    shard: int,
-    shards: int,
-    account_directory: Mapping[str, str] | None = None,
-    quarantine: QuarantineCollector | None = None,
-    *,
-    category: str = "log",
-) -> Iterator[RecordT]:
-    """Stream only one account shard's records from a CSV log.
-
-    The whole file is still *parsed* (CSV has no index), but rows outside
-    the shard are discarded immediately, so the caller's peak memory is
-    O(largest shard) — the unit the parallel analysis layer
-    (:mod:`repro.core.parallel`) fans out over.  The union of all
-    ``shard`` values in ``range(shards)`` is exactly the full stream.
-    """
-    keep = shard_keep_predicate(shard, shards, account_directory)
-    for record in read_csv_records(
-        path, record_type, quarantine, category=category
-    ):
-        if keep(record):
-            yield record
 
 
 def write_jsonl_records(path: str | Path, records: Iterable[RecordT]) -> int:
@@ -738,44 +716,6 @@ def read_records(
             path, record_type, quarantine, category=category
         )
     return read_csv_records(path, record_type, quarantine, category=category)
-
-
-def read_records_shard(
-    path: str | Path,
-    record_type: Type[RecordT],
-    shard: int,
-    shards: int,
-    account_directory: Mapping[str, str] | None = None,
-    quarantine: QuarantineCollector | None = None,
-    *,
-    category: str = "log",
-) -> Iterator[RecordT]:
-    """Stream one account shard in the format implied by the path suffix.
-
-    Binary logs additionally skip whole blocks via their per-block
-    subscriber-bucket bitmaps when the shard count allows it.
-    """
-    if trace_format(path) == "bin":
-        from repro.logs import binfmt
-
-        return binfmt.read_bin_records_shard(
-            path,
-            record_type,
-            shard,
-            shards,
-            account_directory,
-            quarantine,
-            category=category,
-        )
-    return read_csv_records_shard(
-        path,
-        record_type,
-        shard,
-        shards,
-        account_directory,
-        quarantine,
-        category=category,
-    )
 
 
 def write_proxy_log(path: str | Path, records: Iterable[ProxyRecord]) -> int:

@@ -49,6 +49,17 @@ from repro import obs
 #: How many offending examples each issue keeps.
 MAX_EXAMPLES = 5
 
+#: Streams in the order a lenient load reads them; reports list issues
+#: in this order (unknown streams last).
+_STREAM_ORDER = ("proxy", "mme")
+
+
+def _stream_rank(issue: "Issue") -> int:
+    stream = issue.code.split("-", 1)[0]
+    if stream in _STREAM_ORDER:
+        return _STREAM_ORDER.index(stream)
+    return len(_STREAM_ORDER)
+
 
 @dataclass(slots=True)
 class Issue:
@@ -210,11 +221,17 @@ class QuarantineCollector:
         return self._issues.count(code)
 
     def report(self) -> QuarantineReport:
-        """Freeze the current state into a :class:`QuarantineReport`."""
+        """Freeze the current state into a :class:`QuarantineReport`.
+
+        Issues are listed stream by stream (proxy, then mme), in
+        first-seen order within a stream — the order a lenient load
+        records them — so a service that polls the streams in turn
+        reports them in the same order.
+        """
         return QuarantineReport(
             rows_read=dict(self._rows_read),
             rows_quarantined=dict(self._rows_quarantined),
-            issues=self._issues.to_list(),
+            issues=sorted(self._issues.to_list(), key=_stream_rank),
         )
 
     # ------------------------------------------------------------ checkpoint

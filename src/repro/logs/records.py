@@ -165,3 +165,13 @@ def fields_for(record_type: type) -> tuple[str, ...]:
     if record_type is MmeRecord:
         return MME_FIELDS
     raise TypeError(f"unknown record type: {record_type!r}")
+
+
+def record_to_row(record) -> tuple:
+    """A record's values in canonical column order (JSON-safe)."""
+    return tuple(getattr(record, name) for name in fields_for(type(record)))
+
+
+def row_to_record(record_type: type, row) -> object:
+    """Invert :func:`record_to_row`."""
+    return record_type(*row)

@@ -1,8 +1,9 @@
 """The always-on analysis service: ingest loop, caching, lifecycle.
 
 :class:`AnalysisService` owns the moving parts — two
-:class:`~repro.serve.tailer.StreamTailer` instances, the lenient
-scrubbers with their carries, one :class:`~repro.serve.state.ShardSlot`
+:class:`~repro.serve.tailer.StreamTailer` instances, in lenient mode the
+batch loader's own :class:`~repro.core.dataset.Scrubber` per stream
+(its carry is checkpointed), one :class:`~repro.serve.state.ShardSlot`
 per account shard, the quarantine collector and the checkpoint store —
 behind a single lock shared with the HTTP thread.
 
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
+from repro.core.dataset import Scrubber, load_artifacts
 from repro.core.figures import FIGURE_RENDERERS
 from repro.core.export import report_to_dict
 from repro.core.pipeline import StudyReport
@@ -38,12 +40,7 @@ from repro.logs.io import subscriber_shard
 from repro.obs.export import RUN_REPORT_SCHEMA, build_run_report
 from repro.obs.profiler import build_profile
 from repro.serve.checkpoint import CheckpointStore
-from repro.serve.state import (
-    IncrementalScrub,
-    ShardSlot,
-    finalize_slots,
-    load_artifacts,
-)
+from repro.serve.state import ShardSlot, finalize_slots
 from repro.serve.tailer import StreamTailer
 
 #: Payload version inside the checkpoint envelope.  Version 1 payloads
@@ -105,44 +102,27 @@ class AnalysisService:
 
     def _build_streams(self) -> None:
         config = self.config
-        self.scrubs = (
-            {
-                "proxy": IncrementalScrub(
-                    "proxy", ProxyRecord, self.collector
-                ),
-                "mme": IncrementalScrub(
-                    "mme",
-                    MmeRecord,
-                    self.collector,
-                    sector_map=self.artifacts.sector_map,
+        self.scrubs = None
+        if config.lenient:
+            self.scrubs = {
+                "proxy": Scrubber(ProxyRecord, self.collector),
+                "mme": Scrubber(
+                    MmeRecord, self.collector, self.artifacts.sector_map
                 ),
             }
-            if config.lenient
-            else None
-        )
-        # The scrub runs as the tailer's per-record hook so read- and
-        # scrub-layer quarantine events land in row order, matching the
-        # batch reader/scrubber generator chain.
-        scrub_of = self.scrubs or {}
+        # Each tailer streams its parsed records through the scrubber, so
+        # read- and scrub-layer quarantine events land in row order, as
+        # in a lenient batch load.
         self.tailers = {
-            "proxy": StreamTailer(
+            stem: StreamTailer(
                 config.trace_dir,
-                "proxy",
-                ProxyRecord,
+                stem,
+                record_type,
                 format=config.format,
                 quarantine=self.collector,
-                scrub=(
-                    scrub_of["proxy"].process_one if scrub_of else None
-                ),
-            ),
-            "mme": StreamTailer(
-                config.trace_dir,
-                "mme",
-                MmeRecord,
-                format=config.format,
-                quarantine=self.collector,
-                scrub=scrub_of["mme"].process_one if scrub_of else None,
-            ),
+                scrub=self.scrubs[stem] if self.scrubs else None,
+            )
+            for stem, record_type in (("proxy", ProxyRecord), ("mme", MmeRecord))
         }
 
     # ------------------------------------------------------------ ingest

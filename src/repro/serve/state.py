@@ -29,13 +29,10 @@ the batch workers ship, and merges in shard order — reproducing
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
-from repro.core.dataset import StudyDataset, StudyWindow
+from repro.core.dataset import TraceArtifacts, load_artifacts
 from repro.core.parallel import (
     ActivityPartial,
     AdoptionPartial,
@@ -53,13 +50,15 @@ from repro.core.parallel import (
 )
 from repro.core.pipeline import StudyReport
 from repro.core.weekly import StreamingWeekly
-from repro.devicedb.database import DeviceDatabase
-from repro.devicedb.tac import IMEI_LENGTH
-from repro.logs.quarantine import QuarantineCollector, QuarantineReport
-from repro.logs.records import MmeRecord, ProxyRecord, record_sort_key
-from repro.serve.tailer import record_to_row, row_to_record
+from repro.logs.quarantine import QuarantineReport
+from repro.logs.records import (
+    MmeRecord,
+    ProxyRecord,
+    record_sort_key,
+    record_to_row,
+    row_to_record,
+)
 from repro.simnet.appcatalog import builtin_app_catalog
-from repro.simnet.topology import SectorMap
 
 
 #: The cross-row panels finalize recomputes from the replay buffers.
@@ -71,172 +70,6 @@ REPLAYED = (
     "protocols",
     "encounters",
 )
-
-
-@dataclass(frozen=True)
-class TraceArtifacts:
-    """The structural side artefacts of a trace directory.
-
-    These stay strict in every mode — no analysis is meaningful without
-    them — and are loaded once at service start.
-    """
-
-    window: StudyWindow
-    device_db: DeviceDatabase
-    sector_map: SectorMap
-    account_directory: dict[str, str]
-    wearable_tacs: frozenset[str]
-
-
-def load_artifacts(base: str | Path) -> TraceArtifacts:
-    """Load the side artefacts; raises ``FileNotFoundError`` if absent."""
-    base = Path(base)
-    meta_path = base / "metadata.json"
-    if not meta_path.exists():
-        raise FileNotFoundError(
-            f"not a trace directory (missing metadata.json): {base}"
-        )
-    with meta_path.open("r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    window = StudyWindow(
-        study_start=float(meta["study_start"]),
-        total_days=int(meta["total_days"]),
-        detailed_days=int(meta["detailed_days"]),
-    )
-    account_directory: dict[str, str] = {}
-    with (base / "accounts.csv").open(
-        "r", newline="", encoding="utf-8"
-    ) as handle:
-        for row in csv.DictReader(handle):
-            account_directory[row["subscriber_id"]] = row["account_id"]
-    device_db = DeviceDatabase.read_csv(base / "devices.csv")
-    sector_map = SectorMap.read_csv(base / "sectors.csv")
-    return TraceArtifacts(
-        window=window,
-        device_db=device_db,
-        sector_map=sector_map,
-        account_directory=account_directory,
-        wearable_tacs=device_db.wearable_tacs(),
-    )
-
-
-class IncrementalScrub:
-    """The batch lenient scrubber, chunked with an explicit carry.
-
-    Replicates :func:`repro.core.dataset._scrub_records` semantics row
-    for row: adjacent exact duplicates drop first, then malformed IMEIs
-    and (for MME) unknown sectors, and out-of-order timestamps are noted
-    and counted.  The carry — last parsed record, previous timestamp,
-    global row index, disorder count — makes processing a stream in N
-    chunks produce the identical quarantine accounting to one pass over
-    the concatenation.  The re-sort the batch scrubber applies when
-    disorder was seen cannot happen mid-stream; instead :attr:`disorder`
-    tells the finalize step to sort the replay buffers.
-    """
-
-    STATE_VERSION = 1
-
-    def __init__(
-        self,
-        kind: str,
-        record_type: type,
-        collector: QuarantineCollector,
-        sector_map: SectorMap | None = None,
-    ) -> None:
-        self.kind = kind
-        self.record_type = record_type
-        self.collector = collector
-        self.sector_map = sector_map
-        self._index = 0
-        self._last_seen = None
-        self._previous_ts = float("-inf")
-        self.disorder = 0
-
-    def to_state(self) -> dict:
-        return {
-            "v": self.STATE_VERSION,
-            "index": self._index,
-            "last_seen": (
-                list(record_to_row(self._last_seen))
-                if self._last_seen is not None
-                else None
-            ),
-            "previous_ts": self._previous_ts,
-            "disorder": self.disorder,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("v") != self.STATE_VERSION:
-            raise ValueError(
-                f"unsupported scrub state version: {state.get('v')!r}"
-            )
-        self._index = int(state["index"])
-        last = state["last_seen"]
-        self._last_seen = (
-            row_to_record(self.record_type, tuple(last))
-            if last is not None
-            else None
-        )
-        self._previous_ts = float(state["previous_ts"])
-        self.disorder = int(state["disorder"])
-
-    def process_one(self, record):
-        """Scrub one record; returns it, or None if quarantined.
-
-        Meant to run *inside* the read loop (the tailer's ``scrub``
-        hook) so read-layer and scrub-layer quarantine events land in
-        the collector in strict row order — the order the batch
-        generator chain produces.
-        """
-        kind = self.kind
-        collector = self.collector
-        where = f"{kind}[{self._index}]"
-        self._index += 1
-        if record == self._last_seen:
-            collector.quarantine_row(
-                kind,
-                f"{kind}-duplicate",
-                "exact duplicate of the previous row",
-                where,
-            )
-            return None
-        self._last_seen = record
-        if len(record.imei) != IMEI_LENGTH or not record.imei.isdigit():
-            collector.quarantine_row(
-                kind,
-                f"{kind}-imei",
-                "malformed IMEI",
-                f"{where} {record.imei!r}",
-            )
-            return None
-        if (
-            self.sector_map is not None
-            and record.sector_id not in self.sector_map
-        ):
-            collector.quarantine_row(
-                kind,
-                f"{kind}-sector",
-                "sector missing from the cell plan",
-                f"{where} {record.sector_id}",
-            )
-            return None
-        if record.timestamp < self._previous_ts:
-            self.disorder += 1
-            collector.note(
-                f"{kind}-order",
-                "records out of time order (kept; log re-sorted)",
-                where,
-            )
-        self._previous_ts = record.timestamp
-        return record
-
-    def process(self, records: list) -> list:
-        kept: list = []
-        for record in records:
-            scrubbed = self.process_one(record)
-            if scrubbed is not None:
-                kept.append(scrubbed)
-        return kept
 
 
 class ShardSlot:
@@ -254,7 +87,9 @@ class ShardSlot:
         self.adoption = AdoptionPartial(total_days=window.total_days)
         self.activity = ActivityPartial()
         self.comparison = ComparisonPartial()
-        self.weekly = StreamingWeekly(window, artifacts.wearable_tacs)
+        self.weekly = StreamingWeekly(
+            window, artifacts.device_db.wearable_tacs()
+        )
         self.devices = DevicesPartial(
             total_weeks=max(1, window.total_days // 7)
         )
@@ -271,15 +106,7 @@ class ShardSlot:
         artifacts: TraceArtifacts,
     ) -> None:
         """Fold one delta of this shard's rows into the live state."""
-        dataset = StudyDataset(
-            proxy_records=delta_proxy,
-            mme_records=delta_mme,
-            device_db=artifacts.device_db,
-            sector_map=artifacts.sector_map,
-            account_directory=artifacts.account_directory,
-            window=artifacts.window,
-        )
-        dataset.__dict__["wearable_tacs"] = artifacts.wearable_tacs
+        dataset = artifacts.dataset(delta_proxy, delta_mme)
         self.census.consume(dataset)
         self.adoption.consume(dataset)
         self.activity.consume(dataset)
@@ -394,15 +221,9 @@ def _replay_partials(
         )
     if sort_mme:
         mme_detailed = sorted(mme_detailed, key=record_sort_key)
-    dataset = StudyDataset(
-        proxy_records=list(proxy_wearable) + list(proxy_phone_detailed),
-        mme_records=list(mme_detailed),
-        device_db=artifacts.device_db,
-        sector_map=artifacts.sector_map,
-        account_directory=artifacts.account_directory,
-        window=artifacts.window,
+    dataset = artifacts.dataset(
+        list(proxy_wearable) + list(proxy_phone_detailed), list(mme_detailed)
     )
-    dataset.__dict__["wearable_tacs"] = artifacts.wearable_tacs
     dataset.__dict__["wearable_accounts"] = frozenset(owner_accounts)
     inputs = PanelInputs(dataset)
     with obs.span("serve.replay"):

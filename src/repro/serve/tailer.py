@@ -17,15 +17,19 @@ Per wire format:
 * **binary** (``.bin``) — :func:`repro.logs.binfmt.resume_offset` finds
   the end of the last complete block and the reader is bounded there, so
   a block still being appended is never mistaken for a truncated tail.
+  Garbage bytes between blocks are skipped with the batch reader's
+  resync rule once the block after them is complete; tailing goes on.
 
 Failure discipline mirrors the batch readers: strict mode raises
 :class:`~repro.logs.io.LogReadError` on the first defect; with a
 quarantine collector bad rows are recorded and skipped with the same
 issue codes, row numbering and accounting the batch lenient read
-produces on the same prefix.  The one deliberate difference: an
-*incomplete* tail (partial line, unfinished gzip member, unfinished
-block) is "not arrived yet" here, where a batch read of the same bytes
-would call it truncated — a growing stream is not a damaged one.
+produces on the same prefix, and an optional
+:class:`~repro.core.dataset.Scrubber` filters the parsed records as they
+stream past.  The one deliberate difference: an *incomplete* tail
+(partial line, unfinished gzip member, unfinished block) is "not arrived
+yet" here, where a batch read of the same bytes would call it truncated
+— a growing stream is not a damaged one.
 """
 
 from __future__ import annotations
@@ -35,8 +39,11 @@ import csv
 import gzip
 import zlib
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from repro import obs
+from repro.core.dataset import Scrubber, StudyDataset
+from repro.logs import binfmt
 from repro.logs.io import (
     LogReadError,
     _ROW_MESSAGES,
@@ -44,38 +51,21 @@ from repro.logs.io import (
     log_kind,
 )
 from repro.logs.quarantine import QuarantineCollector
-from repro.logs.records import fields_for
 
 #: Compressed bytes fed to the decompressor per step (matches the batch
 #: reader's chunk size, which bounds how much of a corrupt member's
 #: decodable prefix is salvaged).
 _CHUNK = 1 << 16
 
-#: Probe order per requested trace format (mirrors ``StudyDataset``).
-_FORMAT_SUFFIXES = {
-    "auto": (".csv", ".csv.gz", ".bin"),
-    "csv": (".csv", ".csv.gz"),
-    "bin": (".bin",),
-}
-
-
-def record_to_row(record) -> tuple:
-    """A record's values in canonical column order (JSON-safe)."""
-    return tuple(getattr(record, name) for name in fields_for(type(record)))
-
-
-def row_to_record(record_type: type, row) -> object:
-    """Invert :func:`record_to_row`."""
-    return record_type(*row)
-
 
 class StreamTailer:
     """Tails one log stream of a trace directory.
 
     The file may not exist yet (a simulation that has not flushed its
-    first export): :meth:`poll` keeps probing and latches onto whichever
-    format variant appears first.  Once resolved, the format is pinned —
-    it is part of the checkpoint state.
+    first export): :meth:`poll` keeps probing with
+    :meth:`StudyDataset._log_path` and latches onto whichever format
+    variant appears first.  Once resolved, the format is pinned — it is
+    part of the checkpoint state.
     """
 
     STATE_VERSION = 1
@@ -88,17 +78,12 @@ class StreamTailer:
         *,
         format: str = "auto",
         quarantine: QuarantineCollector | None = None,
-        scrub=None,
+        scrub: Scrubber | None = None,
     ) -> None:
-        """``scrub`` is an optional per-record hook (record -> record or
-        None) applied *inside* the parse loop, so any quarantine events
-        it emits interleave with read-layer events in row order — the
-        same order the batch reader/scrubber generator chain produces.
+        """``scrub`` filters the parsed records lazily, so its quarantine
+        events interleave with read-layer events in row order — the same
+        order a lenient batch load produces.
         """
-        if format not in _FORMAT_SUFFIXES:
-            raise ValueError(
-                f"unknown trace format {format!r} (expected auto/csv/bin)"
-            )
         self.base = Path(base)
         self.stem = stem
         self.record_type = record_type
@@ -114,6 +99,7 @@ class StreamTailer:
         self._line_number = 2
         self._dead = False
         self.rows_read = 0
+        self._resolve()  # also rejects an unknown format
 
     # -------------------------------------------------------------- state
     def to_state(self) -> dict:
@@ -159,14 +145,13 @@ class StreamTailer:
         return self._dead
 
     def _resolve(self) -> Path | None:
-        if self._suffix is not None:
-            return self.base / f"{self.stem}{self._suffix}"
-        for suffix in _FORMAT_SUFFIXES[self.format]:
-            candidate = self.base / f"{self.stem}{suffix}"
-            if candidate.exists():
-                self._suffix = suffix
-                return candidate
-        return None
+        if self._suffix is None:
+            try:
+                found = StudyDataset._log_path(self.base, self.stem, self.format)
+            except FileNotFoundError:
+                return None
+            self._suffix = found.name[len(self.stem) :]
+        return self.path
 
     # ------------------------------------------------------------ polling
     def poll(self) -> list:
@@ -183,6 +168,9 @@ class StreamTailer:
             records = self._poll_csv_gz(path)
         else:
             records = self._poll_csv(path)
+        if self.scrub is not None:
+            records = self.scrub.scrub(records)
+        records = list(records)
         self.rows_read += self._parsed
         if obs.enabled() and (records or self._parsed):
             registry = obs.metrics()
@@ -203,23 +191,23 @@ class StreamTailer:
         return records
 
     # ------------------------------------------------------- csv variants
-    def _poll_csv(self, path: Path) -> list:
+    def _poll_csv(self, path: Path) -> Iterable:
         with path.open("rb") as handle:
             handle.seek(self._offset)
             data = handle.read()
         cut = data.rfind(b"\n")
         if cut < 0:
-            return []
+            return ()
         chunk = data[: cut + 1]
         self._offset += len(chunk)
         return self._consume_text(path, chunk)
 
-    def _poll_csv_gz(self, path: Path) -> list:
+    def _poll_csv_gz(self, path: Path) -> Iterable:
         with path.open("rb") as handle:
             handle.seek(self._offset)
             data = handle.read()
         if not data:
-            return []
+            return ()
         out = bytearray()
         pos = 0
         error: Exception | None = None
@@ -252,24 +240,24 @@ class StreamTailer:
             return self._stream_death(path, bytes(out), error)
         return self._consume_member_bytes(path, bytes(out))
 
-    def _consume_member_bytes(self, path: Path, payload: bytes) -> list:
+    def _consume_member_bytes(self, path: Path, payload: bytes) -> Iterable:
         buffer = self._carry + payload
         cut = buffer.rfind(b"\n")
         if cut < 0:
             self._carry = buffer
-            return []
+            return ()
         self._carry = buffer[cut + 1 :]
         return self._consume_text(path, buffer[: cut + 1])
 
-    def _consume_text(self, path: Path, payload: bytes) -> list:
+    def _consume_text(self, path: Path, payload: bytes) -> Iterator:
         try:
             text = payload.decode("utf-8")
         except UnicodeDecodeError as exc:
             return self._stream_death(path, b"", exc)
         return self._parse_rows(path, csv.reader(text.splitlines()))
 
-    def _parse_rows(self, path: Path, rows) -> list:
-        records: list = []
+    def _parse_rows(self, path: Path, rows) -> Iterator:
+        """Parse CSV rows into records as they are pulled."""
         for values in rows:
             if not values:
                 continue
@@ -294,16 +282,11 @@ class StreamTailer:
                 )
                 continue
             self._parsed += 1
-            if self.scrub is not None:
-                record = self.scrub(record)
-                if record is None:
-                    continue
-            records.append(record)
-        return records
+            yield record
 
     def _stream_death(
         self, path: Path, salvage: bytes, error: Exception
-    ) -> list:
+    ) -> Iterator:
         """The stream died mid-member: keep the decodable prefix, stop.
 
         Mirrors the batch lenient accounting: complete salvaged lines
@@ -323,19 +306,13 @@ class StreamTailer:
         buffer = self._carry + salvage
         self._carry = b""
         cut = buffer.rfind(b"\n")
-        tail = buffer[cut + 1 :] if cut >= 0 else buffer
-        records = (
-            self._parse_rows(
-                path,
-                csv.reader(
-                    buffer[: cut + 1]
-                    .decode("utf-8", errors="replace")
-                    .splitlines()
-                ),
-            )
-            if cut >= 0
-            else []
+        yield from self._parse_rows(
+            path,
+            csv.reader(
+                buffer[: cut + 1].decode("utf-8", errors="replace").splitlines()
+            ),
         )
+        tail = buffer[cut + 1 :]
         stripped = tail.decode("utf-8", errors="replace").strip("\r\n")
         if stripped:
             self.quarantine.saw_row(self.kind)
@@ -351,59 +328,30 @@ class StreamTailer:
                 "log stream unreadable or truncated mid-read; tail rows lost",
                 f"{path.name}: {error}",
             )
-        return records
 
     # ------------------------------------------------------------- binary
-    def _poll_bin(self, path: Path) -> list:
-        from repro.logs import binfmt
-
+    def _poll_bin(self, path: Path) -> Iterable:
         try:
             end = binfmt.resume_offset(path, self.record_type)
         except LogReadError as exc:
             if exc.code == "truncated":
                 # File header still being written: not arrived yet.
-                return []
-            if self.quarantine is None:
-                raise
-            # Bad block magic in the chain: hand the remainder to the
-            # lenient batch reader (it resynchronises and accounts the
-            # damage exactly like a batch load), then stop tailing.
-            self._dead = True
-            records = self._drain_bin(
-                binfmt.read_bin_records(
-                    path,
-                    self.record_type,
-                    self.quarantine,
-                    start_offset=self._offset or None,
-                    category="serve",
-                )
-            )
-            self._offset = path.stat().st_size
-            return records
+                return ()
+            raise
         if end <= self._offset:
-            return []
-        records = self._drain_bin(
-            binfmt.read_bin_records(
-                path,
-                self.record_type,
-                self.quarantine,
-                start_offset=self._offset or None,
-                end_offset=end,
-                category="serve",
-            )
+            return ()
+        records = binfmt.read_bin_records(
+            path,
+            self.record_type,
+            self.quarantine,
+            start_offset=self._offset or None,
+            end_offset=end,
+            category="serve",
         )
         self._offset = end
-        return records
+        return self._counted(records)
 
-    def _drain_bin(self, iterator) -> list:
-        """Consume the bin reader one record at a time through the scrub
-        hook, keeping read- and scrub-layer quarantines in row order."""
-        records: list = []
-        for record in iterator:
+    def _counted(self, records: Iterable) -> Iterator:
+        for record in records:
             self._parsed += 1
-            if self.scrub is not None:
-                record = self.scrub(record)
-                if record is None:
-                    continue
-            records.append(record)
-        return records
+            yield record

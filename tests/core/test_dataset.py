@@ -1,9 +1,20 @@
 """Unit tests for the study dataset container."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.dataset import StudyDataset, StudyWindow
+from repro.core.dataset import (
+    Scrubber,
+    StudyDataset,
+    StudyWindow,
+    load_artifacts,
+)
+from repro.logs.quarantine import QuarantineCollector
+from repro.logs.records import MmeRecord
 from repro.logs.timeutil import SECONDS_PER_DAY
+from repro.simnet.topology import Sector, SectorMap
+from repro.stats.geo import GeoPoint
 
 
 class TestStudyWindow:
@@ -74,3 +85,86 @@ class TestLoadRoundtrip:
         assert loaded.account_directory == in_memory.account_directory
         assert loaded.window == in_memory.window
         assert len(loaded.sector_map) == len(in_memory.sector_map)
+
+
+class TestLoadArtifacts:
+    def test_side_files_only(self, small_output, tmp_path):
+        small_output.write(tmp_path / "trace")
+        artifacts = load_artifacts(tmp_path / "trace")
+        in_memory = StudyDataset.from_simulation(small_output)
+        assert artifacts.window == in_memory.window
+        assert artifacts.account_directory == in_memory.account_directory
+        assert len(artifacts.sector_map) == len(in_memory.sector_map)
+        dataset = artifacts.dataset([], [])
+        assert dataset.wearable_tacs == in_memory.wearable_tacs
+        assert dataset.quarantine is None
+
+    def test_missing_directory_and_metadata_raise(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="trace directory not found"):
+            load_artifacts(tmp_path / "absent")
+        with pytest.raises(FileNotFoundError, match="metadata.json"):
+            load_artifacts(tmp_path)
+
+
+#: A tiny MME stream vocabulary that hits every scrubber defect class:
+#: malformed IMEIs, unknown sectors, out-of-order timestamps and (with
+#: the ``repeat`` flag below) exact back-to-back duplicates.
+_MME = st.builds(
+    MmeRecord,
+    timestamp=st.integers(0, 30).map(float),
+    subscriber_id=st.sampled_from(["a", "b"]),
+    imei=st.sampled_from(["358847080000011", "35884708000001x", "123"]),
+    sector_id=st.sampled_from(["S1", "S2", "bogus"]),
+)
+
+
+class TestScrubber:
+    SECTORS = SectorMap(
+        [Sector("S1", GeoPoint(0.0, 0.0)), Sector("S2", GeoPoint(0.0, 0.1))]
+    )
+
+    def run(self, chunks, *, checkpoint=False):
+        collector = QuarantineCollector()
+        scrubber = Scrubber(MmeRecord, collector, self.SECTORS)
+        kept = []
+        for chunk in chunks:
+            if checkpoint:
+                # A restarted service: a fresh scrubber restored from the
+                # previous one's checkpointed carry.
+                state = scrubber.to_state()
+                scrubber = Scrubber(MmeRecord, collector, self.SECTORS)
+                scrubber.restore_state(state)
+            kept.extend(scrubber.scrub(iter(chunk)))
+        return kept, scrubber.disorder, collector.report()
+
+    @given(
+        entries=st.lists(st.tuples(_MME, st.booleans()), max_size=60),
+        cuts=st.lists(st.integers(0, 120), max_size=6),
+        checkpoint=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_chunked_scrub_equals_one_pass(self, entries, cuts, checkpoint):
+        stream = [r for r, repeat in entries for _ in range(1 + repeat)]
+        bounds = [0, *sorted(min(c, len(stream)) for c in cuts), len(stream)]
+        chunks = [stream[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        assert self.run(chunks, checkpoint=checkpoint) == self.run([stream])
+
+    def test_every_defect_class_is_accounted(self):
+        good = MmeRecord(5.0, "a", "358847080000011", "S1")
+        stream = [
+            good,
+            good,  # duplicate
+            MmeRecord(6.0, "a", "123", "S1"),  # malformed IMEI
+            MmeRecord(7.0, "a", "358847080000011", "bogus"),  # unknown sector
+            MmeRecord(4.0, "b", "358847080000011", "S2"),  # out of order
+        ]
+        kept, disorder, report = self.run([stream])
+        assert kept == [good, stream[4]]
+        assert disorder == 1
+        assert report.rows_quarantined == {"mme": 3}
+        assert [issue.code for issue in report.issues] == [
+            "mme-duplicate",
+            "mme-imei",
+            "mme-sector",
+            "mme-order",
+        ]

@@ -172,11 +172,11 @@ class TestShardPartialProtocol:
             for shard in range(3)
         ]
         right = parts[0].merge(parts[1].merge(parts[2]))
-        from repro.core.parallel import _load_finalize_artifacts
-        from repro.devicedb import builtin_database
+        from repro.core.dataset import load_artifacts
         from repro.simnet.appcatalog import builtin_app_catalog
 
-        window, device_db = _load_finalize_artifacts(small_trace_dir)
+        artifacts = load_artifacts(small_trace_dir)
+        window, device_db = artifacts.window, artifacts.device_db
         cats = {app.name: app.category for app in builtin_app_catalog()}
         assert left.finalize(window, device_db, cats) == right.finalize(
             window, device_db, cats
@@ -190,27 +190,51 @@ class TestShardPartialProtocol:
 class TestShardedLoadPartition:
     """`StudyDataset.load(shard=...)` restricts to one account shard."""
 
-    def test_shards_partition_the_trace(self, small_trace_dir):
-        from repro.core.dataset import StudyDataset
+    @pytest.fixture(scope="class")
+    def traces(self, small_output, small_trace_dir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("partition")
+        small_output.write(root / "bin", format="bin")
+        spec = FaultSpec.chaos(seed=29, rate=0.03)
+        corrupt_trace(small_trace_dir, root / "csv-lenient", spec)
+        corrupt_trace(root / "bin", root / "bin-lenient", spec)
+        return {
+            ("csv", "strict"): small_trace_dir,
+            ("bin", "strict"): root / "bin",
+            ("csv", "lenient"): root / "csv-lenient",
+            ("bin", "lenient"): root / "bin-lenient",
+        }
 
-        full = StudyDataset.load(small_trace_dir)
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_shards_partition_the_trace(self, traces, fmt, mode):
+        from repro.core.dataset import StudyDataset
+        from repro.logs.io import shard_keep_predicate
+
+        trace = traces[(fmt, mode)]
+        lenient = mode == "lenient"
+        full = StudyDataset.load(trace, lenient=lenient, format=fmt)
         pieces = [
-            StudyDataset.load(small_trace_dir, shard=shard, shards=3)
+            StudyDataset.load(
+                trace, lenient=lenient, shard=shard, shards=3, format=fmt
+            )
             for shard in range(3)
         ]
+        # Each shard is exactly the full load's rows of that shard, in
+        # the full load's (canonical) order; the shards cover the load.
+        for shard, piece in enumerate(pieces):
+            keep = shard_keep_predicate(shard, 3, full.account_directory)
+            assert piece.proxy_records == [
+                r for r in full.proxy_records if keep(r)
+            ]
+            assert piece.mme_records == [r for r in full.mme_records if keep(r)]
+            # Defects are stream-global: every shard reports all of them.
+            assert piece.quarantine == full.quarantine
         assert sum(len(p.proxy_records) for p in pieces) == len(
             full.proxy_records
         )
         assert sum(len(p.mme_records) for p in pieces) == len(full.mme_records)
-        # Union preserves the multiset exactly (order within a shard is
-        # the restriction of the full canonical order).
-        merged = sorted(
-            (r for p in pieces for r in p.proxy_records),
-            key=lambda r: (r.timestamp, r.subscriber_id),
-        )
-        assert merged == sorted(
-            full.proxy_records, key=lambda r: (r.timestamp, r.subscriber_id)
-        )
+        if lenient:
+            assert not full.quarantine.ok
 
     def test_account_mates_stay_together(self, small_trace_dir):
         """All subscribers of one account land in the same shard — the

@@ -2,19 +2,15 @@
 
 Covers the wire contract (framed blocks, embedded schema, strict
 magic/version rejection), byte determinism, the numpy column codec
-against the wire layout, block skipping against the per-block shard
-bitmap, and
-lenient ingestion semantics (truncated tails with exact row accounting,
+against the wire layout, time-range block skipping, and lenient
+ingestion semantics (truncated tails with exact row accounting,
 mid-file garbage resync).
 """
 
 import gzip
 import struct
-import zlib
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.logs import binfmt
 from repro.logs.binfmt import (
@@ -25,10 +21,9 @@ from repro.logs.binfmt import (
     bucket_of,
     file_header_bytes,
     read_bin_records,
-    read_bin_records_shard,
     write_bin_records,
 )
-from repro.logs.io import LogReadError, shard_keep_predicate
+from repro.logs.io import LogReadError
 from repro.logs.quarantine import QuarantineCollector
 from repro.logs.records import MmeRecord, ProxyRecord
 
@@ -217,33 +212,8 @@ class TestHeaderAndSchema:
 
 
 class TestShardedReads:
-    def test_shard_union_is_complete(self, tmp_path):
-        records = proxy_records(400)
-        path = tmp_path / "proxy.bin"
-        write_bin_records(path, records, ProxyRecord, block_rows=32)
-        shards = 4
-        union = []
-        for shard in range(shards):
-            union.extend(
-                read_bin_records_shard(path, ProxyRecord, shard, shards)
-            )
-        keep_sets = [
-            shard_keep_predicate(s, shards, None) for s in range(shards)
-        ]
-        for record in records:
-            assert sum(k(record) for k in keep_sets) == 1
-        assert sorted(union, key=lambda r: (r.timestamp, r.subscriber_id)) == \
-            sorted(records, key=lambda r: (r.timestamp, r.subscriber_id))
-
-    def test_shard_filter_matches_row_level_filter(self, tmp_path):
-        records = proxy_records(400)
-        path = tmp_path / "proxy.bin"
-        write_bin_records(path, records, ProxyRecord, block_rows=32)
-        keep = shard_keep_predicate(1, 4, None)
-        expected = [r for r in records if keep(r)]
-        assert list(
-            read_bin_records_shard(path, ProxyRecord, 1, 4)
-        ) == expected
+    """Block-skipping reads.  Only the time range skips blocks: account
+    shards are selected per row by ``StudyDataset.load``."""
 
     def test_time_range_skip(self, tmp_path):
         records = proxy_records(300)
@@ -255,78 +225,6 @@ class TestShardedReads:
             read_bin_records(path, ProxyRecord, time_range=(lo, hi))
         )
         assert got == [r for r in records if lo <= r.timestamp <= hi]
-
-
-class TestShardSkipperFold:
-    """The gcd generalisation of the bucket-bitmap block filter.
-
-    Regression: the skipper used to assume ``256 % shards == 0`` and
-    silently mis-skipped blocks for other shard counts.  The fold rule —
-    bucket ``b`` may hold shard ``s`` iff ``(s - b) % gcd(256, shards)
-    == 0`` — must be *conservative* for every shard count and *exact*
-    when shards divides 256.
-    """
-
-    NON_DIVISORS = [3, 5, 6, 7, 9]
-
-    @pytest.mark.parametrize("shards", NON_DIVISORS + [4, 8])
-    def test_sharded_reads_match_row_filter(self, tmp_path, shards):
-        records = proxy_records(400)
-        path = tmp_path / "proxy.bin"
-        write_bin_records(path, records, ProxyRecord, block_rows=32)
-        for shard in range(shards):
-            keep = shard_keep_predicate(shard, shards, None)
-            expected = [r for r in records if keep(r)]
-            got = list(
-                read_bin_records_shard(path, ProxyRecord, shard, shards)
-            )
-            assert got == expected, f"shard {shard}/{shards}"
-
-    @pytest.mark.parametrize("shards", [3, 5, 7, 9])
-    def test_odd_shard_counts_disable_the_filter(self, shards):
-        # gcd(256, odd) == 1: no bucket can be excluded, so the skipper
-        # declines rather than testing bitmaps that always match.
-        assert binfmt._shard_block_skipper(0, shards, None) is None
-
-    def test_directory_keyed_partitions_disable_the_filter(self):
-        assert binfmt._shard_block_skipper(0, 4, {"s1": "a"}) is None
-
-    @given(
-        subscriber=st.text(min_size=1, max_size=12),
-        shards=st.sampled_from([2, 4, 6, 8, 10, 12, 16, 64, 256]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_skipper_is_conservative(self, subscriber, shards):
-        # A block whose bitmap holds only this subscriber's bucket must
-        # never be skipped by the shard that owns the subscriber.
-        shard = zlib.crc32(subscriber.encode("utf-8")) % shards
-        skip = binfmt._shard_block_skipper(shard, shards, None)
-        if skip is None:
-            return
-        bitmap = (1 << bucket_of(subscriber)).to_bytes(32, "little")
-        assert not skip(bitmap)
-
-    @pytest.mark.parametrize("shards", [2, 4, 8, 16])
-    def test_divisor_shard_counts_filter_exactly(self, shards):
-        # shards | 256: bucket % shards fully determines the shard, so
-        # the skipper keeps exactly the buckets of that residue class.
-        for shard in range(shards):
-            skip = binfmt._shard_block_skipper(shard, shards, None)
-            for bucket in range(256):
-                bitmap = (1 << bucket).to_bytes(32, "little")
-                assert skip(bitmap) == (bucket % shards != shard)
-
-    def test_even_non_divisor_skips_half_the_buckets(self):
-        # shards=6 → gcd 2: the parity of the bucket survives the fold,
-        # so each shard keeps exactly the 128 buckets of its parity.
-        skip = binfmt._shard_block_skipper(1, 6, None)
-        assert skip is not None
-        kept = [
-            bucket
-            for bucket in range(256)
-            if not skip((1 << bucket).to_bytes(32, "little"))
-        ]
-        assert kept == [b for b in range(256) if b % 2 == 1]
 
 
 class TestLenientIngestion:
@@ -416,19 +314,18 @@ class TestLenientIngestion:
         assert excinfo.value.code == "truncated"
 
     def test_lenient_never_block_skips(self, tmp_path):
-        """Shard reads with a collector still see every row (exact
+        """Time-range reads with a collector still see every row (exact
         quarantine accounting trumps the skip optimisation)."""
         records = proxy_records(300)
         path = tmp_path / "proxy.bin"
         write_bin_records(path, records, ProxyRecord, block_rows=32)
         collector = QuarantineCollector()
+        lo = records[100].timestamp
+        hi = records[200].timestamp
         kept = list(
-            read_bin_records(
-                path, ProxyRecord, collector, shard=0, shards=4
-            )
+            read_bin_records(path, ProxyRecord, collector, time_range=(lo, hi))
         )
-        keep = shard_keep_predicate(0, 4, None)
-        assert kept == [r for r in records if keep(r)]
+        assert kept == [r for r in records if lo <= r.timestamp <= hi]
         assert collector.report().rows_read["proxy"] == 300
 
     def test_default_block_rows_sane(self):

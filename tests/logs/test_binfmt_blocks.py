@@ -101,6 +101,26 @@ class TestResumeOffset:
         path.write_bytes(whole[: blocks[-1][0] + 7])
         assert resume_offset(path, ProxyRecord) == blocks[-1][0]
 
+    def test_garbage_between_blocks_is_skipped(self, multi_block):
+        """The offset moves past spliced garbage once the block after it
+        is complete, exactly where the lenient reader resyncs."""
+        path, records = multi_block
+        blocks = list(iter_blocks(path, ProxyRecord))
+        whole = path.read_bytes()
+        cut = blocks[3][0]
+        garbage = b"not a block header at all, just noise"
+        spliced = whole[:cut] + garbage + whole[cut:]
+        path.write_bytes(spliced)
+        assert resume_offset(path, ProxyRecord) == len(spliced)
+        collector = QuarantineCollector()
+        assert list(read_bin_records(path, ProxyRecord, collector)) == records
+        assert collector.count("proxy-fields") == 1
+        # Until the block after the garbage is complete, the offset stays
+        # before the garbage: the block may still be being appended.
+        for end in (cut + 5, cut + len(garbage) + 70):
+            path.write_bytes(spliced[:end])
+            assert resume_offset(path, ProxyRecord) == cut
+
     def test_truncated_file_header_is_truncated_error(self, tmp_path):
         path = tmp_path / "proxy.bin"
         path.write_bytes(file_header_bytes(ProxyRecord)[:5])

@@ -79,9 +79,15 @@ class TestCompressedTraceDirectory:
         dataset = StudyDataset.load(tmp_path / "trace")
         assert dataset.proxy_records == small_output.proxy_records
 
-    def test_missing_logs_reported(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="proxy"):
-            StudyDataset._log_path(tmp_path, "proxy")
+    def test_missing_logs_reported(self, small_output, tmp_path):
+        small_output.write(tmp_path / "trace")
+        for log in ("proxy.csv", "mme.csv"):
+            (tmp_path / "trace" / log).unlink()
+        # The one probe names every variant it tried.
+        with pytest.raises(
+            FileNotFoundError, match=r"proxy\.csv, .*proxy\.csv\.gz, .*proxy\.bin"
+        ):
+            StudyDataset.load(tmp_path / "trace")
 
 
 class TestGzipWriteLevel:

@@ -78,6 +78,22 @@ class TestQuarantineReport:
             "proxy-order",
         ]
 
+    def test_issues_are_listed_stream_by_stream(self):
+        """Proxy issues come first, then MME ones, first-seen within a
+        stream: the order a lenient load records them, whichever order
+        a service polling both streams saw them in."""
+        collector = QuarantineCollector()
+        collector.quarantine_row("mme", "mme-fields", "garbage", "mme.bin")
+        collector.quarantine_row("proxy", "proxy-imei", "imei", "proxy[4]")
+        collector.note("mme-order", "out of order", "mme[9]")
+        collector.quarantine_row("proxy", "proxy-fields", "garbage", "proxy.bin")
+        assert [issue.code for issue in collector.report().issues] == [
+            "proxy-imei",
+            "proxy-fields",
+            "mme-fields",
+            "mme-order",
+        ]
+
     def test_summary_mentions_counts(self):
         report = QuarantineReport(
             rows_read={"proxy": 10},

@@ -20,9 +20,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.dataset import StudyDataset
 from repro.core.export import report_to_dict
 from repro.core.parallel import analyze_parallel
+from repro.core.pipeline import WearableStudy
 from repro.logs import binfmt
+from repro.logs.faults import FaultSpec, corrupt_trace
 from repro.logs.records import MmeRecord, ProxyRecord, fields_for
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.service import AnalysisService, ServeConfig, ServiceNotReady
@@ -100,7 +103,9 @@ def bin_corrupt_trace_dir(small_output, small_trace_dir, tmp_path_factory):
     return base
 
 
-def grow_and_compare(full, tmp_path, *, lenient, fmt, suffixes, shards=2):
+def grow_and_compare(
+    full, tmp_path, *, lenient, fmt, suffixes, shards=2, fracs=GROWTH_FRACS
+):
     """Feed byte prefixes; at each boundary, service ≡ batch on prefix."""
     grow = make_growing_dir(full, tmp_path / "grow")
     service = AnalysisService(
@@ -108,7 +113,7 @@ def grow_and_compare(full, tmp_path, *, lenient, fmt, suffixes, shards=2):
             trace_dir=grow, shards=shards, lenient=lenient, format=fmt
         )
     )
-    for step, frac in enumerate(GROWTH_FRACS):
+    for step, frac in enumerate(fracs):
         for suffix in suffixes:
             feed_prefix(full, grow, suffix, frac)
         drain(service)
@@ -166,6 +171,31 @@ class TestDifferentialGrowth:
         report = service.collector.report()
         assert report.count("proxy-imei") > 0
         assert report.count("proxy-duplicate") > 0
+
+    def test_bin_lenient_tails_past_garbage_between_blocks(
+        self, small_output, tmp_path
+    ):
+        """Garbage bytes between blocks are skipped, not a dead stream.
+
+        The tailer resynchronises on the next block magic like the batch
+        reader and keeps tailing, so later appends are read and a block
+        still being written is never quarantined as truncated.
+        """
+        clean = tmp_path / "clean"
+        small_output.write(clean, format="bin")
+        full = tmp_path / "full"
+        corrupt_trace(clean, full, FaultSpec(seed=3, garbage_rate=0.0005))
+        service = grow_and_compare(
+            full, tmp_path, lenient=True, fmt="bin",
+            suffixes=("proxy.bin", "mme.bin"), fracs=(0.5, 1.0),
+        )
+        assert not any(tailer.dead for tailer in service.tailers.values())
+        batch = StudyDataset.load(full, lenient=True)
+        quarantine = service.collector.report()
+        assert quarantine.count("mme-fields") == 6
+        assert quarantine.count("mme-truncated") == 0
+        assert quarantine.to_dict() == batch.quarantine.to_dict()
+        assert service.report()[1] == WearableStudy(batch).run_all()
 
     def test_workers_do_not_change_the_report(self, small_trace_dir, tmp_path):
         grow = make_growing_dir(small_trace_dir, tmp_path / "grow")

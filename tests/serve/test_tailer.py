@@ -15,7 +15,8 @@ from repro.logs import binfmt
 from repro.logs.io import LogReadError, read_csv_records
 from repro.logs.quarantine import QuarantineCollector
 from repro.logs.records import ProxyRecord
-from repro.serve.tailer import StreamTailer, record_to_row, row_to_record
+from repro.logs.records import record_to_row, row_to_record
+from repro.serve.tailer import StreamTailer
 
 from tests.logs.test_binfmt import proxy_records
 

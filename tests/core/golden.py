@@ -4,8 +4,12 @@ The fixture in ``tests/core/data/golden_small.json`` pins the report the
 small preset (seed 7) produces as stored data — strict, lenient over a
 corrupted CSV copy, and lenient over a corrupted ``.bin`` copy — so
 every execution mode is checked against recorded results rather than
-against a second implementation.  ``tools/make_golden_reports.py``
-wrote it once; the tests only ever read it.
+against a second implementation.  ``tests/core/data/golden_medium.json``
+pins the strict report of the medium preset (seed 42, the suite's
+``medium_output``), the only preset whose encounter join is large
+enough to cross the join's chunk boundaries.
+``tools/make_golden_reports.py`` wrote both once; the tests only ever
+read them.
 
 Every report field is stored as the sha256 of its canonical form (dicts
 and sets sorted, floats as ``float.hex``) and must match bit for bit.
@@ -22,10 +26,13 @@ from repro.logs.faults import FaultSpec
 from repro.stats.cdf import ECDF
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_small.json"
+MEDIUM_PATH = GOLDEN_PATH.with_name("golden_medium.json")
 
-#: The simulation the fixture was generated from.
+#: The simulations the fixtures were generated from.
 PRESET = "small"
 SEED = 7
+MEDIUM_PRESET = "medium"
+MEDIUM_SEED = 42
 
 #: The lenient modes read a copy corrupted like ``repro corrupt --rate
 #: 0.02 --seed 5``: every row-level fault class, no truncation.  In the
@@ -87,8 +94,8 @@ def golden_record(report) -> dict:
     return {"digests": {name: digest(getattr(report, name)) for name in FIELDS}}
 
 
-def load_golden() -> dict:
-    with GOLDEN_PATH.open("r", encoding="utf-8") as handle:
+def load_golden(path: Path = GOLDEN_PATH) -> dict:
+    with path.open("r", encoding="utf-8") as handle:
         return json.load(handle)
 
 

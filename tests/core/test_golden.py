@@ -1,11 +1,12 @@
-"""Every execution mode against the golden report fixture.
+"""Every execution mode against the golden report fixtures.
 
 Batch analysis, ``analyze_parallel`` at several shard × worker counts and
 a ``repro serve`` service that catches up with a growing copy of the
 trace must all reproduce the stored small-preset reports (see
 ``tests/core/golden.py``), strict and lenient, over CSV and ``.bin``
-traces.  The fixture is the oracle; there is no switch to regenerate it
-from the code under test.
+traces.  The strict medium-preset report is checked for batch and a
+4-shard ``analyze_parallel`` over ``.bin``.  The fixtures are the
+oracle; there is no switch to regenerate them from the code under test.
 """
 
 import dataclasses
@@ -135,3 +136,36 @@ class TestServe:
                 feed_prefix(full, grow, stem + suffix, frac)
             drain(service)
         assert_golden(service.report()[1], fixture, trace)
+
+
+class TestMedium:
+    """The medium preset (the suite's ``medium_output``), strict."""
+
+    @pytest.fixture(scope="class")
+    def medium_fixture(self):
+        return golden.load_golden(golden.MEDIUM_PATH)
+
+    def test_provenance_is_recorded(self, medium_fixture):
+        assert re.fullmatch(r"[0-9a-f]{40}", medium_fixture["generated_at"])
+        assert medium_fixture["preset"] == golden.MEDIUM_PRESET
+        assert medium_fixture["seed"] == golden.MEDIUM_SEED
+        assert set(medium_fixture["modes"]) == {"strict"}
+        assert set(medium_fixture["modes"]["strict"]["digests"]) == set(
+            golden.FIELDS
+        )
+
+    def test_batch_matches_golden(self, medium_study, medium_fixture):
+        problems = golden.golden_mismatches(
+            medium_study.run_all(), medium_fixture["modes"]["strict"]
+        )
+        assert not problems, "\n".join(problems)
+
+    def test_parallel_bin_matches_golden(
+        self, medium_output, medium_fixture, tmp_path
+    ):
+        medium_output.write(tmp_path / "bin", format="bin")
+        run = analyze_parallel(tmp_path / "bin", shards=4, workers=1)
+        problems = golden.golden_mismatches(
+            run.report, medium_fixture["modes"]["strict"]
+        )
+        assert not problems, "\n".join(problems)

@@ -62,10 +62,12 @@ bench:
 bench-perf:
 	$(PYTEST) $(PERF_MODULES)
 
-## Same perf modules with timing disabled — fast correctness pass for CI.
+## Perf modules with timing disabled — fast correctness pass for CI.  The
+## encounter module's medium-preset checks (streaming join and 4-way
+## sector-sharded join + merge equal the batch panel) run here too.
 bench-perf-check:
 	$(PYTEST) benchmarks/test_perf_engine.py benchmarks/test_perf_io.py \
-	    -q --benchmark-disable
+	    benchmarks/test_perf_encounters.py -q --benchmark-disable
 
 ## Perf-regression gate: stash the committed BENCH_repro.json baseline,
 ## re-run the perf benchmarks (rewriting BENCH_repro.json), then diff the

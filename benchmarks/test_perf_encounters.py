@@ -3,14 +3,20 @@
 The encounter join (§ext, ``repro.core.encounters``) is the only
 per-*pair* analysis in the pipeline — worst case quadratic in cell
 occupancy — so it gets its own perf module.  Three timings over one
-``medium`` trace:
+``medium`` trace (115k cells and 445k candidate pairs at seed 2018, so
+the join crosses many of its pair chunks):
 
-* the batch path (streamed dwell intervals → cell index → all-pairs
-  join → panels) — baseline, what ``analyze --figures encounters`` pays;
+* the batch path (streamed dwell intervals → numpy clip columns sorted
+  into cells → chunked all-pairs merge walk → panels) — baseline, what
+  ``analyze --figures encounters`` pays;
 * the streaming join alone (single-pass dwell extraction feeding the
   index), the per-worker kernel of the parallel path;
 * the four-way sector-sharded join plus merge — the map-reduce shape,
   which must reproduce the serial accumulators bit-for-bit.
+
+The last two also assert their panel equals the batch panel, so
+``make bench-perf-check`` runs this module with timing disabled as a
+correctness pass.
 """
 
 import pytest

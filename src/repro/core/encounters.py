@@ -21,19 +21,28 @@ event-count-agnostic edge set.  Only the detailed window is joined — the
 rest of the study has no per-transaction proxy rows to correlate
 against.
 
-The join as a sharded inverted index
-------------------------------------
+The join as a sharded column kernel
+-----------------------------------
 The cell index is an inverted index ``(sector, bucket) → subscriber →
-clipped intervals``.  Each cell is joined independently (all pairs in
-the cell, interval-list intersection), so the join partitions perfectly
-by *sector*: worker ``s`` of ``n`` builds the index only for sectors
-with ``crc32(sector_id) % n == s`` and never sees another worker's
-cells.  An encounter event belongs to exactly one cell, hence exactly
-one worker — per-shard event counts merge by plain integer addition and
-partner sets by union, both exact under the merge contract
+clipped intervals``, held as numpy columns (:class:`CellIndex`): one row
+per clip, stably sorted by (sector, bucket, subscriber) with subscribers
+and sectors coded in sorted string order, so a cell's members appear in
+sorted id order and a member's clips in input order.  Each cell is
+joined independently (all member pairs, interval-list intersection), so
+the join partitions perfectly by *sector*: worker ``s`` of ``n`` indexes
+only sectors with ``crc32(sector_id) % n == s`` and never sees another
+worker's cells.  An encounter event belongs to exactly one cell, hence
+exactly one worker — per-shard event counts merge by plain integer
+addition and partner sets by union, both exact under the merge contract
 (:mod:`repro.core.parallel`).  Peak memory per worker is the pending
-map (one entry per live subscriber) plus that worker's sector slice of
-the index.
+map (one entry per live subscriber), that worker's clip columns and one
+bounded chunk of candidate pairs.
+
+The join walks every candidate pair's two clip lists in lockstep across
+the whole chunk.  Overlaps are summed one at a time in the order of the
+classic two-pointer merge walk, so every total — and hence every
+:data:`MIN_OVERLAP_SECONDS` decision — is bit-identical to a sequential
+Python sum however fractional the endpoints are.
 
 :func:`stream_dwell_intervals` produces the :class:`SectorTimeline`
 dwell intervals without materialising timelines: over the canonically
@@ -44,9 +53,15 @@ MME record order, as they do in the stably sorted timelines.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterable, Iterator
 from zlib import crc32
+
+import numpy as np
 
 from repro.core.dataset import StudyDataset, StudyWindow
 from repro.logs.records import MmeRecord
@@ -66,6 +81,7 @@ __all__ = [
     "BUCKET_SECONDS",
     "EXPLAINED_THRESHOLD",
     "MIN_OVERLAP_SECONDS",
+    "CellIndex",
     "EncountersResult",
     "build_cell_index",
     "join_cells",
@@ -86,23 +102,144 @@ def sector_shard(sector_id: str, shards: int) -> int:
     return crc32(sector_id.encode("utf-8")) % shards
 
 
-def _bucket_clips(
-    start: float, end: float, study_start: float
-) -> Iterator[tuple[int, float, float]]:
-    """Clip ``[start, end)`` into ``(bucket, clip_start, clip_end)`` runs.
+class CellIndex(Mapping):
+    """Read-only ``(sector, bucket) → subscriber → clips`` view over columns.
 
-    Buckets index :data:`BUCKET_SECONDS` windows relative to the study
-    start.  An interval ending exactly on a bucket edge does *not* enter
-    the next bucket (intervals are half-open).
+    Built by :func:`build_cell_index`; every array is read-only.
+
+    * ``sectors`` / ``subscribers``: distinct ids in sorted order; the
+      other columns hold positions in them (codes).
+    * ``clip_start`` / ``clip_end``: one row per clip, sorted stably by
+      (sector, bucket, subscriber) — equal keys keep input order.
+    * ``member_clips``: member ``m`` (one subscriber in one cell) owns
+      clip rows ``member_clips[m]:member_clips[m + 1]``;
+      ``member_subscriber[m]`` is its subscriber code.
+    * ``cell_members``: cell ``c`` owns members
+      ``cell_members[c]:cell_members[c + 1]``; ``cell_sector[c]`` and
+      ``cell_bucket[c]`` are its key.
+
+    Cells iterate in sorted key order.  A cell value is a lazy
+    ``subscriber → [(clip_start, clip_end), ...]`` mapping whose
+    ``len`` is read from ``cell_members`` without building it.
     """
-    first = int((start - study_start) // BUCKET_SECONDS)
-    last = int((end - study_start) // BUCKET_SECONDS)
-    if (end - study_start) % BUCKET_SECONDS == 0.0:
-        last -= 1
-    for bucket in range(first, last + 1):
-        bucket_start = study_start + bucket * BUCKET_SECONDS
-        bucket_end = bucket_start + BUCKET_SECONDS
-        yield bucket, max(start, bucket_start), min(end, bucket_end)
+
+    __slots__ = (
+        "sectors",
+        "subscribers",
+        "clip_start",
+        "clip_end",
+        "member_clips",
+        "member_subscriber",
+        "cell_members",
+        "cell_sector",
+        "cell_bucket",
+    )
+
+    def __init__(
+        self,
+        sectors: list[str],
+        subscribers: list[str],
+        sector: np.ndarray,
+        bucket: np.ndarray,
+        subscriber: np.ndarray,
+        clip_start: np.ndarray,
+        clip_end: np.ndarray,
+    ) -> None:
+        """Group clip columns already in (sector, bucket, subscriber) order."""
+        new_cell = np.ones(len(sector), dtype=bool)
+        new_cell[1:] = (sector[1:] != sector[:-1]) | (bucket[1:] != bucket[:-1])
+        new_member = new_cell.copy()
+        new_member[1:] |= subscriber[1:] != subscriber[:-1]
+        first_clip = np.flatnonzero(new_member)
+        first_member = np.flatnonzero(new_cell[first_clip])
+        self.sectors = tuple(sectors)
+        self.subscribers = np.array(subscribers, dtype=object)
+        self.clip_start = clip_start
+        self.clip_end = clip_end
+        self.member_clips = np.append(first_clip, len(sector))
+        self.member_subscriber = subscriber[first_clip]
+        self.cell_members = np.append(first_member, len(first_clip))
+        self.cell_sector = sector[first_clip[first_member]]
+        self.cell_bucket = bucket[first_clip[first_member]]
+        for name in self.__slots__[1:]:
+            getattr(self, name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.cell_sector)
+
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        sectors = self.sectors
+        for sector, bucket in zip(
+            self.cell_sector.tolist(), self.cell_bucket.tolist()
+        ):
+            yield sectors[sector], bucket
+
+    def __getitem__(self, key: tuple[str, int]) -> "_Cell":
+        sector, bucket = key
+        code = bisect_left(self.sectors, sector)
+        if code < len(self.sectors) and self.sectors[code] == sector:
+            low, high = np.searchsorted(self.cell_sector, [code, code + 1])
+            cell = low + int(np.searchsorted(self.cell_bucket[low:high], bucket))
+            if cell < high and self.cell_bucket[cell] == bucket:
+                members = self.cell_members
+                return _Cell(self, int(members[cell]), int(members[cell + 1]))
+        raise KeyError(key)
+
+    def values(self) -> ValuesView:
+        return _CellValues(self)
+
+
+class _Cell(Mapping):
+    """One cell: ``subscriber → [(clip_start, clip_end), ...]``."""
+
+    __slots__ = ("_index", "_low", "_high")
+
+    def __init__(self, index: CellIndex, low: int, high: int) -> None:
+        self._index = index
+        self._low = low
+        self._high = high
+
+    def __len__(self) -> int:
+        return self._high - self._low
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __iter__(self) -> Iterator[str]:
+        index = self._index
+        codes = index.member_subscriber[self._low : self._high]
+        return iter(index.subscribers[codes].tolist())
+
+    def __getitem__(self, subscriber: str) -> list[tuple[float, float]]:
+        index = self._index
+        for member, name in enumerate(self, self._low):
+            if name == subscriber:
+                low, high = index.member_clips[member : member + 2].tolist()
+                return list(
+                    zip(
+                        index.clip_start[low:high].tolist(),
+                        index.clip_end[low:high].tolist(),
+                    )
+                )
+        raise KeyError(subscriber)
+
+
+class _CellValues(ValuesView):
+    """Cells in key order, sliced off ``cell_members`` without lookups."""
+
+    def __iter__(self) -> Iterator[_Cell]:
+        index = self._mapping
+        members = index.cell_members.tolist()
+        for low, high in zip(members[:-1], members[1:]):
+            yield _Cell(index, low, high)
+
+
+def _codes(names: dict[str, int], first_seen: array) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct ids, and first-seen codes remapped to sorted codes."""
+    ordered = sorted(names)
+    rank = np.empty(len(ordered), dtype=np.int64)
+    rank[[names[name] for name in ordered]] = np.arange(len(ordered))
+    return ordered, rank[np.frombuffer(first_seen, dtype=np.int64)]
 
 
 def build_cell_index(
@@ -111,47 +248,120 @@ def build_cell_index(
     *,
     shard: int = 0,
     shards: int = 1,
-) -> dict[tuple[str, int], dict[str, list[tuple[float, float]]]]:
+) -> CellIndex:
     """Time-bucketed per-sector inverted index over dwell intervals.
 
-    ``intervals`` yields ``(subscriber, sector, start, end)``; intervals
-    in sectors not owned by ``shard`` (per :func:`sector_shard`) are
-    dropped, which is what keeps the sharded join disjoint.  Per-cell
-    interval lists preserve input order, so timeline order and canonical
-    stream order produce identical cells.
+    ``intervals`` yields ``(subscriber, sector, start, end)`` and is
+    drained into columns.  Intervals in sectors not owned by ``shard``
+    (per :func:`sector_shard`, decided once per distinct sector) are
+    dropped, which is what keeps the sharded join disjoint.  Each
+    interval is clipped into every :data:`BUCKET_SECONDS` bucket it
+    overlaps, relative to ``study_start``; intervals are half-open, so
+    one ending exactly on a bucket edge stays out of the next bucket.
+    The clip arithmetic is the scalar float arithmetic, element-wise:
+    bucket ``floor((start - study_start) / BUCKET_SECONDS)`` (Python
+    ``//``), clip ``[max(start, edge), min(end, edge + BUCKET_SECONDS))``
+    with ``edge = study_start + bucket * BUCKET_SECONDS``.  One stable
+    lexsort by (sector, bucket, subscriber) then lays the clips out as
+    :class:`CellIndex` describes, so timeline order and canonical stream
+    order produce identical cells.
     """
-    index: dict[tuple[str, int], dict[str, list[tuple[float, float]]]] = {}
+    subscriber_codes: dict[str, int] = {}
+    sector_codes: dict[str, int] = {}
+    subscriber_column = array("q")
+    sector_column = array("q")
+    starts = array("d")
+    ends = array("d")
     for subscriber, sector, start, end in intervals:
-        if shards > 1 and sector_shard(sector, shards) != shard:
-            continue
-        for bucket, clip_start, clip_end in _bucket_clips(
-            start, end, study_start
-        ):
-            cell = index.setdefault((sector, bucket), {})
-            cell.setdefault(subscriber, []).append((clip_start, clip_end))
-    return index
+        subscriber_column.append(
+            subscriber_codes.setdefault(subscriber, len(subscriber_codes))
+        )
+        sector_column.append(sector_codes.setdefault(sector, len(sector_codes)))
+        starts.append(start)
+        ends.append(end)
+    subscribers, subscriber = _codes(subscriber_codes, subscriber_column)
+    sectors, sector = _codes(sector_codes, sector_column)
+    start = np.frombuffer(starts, dtype=np.float64)
+    end = np.frombuffer(ends, dtype=np.float64)
+    if shards > 1:
+        owned = np.array(
+            [sector_shard(name, shards) == shard for name in sectors], dtype=bool
+        )
+        keep = owned[sector]
+        subscriber, sector, start, end = (
+            column[keep] for column in (subscriber, sector, start, end)
+        )
+
+    first = np.floor_divide(start - study_start, BUCKET_SECONDS).astype(np.int64)
+    offset_end = end - study_start
+    last = np.floor_divide(offset_end, BUCKET_SECONDS).astype(np.int64)
+    last[np.remainder(offset_end, BUCKET_SECONDS) == 0.0] -= 1
+    clips = np.maximum(last - first + 1, 0)
+    source = np.repeat(np.arange(len(clips)), clips)
+    bucket = np.arange(len(source)) - np.repeat(np.cumsum(clips) - clips, clips)
+    bucket += first[source]
+    order = np.lexsort((subscriber[source], bucket, sector[source]))
+    source = source[order]
+    bucket = bucket[order]
+    del order
+    edge = study_start + bucket * BUCKET_SECONDS
+    clip_start = np.maximum(start[source], edge)
+    edge += BUCKET_SECONDS
+    clip_end = np.minimum(end[source], edge, out=edge)
+    return CellIndex(
+        sectors,
+        subscribers,
+        sector[source],
+        bucket,
+        subscriber[source],
+        clip_start,
+        clip_end,
+    )
 
 
-def _overlap_seconds(
-    left: list[tuple[float, float]], right: list[tuple[float, float]]
-) -> float:
-    """Total intersection of two sorted disjoint interval lists."""
-    total = 0.0
-    i = j = 0
-    while i < len(left) and j < len(right):
-        start = max(left[i][0], right[j][0])
-        end = min(left[i][1], right[j][1])
-        if end > start:
-            total += end - start
-        if left[i][1] <= right[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
+#: Candidate pairs :func:`join_cells` evaluates per chunk (rounded to
+#: whole rows): bounds the join's transient arrays.
+_CHUNK_PAIRS = 1 << 15
+
+
+def _overlap_totals(
+    index: CellIndex, first: np.ndarray, second: np.ndarray
+) -> np.ndarray:
+    """Total clipped overlap of members ``first[k]`` and ``second[k]``.
+
+    The two-pointer merge walk over both members' clip lists, run for
+    every pair in lockstep: each round adds the current clips' overlap
+    (when positive) to the pair's total and advances the side whose
+    clip ends first (the first member's on ties), until either list is
+    exhausted.  Each total is the sequential float sum a scalar walk
+    produces, term for term.  A pair of single clips finishes after the
+    first round, one vectorised min/max.
+    """
+    clip_start, clip_end = index.clip_start, index.clip_end
+    clips = index.member_clips
+    left, left_stop = clips[first], clips[first + 1]
+    right, right_stop = clips[second], clips[second + 1]
+    totals = np.zeros(len(first))
+    pair = np.arange(len(first))
+    while len(pair):
+        left_end = clip_end[left]
+        right_end = clip_end[right]
+        overlap_start = np.maximum(clip_start[left], clip_start[right])
+        overlap_end = np.minimum(left_end, right_end)
+        hit = overlap_end > overlap_start
+        totals[pair[hit]] += overlap_end[hit] - overlap_start[hit]
+        advance_left = left_end <= right_end
+        left = left + advance_left
+        right = right + ~advance_left
+        live = (left < left_stop) & (right < right_stop)
+        pair, left, left_stop, right, right_stop = (
+            column[live] for column in (pair, left, left_stop, right, right_stop)
+        )
+    return totals
 
 
 def join_cells(
-    index: dict[tuple[str, int], dict[str, list[tuple[float, float]]]],
+    index: CellIndex,
     *,
     pair_events: dict[tuple[str, str], int],
     partners: dict[str, set[str]],
@@ -159,31 +369,82 @@ def join_cells(
 ) -> int:
     """Join every cell of the index into the encounter accumulators.
 
-    All-pairs within a cell, thresholded on total clipped overlap.
-    Cells are visited in sorted key order and members in sorted id
-    order, so accumulator *insertion* order is canonical (equal inputs
-    produce byte-identical partial-state encodings).  Returns the number
-    of encounter events found.
+    Every pair of members of a cell is a candidate; it is an encounter
+    event when :func:`_overlap_totals` reaches
+    :data:`MIN_OVERLAP_SECONDS`.  Candidates are enumerated in sorted
+    order — cell, then first member, then second member — as *rows*
+    (one member with each later member of its cell) and evaluated in
+    chunks of whole rows, about :data:`_CHUNK_PAIRS` pairs each, so the
+    transient arrays stay bounded however many cells there are.  The
+    events reach the accumulators as if added one at a time in that
+    order (see :func:`_accumulate`): equal inputs produce byte-identical
+    partial-state encodings.  Returns the number of encounter events.
     """
+    members = index.cell_members
+    row_len = (
+        np.repeat(members[1:], np.diff(members))
+        - np.arange(len(index.member_subscriber))
+        - 1
+    )
+    rows = np.flatnonzero(row_len)
+    row_len = row_len[rows]
+    # Chunk k: the rows whose last pair falls in [k, k + 1) · _CHUNK_PAIRS.
+    chunk = (np.cumsum(row_len) - 1) // _CHUNK_PAIRS
+    bounds = (np.flatnonzero(np.diff(chunk)) + 1).tolist()
     events = 0
-    for key in sorted(index):
-        cell = index[key]
-        if len(cell) < 2:
-            continue
-        members = sorted(cell)
-        for i, a in enumerate(members):
-            a_intervals = cell[a]
-            for b in members[i + 1 :]:
-                if _overlap_seconds(a_intervals, cell[b]) < MIN_OVERLAP_SECONDS:
-                    continue
-                events += 1
-                pair = (a, b)
-                pair_events[pair] = pair_events.get(pair, 0) + 1
-                sub_events[a] = sub_events.get(a, 0) + 1
-                sub_events[b] = sub_events.get(b, 0) + 1
-                partners.setdefault(a, set()).add(b)
-                partners.setdefault(b, set()).add(a)
+    for low, high in pairwise([0, *bounds, len(rows)]):
+        lengths = row_len[low:high]
+        first = np.repeat(rows[low:high], lengths)
+        second = first + 1 + np.arange(len(first)) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths
+        )
+        found = _overlap_totals(index, first, second) >= MIN_OVERLAP_SECONDS
+        events += _accumulate(
+            index.subscribers,
+            index.member_subscriber[first[found]],
+            index.member_subscriber[second[found]],
+            pair_events=pair_events,
+            partners=partners,
+            sub_events=sub_events,
+        )
     return events
+
+
+def _accumulate(
+    names: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    *,
+    pair_events: dict[tuple[str, str], int],
+    partners: dict[str, set[str]],
+    sub_events: dict[str, int],
+) -> int:
+    """Add the events ``(names[first[k]], names[second[k]])`` in order.
+
+    Each distinct pair is added once, at its first occurrence, with its
+    event count.  A key (pair, subscriber or partner-set member) is first
+    touched by the first event of some pair, so keys are inserted in the
+    same order as when adding events one at a time; a pair's later events
+    would only add to counts and re-add set members.  Returns the number
+    of events.
+    """
+    width = len(names)
+    keys, first_at, counts = np.unique(
+        first * width + second, return_index=True, return_counts=True
+    )
+    order = np.argsort(first_at)
+    keys = keys[order]
+    for a, b, count in zip(
+        names[keys // width].tolist(),
+        names[keys % width].tolist(),
+        counts[order].tolist(),
+    ):
+        pair_events[a, b] = pair_events.get((a, b), 0) + count
+        sub_events[a] = sub_events.get(a, 0) + count
+        sub_events[b] = sub_events.get(b, 0) + count
+        partners.setdefault(a, set()).add(b)
+        partners.setdefault(b, set()).add(a)
+    return len(first)
 
 
 def _day_end(timestamp: float, study_start: float) -> float:

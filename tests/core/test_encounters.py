@@ -1,20 +1,23 @@
 """Exact-value, boundary and property tests for the encounter join (§ext).
 
 The kernel pieces (bucket clipping, cell index, all-pairs join) are
-tested on hand-crafted intervals with known overlap arithmetic; the
-panel folds are tested through ``summarize_encounters`` with hand-built
-accumulators (the simulator never attaches owner-account phone SIMs to
-the MME, so panel 3 only lights up on crafted data); the streaming
-interval extractor and the sharded partials are property-tested against
-their batch counterparts.
+tested on hand-crafted intervals with known overlap arithmetic and
+property-tested against ``reference_join``, a scalar dict-of-dicts
+oracle kept here; the panel folds are tested through
+``summarize_encounters`` with hand-built accumulators (the simulator
+never attaches owner-account phone SIMs to the MME, so panel 3 only
+lights up on crafted data); the streaming interval extractor and the
+sharded partials are property-tested against their batch counterparts.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import encounters
 from repro.core.encounters import (
     BUCKET_SECONDS,
     MIN_OVERLAP_SECONDS,
@@ -55,6 +58,52 @@ def run_join(intervals, study_start=0.0):
         index, pair_events=pair_events, partners=partners, sub_events=sub_events
     )
     return events, pair_events, partners, sub_events
+
+
+def reference_join(intervals, study_start, *, shard=0, shards=1):
+    """Scalar oracle: dict-of-dicts cell index plus a two-pointer merge walk.
+
+    Returns ``(index, events, pair_events, partners, sub_events)``, the
+    accumulators filled one event at a time.
+    """
+    index: dict = {}
+    for sub, sector, start, end in intervals:
+        if shards > 1 and sector_shard(sector, shards) != shard:
+            continue
+        first = int((start - study_start) // HOUR)
+        last = int((end - study_start) // HOUR)
+        if (end - study_start) % HOUR == 0.0:
+            last -= 1
+        for bucket in range(first, last + 1):
+            edge = study_start + bucket * HOUR
+            clip = (max(start, edge), min(end, edge + HOUR))
+            index.setdefault((sector, bucket), {}).setdefault(sub, []).append(clip)
+    events, pair_events, partners, sub_events = 0, {}, {}, {}
+    for key in sorted(index):
+        cell = index[key]
+        members = sorted(cell)
+        for n, a in enumerate(members):
+            for b in members[n + 1 :]:
+                left, right = cell[a], cell[b]
+                total, i, j = 0.0, 0, 0
+                while i < len(left) and j < len(right):
+                    start = max(left[i][0], right[j][0])
+                    end = min(left[i][1], right[j][1])
+                    if end > start:
+                        total += end - start
+                    if left[i][1] <= right[j][1]:
+                        i += 1
+                    else:
+                        j += 1
+                if total < MIN_OVERLAP_SECONDS:
+                    continue
+                events += 1
+                pair_events[a, b] = pair_events.get((a, b), 0) + 1
+                sub_events[a] = sub_events.get(a, 0) + 1
+                sub_events[b] = sub_events.get(b, 0) + 1
+                partners.setdefault(a, set()).add(b)
+                partners.setdefault(b, set()).add(a)
+    return index, events, pair_events, partners, sub_events
 
 
 class TestJoinKernel:
@@ -120,6 +169,68 @@ class TestJoinKernel:
         )
         assert events == 1
 
+    def test_threshold_reached_only_across_two_clips(self):
+        # a leaves S for T and comes back: its two S clips overlap b by
+        # 30.5 s and 29.5 s, exactly 60 s together and < 60 s apiece.
+        intervals = [
+            ("a", "S", 0.0, 30.5),
+            ("a", "T", 30.5, 100.0),
+            ("a", "S", 100.0, 129.5),
+            ("b", "S", 0.0, 200.0),
+        ]
+        assert build_cell_index(intervals, 0.0)["S", 0]["a"] == [
+            (0.0, 30.5),
+            (100.0, 129.5),
+        ]
+        events, pairs, _, _ = run_join(intervals)
+        assert events == 1 and pairs == {("a", "b"): 1}
+        short = intervals[:2] + [("a", "S", 100.0, 129.25), intervals[3]]
+        events, pairs, _, _ = run_join(short)
+        assert events == 0 and pairs == {}
+
+    def test_overlaps_sum_in_merge_walk_order(self):
+        # a's three S clips lie inside b's one: walk order sums 4.8, 13.9
+        # and 41.3 (as floats) to exactly 60.0; summing the last two
+        # first would round to just below and miss the threshold.
+        clips = [(6.2, 11.0), (26.0, 39.9), (76.3, 117.6)]
+        overlaps = [end - start for start, end in clips]
+        assert (overlaps[0] + overlaps[1]) + overlaps[2] == 60.0
+        assert overlaps[0] + (overlaps[1] + overlaps[2]) < 60.0
+        intervals = [("b", "S", 0.0, 200.0)]
+        for (start, end), (after, _) in zip(clips, clips[1:] + [(200.0, 0)]):
+            intervals += [("a", "S", start, end), ("a", "T", end, after)]
+        events, pairs, _, _ = run_join(intervals)
+        assert events == 1 and pairs == {("a", "b"): 1}
+
+    def test_unsorted_clips_follow_the_merge_walk(self):
+        # Clips out of time order: on the tie at 3600 the walk advances
+        # a's list and still meets a's second clip, 30 + 30 = 60 s.
+        intervals = [
+            ("a", "S", 3570.0, 3600.0),
+            ("a", "S", 1500.0, 1530.0),
+            ("b", "S", 1000.0, 3600.0),
+        ]
+        _, *expected = reference_join(intervals, 0.0)
+        assert expected[0] == 1
+        assert list(run_join(intervals)) == expected
+
+    def test_cell_member_counts(self):
+        index = build_cell_index(
+            [
+                ("c", "S", 0.0, 10.0),
+                ("a", "S", 5.0, 4000.0),
+                ("b", "T", 0.0, 10.0),
+                ("a", "S", 4000.0, 4010.0),
+            ],
+            0.0,
+        )
+        assert len(index) == 3
+        assert list(index) == [("S", 0), ("S", 1), ("T", 0)]
+        assert [len(cell) for cell in index.values()] == [2, 1, 1]
+        assert list(index["S", 0]) == ["a", "c"]
+        assert index["S", 1]["a"] == [(3600.0, 4000.0), (4000.0, 4010.0)]
+        assert ("S", 2) not in index and ("U", 0) not in index
+
     def test_singleton_cells_are_skipped(self):
         events, _, _, _ = run_join([("a", "S", 0.0, 7200.0)])
         assert events == 0
@@ -145,6 +256,82 @@ class TestJoinKernel:
             assert all(
                 sector_shard(sector, shards) == s for sector, _ in piece
             )
+
+
+def _ordered(mapping):
+    return list(mapping.items())
+
+
+# Offsets into a three-hour window: bucket edges, half seconds and
+# arbitrary fractional seconds.
+_POINT = st.one_of(
+    st.integers(min_value=0, max_value=3).map(lambda k: k * HOUR),
+    st.integers(min_value=0, max_value=3 * int(HOUR)).map(lambda s: s + 0.5),
+    st.floats(min_value=0.0, max_value=3 * HOUR, allow_nan=False),
+)
+_SUBS = st.sampled_from(["a", "b", "c", "d", "e"])
+_SECTORS = st.sampled_from(["HOME", "WORK", "FAR"])
+
+
+@st.composite
+def _dwell_chains(draw):
+    """Per-subscriber dwell chains: sorted touching intervals hopping
+    between sectors (the shape ``stream_dwell_intervals`` yields), in
+    input order interleaved across subscribers, optionally shuffled."""
+    intervals = []
+    for sub in draw(st.lists(_SUBS, min_size=2, max_size=5, unique=True)):
+        points = sorted(set(draw(st.lists(_POINT, min_size=2, max_size=8))))
+        for start, end in zip(points, points[1:]):
+            intervals.append((sub, draw(_SECTORS), start, end))
+    if draw(st.booleans()):
+        intervals = draw(st.permutations(intervals))
+    return intervals
+
+
+class TestKernelMatchesReference:
+    @given(
+        intervals=_dwell_chains(),
+        shards=st.sampled_from([1, 2, 3, 4, 7]),
+        data=st.data(),
+        chunk=st.integers(min_value=1, max_value=6),
+        study_start=st.sampled_from([0.0, 0.1, 1_514_764_800.0, 1_514_764_800.1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_index_and_accumulators_equal_reference(
+        self, intervals, shards, data, chunk, study_start
+    ):
+        shard = data.draw(st.integers(min_value=0, max_value=shards - 1))
+        intervals = [
+            (sub, sector, study_start + start, study_start + end)
+            for sub, sector, start, end in intervals
+        ]
+        index, events, pairs, partners, sub_events = reference_join(
+            intervals, study_start, shard=shard, shards=shards
+        )
+        got = build_cell_index(
+            iter(intervals), study_start, shard=shard, shards=shards
+        )
+        assert {key: dict(cell) for key, cell in got.items()} == index
+        assert [len(cell) for cell in got.values()] == [
+            len(index[key]) for key in sorted(index)
+        ]
+        got_pairs: dict = {}
+        got_partners: dict = {}
+        got_sub_events: dict = {}
+        # Chunks of a few pairs put chunk boundaries inside the data.
+        with mock.patch.object(encounters, "_CHUNK_PAIRS", chunk):
+            got_events = join_cells(
+                got,
+                pair_events=got_pairs,
+                partners=got_partners,
+                sub_events=got_sub_events,
+            )
+        assert got_events == events
+        assert _ordered(got_pairs) == _ordered(pairs)
+        assert _ordered(got_sub_events) == _ordered(sub_events)
+        assert [(sub, list(met)) for sub, met in got_partners.items()] == [
+            (sub, list(met)) for sub, met in partners.items()
+        ]
 
 
 class TestStreamDwellIntervals:

@@ -4,8 +4,8 @@
 bit-exact tier over the CSV shard × worker matrix (strict and chaos
 lenient).  This module covers the remaining acceptance axes:
 
-* the **binary** trace format — block-skipping shard reads must feed the
-  join the same records as CSV;
+* the **binary** trace format — its shard loads must feed the join the
+  same records as CSV;
 * the **gzip-compressed CSV** trace format, strict and lenient;
 * **order-normalized pair sets** — per-shard partials cover the serial
   pair set exactly, with per-pair event counts summing shard by shard;

@@ -25,16 +25,16 @@ with ``math.fsum`` — so every :class:`~repro.core.pipeline.StudyReport`
 field is bit-identical for batch, any shard or worker count, and serve
 (the table lives in ``docs/architecture.md``).
 
-Workers record their own observability (spans, metrics, timeline
-progress events) exactly like the simulation engine's shard workers; the
-parent merges snapshots deterministically in shard order.
+Shards fan out through :func:`repro.obs.map_shards`, the process pool
+the simulation engine uses too: pool workers record their own spans,
+metrics and timeline progress events, and the parent merges them in
+shard order.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, repeat
@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
-from repro.obs.timeline import HeartbeatSampler
 
 from repro.core.activity import ActivityResult, HourlyProfile
 from repro.core.adoption import ABANDON_QUIET_DAYS, AdoptionResult
@@ -1658,11 +1657,6 @@ class AnalysisShardStats:
     proxy_records: int
     mme_records: int
     elapsed_seconds: float
-    metrics_snapshot: dict | None = None
-    span_tree: dict | None = None
-    #: Wall-clock sampling-profiler snapshot (merged like the span tree,
-    #: in shard order); only shipped when the parent profiles.
-    profile: dict | None = None
 
     @property
     def resident_records(self) -> int:
@@ -1678,11 +1672,7 @@ class _AnalysisPayload:
     shard: int
     shards: int
     lenient: bool
-    observe: bool = False
-    parent_pid: int = 0
-    events_path: str | None = None
-    format: str = "auto"
-    profile_hz: float | None = None
+    format: str
 
 
 @dataclass
@@ -1726,113 +1716,66 @@ def _full_mme_stream(trace_dir: str, *, lenient: bool, format: str):
 
 
 def _analyze_shard(payload: _AnalysisPayload) -> _ShardResult:
-    """Worker entry point: load one shard and build its partials.
-
-    Mirrors the engine's ``_run_shard_to_spool``: a spawned/forked
-    worker installs its own enabled observability, runs a heartbeat, and
-    ships its metrics snapshot and span subtree back for deterministic
-    shard-order merging in the parent.
-    """
-    installed: "obs.Observability | None" = None
-    previous: "obs.Observability | None" = None
-    in_worker = os.getpid() != payload.parent_pid
-    if payload.observe and in_worker:
-        installed = obs.Observability(
-            enabled=True,
-            events_path=payload.events_path,
-            profile_hz=payload.profile_hz,
-        )
-        previous = obs.install(installed)
-        installed.profiler.start()
+    """Load one shard and build its partials (a pool task)."""
     started = time.perf_counter()
     events = obs.events()
     shard = payload.shard
-    sampler = (
-        HeartbeatSampler(events).start()
-        if events.enabled and in_worker
-        else None
-    )
-    try:
-        with obs.tracer().span("analyze.shard", shard=shard) as shard_span:
-            with obs.span("shard.load"):
-                dataset = StudyDataset.load(
+    with obs.tracer().span("analyze.shard", shard=shard) as shard_span:
+        with obs.span("shard.load"):
+            dataset = StudyDataset.load(
+                payload.trace_dir,
+                lenient=payload.lenient,
+                shard=shard,
+                shards=payload.shards,
+                format=payload.format,
+            )
+        rows = len(dataset.proxy_records) + len(dataset.mme_records)
+        events.emit("progress", shard=shard, stage="load", rows=rows)
+        partials = ShardPartials.compute(dataset, shard=shard)
+        events.emit("progress", shard=shard, stage="aggregate", rows=rows)
+        # Encounter join side: pairs straddle account shards, so the join
+        # partitions by *sector* instead — every worker streams the full
+        # MME log once more and joins only the cells whose sector hashes
+        # to its shard index.
+        with obs.span("shard.encounters"):
+            encounter_events = partials.encounters.consume_stream(
+                _full_mme_stream(
                     payload.trace_dir,
                     lenient=payload.lenient,
-                    shard=shard,
-                    shards=payload.shards,
                     format=payload.format,
-                )
-            rows = len(dataset.proxy_records) + len(dataset.mme_records)
-            events.emit("progress", shard=shard, stage="load", rows=rows)
-            partials = ShardPartials.compute(dataset, shard=shard)
-            events.emit("progress", shard=shard, stage="aggregate", rows=rows)
-            # Encounter join side: pairs straddle account shards, so the
-            # join partitions by *sector* instead — every worker streams
-            # the full MME log once more and joins only the cells whose
-            # sector hashes to its shard index.
-            with obs.span("shard.encounters"):
-                encounter_events = partials.encounters.consume_stream(
-                    _full_mme_stream(
-                        payload.trace_dir,
-                        lenient=payload.lenient,
-                        format=payload.format,
-                    ),
-                    dataset.window,
-                    shard=shard,
-                    shards=payload.shards,
-                )
-            events.emit(
-                "progress",
+                ),
+                dataset.window,
                 shard=shard,
-                stage="encounters",
-                rows=encounter_events,
+                shards=payload.shards,
             )
-        if obs.enabled():
-            registry = obs.metrics()
-            registry.counter(
-                "repro_analysis_proxy_records_total", shard=shard
-            ).add(len(dataset.proxy_records))
-            registry.counter(
-                "repro_analysis_mme_records_total", shard=shard
-            ).add(len(dataset.mme_records))
-            registry.counter(
-                "repro_analysis_encounter_events_total", shard=shard
-            ).add(encounter_events)
-        elapsed = (
-            shard_span.wall_s
-            if shard_span is not None
-            else time.perf_counter() - started
+        events.emit(
+            "progress", shard=shard, stage="encounters", rows=encounter_events
         )
-        metrics_snapshot = None
-        span_tree = None
-        profile = None
-        if installed is not None:
-            # Stop sampling before snapshotting so the shipped profile is
-            # final; close() in the finally is then a harmless double-stop.
-            installed.profiler.stop()
-            metrics_snapshot = installed.metrics.snapshot()
-            span_tree = installed.tracer.tree().to_dict()
-            if installed.profiler.enabled:
-                profile = installed.profiler.snapshot()
-        return _ShardResult(
-            partials=partials,
-            quarantine=dataset.quarantine,
-            stats=AnalysisShardStats(
-                shard=shard,
-                proxy_records=len(dataset.proxy_records),
-                mme_records=len(dataset.mme_records),
-                elapsed_seconds=elapsed,
-                metrics_snapshot=metrics_snapshot,
-                span_tree=span_tree,
-                profile=profile,
+    if obs.enabled():
+        registry = obs.metrics()
+        registry.counter(
+            "repro_analysis_proxy_records_total", shard=shard
+        ).add(len(dataset.proxy_records))
+        registry.counter(
+            "repro_analysis_mme_records_total", shard=shard
+        ).add(len(dataset.mme_records))
+        registry.counter(
+            "repro_analysis_encounter_events_total", shard=shard
+        ).add(encounter_events)
+    return _ShardResult(
+        partials=partials,
+        quarantine=dataset.quarantine,
+        stats=AnalysisShardStats(
+            shard=shard,
+            proxy_records=len(dataset.proxy_records),
+            mme_records=len(dataset.mme_records),
+            elapsed_seconds=(
+                shard_span.wall_s
+                if shard_span is not None
+                else time.perf_counter() - started
             ),
-        )
-    finally:
-        if sampler is not None:
-            sampler.stop()
-        if installed is not None:
-            obs.install(previous)
-            installed.close()
+        ),
+    )
 
 
 @dataclass
@@ -1889,24 +1832,8 @@ def analyze_parallel(
         workers = min(shards, os.cpu_count() or 1)
     workers = max(1, min(workers, shards))
 
-    observe = obs.enabled()
-    parent_pid = os.getpid()
-    active_events = obs.events()
-    events_path = str(active_events.path) if active_events.enabled else None
-    active_profiler = obs.profiler()
-    profile_hz = active_profiler.hz if active_profiler.enabled else None
     payloads = [
-        _AnalysisPayload(
-            trace_dir=str(base),
-            shard=shard,
-            shards=shards,
-            lenient=lenient,
-            observe=observe,
-            parent_pid=parent_pid,
-            events_path=events_path,
-            format=format,
-            profile_hz=profile_hz,
-        )
+        _AnalysisPayload(str(base), shard, shards, lenient, format)
         for shard in range(shards)
     ]
 
@@ -1914,23 +1841,7 @@ def analyze_parallel(
     # attribute — the span *tree* must be identical for any worker count.
     with obs.span("analyze.parallel", shards=shards):
         with obs.span("analyze.shards"):
-            if workers <= 1:
-                results = [_analyze_shard(payload) for payload in payloads]
-            else:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(_analyze_shard, payloads))
-            results.sort(key=lambda item: item.stats.shard)
-            if obs.enabled():
-                registry = obs.metrics()
-                tracer = obs.tracer()
-                profiler = obs.profiler()
-                for result in results:
-                    if result.stats.metrics_snapshot is not None:
-                        registry.merge_snapshot(result.stats.metrics_snapshot)
-                    if result.stats.span_tree is not None:
-                        tracer.attach_subtree(result.stats.span_tree)
-                    if result.stats.profile is not None:
-                        profiler.merge(result.stats.profile)
+            results = obs.map_shards(_analyze_shard, payloads, workers)
 
         with obs.span("analyze.merge"):
             merged = results[0].partials

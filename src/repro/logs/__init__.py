@@ -9,8 +9,8 @@ infrastructure produces (Section 3.1):
   :mod:`repro.devicedb` but serialised with the same I/O layer).
 
 Records are plain frozen dataclasses; readers and writers stream them to and
-from CSV or JSON-lines files so multi-week traces never need to fit in
-memory at parse time.
+from CSV (plain or gzip) or the binary columnar format, so multi-week traces
+never need to fit in memory at parse time.
 """
 
 from repro.logs.records import (
@@ -41,11 +41,9 @@ from repro.logs.io import (
     LogReadError,
     log_kind,
     read_csv_records,
-    read_jsonl_records,
     read_mme_log,
     read_proxy_log,
     write_csv_records,
-    write_jsonl_records,
     write_mme_log,
     write_proxy_log,
 )
@@ -94,13 +92,11 @@ __all__ = [
     "is_weekend",
     "parse_timestamp",
     "read_csv_records",
-    "read_jsonl_records",
     "read_mme_log",
     "read_proxy_log",
     "week_index",
     "weekday",
     "write_csv_records",
-    "write_jsonl_records",
     "write_mme_log",
     "write_proxy_log",
 ]

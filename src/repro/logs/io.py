@@ -1,11 +1,13 @@
 """Streaming readers and writers for log records.
 
-Two wire formats are supported for every record type:
+A log is stored in one of :data:`TRACE_FORMATS`:
 
-* **CSV** with a header row — compact, interoperable with command-line
-  tooling, the default for the simulator's trace exports;
-* **JSON lines** — one JSON object per line, convenient for ad-hoc
-  inspection and for appending heterogeneous metadata.
+* **CSV** with a header row (``csv``), optionally gzip-compressed
+  (``csv.gz``) — interoperable with command-line tooling, the default
+  for the simulator's trace exports;
+* the **binary columnar** format (``bin``, :mod:`repro.logs.binfmt`),
+  which :func:`read_records` and :func:`write_records` dispatch to by
+  path suffix.
 
 Readers are generators: a seven-week proxy trace is consumed row by row and
 never materialised.  Two failure disciplines are supported:
@@ -30,7 +32,6 @@ import codecs
 import csv
 import gzip
 import io
-import json
 import time
 from collections import deque
 from dataclasses import fields as dataclass_fields
@@ -108,9 +109,9 @@ class LogReadError(ValueError):
 
     ``code`` is the defect class suffix used by the shared issue
     vocabulary (:mod:`repro.logs.quarantine`): ``"fields"`` for rows with
-    missing columns, ``"value"`` for unparseable or out-of-domain values,
-    ``"parse"`` for undecodable JSON rows and ``"truncated"`` for streams
-    that died mid-read (bad gzip member, empty file, decode error).
+    missing columns, ``"value"`` for unparseable or out-of-domain values
+    and ``"truncated"`` for streams that died mid-read (bad gzip member,
+    empty file, decode error).
     """
 
     def __init__(
@@ -136,7 +137,6 @@ def log_kind(record_type: type) -> str:
 _ROW_MESSAGES = {
     "fields": "row with missing fields",
     "value": "row with an unparseable or out-of-domain value",
-    "parse": "row that could not be parsed",
 }
 
 #: Exceptions that mean the underlying *stream* died (truncated gzip
@@ -548,118 +548,6 @@ def shard_keep_predicate(
         )
 
     return keep
-
-
-def write_jsonl_records(path: str | Path, records: Iterable[RecordT]) -> int:
-    """Write records as JSON lines; return the row count."""
-    target = Path(path)
-    count = 0
-    kind = "other"
-    with _open_text(target, "w") as handle:
-        for record in records:
-            kind = log_kind(type(record))
-            payload = {
-                spec.name: getattr(record, spec.name)
-                for spec in dataclass_fields(record)
-            }
-            handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
-            count += 1
-    if obs.enabled():
-        obs.metrics().counter(
-            "repro_io_rows_written_total",
-            stream=kind,
-            format="jsonl",
-            category="log",
-        ).add(count)
-    return count
-
-
-def read_jsonl_records(
-    path: str | Path,
-    record_type: Type[RecordT],
-    quarantine: QuarantineCollector | None = None,
-) -> Iterator[RecordT]:
-    """Stream records from a JSON-lines file.
-
-    Same strict/lenient contract as :func:`read_csv_records`.
-    """
-    source = Path(path)
-    kind = log_kind(record_type)
-    on = obs.enabled()
-    rows_out = 0
-    try:
-        if quarantine is None:
-            handle = _open_text(source, "r")
-        else:
-            handle = _LenientLineSource(source)
-        try:
-            lines = enumerate(handle, start=1)
-            while True:
-                try:
-                    line_number, line = next(lines)
-                except StopIteration:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                if quarantine is not None:
-                    quarantine.saw_row(kind)
-                try:
-                    try:
-                        row = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise LogReadError(
-                            source, line_number, f"bad JSON: {exc}", code="parse"
-                        ) from exc
-                    if not isinstance(row, dict):
-                        raise LogReadError(
-                            source, line_number, "row is not an object", code="parse"
-                        )
-                    record = _coerce_row(record_type, dict(row), source, line_number)
-                except LogReadError as exc:
-                    if quarantine is None:
-                        raise
-                    quarantine.quarantine_row(
-                        kind,
-                        f"{kind}-{exc.code}",
-                        _ROW_MESSAGES.get(exc.code, "unparseable row"),
-                        f"{source.name}:{line_number}: {exc.reason}",
-                    )
-                    continue
-                yield record
-                rows_out += 1
-        finally:
-            handle.close()
-        if (
-            isinstance(handle, _LenientLineSource)
-            and handle.stream_error is not None
-        ):
-            _account_stream_death(quarantine, kind, source, handle)
-    except FileNotFoundError:
-        if quarantine is None:
-            raise
-        quarantine.note(f"{kind}-missing", "log file missing", str(source))
-    except _STREAM_ERRORS as exc:
-        if quarantine is None:
-            raise LogReadError(
-                source,
-                0,
-                f"unreadable or truncated stream: {exc}",
-                code="truncated",
-            ) from exc
-        quarantine.note(
-            f"{kind}-truncated",
-            "log stream unreadable or truncated mid-read; tail rows lost",
-            f"{source.name}: {exc}",
-        )
-    finally:
-        if on:
-            obs.metrics().counter(
-                "repro_io_rows_read_total",
-                stream=kind,
-                format="jsonl",
-                category="log",
-            ).add(rows_out)
 
 
 # ------------------------------------------------------ format dispatch

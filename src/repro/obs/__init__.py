@@ -31,9 +31,15 @@ is a shared no-op context manager, so the instrumented hot paths cost a
 flag check (the overhead test bounds it at <5% on a small ingest loop —
 in practice it is unmeasurable because instrumentation touches the
 registry per *file*, not per row).  The CLI and the benchmark session
-install an enabled instance via :func:`enable` / :func:`observe`;
-engine worker processes install their own and ship snapshots back (see
-:mod:`repro.simnet.engine`).
+install an enabled instance via :func:`enable` / :func:`observe`.
+
+Worker processes
+----------------
+:func:`map_shards` is the one process pool.  The engine, the parallel
+analysis and the serve finalize fan their shards out through it; each
+pool task runs under a fresh worker instance and ships its metrics, span
+roots and profile back, and the parent merges them in payload order, so
+the span tree and the counters do not depend on the worker count.
 
 Metric naming: ``repro_<area>_<name>``, counters suffixed ``_total``.
 """
@@ -41,13 +47,15 @@ Metric naming: ``repro_<area>_<name>``, counters suffixed ``_total``.
 from __future__ import annotations
 
 import contextlib
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import NULL_PROFILER, SamplingProfiler
 from repro.obs.spans import SpanNode, Tracer
-from repro.obs.timeline import NULL_EVENTS, EventWriter
+from repro.obs.timeline import NULL_EVENTS, EventWriter, HeartbeatSampler
 
 __all__ = [
     "MetricsRegistry",
@@ -61,6 +69,7 @@ __all__ = [
     "events",
     "get_obs",
     "install",
+    "map_shards",
     "metrics",
     "observe",
     "profiler",
@@ -219,5 +228,81 @@ def observe(
     try:
         yield instance
     finally:
+        install(previous)
+        instance.close()
+
+
+P = TypeVar("P")
+R = TypeVar("R")
+
+
+def map_shards(
+    fn: Callable[[P], R], payloads: Iterable[P], workers: int
+) -> list[R]:
+    """``[fn(payload) for payload in payloads]`` over ``workers`` processes.
+
+    With one worker (or one payload) the calls run in-process under the
+    active instance.  Otherwise each call runs in a pool worker under a
+    fresh instance with the parent's event log and profiler rate, plus a
+    heartbeat sampler when events are on, and ships back its metrics
+    snapshot, span roots and profile.  The parent merges those in payload
+    order under its current span, so a run's span tree and counters are
+    the same for any worker count.  ``fn`` and the payloads must pickle.
+    """
+    payloads = list(payloads)
+    workers = min(workers, len(payloads))
+    if workers <= 1:
+        return [fn(payload) for payload in payloads]
+    active = _ACTIVE
+    setup = (
+        active.enabled,
+        str(active.events.path) if active.events.enabled else None,
+        active.profiler.hz if active.profiler.enabled else None,
+    )
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        shipped = list(
+            pool.map(_observed_call, repeat(fn), payloads, repeat(setup))
+        )
+    results = []
+    for result, observed in shipped:
+        if observed is not None:
+            snapshot, roots, profile = observed
+            active.metrics.merge_snapshot(snapshot)
+            for root in roots:
+                active.tracer.attach_subtree(root)
+            active.profiler.merge(profile)
+        results.append(result)
+    return results
+
+
+def _observed_call(fn: Callable[[P], R], payload: P, setup: tuple):
+    """One :func:`map_shards` pool task: ``fn(payload)`` and what it recorded.
+
+    A forked worker inherits the parent's instance; it is replaced by a
+    fresh one so nothing the parent recorded is shipped back twice.
+    """
+    observe, events_path, profile_hz = setup
+    if not observe:
+        return fn(payload), None
+    instance = Observability(events_path=events_path, profile_hz=profile_hz)
+    previous = install(instance)
+    instance.profiler.start()
+    sampler = (
+        HeartbeatSampler(instance.events).start()
+        if instance.events.enabled
+        else None
+    )
+    try:
+        result = fn(payload)
+        # Stop sampling first so the shipped profile is final.
+        instance.profiler.stop()
+        return result, (
+            instance.metrics.snapshot(),
+            [root.to_dict() for root in instance.tracer.roots],
+            instance.profiler.snapshot(),
+        )
+    finally:
+        if sampler is not None:
+            sampler.stop()
         install(previous)
         instance.close()

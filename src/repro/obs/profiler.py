@@ -19,8 +19,9 @@ Design constraints, in order:
   cost below 1% — disabled profiling is the shared
   :data:`NULL_PROFILER`, which has no thread and no state.
 * **Deterministic merge.**  Sharded runs profile inside each worker
-  process and ship the snapshot back with the shard stats; the parent
-  folds them in shard order, like span subtrees.  Counts sum
+  process and ship the snapshot back with the shard's result
+  (:func:`repro.obs.map_shards`); the parent folds them in shard order,
+  like span subtrees.  Counts sum
   commutatively and the export sorts every trie level, so on a fixed
   stack set the merged profile is invariant to worker count and merge
   order — the property the determinism tests assert.
@@ -298,9 +299,9 @@ class SamplingProfiler:
     def merge(self, snap: Mapping) -> None:
         """Fold another profiler's snapshot in (counts sum).
 
-        The engine and the parallel analyzer call this in shard order at
-        join, mirroring ``Tracer.attach_subtree`` — but because counts
-        are commutative and the export sorts, the merged snapshot is the
+        :func:`repro.obs.map_shards` calls this in payload order,
+        mirroring ``Tracer.attach_subtree`` — but because counts are
+        commutative and the export sorts, the merged snapshot is the
         same for *any* merge order.
         """
         with self._lock:

@@ -8,9 +8,9 @@ tracer.span("simulate.export"):`` nests naturally and the whole run
 becomes one tree.
 
 Sharded runs record spans **independently inside each worker process**
-(a fresh tracer per worker; see ``repro.simnet.engine``) and ship the
-finished subtree back as a plain dict in the worker's result.  The
-parent attaches those subtrees in shard order via
+(a fresh tracer per worker; see :func:`repro.obs.map_shards`) and ship
+the finished span roots back as plain dicts with the worker's result.
+The parent attaches them in shard order via
 :meth:`Tracer.attach_subtree`, which makes the merged tree deterministic:
 the *structure* (names, nesting, order, attributes) depends only on the
 workload partition — never on worker count, scheduling, or which process
@@ -276,9 +276,9 @@ class Tracer:
         """Attach a finished subtree (e.g. from a worker process).
 
         The subtree becomes a child of the currently open span on this
-        thread (or a new root).  Call in a deterministic order — the
-        engine attaches shard subtrees sorted by shard index — and the
-        merged tree is identical for any worker count.
+        thread (or a new root).  Call in a deterministic order —
+        :func:`repro.obs.map_shards` attaches them in payload order — and
+        the merged tree is identical for any worker count.
         """
         if not self.enabled:
             return None

@@ -9,15 +9,16 @@ right now*.  Three pieces:
   each stamped with wall-clock time (``t_unix``), the emitting process
   (``pid``) and a per-process monotonic sequence number (``seq``).  The
   file is opened in append mode, every event is flushed as one short
-  line, and events stay well under the POSIX atomic-append size — so the
-  engine's worker *processes* append to the same file the parent opened
-  and the log interleaves without corruption.
+  line, and events stay well under the POSIX atomic-append size — so
+  pool worker *processes* append to the same file the parent opened and
+  the log interleaves without corruption.
 * :class:`HeartbeatSampler` — a daemon thread that emits a ``heartbeat``
   event every ``interval_s`` seconds with the process's current RSS, its
   CPU utilisation over the last interval and its open file-descriptor
-  count.  The engine starts one in the orchestrating process and one in
-  every shard worker, so a stalled shard is visible as a flat-lining
-  heartbeat even while the parent blocks in ``pool.map``.
+  count.  The CLI starts one in the orchestrating process and
+  :func:`repro.obs.map_shards` one in every pool task, so a stalled
+  shard is visible as a flat-lining heartbeat even while the parent
+  blocks in ``pool.map``.
 * :class:`ProgressState` / :class:`ProgressPrinter` — a live stderr
   renderer over the event log.  Rather than plumb callbacks from worker
   processes back to the parent, the renderer *tails the log file*: the

@@ -290,7 +290,6 @@ class AnalysisService:
                 report = finalize_slots(
                     self.slots,
                     self.artifacts,
-                    trace_dir=self.config.trace_dir,
                     workers=self.config.workers,
                     sort_proxy=sort_proxy,
                     sort_mme=sort_mme,

@@ -4,49 +4,46 @@ The batch map-reduce layer (:mod:`repro.core.parallel`) splits the trace
 by *account* and consumes each shard in one pass.  The service splits by
 account **and by time**: rows arrive in small deltas as the trace grows.
 That partition is only safe for partials whose ``consume`` is a
-per-record fold — the **split-safe six**: census, adoption, activity,
-comparison, weekly, devices.  The other five are cross-row:
+per-record fold — the **split-safe six** (:data:`FOLDED`): census,
+adoption, activity, comparison, weekly, devices.  The other six
+(:data:`REPLAYED`) are cross-row:
 
 * mobility and through-device build per-subscriber sector timelines and
   filter general users by wearable *ownership at consume time*;
 * apps, domains and protocols depend on app attribution (shared hosts
   inherit the nearest-in-time direct attribution) and sessionisation
-  (the 60-second gap rule), both of which look across rows.
+  (the 60-second gap rule), both of which look across rows;
+* encounters pairs subscribers who share a sector in the same hour.
 
-Those five are recomputed at finalize time from per-shard **replay
-buffers** — the minimal record subsets their batch consumes actually
-read: all wearable proxy rows, phone proxy rows in the detailed window,
-and MME rows in the detailed window.  Per-shard ownership accumulates as
-the union of each delta's wearable accounts (ownership is shard-local,
-so the union over time deltas equals the batch set).
+Those six are recomputed at finalize time from per-shard **replay
+buffers** — the record subsets their batch consumes actually read: all
+wearable proxy rows, phone proxy rows in the detailed window, and MME
+rows in the detailed window.  The buffers hold O(trace) rows.  Per-shard
+ownership accumulates as the union of each delta's wearable accounts
+(ownership is shard-local, so the union over time deltas equals the
+batch set).
 
-Finalize deep-copies the split-safe partials through their state round
-trip (``merge()`` mutates), computes the replay partials fresh, bundles
-everything into the same :class:`~repro.core.parallel.ShardPartials`
-the batch workers ship, and merges in shard order — reproducing
-``analyze_parallel`` on the ingested prefix.
+Finalize replays the shards through :func:`repro.obs.map_shards` (in
+process, or in a pool when the service has ``workers > 1``),
+deep-copies the split-safe partials through their state round trip
+(``merge()`` mutates), bundles everything into the same
+:class:`~repro.core.parallel.ShardPartials` the batch workers ship, and
+merges in shard order — reproducing ``analyze_parallel`` on the
+ingested prefix.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro import obs
-from repro.core.dataset import TraceArtifacts, load_artifacts
+from repro.core.dataset import TraceArtifacts
 from repro.core.parallel import (
     ActivityPartial,
     AdoptionPartial,
-    AppsPartial,
     CensusPartial,
     ComparisonPartial,
     DevicesPartial,
-    DomainsPartial,
-    EncountersPartial,
-    MobilityPartial,
     PanelInputs,
-    ProtocolsPartial,
     ShardPartials,
-    ThroughDevicePartial,
 )
 from repro.core.pipeline import StudyReport
 from repro.core.weekly import StreamingWeekly
@@ -60,6 +57,9 @@ from repro.logs.records import (
 )
 from repro.simnet.appcatalog import builtin_app_catalog
 
+
+#: The split-safe panels each slot folds per delta.
+FOLDED = ("census", "adoption", "activity", "comparison", "weekly", "devices")
 
 #: The cross-row panels finalize recomputes from the replay buffers.
 REPLAYED = (
@@ -175,83 +175,46 @@ class ShardSlot:
         slot.rows = int(state["rows"])
         return slot
 
-    def replay_payload(self, sort_proxy: bool, sort_mme: bool) -> dict:
-        """JSON-safe input for :func:`compute_replay_states` (workers)."""
-        return {
-            "proxy_wearable": [
-                list(record_to_row(r)) for r in self.proxy_wearable
-            ],
-            "proxy_phone_detailed": [
-                list(record_to_row(r)) for r in self.proxy_phone_detailed
-            ],
-            "mme_detailed": [
-                list(record_to_row(r)) for r in self.mme_detailed
-            ],
-            "owner_accounts": sorted(self.owner_accounts),
-            "sort_proxy": sort_proxy,
-            "sort_mme": sort_mme,
-        }
 
+def _replay_partials(payload: tuple) -> dict:
+    """Compute one shard's cross-row partials from its replay buffers.
 
-def _replay_partials(
-    proxy_wearable: list[ProxyRecord],
-    proxy_phone_detailed: list[ProxyRecord],
-    mme_detailed: list[MmeRecord],
-    owner_accounts: frozenset[str],
-    sort_proxy: bool,
-    sort_mme: bool,
-    artifacts: TraceArtifacts,
-) -> dict:
-    """Compute the cross-row partials from one shard's buffers.
-
-    Returns their JSON-safe states, keyed by bundle field name.  When
-    the scrubber saw disorder the batch pipeline re-sorted the kept log
-    before consuming; sorting each buffer is the restriction of that
-    global sort, so the replay sees the identical order.
+    ``payload`` is ``(slot, sort_proxy, sort_mme, artifacts)``; returns
+    the partials keyed by bundle field name.  When the scrubber saw
+    disorder the batch pipeline re-sorted the kept log before consuming;
+    sorting each buffer is the restriction of that global sort, so the
+    replay sees the identical order.
 
     The encounters partial gets only its *account* side here (SIM
     classification, detailed traffic, billing pairing) — the sector join
     needs every shard's MME rows at once and runs globally in
     :func:`finalize_slots`.
     """
+    slot, sort_proxy, sort_mme, artifacts = payload
+    wearable = slot.proxy_wearable
+    phone = slot.proxy_phone_detailed
+    mme = slot.mme_detailed
     if sort_proxy:
-        proxy_wearable = sorted(proxy_wearable, key=record_sort_key)
-        proxy_phone_detailed = sorted(
-            proxy_phone_detailed, key=record_sort_key
-        )
+        wearable = sorted(wearable, key=record_sort_key)
+        phone = sorted(phone, key=record_sort_key)
     if sort_mme:
-        mme_detailed = sorted(mme_detailed, key=record_sort_key)
-    dataset = artifacts.dataset(
-        list(proxy_wearable) + list(proxy_phone_detailed), list(mme_detailed)
-    )
-    dataset.__dict__["wearable_accounts"] = frozenset(owner_accounts)
+        mme = sorted(mme, key=record_sort_key)
+    dataset = artifacts.dataset(wearable + phone, list(mme))
+    dataset.__dict__["wearable_accounts"] = frozenset(slot.owner_accounts)
     inputs = PanelInputs(dataset)
     with obs.span("serve.replay"):
-        return {name: inputs.partial(name).to_state() for name in REPLAYED}
+        return {name: inputs.partial(name) for name in REPLAYED}
 
 
-def compute_replay_states(payload: dict, trace_dir: str) -> dict:
-    """Worker entry point: replay one shard's buffers (picklable I/O)."""
-    artifacts = load_artifacts(trace_dir)
-    return _replay_partials(
-        [row_to_record(ProxyRecord, tuple(r)) for r in payload["proxy_wearable"]],
-        [
-            row_to_record(ProxyRecord, tuple(r))
-            for r in payload["proxy_phone_detailed"]
-        ],
-        [row_to_record(MmeRecord, tuple(r)) for r in payload["mme_detailed"]],
-        frozenset(payload["owner_accounts"]),
-        payload["sort_proxy"],
-        payload["sort_mme"],
-        artifacts,
-    )
+def _copy(partial):
+    """Deep copy through the state round trip (``merge()`` mutates)."""
+    return type(partial).from_state(partial.to_state())
 
 
 def finalize_slots(
     slots: list[ShardSlot],
     artifacts: TraceArtifacts,
     *,
-    trace_dir: str | Path,
     workers: int = 1,
     sort_proxy: bool = False,
     sort_mme: bool = False,
@@ -259,65 +222,23 @@ def finalize_slots(
 ) -> StudyReport:
     """Merge every shard's live + replayed partials into a StudyReport.
 
-    The split-safe partials are deep-copied through their state round
-    trip first — ``merge()`` mutates its left operand, and the live
-    state must survive to keep ingesting.
+    The shards replay through :func:`repro.obs.map_shards` over
+    ``workers`` processes.  The split-safe partials are deep-copied
+    first — ``merge()`` mutates its left operand, and the live state
+    must survive to keep ingesting.
     """
-    replay_states: list[dict]
-    if workers > 1 and len(slots) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [
-            slot.replay_payload(sort_proxy, sort_mme) for slot in slots
-        ]
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(slots))
-        ) as pool:
-            replay_states = list(
-                pool.map(
-                    compute_replay_states,
-                    payloads,
-                    [str(trace_dir)] * len(payloads),
-                )
-            )
-    else:
-        replay_states = [
-            _replay_partials(
-                slot.proxy_wearable,
-                slot.proxy_phone_detailed,
-                slot.mme_detailed,
-                frozenset(slot.owner_accounts),
-                sort_proxy,
-                sort_mme,
-                artifacts,
-            )
-            for slot in slots
-        ]
-
-    bundles = []
-    for slot, replayed in zip(slots, replay_states):
-        bundles.append(
-            ShardPartials(
-                census=CensusPartial.from_state(slot.census.to_state()),
-                adoption=AdoptionPartial.from_state(slot.adoption.to_state()),
-                activity=ActivityPartial.from_state(slot.activity.to_state()),
-                comparison=ComparisonPartial.from_state(
-                    slot.comparison.to_state()
-                ),
-                mobility=MobilityPartial.from_state(replayed["mobility"]),
-                apps=AppsPartial.from_state(replayed["apps"]),
-                domains=DomainsPartial.from_state(replayed["domains"]),
-                through_device=ThroughDevicePartial.from_state(
-                    replayed["through_device"]
-                ),
-                weekly=StreamingWeekly.from_state(slot.weekly.to_state()),
-                protocols=ProtocolsPartial.from_state(replayed["protocols"]),
-                devices=DevicesPartial.from_state(slot.devices.to_state()),
-                encounters=EncountersPartial.from_state(
-                    replayed["encounters"]
-                ),
-            )
+    replayed = obs.map_shards(
+        _replay_partials,
+        [(slot, sort_proxy, sort_mme, artifacts) for slot in slots],
+        workers,
+    )
+    bundles = [
+        ShardPartials(
+            **{name: _copy(getattr(slot, name)) for name in FOLDED},
+            **partials,
         )
+        for slot, partials in zip(slots, replayed)
+    ]
     merged = bundles[0]
     for bundle in bundles[1:]:
         merged.merge(bundle)

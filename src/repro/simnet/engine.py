@@ -29,8 +29,9 @@ the bound rather than trust it.
 
 Process model
 -------------
-``workers > 1`` fans shards out over a :class:`concurrent.futures.
-ProcessPoolExecutor`; ``workers == 1`` (the default, and the path unit
+Shards fan out through :func:`repro.obs.map_shards`: ``workers > 1`` runs
+them in a process pool whose workers' spans, metrics and profiles merge
+back in shard order; ``workers == 1`` (the default, and the path unit
 tests take) runs the same shard code serially in-process with no pickling.
 The population and topology are always built once in the parent so the
 billing directory, device database and sector plan are shared artefacts.
@@ -43,15 +44,13 @@ import random
 import shutil
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from heapq import merge as heap_merge
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from zlib import crc32
 
 from repro import obs
-from repro.obs.timeline import HeartbeatSampler
 from repro.devicedb.catalog import builtin_database
 from repro.devicedb.database import DeviceDatabase
 from repro.logs.io import write_mme_log, write_proxy_log
@@ -152,27 +151,13 @@ class ShardTask:
 
 @dataclass(frozen=True)
 class ShardStats:
-    """What one shard generated, and how long it took.
-
-    When the run is observed, workers also ship back their shard-local
-    observability state as plain picklable dicts: ``metrics_snapshot``
-    (the worker registry's counters/histograms) and ``span_tree`` (the
-    shard's span subtree).  The parent merges both in shard order, so a
-    sharded run produces one coherent metrics view and span tree no
-    matter how many processes generated it.  ``elapsed_seconds`` is kept
-    for backward compatibility and now derives from the shard span.
-    """
+    """What one shard generated, and how long it took."""
 
     shard: int
     accounts: int
     proxy_records: int
     mme_records: int
     elapsed_seconds: float
-    metrics_snapshot: dict | None = None
-    span_tree: dict | None = None
-    #: Wall-clock sampling-profiler snapshot (merged like the span tree,
-    #: in shard order); only shipped when the parent profiles.
-    profile: dict | None = None
 
     @property
     def resident_records(self) -> int:
@@ -187,23 +172,19 @@ class _ShardPayload:
     config: SimulationConfig
     catalog: AppCatalog
     task: ShardTask
-    proxy_path: str
-    mme_path: str
-    #: Record observability in the worker and ship a snapshot back.
-    observe: bool = False
-    #: PID of the orchestrating process: a worker only installs its own
-    #: observability instance when it is *not* that process (fork start
-    #: methods inherit the parent's enabled instance, which must not be
-    #: double-counted).
-    parent_pid: int = 0
-    #: Shared timeline event-log path.  Workers append ``heartbeat`` and
-    #: per-shard ``progress`` events to the same JSONL file the parent
-    #: opened (appends are line-atomic), which is what makes the live
-    #: ``--progress`` renderer see inside worker processes.
-    events_path: str | None = None
-    #: Sampling rate for the wall-clock profiler inside the worker
-    #: (None = no profiling); mirrors the parent's active profiler.
-    profile_hz: float | None = None
+    #: Spool directory for the sorted chunks; ``None`` keeps the sorted
+    #: records in memory and returns them instead.
+    spool: str | None
+
+
+def _chunk_path(spool: str | Path, stream: str, shard: int) -> Path:
+    """One shard's spill chunk for ``stream`` (``proxy`` / ``mme``).
+
+    Chunks use the binary columnar format: they are written once and read
+    once by our own merge, so there is no interchange concern — only
+    throughput.
+    """
+    return Path(spool) / f"{stream}-{shard:04d}.bin"
 
 
 # --------------------------------------------------------------- generation
@@ -302,109 +283,74 @@ def _generate_shard(
     return proxy_records, mme_records
 
 
-def _run_shard_to_spool(payload: _ShardPayload) -> ShardStats:
-    """Worker entry point: generate one shard and spill sorted chunks.
+def _run_shard(
+    payload: _ShardPayload,
+) -> tuple[ShardStats, tuple[list[ProxyRecord], list[MmeRecord]] | None]:
+    """Generate one shard; spill its sorted chunks or return its records.
 
-    When the payload asks for observability and this is a *different*
-    process from the orchestrator (spawned or forked worker), a fresh
-    enabled :class:`~repro.obs.Observability` is installed for the
-    duration of the shard and its snapshot/span tree are shipped back in
-    the :class:`ShardStats`.  In the serial path (same PID) the ambient
-    instance records the shard directly and nothing is shipped.
+    The records come back (sorted) only when the payload has no spool.
     """
-    installed: "obs.Observability | None" = None
-    previous: "obs.Observability | None" = None
-    in_worker = os.getpid() != payload.parent_pid
-    if payload.observe and in_worker:
-        installed = obs.Observability(
-            enabled=True,
-            events_path=payload.events_path,
-            profile_hz=payload.profile_hz,
-        )
-        previous = obs.install(installed)
-        installed.profiler.start()
     started = time.perf_counter()
     events = obs.events()
     shard = payload.task.shard
-    # Shard workers run their own heartbeat so a stalled shard is visible
-    # in the event log even while the parent blocks in pool.map().  The
-    # serial path relies on the orchestrator's sampler instead.
-    sampler = (
-        HeartbeatSampler(events).start()
-        if events.enabled and in_worker
-        else None
-    )
 
     def _progress(rows: int, _last: list[int] = [0]) -> None:
         if rows - _last[0] >= GENERATE_PROGRESS_ROWS:
             _last[0] = rows
             events.emit("progress", shard=shard, stage="generate", rows=rows)
 
-    try:
-        with obs.tracer().span(
-            "simulate.shard", shard=payload.task.shard
-        ) as shard_span:
-            with obs.span("shard.generate"):
-                proxy_records, mme_records = _generate_shard(
-                    payload.config,
-                    payload.catalog,
-                    payload.task,
-                    progress=_progress if events.enabled else None,
-                )
-            total_rows = len(proxy_records) + len(mme_records)
-            events.emit(
-                "progress", shard=shard, stage="generate", rows=total_rows
+    records = None
+    with obs.tracer().span("simulate.shard", shard=shard) as shard_span:
+        with obs.span("shard.generate"):
+            proxy_records, mme_records = _generate_shard(
+                payload.config,
+                payload.catalog,
+                payload.task,
+                progress=_progress if events.enabled else None,
             )
+        total_rows = len(proxy_records) + len(mme_records)
+        events.emit(
+            "progress", shard=shard, stage="generate", rows=total_rows
+        )
+        if payload.spool is None:
+            proxy_records.sort(key=record_sort_key)
+            mme_records.sort(key=record_sort_key)
+            records = (proxy_records, mme_records)
+        else:
             with obs.span("shard.spill"):
                 write_sorted_chunk(
-                    payload.proxy_path, proxy_records, ProxyRecord
+                    _chunk_path(payload.spool, "proxy", shard),
+                    proxy_records,
+                    ProxyRecord,
                 )
-                write_sorted_chunk(payload.mme_path, mme_records, MmeRecord)
+                write_sorted_chunk(
+                    _chunk_path(payload.spool, "mme", shard),
+                    mme_records,
+                    MmeRecord,
+                )
             events.emit(
                 "progress", shard=shard, stage="spill", rows=total_rows
             )
-        if obs.enabled():
-            registry = obs.metrics()
-            registry.counter(
-                "repro_engine_proxy_records_total",
-                shard=payload.task.shard,
-            ).add(len(proxy_records))
-            registry.counter(
-                "repro_engine_mme_records_total",
-                shard=payload.task.shard,
-            ).add(len(mme_records))
-        elapsed = (
+    if obs.enabled():
+        registry = obs.metrics()
+        registry.counter(
+            "repro_engine_proxy_records_total", shard=shard
+        ).add(len(proxy_records))
+        registry.counter(
+            "repro_engine_mme_records_total", shard=shard
+        ).add(len(mme_records))
+    stats = ShardStats(
+        shard=shard,
+        accounts=payload.task.accounts,
+        proxy_records=len(proxy_records),
+        mme_records=len(mme_records),
+        elapsed_seconds=(
             shard_span.wall_s
             if shard_span is not None
             else time.perf_counter() - started
-        )
-        metrics_snapshot = None
-        span_tree = None
-        profile = None
-        if installed is not None:
-            # Stop sampling before snapshotting so the shipped profile is
-            # final; close() in the finally is then a harmless double-stop.
-            installed.profiler.stop()
-            metrics_snapshot = installed.metrics.snapshot()
-            span_tree = installed.tracer.tree().to_dict()
-            if installed.profiler.enabled:
-                profile = installed.profiler.snapshot()
-        return ShardStats(
-            shard=payload.task.shard,
-            accounts=payload.task.accounts,
-            proxy_records=len(proxy_records),
-            mme_records=len(mme_records),
-            elapsed_seconds=elapsed,
-            metrics_snapshot=metrics_snapshot,
-            span_tree=span_tree,
-            profile=profile,
-        )
-    finally:
-        if sampler is not None:
-            sampler.stop()
-        if installed is not None:
-            obs.install(previous)
-            installed.close()
+        ),
+    )
+    return stats, records
 
 
 def _emit_export_progress(records: Iterable, events, stream: str) -> Iterator:
@@ -610,34 +556,47 @@ class ShardedSimulationEngine:
             random.Random(f"{self._config.seed}:population"),
         ).build()
 
-    def _payloads(
-        self, tasks: Sequence[ShardTask], spool_dir: Path
-    ) -> list[_ShardPayload]:
-        observe = obs.enabled()
-        parent_pid = os.getpid()
-        active_events = obs.events()
-        events_path = (
-            str(active_events.path) if active_events.enabled else None
-        )
-        active_profiler = obs.profiler()
-        profile_hz = active_profiler.hz if active_profiler.enabled else None
-        return [
-            _ShardPayload(
-                config=self._config,
-                catalog=self._catalog,
-                task=task,
-                # Spill chunks use the binary columnar format: they are
-                # written once and read once by our own merge, so there
-                # is no interchange concern — only throughput.
-                proxy_path=str(spool_dir / f"proxy-{task.shard:04d}.bin"),
-                mme_path=str(spool_dir / f"mme-{task.shard:04d}.bin"),
-                observe=observe,
-                parent_pid=parent_pid,
-                events_path=events_path,
-                profile_hz=profile_hz,
+    def _run_shards(
+        self, spool: Path | None
+    ) -> tuple[Population, Topology, list]:
+        """Build the population, run every shard, build the topology.
+
+        Returns the population, the topology and one ``(ShardStats,
+        records)`` pair per shard, in shard order (see :func:`_run_shard`).
+        """
+        # NOTE: ``workers`` deliberately is NOT a span attribute.  The
+        # engine's contract is that worker count never changes the output;
+        # keeping it out of the span structure lets tests assert the span
+        # *tree* is byte-identical too.  It is still visible as a gauge.
+        with obs.span("simulate.run", shards=self._shards):
+            with obs.span("simulate.population"):
+                population = self._population_or_build()
+                payloads = [
+                    _ShardPayload(
+                        self._config,
+                        self._catalog,
+                        task,
+                        None if spool is None else str(spool),
+                    )
+                    for task in partition_accounts(population, self._shards)
+                ]
+            with obs.span("simulate.shards"):
+                results = obs.map_shards(
+                    _run_shard, payloads, self._workers
+                )
+            with obs.span("simulate.topology"):
+                topology = _build_topology(self._config)
+        if obs.enabled():
+            registry = obs.metrics()
+            registry.gauge("repro_engine_shards").set(self._shards)
+            registry.gauge("repro_engine_workers").set(self._workers)
+            registry.gauge("repro_engine_peak_resident_records").set(
+                max(
+                    (stats.resident_records for stats, _ in results),
+                    default=0,
+                )
             )
-            for task in tasks
-        ]
+        return population, topology, results
 
     # ------------------------------------------------------------- spilling
     def run_streaming(self, spool_dir: str | Path | None = None) -> EngineRun:
@@ -653,55 +612,8 @@ class ShardedSimulationEngine:
             else spool_dir
         )
         spool.mkdir(parents=True, exist_ok=True)
-
-        # NOTE: ``workers`` deliberately is NOT a span attribute.  The
-        # engine's contract is that worker count never changes the output;
-        # keeping it out of the span structure lets tests assert the span
-        # *tree* is byte-identical too.  It is still visible as a gauge.
-        with obs.span("simulate.run", shards=self._shards):
-            with obs.span("simulate.population"):
-                population = self._population_or_build()
-                tasks = partition_accounts(population, self._shards)
-                payloads = self._payloads(tasks, spool)
-
-            with obs.span("simulate.shards"):
-                if self._workers <= 1:
-                    stats = [
-                        _run_shard_to_spool(payload) for payload in payloads
-                    ]
-                else:
-                    with ProcessPoolExecutor(
-                        max_workers=self._workers
-                    ) as pool:
-                        stats = list(pool.map(_run_shard_to_spool, payloads))
-                stats.sort(key=lambda item: item.shard)
-                if obs.enabled():
-                    # Merge worker-local observability deterministically in
-                    # shard order: counter sums are commutative, and span
-                    # subtrees attach as children of ``simulate.shards``.
-                    registry = obs.metrics()
-                    tracer = obs.tracer()
-                    profiler = obs.profiler()
-                    for stat in stats:
-                        if stat.metrics_snapshot is not None:
-                            registry.merge_snapshot(stat.metrics_snapshot)
-                        if stat.span_tree is not None:
-                            tracer.attach_subtree(stat.span_tree)
-                        if stat.profile is not None:
-                            profiler.merge(stat.profile)
-
-            with obs.span("simulate.topology"):
-                topology = _build_topology(self._config)
-
-        if obs.enabled():
-            registry = obs.metrics()
-            registry.gauge("repro_engine_shards").set(self._shards)
-            registry.gauge("repro_engine_workers").set(self._workers)
-            registry.gauge("repro_engine_peak_resident_records").set(
-                max(
-                    (stat.resident_records for stat in stats), default=0
-                )
-            )
+        population, topology, results = self._run_shards(spool)
+        stats = [stats for stats, _ in results]
         return EngineRun(
             config=self._config,
             device_db=self._device_db,
@@ -710,8 +622,12 @@ class ShardedSimulationEngine:
             app_catalog=self._catalog,
             population=population,
             spool_dir=spool,
-            proxy_chunks=[Path(payload.proxy_path) for payload in payloads],
-            mme_chunks=[Path(payload.mme_path) for payload in payloads],
+            proxy_chunks=[
+                _chunk_path(spool, "proxy", stat.shard) for stat in stats
+            ],
+            mme_chunks=[
+                _chunk_path(spool, "mme", stat.shard) for stat in stats
+            ],
             shard_stats=stats,
             _owns_spool=owns_spool,
         )
@@ -729,49 +645,16 @@ class ShardedSimulationEngine:
         if self._workers > 1:
             with self.run_streaming() as run:
                 return run.to_output()
-
-        with obs.span("simulate.run", shards=self._shards):
-            with obs.span("simulate.population"):
-                population = self._population_or_build()
-                tasks = partition_accounts(population, self._shards)
-            proxy_chunks: list[list[ProxyRecord]] = []
-            mme_chunks: list[list[MmeRecord]] = []
-            stats: list[ShardStats] = []
-            with obs.span("simulate.shards"):
-                for task in tasks:
-                    started = time.perf_counter()
-                    with obs.tracer().span(
-                        "simulate.shard", shard=task.shard
-                    ) as shard_span:
-                        with obs.span("shard.generate"):
-                            proxy_records, mme_records = _generate_shard(
-                                self._config, self._catalog, task
-                            )
-                        proxy_records.sort(key=record_sort_key)
-                        mme_records.sort(key=record_sort_key)
-                    proxy_chunks.append(proxy_records)
-                    mme_chunks.append(mme_records)
-                    stats.append(
-                        ShardStats(
-                            shard=task.shard,
-                            accounts=task.accounts,
-                            proxy_records=len(proxy_records),
-                            mme_records=len(mme_records),
-                            elapsed_seconds=(
-                                shard_span.wall_s
-                                if shard_span is not None
-                                else time.perf_counter() - started
-                            ),
-                        )
-                    )
-            self.last_shard_stats = stats
-
-            with obs.span("simulate.topology"):
-                topology = _build_topology(self._config)
+        population, topology, results = self._run_shards(None)
+        chunks = [records for _, records in results]
         return SimulationOutput(
             config=self._config,
-            proxy_records=list(heap_merge(*proxy_chunks, key=record_sort_key)),
-            mme_records=list(heap_merge(*mme_chunks, key=record_sort_key)),
+            proxy_records=list(
+                heap_merge(*(p for p, _ in chunks), key=record_sort_key)
+            ),
+            mme_records=list(
+                heap_merge(*(m for _, m in chunks), key=record_sort_key)
+            ),
             device_db=self._device_db,
             sector_map=topology.sector_map(),
             account_directory=population.account_directory(),

@@ -1,14 +1,9 @@
 """Bounded-memory streaming quantile estimation.
 
 :class:`P2Quantile` is the Jain & Chlamtac P² estimator: one quantile
-tracked with five markers and O(1) memory.  It is **mergeable** —
-``merge(other)`` combines two independently filled estimators, a
-documented approximation (marker-state refeed) — and **checkpointable**:
-``to_state()`` / ``from_state()`` round-trip the full internal state
-through the versioned JSON-safe encoding of :mod:`repro.state`, so
-``from_state(to_state(x))`` behaves identically to ``x`` for every
-future ``add``/``merge``.  The latency histograms of :mod:`repro.obs`
-track their quantiles with it.
+tracked with five markers and O(1) memory.  The latency histograms of
+:mod:`repro.obs` track their quantiles with it; merged histograms do not
+combine estimators but re-estimate quantiles from their summed buckets.
 """
 
 from __future__ import annotations
@@ -38,69 +33,6 @@ class P2Quantile:
         q = self.q
         self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
         self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def merge(self, other: "P2Quantile") -> "P2Quantile":
-        """Fold ``other`` into ``self`` — a *documented approximation*.
-
-        P² keeps five markers, not the data, so an exact merge is
-        impossible.  When either side is still in its exact warm-up
-        (≤ 5 observations) the raw values are replayed exactly.
-        Otherwise marker states combine: extreme heights take the
-        min/max, interior heights the count-weighted average of the two
-        shards' marker heights (each already a consistent estimate of
-        the same population quantile), and positions/desired positions
-        are rebuilt for the combined count.  Error stays within the P²
-        band for streams from one distribution; callers needing
-        guarantees should use the reservoir instead.
-        """
-        if other.q != self.q:
-            raise ValueError("cannot merge estimators for different quantiles")
-        if other.count == 0:
-            return self
-        if other.count <= 5:
-            for value in other._initial:
-                self.add(value)
-            return self
-        if self.count <= 5:
-            pending = list(self._initial)
-            self.count = other.count
-            self._initial = list(other._initial)
-            self._heights = list(other._heights)
-            self._positions = list(other._positions)
-            self._desired = list(other._desired)
-            self._increments = list(other._increments)
-            for value in pending:
-                self.add(value)
-            return self
-        total = self.count + other.count
-        weight = other.count / total
-        heights = self._heights
-        heights[0] = min(heights[0], other._heights[0])
-        heights[4] = max(heights[4], other._heights[4])
-        for index in (1, 2, 3):
-            heights[index] += (other._heights[index] - heights[index]) * weight
-        # Interior heights stay sorted between the new extremes.
-        for index in (1, 2, 3):
-            heights[index] = min(max(heights[index], heights[0]), heights[4])
-        self._positions = [
-            min(
-                float(total),
-                max(
-                    float(index + 1),
-                    self._positions[index] + other._positions[index] - 1.0,
-                ),
-            )
-            for index in range(5)
-        ]
-        self._positions[0] = 1.0
-        self._positions[4] = float(total)
-        extra = float(total - 5)
-        base = [1.0, 1.0 + 2.0 * self.q, 1.0 + 4.0 * self.q, 3.0 + 2.0 * self.q, 5.0]
-        self._desired = [
-            base[index] + self._increments[index] * extra for index in range(5)
-        ]
-        self.count = total
-        return self
 
     def add(self, value: float) -> None:
         self.count += 1
@@ -178,29 +110,3 @@ class P2Quantile:
             index = min(len(ordered) - 1, int(self.q * len(ordered)))
             return ordered[index]
         return self._heights[2]
-
-    def to_state(self) -> dict:
-        """JSON-safe snapshot; exact — markers are plain floats."""
-        return {
-            "v": 1,
-            "q": self.q,
-            "count": self.count,
-            "initial": list(self._initial),
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-            "desired": list(self._desired),
-            "increments": list(self._increments),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "P2Quantile":
-        if state.get("v") != 1:
-            raise ValueError(f"unsupported P2Quantile state: {state.get('v')!r}")
-        quantile = cls(state["q"])
-        quantile.count = state["count"]
-        quantile._initial = list(state["initial"])
-        quantile._heights = list(state["heights"])
-        quantile._positions = list(state["positions"])
-        quantile._desired = list(state["desired"])
-        quantile._increments = list(state["increments"])
-        return quantile

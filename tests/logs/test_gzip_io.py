@@ -6,10 +6,8 @@ import pytest
 
 from repro.core.dataset import StudyDataset
 from repro.logs.io import (
-    read_jsonl_records,
     read_mme_log,
     read_proxy_log,
-    write_jsonl_records,
     write_mme_log,
     write_proxy_log,
 )
@@ -41,11 +39,6 @@ class TestGzipRoundtrips:
         write_proxy_log(path, records)
         with gzip.open(path, "rt") as handle:
             assert handle.readline().startswith("timestamp")
-
-    def test_jsonl_gz_roundtrip(self, tmp_path, records):
-        path = tmp_path / "proxy.jsonl.gz"
-        write_jsonl_records(path, records)
-        assert list(read_jsonl_records(path, ProxyRecord)) == records
 
     def test_mme_gz_roundtrip(self, tmp_path):
         mme = [

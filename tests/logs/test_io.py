@@ -1,14 +1,12 @@
-"""Unit tests for streaming log I/O: CSV and JSONL roundtrips and errors."""
+"""Unit tests for streaming log I/O: CSV roundtrips and errors."""
 
 import pytest
 
 from repro.logs.io import (
     LogReadError,
     read_csv_records,
-    read_jsonl_records,
     read_mme_log,
     read_proxy_log,
-    write_jsonl_records,
     write_mme_log,
     write_proxy_log,
 )
@@ -100,37 +98,6 @@ class TestCsvRoundtrip:
         )
         with pytest.raises(LogReadError, match="non-negative"):
             list(read_csv_records(path, ProxyRecord))
-
-
-class TestJsonlRoundtrip:
-    def test_proxy_roundtrip(self, tmp_path, proxy_records):
-        path = tmp_path / "proxy.jsonl"
-        count = write_jsonl_records(path, proxy_records)
-        assert count == len(proxy_records)
-        assert list(read_jsonl_records(path, ProxyRecord)) == proxy_records
-
-    def test_mme_roundtrip(self, tmp_path, mme_records):
-        path = tmp_path / "mme.jsonl"
-        write_jsonl_records(path, mme_records)
-        assert list(read_jsonl_records(path, MmeRecord)) == mme_records
-
-    def test_blank_lines_skipped(self, tmp_path, mme_records):
-        path = tmp_path / "mme.jsonl"
-        write_jsonl_records(path, mme_records)
-        path.write_text(path.read_text() + "\n\n")
-        assert list(read_jsonl_records(path, MmeRecord)) == mme_records
-
-    def test_bad_json_reports_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("{not json\n")
-        with pytest.raises(LogReadError, match="bad JSON"):
-            list(read_jsonl_records(path, MmeRecord))
-
-    def test_non_object_row_raises(self, tmp_path):
-        path = tmp_path / "arr.jsonl"
-        path.write_text("[1, 2, 3]\n")
-        with pytest.raises(LogReadError, match="not an object"):
-            list(read_jsonl_records(path, MmeRecord))
 
 
 class TestFieldTypeCache:

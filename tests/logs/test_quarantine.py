@@ -1,6 +1,5 @@
 """Lenient ingestion at the I/O layer, and quarantine bookkeeping."""
 
-import gzip
 import json
 
 import pytest
@@ -9,7 +8,6 @@ from repro.logs.io import (
     LogReadError,
     log_kind,
     read_csv_records,
-    read_jsonl_records,
     write_proxy_log,
 )
 from repro.logs.quarantine import (
@@ -202,49 +200,3 @@ class TestLenientCsvReads:
         report = collector.report()
         assert report.ok
         assert report.rows_read == {"proxy": len(RECORDS)}
-
-
-class TestLenientJsonlReads:
-    def test_bad_json_rows_skipped(self, tmp_path):
-        path = tmp_path / "proxy.jsonl"
-        good = {
-            "timestamp": 1.0,
-            "subscriber_id": "s1",
-            "imei": "352918090000065",
-            "host": "a.com",
-            "path": "",
-            "protocol": "https",
-            "bytes_up": 1,
-            "bytes_down": 2,
-        }
-        lines = [json.dumps(good), "{not json", json.dumps([1, 2, 3])]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        collector = QuarantineCollector()
-        records = list(read_jsonl_records(path, ProxyRecord, collector))
-        assert len(records) == 1
-        assert collector.report().count("proxy-parse") == 2
-
-    def test_truncated_gzip_jsonl(self, tmp_path):
-        path = tmp_path / "proxy.jsonl.gz"
-        payload = "\n".join(
-            json.dumps(
-                {
-                    "timestamp": float(i),
-                    "subscriber_id": f"s{i}",
-                    "imei": "352918090000065",
-                    "host": "a.com",
-                    "path": "",
-                    "protocol": "https",
-                    "bytes_up": 1,
-                    "bytes_down": 2,
-                }
-            )
-            for i in range(50)
-        )
-        path.write_bytes(gzip.compress(payload.encode("utf-8")))
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        collector = QuarantineCollector()
-        records = list(read_jsonl_records(path, ProxyRecord, collector))
-        assert len(records) < 50
-        assert collector.report().count("proxy-truncated") == 1

@@ -3,9 +3,8 @@
 Two families of properties:
 
 * every record the type system admits survives a write/read cycle through
-  the CSV and JSONL codecs, plain and gzip-compressed, field-for-field —
-  including unicode SNI hosts, empty paths, and extreme-but-finite
-  timestamps;
+  the CSV codec, plain and gzip-compressed, field-for-field — including
+  unicode SNI hosts, empty paths, and extreme-but-finite timestamps;
 * ``corrupt_trace`` with all rates at zero is a byte-identical no-op for
   any seed, and a fixed nonzero spec is deterministic across runs.
 """
@@ -19,12 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.logs.faults import FaultSpec, corrupt_trace
-from repro.logs.io import (
-    read_csv_records,
-    read_jsonl_records,
-    write_csv_records,
-    write_jsonl_records,
-)
+from repro.logs.io import read_csv_records, write_csv_records
 from repro.logs.records import (
     _VALID_EVENTS,
     _VALID_PROTOCOLS,
@@ -77,10 +71,6 @@ def _write_csv(path, records, record_type):
     write_csv_records(path, records, names)
 
 
-def _write_jsonl(path, records, record_type):
-    write_jsonl_records(path, records)
-
-
 def _roundtrip(records, record_type, *, suffix, writer, reader):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"log{suffix}"
@@ -88,36 +78,30 @@ def _roundtrip(records, record_type, *, suffix, writer, reader):
         return list(reader(path, record_type))
 
 
-_CODECS = [
-    pytest.param(_write_csv, read_csv_records, id="csv"),
-    pytest.param(_write_jsonl, read_jsonl_records, id="jsonl"),
-]
 _SUFFIXES = [
-    pytest.param("", id="plain"),
-    pytest.param(".gz", id="gzip"),
+    pytest.param(".csv", id="plain-csv"),
+    pytest.param(".csv.gz", id="gzip-csv"),
 ]
 
 
 class TestRecordRoundTrips:
-    @pytest.mark.parametrize("writer,reader", _CODECS)
-    @pytest.mark.parametrize("gz", _SUFFIXES)
+    @pytest.mark.parametrize("suffix", _SUFFIXES)
     @settings(deadline=None, max_examples=60)
     @given(records=st.lists(proxy_records, min_size=1, max_size=8))
-    def test_proxy_roundtrip(self, records, writer, reader, gz):
-        suffix = f".{'csv' if writer is _write_csv else 'jsonl'}{gz}"
+    def test_proxy_roundtrip(self, records, suffix):
         restored = _roundtrip(
-            records, ProxyRecord, suffix=suffix, writer=writer, reader=reader
+            records, ProxyRecord, suffix=suffix, writer=_write_csv,
+            reader=read_csv_records,
         )
         assert restored == records
 
-    @pytest.mark.parametrize("writer,reader", _CODECS)
-    @pytest.mark.parametrize("gz", _SUFFIXES)
+    @pytest.mark.parametrize("suffix", _SUFFIXES)
     @settings(deadline=None, max_examples=60)
     @given(records=st.lists(mme_records, min_size=1, max_size=8))
-    def test_mme_roundtrip(self, records, writer, reader, gz):
-        suffix = f".{'csv' if writer is _write_csv else 'jsonl'}{gz}"
+    def test_mme_roundtrip(self, records, suffix):
         restored = _roundtrip(
-            records, MmeRecord, suffix=suffix, writer=writer, reader=reader
+            records, MmeRecord, suffix=suffix, writer=_write_csv,
+            reader=read_csv_records,
         )
         assert restored == records
 

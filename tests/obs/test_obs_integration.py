@@ -1,9 +1,11 @@
-"""Integration tests: engine determinism, quarantine metrics, CLI artifacts.
+"""Integration tests: pool determinism, quarantine metrics, CLI artifacts.
 
 These are the acceptance gates for the observability subsystem:
 
-* the merged span tree's *structure* is identical for ``workers=1`` and
-  ``workers=4`` at a fixed seed (and so are the merged counters);
+* for each process pool — the engine, ``analyze_parallel`` and the
+  served finalize — the merged span tree's *structure* is identical for
+  ``workers=1`` and ``workers=2`` at a fixed seed (and so are the merged
+  counters);
 * quarantine issue codes from a corrupted trace surface as labeled
   counters in the Prometheus export;
 * the CLI writes a schema-valid run report and a Perfetto-loadable
@@ -13,30 +15,58 @@ These are the acceptance gates for the observability subsystem:
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro import obs
 from repro.cli import main
 from repro.core.dataset import StudyDataset
+from repro.core.parallel import analyze_parallel
 from repro.logs.faults import FaultSpec, corrupt_trace
 from repro.obs.export import (
     validate_chrome_trace_file,
     validate_run_report_file,
 )
 from repro.obs.metrics import render_prometheus
+from repro.serve.service import AnalysisService, ServeConfig
 from repro.simnet.config import SimulationConfig
 from repro.simnet.engine import ShardedSimulationEngine
 
+from tests.serve.conftest import drain
 
-def _observed_run(workers: int, tmp_path, tag: str):
-    """Run the sharded engine under obs; return (structure, counters)."""
-    config = SimulationConfig.small(seed=20)
+
+def _engine(workers: int, tmp_path, trace_dir):
+    """The sharded engine's simulate-and-export, as an observable call."""
+    engine = ShardedSimulationEngine(
+        SimulationConfig.small(seed=20), shards=4, workers=workers
+    )
+
+    def simulate() -> None:
+        with engine.run_streaming(spool_dir=tmp_path / "spool") as run:
+            run.write(tmp_path / "out")
+
+    return simulate
+
+
+def _analysis(workers: int, tmp_path, trace_dir):
+    """A 4-shard ``analyze_parallel`` of the small trace."""
+    return lambda: analyze_parallel(trace_dir, shards=4, workers=workers)
+
+
+def _serve(workers: int, tmp_path, trace_dir):
+    """A served report over 3 shards, with the whole trace ingested."""
+    service = AnalysisService(
+        ServeConfig(trace_dir=trace_dir, shards=3, workers=workers)
+    )
+    drain(service)
+    return service.report
+
+
+def _observed(call):
+    """Run ``call`` under obs; return (span structure, sorted counters)."""
     with obs.observe() as ob:
-        engine = ShardedSimulationEngine(config, shards=4, workers=workers)
-        run = engine.run_streaming(spool_dir=tmp_path / f"spool-{tag}")
-        run.write(tmp_path / f"out-{tag}")
-        run.cleanup()
+        call()
         tree = ob.tracer.tree()
         snap = ob.metrics.snapshot()
     counters = sorted(
@@ -47,14 +77,21 @@ def _observed_run(workers: int, tmp_path, tag: str):
 
 
 class TestEngineDeterminism:
-    def test_span_tree_identical_across_worker_counts(self, tmp_path):
-        structure_1, counters_1 = _observed_run(1, tmp_path, "w1")
-        structure_4, counters_4 = _observed_run(4, tmp_path, "w4")
-        assert structure_1 == structure_4
-        assert counters_1 == counters_4
+    @pytest.mark.parametrize(
+        "case",
+        [_engine, _analysis, _serve],
+        ids=["engine", "analysis", "serve"],
+    )
+    def test_span_tree_invariant_to_workers(
+        self, case, small_trace_dir, tmp_path
+    ):
+        serial = _observed(case(1, tmp_path / "w1", small_trace_dir))
+        pooled = _observed(case(2, tmp_path / "w2", small_trace_dir))
+        assert serial[0] == pooled[0]
+        assert serial[1] == pooled[1]
 
     def test_worker_count_not_in_span_attrs(self, tmp_path):
-        structure, _ = _observed_run(2, tmp_path, "attrs")
+        structure, _ = _observed(_engine(2, tmp_path, None))
 
         def attr_keys(node) -> set[str]:
             name, attrs, children = node
@@ -82,14 +119,22 @@ class TestEngineDeterminism:
                 ) == stats.mme_records
 
     def test_parallel_shard_stats_carry_snapshots(self, tmp_path):
+        """Pooled shards' span subtrees land in the merged tree."""
         config = SimulationConfig.small(seed=20)
-        with obs.observe():
+        with obs.observe() as ob:
             engine = ShardedSimulationEngine(config, shards=2, workers=2)
             run = engine.run_streaming(spool_dir=tmp_path / "spool2")
             run.cleanup()
+            tree = ob.tracer.tree()
+        (fan_out,) = [
+            node for _, node in tree.walk() if node.name == "simulate.shards"
+        ]
+        assert [(c.name, c.attrs) for c in fan_out.children] == [
+            ("simulate.shard", {"shard": 0}),
+            ("simulate.shard", {"shard": 1}),
+        ]
+        assert all(c.pid != os.getpid() for c in fan_out.children)
         for stats in run.shard_stats:
-            assert stats.span_tree is not None
-            assert stats.span_tree["name"] == "simulate.shard"
             assert stats.elapsed_seconds > 0
 
 

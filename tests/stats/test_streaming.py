@@ -73,38 +73,3 @@ class TestP2Quantile:
             down.add(value)
         assert up.value == pytest.approx(2500.0, rel=0.05)
         assert down.value == pytest.approx(2500.0, rel=0.05)
-
-
-class TestP2QuantileMerge:
-    def test_q_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.5).merge(P2Quantile(0.9))
-
-    def test_merge_with_tiny_other_replays_exactly(self):
-        a = P2Quantile(0.5)
-        for v in (1.0, 9.0, 5.0, 7.0, 3.0, 2.0, 8.0):
-            a.add(v)
-        b = P2Quantile(0.5)
-        b.add(4.0)
-        b.add(6.0)
-        direct = P2Quantile(0.5)
-        for v in (1.0, 9.0, 5.0, 7.0, 3.0, 2.0, 8.0, 4.0, 6.0):
-            direct.add(v)
-        a.merge(b)
-        assert a.count == direct.count
-        assert a.value == direct.value
-
-    def test_merged_estimate_in_band(self):
-        rng = random.Random(21)
-        xs = [rng.lognormvariate(8.0, 1.0) for _ in range(40_000)]
-        whole = P2Quantile(0.5)
-        parts = [P2Quantile(0.5) for _ in range(4)]
-        for i, x in enumerate(xs):
-            whole.add(x)
-            parts[i % 4].add(x)
-        merged = parts[0]
-        for other in parts[1:]:
-            merged.merge(other)
-        assert merged.count == len(xs)
-        assert merged.value == pytest.approx(whole.value, rel=0.15)
-        assert min(xs) <= merged.value <= max(xs)

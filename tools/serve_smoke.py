@@ -1,7 +1,9 @@
 """End-to-end smoke for ``repro serve`` (driven by ``make serve-smoke``).
 
-Starts the real daemon over a freshly simulated small trace, then walks
-the full serving story against the live socket:
+Starts the real daemon over a freshly simulated small trace, with two
+shards finalized in a two-worker process pool (the serial finalize is
+covered by ``tests/serve/``), then walks the full serving story against
+the live socket:
 
 1. wait for ``/healthz`` to go green with the initial rows ingested;
 2. fetch a figure panel, remember its ``ETag``, and revalidate — the
@@ -62,6 +64,7 @@ def main() -> None:
             "--checkpoint-interval", "1",
             "--poll-interval", "0.1",
             "--shards", "2",
+            "--workers", "2",
         ],
         stdout=subprocess.PIPE,
         text=True,

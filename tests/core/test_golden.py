@@ -4,9 +4,11 @@ Batch analysis, ``analyze_parallel`` at several shard × worker counts and
 a ``repro serve`` service that catches up with a growing copy of the
 trace must all reproduce the stored small-preset reports (see
 ``tests/core/golden.py``), strict and lenient, over CSV and ``.bin``
-traces.  The strict medium-preset report is checked for batch and a
-4-shard ``analyze_parallel`` over ``.bin``.  The fixtures are the
-oracle; there is no switch to regenerate them from the code under test.
+traces.  The medium preset has a strict entry, checked for batch over
+CSV and ``.bin`` and a 4-shard ``analyze_parallel`` over ``.bin``, and a
+lenient entry over a corrupted ``.bin`` copy, checked for batch and
+``analyze_parallel`` at 1 and 4 shards.  The fixtures are the oracle;
+there is no switch to regenerate them from the code under test.
 """
 
 import dataclasses
@@ -139,33 +141,62 @@ class TestServe:
 
 
 class TestMedium:
-    """The medium preset (the suite's ``medium_output``), strict."""
+    """The medium preset (the suite's ``medium_output``): strict over CSV
+    and ``.bin``, lenient over a corrupted ``.bin`` copy."""
 
     @pytest.fixture(scope="class")
     def medium_fixture(self):
         return golden.load_golden(golden.MEDIUM_PATH)
 
+    @pytest.fixture(scope="class")
+    def medium_traces(self, medium_output, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden-medium")
+        medium_output.write(root / "bin", format="bin")
+        corrupt_trace(root / "bin", root / "corrupt-bin", golden.CORRUPT_SPEC)
+        return {"strict_bin": root / "bin", "lenient_bin": root / "corrupt-bin"}
+
+    def assert_entry(self, report, medium_fixture, entry):
+        problems = golden.golden_mismatches(
+            report, medium_fixture["modes"][entry]
+        )
+        assert not problems, "\n".join(problems)
+
     def test_provenance_is_recorded(self, medium_fixture):
         assert re.fullmatch(r"[0-9a-f]{40}", medium_fixture["generated_at"])
         assert medium_fixture["preset"] == golden.MEDIUM_PRESET
         assert medium_fixture["seed"] == golden.MEDIUM_SEED
-        assert set(medium_fixture["modes"]) == {"strict"}
-        assert set(medium_fixture["modes"]["strict"]["digests"]) == set(
-            golden.FIELDS
-        )
+        assert set(medium_fixture["modes"]) == {"strict", "lenient_bin"}
+        added = medium_fixture["modes"]["lenient_bin"]["generated_at"]
+        assert re.fullmatch(r"[0-9a-f]{40}", added)
+        for entry in medium_fixture["modes"].values():
+            assert set(entry["digests"]) == set(golden.FIELDS)
 
     def test_batch_matches_golden(self, medium_study, medium_fixture):
-        problems = golden.golden_mismatches(
-            medium_study.run_all(), medium_fixture["modes"]["strict"]
-        )
-        assert not problems, "\n".join(problems)
+        self.assert_entry(medium_study.run_all(), medium_fixture, "strict")
 
-    def test_parallel_bin_matches_golden(
-        self, medium_output, medium_fixture, tmp_path
-    ):
-        medium_output.write(tmp_path / "bin", format="bin")
-        run = analyze_parallel(tmp_path / "bin", shards=4, workers=1)
-        problems = golden.golden_mismatches(
-            run.report, medium_fixture["modes"]["strict"]
+    def test_batch_bin_matches_golden(self, medium_traces, medium_fixture):
+        dataset = StudyDataset.load(medium_traces["strict_bin"], format="bin")
+        self.assert_entry(
+            WearableStudy(dataset).run_all(), medium_fixture, "strict"
         )
-        assert not problems, "\n".join(problems)
+
+    def test_parallel_bin_matches_golden(self, medium_traces, medium_fixture):
+        run = analyze_parallel(medium_traces["strict_bin"], shards=4, workers=1)
+        self.assert_entry(run.report, medium_fixture, "strict")
+
+    def test_lenient_bin_batch_matches_golden(
+        self, medium_traces, medium_fixture
+    ):
+        dataset = StudyDataset.load(medium_traces["lenient_bin"], lenient=True)
+        self.assert_entry(
+            WearableStudy(dataset).run_all(), medium_fixture, "lenient_bin"
+        )
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_lenient_bin_parallel_matches_golden(
+        self, medium_traces, medium_fixture, shards
+    ):
+        run = analyze_parallel(
+            medium_traces["lenient_bin"], shards=shards, workers=1, lenient=True
+        )
+        self.assert_entry(run.report, medium_fixture, "lenient_bin")

@@ -8,12 +8,16 @@ CSV and as ``.bin``, corrupts a copy of each like ``repro corrupt --rate
 (strict) and both corrupted copies (lenient).
 
 ``golden_medium.json``: simulates the medium preset (seed 42), exports
-it as CSV and runs the batch pipeline over it (strict).
+it as CSV and as ``.bin``, and runs the batch pipeline over the CSV
+trace (strict) and over a ``.bin`` copy corrupted the same way
+(lenient).
 
 Each fixture stores the per-field digests from ``tests/core/golden.py``
-together with the commit they came from.  A fixture is generated once
-and then only read: the script writes only the fixtures that do not
-exist yet, so re-baselining is a deliberate delete plus a reviewed diff.
+together with the commit they came from.  An entry is generated once
+and then only read: the script computes only the entries a fixture does
+not hold yet and adds them, each with its own ``generated_at``, leaving
+the stored entries and the fixture's ``generated_at`` as they are, so
+re-baselining is a deliberate delete plus a reviewed diff.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.simnet.simulator import Simulator  # noqa: E402
 from tests.core import golden  # noqa: E402
 
 
-def small_modes(root: Path) -> dict[str, StudyDataset]:
+def small_modes(root: Path) -> dict:
     config = SimulationConfig.small(seed=golden.SEED)
     output = Simulator(config).run()
     output.write(root / "trace")
@@ -43,16 +47,26 @@ def small_modes(root: Path) -> dict[str, StudyDataset]:
     corrupt_trace(root / "trace", root / "corrupt", golden.CORRUPT_SPEC)
     corrupt_trace(root / "trace-bin", root / "corrupt-bin", golden.CORRUPT_SPEC)
     return {
-        "strict": StudyDataset.load(root / "trace"),
-        "lenient": StudyDataset.load(root / "corrupt", lenient=True),
-        "lenient_bin": StudyDataset.load(root / "corrupt-bin", lenient=True),
+        "strict": lambda: StudyDataset.load(root / "trace"),
+        "lenient": lambda: StudyDataset.load(root / "corrupt", lenient=True),
+        "lenient_bin": lambda: StudyDataset.load(
+            root / "corrupt-bin", lenient=True
+        ),
     }
 
 
-def medium_modes(root: Path) -> dict[str, StudyDataset]:
+def medium_modes(root: Path) -> dict:
     config = SimulationConfig.medium(seed=golden.MEDIUM_SEED)
-    Simulator(config).run().write(root / "trace")
-    return {"strict": StudyDataset.load(root / "trace")}
+    output = Simulator(config).run()
+    output.write(root / "trace")
+    output.write(root / "trace-bin", format="bin")
+    corrupt_trace(root / "trace-bin", root / "corrupt-bin", golden.CORRUPT_SPEC)
+    return {
+        "strict": lambda: StudyDataset.load(root / "trace"),
+        "lenient_bin": lambda: StudyDataset.load(
+            root / "corrupt-bin", lenient=True
+        ),
+    }
 
 
 #: (fixture path, preset, seed, datasets per mode) for every fixture.
@@ -63,10 +77,6 @@ FIXTURES = (
 
 
 def main() -> int:
-    missing = [spec for spec in FIXTURES if not spec[0].exists()]
-    if not missing:
-        print("every golden fixture exists; delete one to regenerate", file=sys.stderr)
-        return 1
     commit = subprocess.run(
         ["git", "rev-parse", "HEAD"],
         cwd=ROOT,
@@ -74,22 +84,32 @@ def main() -> int:
         capture_output=True,
         text=True,
     ).stdout.strip()
-    for path, preset, seed, modes_of in missing:
+    wrote = False
+    for path, preset, seed, modes_of in FIXTURES:
+        fixture = (
+            golden.load_golden(path)
+            if path.exists()
+            else {"generated_at": commit, "preset": preset, "seed": seed, "modes": {}}
+        )
         with tempfile.TemporaryDirectory() as scratch:
-            fixture = {
-                "generated_at": commit,
-                "preset": preset,
-                "seed": seed,
-                "modes": {
-                    mode: golden.golden_record(WearableStudy(dataset).run_all())
-                    for mode, dataset in modes_of(Path(scratch)).items()
-                },
-            }
+            modes = modes_of(Path(scratch))
+            missing = [mode for mode in modes if mode not in fixture["modes"]]
+            if not missing:
+                continue
+            for mode in missing:
+                entry = golden.golden_record(WearableStudy(modes[mode]()).run_all())
+                if fixture["modes"]:
+                    entry["generated_at"] = commit
+                fixture["modes"][mode] = entry
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8") as handle:
             json.dump(fixture, handle, indent=1, sort_keys=True)
             handle.write("\n")
-        print(path)
+        print(f"{path}: added {', '.join(missing)}")
+        wrote = True
+    if not wrote:
+        print("every golden entry exists; delete one to regenerate", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -188,8 +188,11 @@ encounters-smoke:
 ## Format-conversion smoke: export the small preset as CSV, convert it to
 ## the binary columnar format and back, and require the round trip to be
 ## byte-identical (SHA-256 over both log files).  Proves the shipped
-## trace encoding is lossless end to end through the real CLI.  Artifacts
-## land in convert-smoke/ (gitignored).
+## trace encoding is lossless end to end through the real CLI.  Then
+## analyze the CSV trace and the .bin copy and require byte-identical
+## --json reports: the two column-table producers (rows from CSV, blocks
+## decoded from .bin) must give one report.  Artifacts land in
+## convert-smoke/ (gitignored).
 convert-smoke:
 	rm -rf convert-smoke && mkdir -p convert-smoke
 	PYTHONPATH=src $(PY) -m repro simulate --preset small --seed 7 \
@@ -206,6 +209,12 @@ convert-smoke:
 	    if sha(base / 'trace' / n) != sha(base / 'back' / n)]; \
 	sys.exit(f'convert-smoke: round trip NOT lossless: {bad}') if bad \
 	    else print('convert-smoke: csv -> bin -> csv byte-identical')"
+	PYTHONPATH=src $(PY) -m repro analyze convert-smoke/trace \
+	    --json convert-smoke/report-csv.json
+	PYTHONPATH=src $(PY) -m repro analyze convert-smoke/bin \
+	    --json convert-smoke/report-bin.json
+	cmp convert-smoke/report-csv.json convert-smoke/report-bin.json
+	@echo "convert-smoke: analyze --json identical for csv and bin"
 
 ## Live-serving smoke: start the daemon over a fresh small trace, check
 ## ETag caching on a panel endpoint, append rows and watch the ETag

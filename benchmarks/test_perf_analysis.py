@@ -11,8 +11,9 @@ trace.  These benchmarks time three configurations over one exported
   merge, so its overhead over batch is the price of shard re-scanning;
 * the process-pool run — the wall-clock win when cores are available.
 
-Each run also asserts the differential contract on the spot: the merged
-exact-tier fields must equal the batch report bit-for-bit.
+Each run also asserts the differential contract on the spot: every
+report field merges exactly, so the merged report must equal the batch
+report as a whole, bit for bit.
 """
 
 import os
@@ -27,18 +28,6 @@ from repro.simnet.simulator import Simulator
 
 SEED = 2018
 SHARDS = 4
-
-#: Fields whose merge is exact (see repro.core.parallel docstring).
-EXACT_FIELDS = (
-    "census",
-    "adoption",
-    "comparison",
-    "apps",
-    "domains",
-    "weekly",
-    "protocols",
-    "devices",
-)
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +61,7 @@ def test_perf_parallel_serial_fallback(benchmark, analysis_trace, batch_report):
         return analyze_parallel(analysis_trace, shards=SHARDS, workers=1)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
-    for name in EXACT_FIELDS:
-        assert getattr(result.report, name) == getattr(batch_report, name), name
+    assert result.report == batch_report
     total = result.proxy_rows + result.mme_rows
     assert 0 < result.peak_resident_records < total
 
@@ -86,8 +74,7 @@ def test_perf_parallel_pool(benchmark, analysis_trace, batch_report):
         return analyze_parallel(analysis_trace, shards=SHARDS, workers=workers)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
-    for name in EXACT_FIELDS:
-        assert getattr(result.report, name) == getattr(batch_report, name), name
+    assert result.report == batch_report
     assert result.workers == workers
 
 

@@ -8,6 +8,17 @@ from a trace directory written by :meth:`SimulationOutput.write`, so the
 analyses run identically on live objects and on exported CSVs (or, with
 the same schemas, on a real operator export).
 
+Each log is held as a :class:`~repro.logs.columns.ColumnTable` (the data
+plane): float64 timestamps, int64 byte counts, and int32 dictionary codes
+plus an array of distinct values per string field.  A strict ``.bin``
+load decodes every block straight into the table
+(:func:`~repro.logs.binfmt.read_bin_table`); CSV loads, lenient loads
+(after the :class:`Scrubber`), :meth:`StudyDataset.from_simulation` and
+datasets built from row lists fill the table from the rows, one column
+at a time, when a consumer first reads that column.  Rows
+(:attr:`~StudyDataset.proxy_records`, :attr:`~StudyDataset.mme_records`)
+are built from the table only when a row consumer asks.
+
 This module is the one home of the trace-directory contract; batch,
 sharded and served analysis all go through it:
 
@@ -16,11 +27,16 @@ sharded and served analysis all go through it:
 * :meth:`StudyDataset._log_path` is the only log-suffix probe;
 * :class:`Scrubber` is the one lenient row filter, with a checkpointable
   carry so the service runs it over a growing stream;
-* account-shard selection is :func:`~repro.logs.io.shard_keep_predicate`,
-  applied once inside :meth:`StudyDataset.load`.
+* account-shard selection is applied once inside
+  :meth:`StudyDataset.load`: per subscriber dictionary entry on a strict
+  ``.bin`` table, per row (:func:`~repro.logs.io.shard_keep_predicate`)
+  otherwise.
 
-The class also owns the cheap, widely shared partitions — wearable vs.
-non-wearable records, the detailed-window slice — computed once and cached.
+The class also owns the shared partitions as boolean row masks computed
+once — wearable rows (the TAC of each IMEI dictionary entry) and the
+detailed window — and the time buckets the column folds share; the row
+partitions (:attr:`~StudyDataset.wearable_proxy` and the rest) are the
+masks applied to the rows.
 """
 
 from __future__ import annotations
@@ -31,11 +47,22 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from repro.devicedb.database import DeviceDatabase
 from repro.devicedb.tac import IMEI_LENGTH
-from repro.logs.io import log_kind, read_records, shard_keep_predicate
+from repro.logs.binfmt import read_bin_table
+from repro.logs.columns import ColumnTable
+from repro.logs.io import (
+    check_shard,
+    log_kind,
+    read_records,
+    shard_keep_predicate,
+    subscriber_shard,
+    trace_format,
+)
 from repro.logs.quarantine import QuarantineCollector, QuarantineReport
 from repro.logs.records import (
     MmeRecord,
@@ -44,7 +71,7 @@ from repro.logs.records import (
     record_to_row,
     row_to_record,
 )
-from repro.logs.timeutil import SECONDS_PER_DAY
+from repro.logs.timeutil import SECONDS_PER_DAY, day_indices, hours_and_weekdays
 from repro.simnet.topology import SectorMap
 
 
@@ -103,11 +130,17 @@ class TraceArtifacts:
 
     def dataset(
         self,
-        proxy_records: list[ProxyRecord],
-        mme_records: list[MmeRecord],
+        proxy_records: list[ProxyRecord] | ColumnTable,
+        mme_records: list[MmeRecord] | ColumnTable,
         quarantine: QuarantineReport | None = None,
+        owner_accounts: Iterable[str] | None = None,
     ) -> "StudyDataset":
-        """A dataset of these records over these artefacts."""
+        """A dataset of these logs over these artefacts.
+
+        ``owner_accounts`` replaces the wearable-owner accounts the
+        dataset would derive from its own rows (the service gathers them
+        over every delta of a shard).
+        """
         return StudyDataset(
             proxy_records=proxy_records,
             mme_records=mme_records,
@@ -116,6 +149,7 @@ class TraceArtifacts:
             account_directory=self.account_directory,
             window=self.window,
             quarantine=quarantine,
+            owner_accounts=owner_accounts,
         )
 
 
@@ -151,21 +185,40 @@ def load_artifacts(directory: str | Path) -> TraceArtifacts:
     )
 
 
+class TimeBuckets(NamedTuple):
+    """Time buckets of some rows of one log, equal to the scalar helpers."""
+
+    #: :meth:`StudyWindow.day_of` of each row.
+    day: np.ndarray
+    #: :func:`~repro.logs.timeutil.hour_of_day` of each row.
+    hour: np.ndarray
+    #: :func:`~repro.logs.timeutil.weekday` of each row (Monday = 0).
+    weekday: np.ndarray
+
+
 class StudyDataset:
     """Raw measurement artefacts plus cached shared partitions."""
 
     def __init__(
         self,
-        proxy_records: list[ProxyRecord],
-        mme_records: list[MmeRecord],
+        proxy_records: list[ProxyRecord] | ColumnTable,
+        mme_records: list[MmeRecord] | ColumnTable,
         device_db: DeviceDatabase,
         sector_map: SectorMap,
         account_directory: dict[str, str],
         window: StudyWindow,
         quarantine: QuarantineReport | None = None,
+        owner_accounts: Iterable[str] | None = None,
     ) -> None:
-        self.proxy_records = proxy_records
-        self.mme_records = mme_records
+        """Each log is a row list or a :class:`ColumnTable`.
+
+        ``owner_accounts``, when given, is the wearable-owner account
+        set (:attr:`wearable_accounts`) instead of the one derived from
+        this dataset's rows.
+        """
+        self.proxy = _as_table(ProxyRecord, proxy_records)
+        self.mme = _as_table(MmeRecord, mme_records)
+        self._owner_accounts = owner_accounts
         self.device_db = device_db
         self.sector_map = sector_map
         self.account_directory = account_directory
@@ -262,20 +315,17 @@ class StudyDataset:
         """
         base = Path(directory)
         artifacts = load_artifacts(base)
-        keep = None
-        if shard is not None:
-            keep = shard_keep_predicate(
-                shard, shards, artifacts.account_directory
-            )
         collector = QuarantineCollector() if lenient else None
-        proxy_records = cls._load_log(base, ProxyRecord, format, collector, keep)
-        mme_records = cls._load_log(
-            base, MmeRecord, format, collector, keep, artifacts.sector_map
+        shard_of = None
+        if shard is not None:
+            check_shard(shard, shards)
+            shard_of = (shard, shards, artifacts.account_directory)
+        proxy = cls._load_log(base, ProxyRecord, format, collector, shard_of)
+        mme = cls._load_log(
+            base, MmeRecord, format, collector, shard_of, artifacts.sector_map
         )
         return artifacts.dataset(
-            proxy_records,
-            mme_records,
-            collector.report() if collector is not None else None,
+            proxy, mme, collector.report() if collector is not None else None
         )
 
     @classmethod
@@ -285,31 +335,50 @@ class StudyDataset:
         record_type: type,
         format: str,
         collector: QuarantineCollector | None,
-        keep: Callable | None = None,
+        shard_of: tuple[int, int, dict[str, str]] | None = None,
         sector_map: SectorMap | None = None,
-    ) -> list:
-        """One log's records, kept by ``keep`` when given.
+    ) -> ColumnTable:
+        """One log as a table, restricted to one account shard when
+        ``shard_of = (shard, shards, account_directory)`` is given.
 
-        With a ``collector`` the log is read leniently and scrubbed, and
-        the kept rows are re-sorted into canonical order when the
-        scrubber saw disorder (sorting the kept rows equals keeping rows
-        of the sorted log, so shard loads stay canonical too).
+        A strict ``.bin`` log is decoded straight into columns and the
+        shard is a mask over its subscriber dictionary.  Otherwise rows
+        are read (with a ``collector``: leniently, then scrubbed), the
+        shard's rows kept, and the kept rows re-sorted into canonical
+        order when the scrubber saw disorder (sorting the kept rows
+        equals keeping rows of the sorted log, so shard loads stay
+        canonical too).
         """
         stem = log_kind(record_type)
-        scrubber = None
         if collector is None:
-            records = read_records(cls._log_path(base, stem, format), record_type)
+            path = cls._log_path(base, stem, format)
+            if trace_format(path) == "bin":
+                table = read_bin_table(path, record_type)
+                if shard_of is not None:
+                    shard, shards, directory = shard_of
+                    table = table.take(
+                        table.entry_mask(
+                            "subscriber_id",
+                            lambda subscriber: subscriber_shard(
+                                subscriber, shards, directory
+                            )
+                            == shard,
+                        )
+                    )
+                return table
+            records = read_records(path, record_type)
+            scrubber = None
         else:
             scrubber = Scrubber(record_type, collector, sector_map)
             records = scrubber.scrub(
                 cls._lenient_log(base, stem, record_type, collector, format)
             )
-        if keep is not None:
-            records = filter(keep, records)
+        if shard_of is not None:
+            records = filter(shard_keep_predicate(*shard_of), records)
         kept = list(records)
         if scrubber is not None and scrubber.disorder:
             kept.sort(key=record_sort_key)
-        return kept
+        return ColumnTable.from_records(record_type, kept)
 
     @staticmethod
     def _lenient_log(
@@ -331,7 +400,18 @@ class StudyDataset:
             return iter(())
         return read_records(path, record_type, collector)
 
-    # ------------------------------------------------------------ partitions
+    # ------------------------------------------------------------ rows
+    @property
+    def proxy_records(self) -> list[ProxyRecord]:
+        """Every proxy row, built from the table on first use."""
+        return self.proxy.records
+
+    @property
+    def mme_records(self) -> list[MmeRecord]:
+        """Every MME row, built from the table on first use."""
+        return self.mme.records
+
+    # ------------------------------------------------------------ masks
     @cached_property
     def wearable_tacs(self) -> frozenset[str]:
         """TACs of SIM-enabled wearables per the device database (§3.2)."""
@@ -341,45 +421,92 @@ class StudyDataset:
         return imei[:8] in self.wearable_tacs
 
     @cached_property
+    def wearable_proxy_mask(self) -> np.ndarray:
+        """Proxy rows from wearable devices (TAC of each IMEI entry)."""
+        return self.proxy.entry_mask("imei", self.is_wearable_imei)
+
+    @cached_property
+    def wearable_mme_mask(self) -> np.ndarray:
+        """MME rows of wearable SIMs."""
+        return self.mme.entry_mask("imei", self.is_wearable_imei)
+
+    @cached_property
+    def detailed_proxy_mask(self) -> np.ndarray:
+        """Proxy rows inside the detailed window (:meth:`StudyWindow.in_detailed`)."""
+        return self._detailed(self.proxy)
+
+    @cached_property
+    def detailed_mme_mask(self) -> np.ndarray:
+        """MME rows inside the detailed window."""
+        return self._detailed(self.mme)
+
+    def _detailed(self, table: ColumnTable) -> np.ndarray:
+        timestamps = table.column("timestamp")
+        window = self.window
+        return (timestamps >= window.detailed_start) & (
+            timestamps < window.study_end
+        )
+
+    @cached_property
+    def detailed_proxy_time(self) -> TimeBuckets:
+        """Study day, hour of day and weekday of the detailed-window proxy
+        rows (the rows the activity and weekly folds read), in row order.
+
+        Detailed days are study days, so they fit int32."""
+        timestamps = self.proxy.column("timestamp")[self.detailed_proxy_mask]
+        hours, weekdays = hours_and_weekdays(timestamps)
+        return TimeBuckets(
+            day=day_indices(timestamps, self.window.study_start).astype(np.int32),
+            hour=hours.astype(np.int8),
+            weekday=weekdays.astype(np.int8),
+        )
+
+    @cached_property
+    def mme_days(self) -> np.ndarray:
+        """Study day (:meth:`StudyWindow.day_of`) of every MME row."""
+        return day_indices(self.mme.column("timestamp"), self.window.study_start)
+
+    # ------------------------------------------------------------ partitions
+    @cached_property
     def wearable_proxy(self) -> list[ProxyRecord]:
         """Proxy transactions originating from wearable devices."""
-        tacs = self.wearable_tacs
-        return [r for r in self.proxy_records if r.tac in tacs]
+        return self.proxy.rows_where(self.wearable_proxy_mask)
 
     @cached_property
     def phone_proxy(self) -> list[ProxyRecord]:
         """Proxy transactions from non-wearable devices."""
-        tacs = self.wearable_tacs
-        return [r for r in self.proxy_records if r.tac not in tacs]
+        return self.proxy.rows_where(~self.wearable_proxy_mask)
 
     @cached_property
     def wearable_mme(self) -> list[MmeRecord]:
         """MME events of wearable SIMs."""
-        tacs = self.wearable_tacs
-        return [r for r in self.mme_records if r.tac in tacs]
+        return self.mme.rows_where(self.wearable_mme_mask)
 
     @cached_property
     def phone_mme(self) -> list[MmeRecord]:
         """MME events of non-wearable SIMs."""
-        tacs = self.wearable_tacs
-        return [r for r in self.mme_records if r.tac not in tacs]
+        return self.mme.rows_where(~self.wearable_mme_mask)
 
     @cached_property
     def wearable_proxy_detailed(self) -> list[ProxyRecord]:
         """Wearable transactions inside the detailed seven-week window."""
-        window = self.window
-        return [r for r in self.wearable_proxy if window.in_detailed(r.timestamp)]
+        return self.proxy.rows_where(
+            self.wearable_proxy_mask & self.detailed_proxy_mask
+        )
 
     @cached_property
     def wearable_subscribers(self) -> frozenset[str]:
         """Every subscriber id seen on a wearable SIM (via MME or proxy)."""
-        ids = {r.subscriber_id for r in self.wearable_mme}
-        ids.update(r.subscriber_id for r in self.wearable_proxy)
+        ids = set(self.mme.distinct("subscriber_id", self.wearable_mme_mask))
+        ids.update(self.proxy.distinct("subscriber_id", self.wearable_proxy_mask))
         return frozenset(ids)
 
     @cached_property
     def wearable_accounts(self) -> frozenset[str]:
-        """Accounts owning at least one wearable SIM (billing join)."""
+        """Accounts owning at least one wearable SIM (billing join), or
+        the ``owner_accounts`` the dataset was built with."""
+        if self._owner_accounts is not None:
+            return frozenset(self._owner_accounts)
         directory = self.account_directory
         return frozenset(
             directory[subscriber]
@@ -390,6 +517,12 @@ class StudyDataset:
     def account_of(self, subscriber_id: str) -> str | None:
         """Billing account of a subscriber, when known."""
         return self.account_directory.get(subscriber_id)
+
+
+def _as_table(record_type: type, log: list | ColumnTable) -> ColumnTable:
+    if isinstance(log, ColumnTable):
+        return log
+    return ColumnTable.from_records(record_type, log)
 
 
 class Scrubber:

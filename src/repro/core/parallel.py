@@ -19,6 +19,16 @@ how they feed it:
   and finalizes;
 * :mod:`repro.serve` folds growing deltas into the same partials.
 
+The six split-safe partials — census, adoption, activity, comparison,
+weekly (:class:`~repro.core.weekly.StreamingWeekly`) and devices — fold a
+dataset's column table (:attr:`~repro.core.dataset.StudyDataset.proxy`,
+:attr:`~repro.core.dataset.StudyDataset.mme`) as group-bys over
+dictionary codes and time buckets (:mod:`repro.logs.columns`): integer
+sums in int64, keys inserted in the order of their first row, so each
+partial's state equals what a row-by-row loop would build.  The other
+six still consume rows, which the dataset builds from its table on
+first use.
+
 Merging is exact — integer counts, set unions, min/max, an exact
 transaction-size histogram, and float folds taken over *sorted* keys or
 with ``math.fsum`` — so every :class:`~repro.core.pipeline.StudyReport`
@@ -41,6 +51,8 @@ from itertools import chain, repeat
 from math import fsum, log10
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
+
+import numpy as np
 
 from repro import obs
 
@@ -89,10 +101,17 @@ from repro.core.throughdevice import (
 )
 from repro.core.weekly import StreamingWeekly
 from repro.devicedb.database import DeviceDatabase
+from repro.logs.columns import (
+    distinct,
+    first_seen,
+    group_sum,
+    object_array,
+    runs,
+)
 from repro.logs.io import read_records
 from repro.logs.quarantine import QuarantineCollector, QuarantineReport
 from repro.logs.records import PROTOCOL_HTTP, MmeRecord, record_sort_key
-from repro.logs.timeutil import SECONDS_PER_DAY, hour_of_day, is_weekend
+from repro.logs.timeutil import SECONDS_PER_DAY
 from repro.simnet.appcatalog import (
     DOMAIN_ADVERTISING,
     DOMAIN_ANALYTICS,
@@ -134,6 +153,24 @@ def _min_merge(target: dict, other: dict) -> None:
 
 def _disjoint_update(target: dict, other: dict) -> None:
     target.update(other)
+
+
+def _add_counts(target: dict, keys: list, counts: np.ndarray) -> None:
+    """``target[key] += count``, new keys inserted in ``keys`` order."""
+    if not target:
+        target.update(zip(keys, counts.tolist()))
+        return
+    for key, count in zip(keys, counts.tolist()):
+        target[key] = target.get(key, 0) + count
+
+
+def _add_members(target: dict, keys: list, groups: np.ndarray, members: list) -> None:
+    """``target[keys[g]] |= members``: ``groups`` is sorted and gives the
+    key index of each member; new keys inserted in ``keys`` order."""
+    for key in keys:
+        target.setdefault(key, set())
+    for group, start, end in runs(groups):
+        target[keys[group]].update(members[start:end])
 
 
 class _PartialState:
@@ -192,7 +229,7 @@ class CensusPartial(_PartialState):
     imeis: set[str] = field(default_factory=set)
 
     def consume(self, dataset: StudyDataset) -> None:
-        self.imeis.update(r.imei for r in dataset.wearable_mme)
+        self.imeis.update(dataset.mme.distinct("imei", dataset.wearable_mme_mask))
 
     def merge(self, other: "CensusPartial") -> None:
         self.imeis |= other.imeis
@@ -234,21 +271,35 @@ class AdoptionPartial(_PartialState):
             self.daily = [set() for _ in range(self.total_days)]
 
     def consume(self, dataset: StudyDataset) -> None:
-        window = dataset.window
-        for record in dataset.wearable_mme:
-            day = window.day_of(record.timestamp)
-            if not 0 <= day < window.total_days:
-                continue
-            subscriber = record.subscriber_id
-            self.daily[day].add(subscriber)
+        day = dataset.mme_days
+        rows = (
+            dataset.wearable_mme_mask
+            & (day >= 0)
+            & (day < dataset.window.total_days)
+        )
+        subscribers = dataset.mme.column("subscriber_id")
+        codes = subscribers.codes[rows]
+        days = day[rows]
+        keys, group = first_seen(codes)
+        low = np.full(len(keys), np.iinfo(np.int64).max)
+        np.minimum.at(low, group, days)
+        high = np.full(len(keys), -1, dtype=np.int64)
+        np.maximum.at(high, group, days)
+        for subscriber, first, last in zip(
+            subscribers.values[keys].tolist(), low.tolist(), high.tolist()
+        ):
             mine = self.first_seen.get(subscriber)
-            if mine is None or day < mine:
-                self.first_seen[subscriber] = day
+            if mine is None or first < mine:
+                self.first_seen[subscriber] = first
             mine = self.last_seen.get(subscriber)
-            if mine is None or day > mine:
-                self.last_seen[subscriber] = day
+            if mine is None or last > mine:
+                self.last_seen[subscriber] = last
+        pair_days, pair_codes = distinct(days, codes)
+        names = subscribers.values[pair_codes].tolist()
+        for day_index, start, end in runs(pair_days):
+            self.daily[day_index].update(names[start:end])
         self.data_users.update(
-            record.subscriber_id for record in dataset.wearable_proxy
+            dataset.proxy.distinct("subscriber_id", dataset.wearable_proxy_mask)
         )
 
     def merge(self, other: "AdoptionPartial") -> None:
@@ -333,30 +384,70 @@ class ActivityPartial(_PartialState):
     def consume(self, dataset: StudyDataset) -> None:
         window = dataset.window
         first_day = window.detailed_first_day
-        for record in dataset.wearable_proxy_detailed:
-            day = window.day_of(record.timestamp)
-            if not first_day <= day < window.total_days:
-                continue
-            weekend = is_weekend(record.timestamp)
-            hour = hour_of_day(record.timestamp)
-            subscriber = record.subscriber_id
-            size = record.total_bytes
-            key = (weekend, hour)
-            self.day_type_days[weekend].add(day)
-            self.hour_users.setdefault(key, set()).add((subscriber, day))
-            self.hour_tx[key] = self.hour_tx.get(key, 0) + 1
-            self.hour_bytes[key] = self.hour_bytes.get(key, 0) + size
-            self.weekly_users.setdefault((day - first_day) // 7, set()).add(
-                subscriber
+        time = dataset.detailed_proxy_time
+        detailed = np.flatnonzero(dataset.detailed_proxy_mask)
+        keep = np.flatnonzero(
+            dataset.wearable_proxy_mask[detailed]
+            & (time.day >= first_day)
+            & (time.day < window.total_days)
+        )
+        rows = detailed[keep]
+        proxy = dataset.proxy
+        subscribers = proxy.column("subscriber_id")
+        codes = subscribers.codes[rows]
+        offset = time.day[keep].astype(np.int64) - first_day
+        hour = time.hour[keep].astype(np.int64)
+        weekend = (time.weekday[keep] >= 5).astype(np.int64)
+        size = proxy.column("bytes_up")[rows] + proxy.column("bytes_down")[rows]
+
+        flags, days = distinct(weekend, offset)
+        days = (days + first_day).tolist()
+        for flag, start, end in runs(flags):
+            self.day_type_days[bool(flag)].update(days[start:end])
+
+        keys, group = first_seen(weekend * 24 + hour)
+        slots = [(bool(key >= 24), key % 24) for key in keys.tolist()]
+        groups, users, days = distinct(group, codes, offset)
+        _add_members(
+            self.hour_users,
+            slots,
+            groups,
+            list(
+                zip(
+                    subscribers.values[users].tolist(),
+                    (days + first_day).tolist(),
+                )
+            ),
+        )
+        _add_counts(self.hour_tx, slots, np.bincount(group, minlength=len(slots)))
+        _add_counts(self.hour_bytes, slots, group_sum(group, size, len(slots)))
+
+        for target, key_column in (
+            (self.weekly_users, offset // 7),
+            (self.daily_users, offset + first_day),
+        ):
+            keys, group = first_seen(key_column)
+            groups, users = distinct(group, codes)
+            _add_members(
+                target, keys.tolist(), groups, subscribers.values[users].tolist()
             )
-            self.daily_users.setdefault(day, set()).add(subscriber)
-            self.user_days.setdefault(subscriber, set()).add(day)
-            self.user_day_hours.setdefault(subscriber, set()).add((day, hour))
-            self.user_tx[subscriber] = self.user_tx.get(subscriber, 0) + 1
-            self.user_bytes[subscriber] = (
-                self.user_bytes.get(subscriber, 0) + size
-            )
-            self.sizes[size] = self.sizes.get(size, 0) + 1
+
+        keys, group = first_seen(codes)
+        names = subscribers.values[keys].tolist()
+        groups, days = distinct(group, offset)
+        _add_members(self.user_days, names, groups, (days + first_day).tolist())
+        groups, days, hours = distinct(group, offset, hour)
+        _add_members(
+            self.user_day_hours,
+            names,
+            groups,
+            list(zip((days + first_day).tolist(), hours.tolist())),
+        )
+        _add_counts(self.user_tx, names, np.bincount(group, minlength=len(names)))
+        _add_counts(self.user_bytes, names, group_sum(group, size, len(names)))
+
+        keys, group = first_seen(size)
+        _add_counts(self.sizes, keys.tolist(), np.bincount(group, minlength=len(keys)))
 
     def merge(self, other: "ActivityPartial") -> None:
         for key in (True, False):
@@ -487,21 +578,40 @@ class ComparisonPartial(_PartialState):
     owner_accounts: set[str] = field(default_factory=set)
 
     def consume(self, dataset: StudyDataset) -> None:
-        window = dataset.window
-        wearable_tacs = dataset.wearable_tacs
+        proxy = dataset.proxy
+        subscribers = proxy.column("subscriber_id")
         directory = dataset.account_directory
-        wearable_bytes = self.account_wearable_bytes
-        for record in dataset.proxy_records:
-            if not window.in_detailed(record.timestamp):
-                continue
-            account = directory.get(record.subscriber_id)
-            if account is None:
-                continue
-            size = record.total_bytes
-            self.account_bytes[account] = self.account_bytes.get(account, 0) + size
-            self.account_tx[account] = self.account_tx.get(account, 0) + 1
-            if record.tac in wearable_tacs:
-                wearable_bytes[account] = wearable_bytes.get(account, 0) + size
+        accounts: dict[str, int] = {}
+        entry_account = np.fromiter(
+            (
+                accounts.setdefault(directory[subscriber], len(accounts))
+                if subscriber in directory
+                else -1
+                for subscriber in subscribers.values
+            ),
+            dtype=np.int64,
+            count=len(subscribers.values),
+        )
+        account = entry_account[subscribers.codes]
+        names = object_array(list(accounts))
+        size = proxy.column("bytes_up") + proxy.column("bytes_down")
+        rows = dataset.detailed_proxy_mask & (account >= 0)
+        keys, group = first_seen(account[rows])
+        labels = names[keys].tolist()
+        _add_counts(
+            self.account_bytes, labels, group_sum(group, size[rows], len(labels))
+        )
+        _add_counts(
+            self.account_tx, labels, np.bincount(group, minlength=len(labels))
+        )
+        rows &= dataset.wearable_proxy_mask
+        keys, group = first_seen(account[rows])
+        labels = names[keys].tolist()
+        _add_counts(
+            self.account_wearable_bytes,
+            labels,
+            group_sum(group, size[rows], len(labels)),
+        )
         self.owner_accounts |= dataset.wearable_accounts
 
     def merge(self, other: "ComparisonPartial") -> None:
@@ -1150,23 +1260,59 @@ class DevicesPartial(_PartialState):
             self.weekly = [{} for _ in range(self.total_weeks)]
 
     def consume(self, dataset: StudyDataset) -> None:
-        window = dataset.window
-        device_db = dataset.device_db
-        for record in dataset.wearable_mme:
-            model = device_db.lookup_imei(record.imei)
-            if model is None:
-                continue
-            key = record_sort_key(record)
-            mine = self.imei_first.get(record.imei)
+        mme = dataset.mme
+        imeis = mme.column("imei")
+        models = [dataset.device_db.lookup_imei(imei) for imei in imeis.values]
+        manufacturers: dict[str, int] = {}
+        entry_manufacturer = np.fromiter(
+            (
+                manufacturers.setdefault(model.manufacturer, len(manufacturers))
+                if model is not None
+                else -1
+                for model in models
+            ),
+            dtype=np.int64,
+            count=len(models),
+        )
+        rows = np.flatnonzero(
+            dataset.wearable_mme_mask & (entry_manufacturer >= 0)[imeis.codes]
+        )
+        codes = imeis.codes[rows]
+        keys, group = first_seen(codes)
+        # The smallest canonical sort key of each IMEI's rows is among
+        # its rows at the IMEI's earliest timestamp.
+        timestamps = mme.column("timestamp")[rows]
+        earliest = np.full(len(keys), np.inf)
+        np.minimum.at(earliest, group, timestamps)
+        tied = np.flatnonzero(timestamps == earliest[group])
+        smallest: dict[int, tuple] = {}
+        for index, key in zip(group[tied].tolist(), mme.sort_keys(rows[tied])):
+            mine = smallest.get(index)
             if mine is None or key < mine:
-                self.imei_first[record.imei] = key
-            day = window.day_of(record.timestamp)
-            week = day // 7
-            if 0 <= week < self.total_weeks:
-                self.weekly[week].setdefault(model.manufacturer, set()).add(
-                    record.imei
-                )
-        self.data_imeis.update(r.imei for r in dataset.wearable_proxy)
+                smallest[index] = key
+        for index, imei in enumerate(imeis.values[keys].tolist()):
+            key = smallest[index]
+            mine = self.imei_first.get(imei)
+            if mine is None or key < mine:
+                self.imei_first[imei] = key
+
+        week = dataset.mme_days[rows] // 7
+        in_range = (week >= 0) & (week < self.total_weeks)
+        week = week[in_range]
+        codes = codes[in_range]
+        makers = list(manufacturers)
+        keys, group = first_seen(week * len(makers) + entry_manufacturer[codes])
+        slots = [divmod(key, len(makers)) for key in keys.tolist()]
+        for week_index, maker in slots:
+            self.weekly[week_index].setdefault(makers[maker], set())
+        groups, members = distinct(group, codes)
+        values = imeis.values[members].tolist()
+        for index, start, end in runs(groups):
+            week_index, maker = slots[index]
+            self.weekly[week_index][makers[maker]].update(values[start:end])
+        self.data_imeis.update(
+            dataset.proxy.distinct("imei", dataset.wearable_proxy_mask)
+        )
 
     def merge(self, other: "DevicesPartial") -> None:
         _min_merge(self.imei_first, other.imei_first)
@@ -1543,7 +1689,7 @@ PANELS: dict[str, Panel] = {
     "weekly": Panel(
         lambda s: StreamingWeekly(
             s.dataset.window, s.dataset.wearable_tacs
-        ).consume(s.dataset.proxy_records),
+        ).consume(s.dataset),
         lambda p, window, db, categories: p.result(),
     ),
     "protocols": Panel(
@@ -1711,7 +1857,7 @@ def _full_mme_stream(trace_dir: str, *, lenient: bool, format: str):
             format,
             QuarantineCollector(),
             sector_map=load_artifacts(base).sector_map,
-        )
+        ).records
     )
 
 
@@ -1729,7 +1875,7 @@ def _analyze_shard(payload: _AnalysisPayload) -> _ShardResult:
                 shards=payload.shards,
                 format=payload.format,
             )
-        rows = len(dataset.proxy_records) + len(dataset.mme_records)
+        rows = len(dataset.proxy) + len(dataset.mme)
         events.emit("progress", shard=shard, stage="load", rows=rows)
         partials = ShardPartials.compute(dataset, shard=shard)
         events.emit("progress", shard=shard, stage="aggregate", rows=rows)
@@ -1755,10 +1901,10 @@ def _analyze_shard(payload: _AnalysisPayload) -> _ShardResult:
         registry = obs.metrics()
         registry.counter(
             "repro_analysis_proxy_records_total", shard=shard
-        ).add(len(dataset.proxy_records))
+        ).add(len(dataset.proxy))
         registry.counter(
             "repro_analysis_mme_records_total", shard=shard
-        ).add(len(dataset.mme_records))
+        ).add(len(dataset.mme))
         registry.counter(
             "repro_analysis_encounter_events_total", shard=shard
         ).add(encounter_events)
@@ -1767,8 +1913,8 @@ def _analyze_shard(payload: _AnalysisPayload) -> _ShardResult:
         quarantine=dataset.quarantine,
         stats=AnalysisShardStats(
             shard=shard,
-            proxy_records=len(dataset.proxy_records),
-            mme_records=len(dataset.mme_records),
+            proxy_records=len(dataset.proxy),
+            mme_records=len(dataset.mme),
             elapsed_seconds=(
                 shard_span.wall_s
                 if shard_span is not None

@@ -146,12 +146,8 @@ class WearableStudy(PanelInputs):
             report = self._run_all()
         registry = obs.metrics()
         self.dataset.device_db.publish_metrics(registry)
-        registry.gauge("repro_pipeline_proxy_records").set(
-            len(self.dataset.proxy_records)
-        )
-        registry.gauge("repro_pipeline_mme_records").set(
-            len(self.dataset.mme_records)
-        )
+        registry.gauge("repro_pipeline_proxy_records").set(len(self.dataset.proxy))
+        registry.gauge("repro_pipeline_mme_records").set(len(self.dataset.mme))
         registry.gauge("repro_pipeline_attributed_records").set(
             len(self.attributed)
         )

@@ -9,21 +9,27 @@ Section 4.2 makes two claims beyond the Fig. 3(a) hourly profiles:
   traffic of the ISP, we observe that the relative usage of wearables is
   slightly higher on weekends and evenings".
 
-:class:`StreamingWeekly` computes both in one pass over the full proxy
-stream: per-day-of-week activity series for wearable traffic, and the
-wearable share of *total* ISP traffic per hour-of-day and per day-type,
-normalised so 1.0 means "the average share".
+:class:`StreamingWeekly` computes both from the full proxy table:
+per-day-of-week activity series for wearable traffic, and the wearable
+share of *total* ISP traffic per hour-of-day and per day-type,
+normalised so 1.0 means "the average share".  A dataset is folded in as
+group-bys over the detailed-window rows' weekday, hour and day columns
+(the dataset's :attr:`~repro.core.dataset.StudyDataset.detailed_proxy_time`,
+equal to the ``datetime`` helpers of :mod:`repro.logs.timeutil`).
+Counts and byte totals are summed as int64 and added to the float
+day-of-week series once per dataset, which equals adding them row by
+row while the totals stay below 2**53.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
 
-from repro.core.dataset import StudyWindow
-from repro.logs.records import ProxyRecord
-from repro.logs.timeutil import hour_of_day, is_weekend, weekday
+import numpy as np
+
+from repro.core.dataset import StudyDataset, StudyWindow
+from repro.logs.columns import distinct, first_seen, group_sum, runs
 from repro.state import decode_value, encode_value
 
 WEEKDAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
@@ -63,13 +69,13 @@ def _index(values: list[float]) -> list[float]:
 
 
 class StreamingWeekly:
-    """One-pass §4.2 aggregation over the full proxy stream.
+    """Mergeable §4.2 aggregation over the full proxy stream.
 
-    Consumes *every* proxy record — the wearable share of total ISP
+    Consumes *every* proxy row — the wearable share of total ISP
     traffic needs the phone traffic in the denominators.  State is a
     handful of fixed-size hour/day-of-week accumulators plus one
     ``(subscriber, date)`` set per day of week: O(active wearable
-    user-days), independent of record count.  Counters are integers
+    user-days), independent of row count.  Counters are integers
     (byte totals are integral-valued floats, exact well below 2**53) and
     the user/date accumulators are sets, so :meth:`merge` is exact.
     """
@@ -102,27 +108,52 @@ class StreamingWeekly:
             self._seen_dates[dow] |= dates
         return self
 
-    def add(self, record: ProxyRecord) -> None:
-        timestamp = record.timestamp
-        if not self._window.in_detailed(timestamp):
-            return
-        hour = hour_of_day(timestamp)
-        weekend = is_weekend(timestamp)
-        dow = weekday(timestamp)
-        date = self._window.day_of(timestamp)
-        self._seen_dates[dow].add(date)
-        self._hour_total[hour] += 1
-        self._daytype_total[weekend] += 1
-        if record.tac in self._tacs:
-            self._dow_tx[dow] += 1
-            self._dow_bytes[dow] += record.total_bytes
-            self._dow_users[dow].add((record.subscriber_id, date))
-            self._hour_wearable[hour] += 1
-            self._daytype_wearable[weekend] += 1
+    def consume(self, dataset: StudyDataset) -> "StreamingWeekly":
+        """Fold a dataset's detailed-window proxy rows in.
 
-    def consume(self, records: Iterable[ProxyRecord]) -> "StreamingWeekly":
-        for record in records:
-            self.add(record)
+        Wearable rows are the dataset's wearable mask, drawn from the
+        same device database as the TAC set this fold carries in its
+        state.
+        """
+        time = dataset.detailed_proxy_time
+        rows = np.flatnonzero(dataset.detailed_proxy_mask)
+        hour = time.hour.astype(np.int64)
+        dow = time.weekday.astype(np.int64)
+        date = time.day.astype(np.int64)
+        weekend = dow >= 5
+
+        keys, group = first_seen(dow)
+        groups, dates = distinct(group, date)
+        dates = dates.tolist()
+        for index, start, end in runs(groups):
+            self._seen_dates[int(keys[index])].update(dates[start:end])
+        for hour_index, count in enumerate(np.bincount(hour, minlength=24).tolist()):
+            self._hour_total[hour_index] += count
+        self._daytype_total[True] += int(weekend.sum())
+        self._daytype_total[False] += int((~weekend).sum())
+
+        wearable = dataset.wearable_proxy_mask[rows]
+        hour = hour[wearable]
+        dow = dow[wearable]
+        weekend = weekend[wearable]
+        proxy = dataset.proxy
+        rows = rows[wearable]
+        size = proxy.column("bytes_up")[rows] + proxy.column("bytes_down")[rows]
+        subscribers = proxy.column("subscriber_id")
+        codes = subscribers.codes[rows]
+        tx = np.bincount(dow, minlength=7).tolist()
+        volume = group_sum(dow, size, 7).tolist()
+        for day in range(7):
+            self._dow_tx[day] += tx[day]
+            self._dow_bytes[day] += volume[day]
+        days, users, dates = distinct(dow, codes, date[wearable])
+        members = list(zip(subscribers.values[users].tolist(), dates.tolist()))
+        for day, start, end in runs(days):
+            self._dow_users[day].update(members[start:end])
+        for hour_index, count in enumerate(np.bincount(hour, minlength=24).tolist()):
+            self._hour_wearable[hour_index] += count
+        self._daytype_wearable[True] += int(weekend.sum())
+        self._daytype_wearable[False] += int((~weekend).sum())
         return self
 
     def result(self) -> WeeklyResult:

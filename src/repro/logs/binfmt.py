@@ -54,6 +54,13 @@ are quarantined individually, and a truncated tail block is quarantined
 with **exact** row accounting (the block header says how many rows were
 lost).
 
+Both readers run one block loop (``_decoded_blocks``):
+:func:`read_bin_records` builds records from each decoded block, and
+:func:`read_bin_table` — the strict analysis load — appends each block's
+columns to a :class:`~repro.logs.columns.ColumnTable`, recoding the
+block's string dictionaries into one dictionary per field, and builds no
+rows.
+
 Numeric columns are packed and unpacked with numpy (a hard dependency
 of the package).
 """
@@ -75,6 +82,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Type
 import numpy as np
 
 from repro import obs
+from repro.logs.columns import ColumnTable, TableAssembler, record_maker, type_codes
 from repro.logs.io import LogReadError, log_kind
 from repro.logs.quarantine import QuarantineCollector
 from repro.logs.records import (
@@ -99,6 +107,7 @@ __all__ = [
     "pack_block",
     "read_bin_records",
     "read_bin_rows",
+    "read_bin_table",
     "resume_offset",
     "write_bin_records",
     "write_bin_rows",
@@ -135,24 +144,12 @@ def bucket_of(subscriber_id: str) -> int:
 
 
 # --------------------------------------------------------------- schema
-def _type_codes(record_type: type) -> tuple[str, ...]:
-    """Column type codes in field order (``f``/``i``/``s``)."""
-    from repro.logs.io import _field_types
-
-    types = _field_types(record_type)
-    codes = []
-    for name in fields_for(record_type):
-        type_ = types[name]
-        codes.append("f" if type_ is float else "i" if type_ is int else "s")
-    return tuple(codes)
-
-
 def _schema_bytes(record_type: type) -> bytes:
     schema = {
         "kind": log_kind(record_type),
         "fields": [
             [name, code]
-            for name, code in zip(fields_for(record_type), _type_codes(record_type))
+            for name, code in zip(fields_for(record_type), type_codes(record_type))
         ],
     }
     return json.dumps(schema, separators=(",", ":"), sort_keys=True).encode("ascii")
@@ -177,9 +174,9 @@ def _pack_numeric(values: Sequence, typecode: str) -> bytes:
     return np.asarray(values, dtype=dtype).tobytes()
 
 
-def _unpack_numeric(buffer: memoryview, typecode: str) -> list:
+def _unpack_numeric(buffer: memoryview, typecode: str) -> np.ndarray:
     dtype = "<f8" if typecode == "d" else "<i8"
-    return np.frombuffer(buffer, dtype=dtype).tolist()
+    return np.frombuffer(buffer, dtype=dtype)
 
 
 def _pack_str_column(values: Sequence[str]) -> bytes:
@@ -239,7 +236,7 @@ def pack_columns(cols: Sequence[Sequence], record_type: type) -> bytes:
     """
     if not cols or not cols[0]:
         raise ValueError("cannot pack an empty block")
-    codes = _type_codes(record_type)
+    codes = type_codes(record_type)
     ts_col = cols[0]
     # The bitmap/min/max summary only depends on the *distinct* buckets,
     # and subscriber ids repeat heavily within a block, so hash uniques.
@@ -276,14 +273,17 @@ def pack_columns(cols: Sequence[Sequence], record_type: type) -> bytes:
     return header + payload
 
 
-def _unpack_columns(
-    payload: bytes, record_type: type, rows: int
-) -> list[list]:
-    """Decode one decompressed block payload into per-column value lists."""
-    codes = _type_codes(record_type)
+def _unpack_columns(payload: bytes, record_type: type, rows: int) -> list:
+    """Decode one decompressed block payload into per-field columns.
+
+    Numeric fields come back as numpy arrays (float64 / int64); string
+    fields as ``(values, index)`` pairs: the block's distinct values and
+    one index per row into them.
+    """
+    codes = type_codes(record_type)
     view = memoryview(payload)
     offset = 0
-    cols: list[list] = []
+    cols: list = []
     for code in codes:
         if code in ("f", "i"):
             end = offset + rows * 8
@@ -312,24 +312,36 @@ def _unpack_columns(
                 pos += length
             if pos != len(blob):
                 raise ValueError("string column blob length mismatch")
-            idx = array("H" if width == 2 else "I")
-            idx.frombytes(view[offset : offset + rows * width])
-            if _BIG_ENDIAN:
-                idx.byteswap()
+            idx = np.frombuffer(
+                view[offset : offset + rows * width],
+                dtype="<u2" if width == 2 else "<u4",
+            )
             offset += rows * width
-            try:
-                cols.append(list(map(uniq.__getitem__, idx)))
-            except IndexError:
-                raise ValueError("string index out of range") from None
+            if len(idx) and int(idx.max()) >= len(uniq):
+                raise ValueError("string index out of range")
+            cols.append((uniq, idx))
     if offset != len(payload):
         raise ValueError("block payload has trailing bytes")
-    if any(len(col) != rows for col in cols):
+    if any(len(col[1] if isinstance(col, tuple) else col) != rows for col in cols):
         raise ValueError("column length does not match block row count")
     return cols
 
 
-# -------------------------------------------------- fast record makers
-_BATCH_MAKERS: dict[type, Callable] = {}
+def _row_lists(cols: Sequence, keep: np.ndarray | None = None) -> list[list]:
+    """Per-field Python value lists of a decoded block's (kept) rows."""
+    lists = []
+    for col in cols:
+        if isinstance(col, tuple):
+            uniq, idx = col
+            if keep is not None:
+                idx = idx[keep]
+            lists.append(list(map(uniq.__getitem__, idx.tolist())))
+        else:
+            lists.append((col if keep is None else col[keep]).tolist())
+    return lists
+
+
+# ------------------------------------------------------ column getters
 _GETTERS: dict[type, list[Callable]] = {}
 
 
@@ -349,56 +361,21 @@ def _fast_getters(record_type: type) -> list[Callable]:
     return getters
 
 
-def _batch_maker(record_type: type) -> Callable:
-    """Columns-in, record-list-out constructor with the loop inlined.
+def _block_valid(record_type: type, cols: Sequence) -> bool:
+    """Batch equivalent of the record ``__post_init__`` checks.
 
-    Batch validation (:func:`_block_valid`) has already vetted the whole
-    block, so per-record ``__post_init__`` checks would only repeat work
-    8192 times per block.  The records are frozen slotted dataclasses;
-    binding each slot descriptor's ``__set__`` once beats
-    ``object.__setattr__``, which re-resolves the descriptor by name on
-    every call, and inlining the loop into one generated function drops
-    the per-record ``map`` dispatch as well.
+    String checks look at the block's distinct values, numeric checks at
+    the whole column; a block that fails goes row by row.
     """
-    maker = _BATCH_MAKERS.get(record_type)
-    if maker is not None:
-        return maker
-    names = fields_for(record_type)
-    args = ", ".join(f"c_{name}" for name in names)
-    row = ", ".join(names)
-    namespace = {"_new": object.__new__, "_cls": record_type, "_zip": zip}
-    lines = [
-        f"def make_all({args}):",
-        "    new = _new; cls = _cls",
-        "    out = []",
-        "    append = out.append",
-    ]
-    for name in names:
-        namespace[f"_set_{name}"] = getattr(record_type, name).__set__
-        lines.append(f"    set_{name} = _set_{name}")
-    lines.append(f"    for {row} in _zip({args}):")
-    lines.append("        r = new(cls)")
-    for name in names:
-        lines.append(f"        set_{name}(r, {name})")
-    lines.append("        append(r)")
-    lines.append("    return out")
-    exec("\n".join(lines), namespace)  # noqa: S102 - static, local template
-    maker = namespace["make_all"]
-    _BATCH_MAKERS[record_type] = maker
-    return maker
-
-
-def _block_valid(record_type: type, cols: Sequence[Sequence]) -> bool:
-    """Batch equivalent of the record ``__post_init__`` checks."""
     if record_type is ProxyRecord:
         return (
-            set(cols[5]) <= _VALID_PROTOCOLS
-            and all(cols[1])
-            and all(cols[3])
-            and min(cols[6]) >= 0
-            and min(cols[7]) >= 0
+            set(cols[5][0]) <= _VALID_PROTOCOLS
+            and all(cols[1][0])
+            and all(cols[3][0])
+            and not (cols[6] < 0).any()
+            and not (cols[7] < 0).any()
         )
-    return set(cols[4]) <= _VALID_EVENTS and all(cols[1]) and all(cols[3])
+    return set(cols[4][0]) <= _VALID_EVENTS and all(cols[1][0]) and all(cols[3][0])
 
 
 # -------------------------------------------------------------- writer
@@ -680,6 +657,60 @@ def read_bin_records(
     growing stream bound the read at :func:`resume_offset` so a block
     still being appended is never mistaken for a truncated tail.
     """
+    make = record_maker(record_type)
+    for cols, keep, records in _decoded_blocks(
+        path,
+        record_type,
+        quarantine,
+        category=category,
+        time_range=time_range,
+        start_offset=start_offset,
+        end_offset=end_offset,
+    ):
+        yield from records if records is not None else make(*_row_lists(cols, keep))
+
+
+def read_bin_table(
+    path: str | Path,
+    record_type: Type[ProxyRecord] | Type[MmeRecord],
+    *,
+    category: str = "log",
+) -> ColumnTable:
+    """Decode a whole binary log, strictly, into one :class:`ColumnTable`.
+
+    The same block loop as :func:`read_bin_records` (same checks, same
+    :class:`~repro.logs.io.LogReadError` codes and messages), but no row
+    is built: each block's columns go straight into the table, its
+    string dictionaries recoded into one dictionary per field.
+    """
+    assembler = TableAssembler(record_type)
+    for cols, keep, _records in _decoded_blocks(
+        path, record_type, None, category=category
+    ):
+        assembler.add(cols, keep)
+    return assembler.table()
+
+
+def _decoded_blocks(
+    path: str | Path,
+    record_type: type,
+    quarantine: QuarantineCollector | None,
+    *,
+    category: str,
+    time_range: tuple[float, float] | None = None,
+    start_offset: int | None = None,
+    end_offset: int | None = None,
+) -> Iterator[tuple[list, np.ndarray | None, list | None]]:
+    """The one ``.bin`` block loop: ``(columns, keep, records)`` per
+    decoded block.
+
+    ``columns`` is :func:`_unpack_columns`' output; ``keep`` indexes the
+    rows that passed validation and ``time_range`` (None = every row).
+    A block that failed its batch checks was validated row by row, and
+    ``records`` then holds the kept rows' records (None otherwise).
+    Header checks, resync, truncation accounting, row validation and the
+    read counters all live here.
+    """
     source = Path(path)
     kind = log_kind(record_type)
     on = obs.enabled()
@@ -813,17 +844,20 @@ def read_bin_records(
                     if quarantine is not None:
                         for _ in range(rows):
                             quarantine.saw_row(kind)
-                    records = _batch_maker(record_type)(*cols)
+                    keep = None
                     if time_range is not None:
                         low, high = time_range
-                        records = [
-                            r for r in records if low <= r.timestamp <= high
-                        ]
-                    yield from records
-                    rows_out += len(records)
+                        keep = np.flatnonzero((cols[0] >= low) & (cols[0] <= high))
+                    yield cols, keep, None
+                    rows_out += rows if keep is None else len(keep)
                     continue
                 # Slow path: at least one row in this block is invalid.
-                for row_index, values in enumerate(zip(*cols)):
+                # The valid rows before each quarantined one are yielded
+                # first, so a consumer that quarantines rows too (the
+                # lenient scrub) records its events in row order.
+                kept: list[int] = []
+                records: list = []
+                for row_index, values in enumerate(zip(*_row_lists(cols))):
                     if quarantine is not None:
                         quarantine.saw_row(kind)
                     try:
@@ -836,6 +870,10 @@ def read_bin_records(
                                 f"row {row_index}: {exc}",
                                 code="value",
                             ) from exc
+                        if kept:
+                            yield cols, np.array(kept, dtype=np.intp), records
+                            rows_out += len(kept)
+                            kept, records = [], []
                         quarantine.quarantine_row(
                             kind,
                             f"{kind}-value",
@@ -848,8 +886,11 @@ def read_bin_records(
                         time_range[0] <= record.timestamp <= time_range[1]
                     ):
                         continue
-                    yield record
-                    rows_out += 1
+                    kept.append(row_index)
+                    records.append(record)
+                if kept:
+                    yield cols, np.array(kept, dtype=np.intp), records
+                    rows_out += len(kept)
     except FileNotFoundError:
         if quarantine is None:
             raise
@@ -946,4 +987,4 @@ def read_bin_rows(
                     code="truncated",
                 )
             cols = _unpack_columns(gzip.decompress(payload), record_type, n)
-            rows.extend(zip(*cols))
+            rows.extend(zip(*_row_lists(cols)))

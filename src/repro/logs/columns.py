@@ -1,0 +1,403 @@
+"""Column tables: one log stream held as numpy columns.
+
+A :class:`ColumnTable` holds the rows of one log (proxy or MME) column by
+column, in the field order of :mod:`repro.logs.records`:
+
+* float fields (``timestamp``) as one float64 array;
+* int fields (``bytes_up``, ``bytes_down``) as one int64 array;
+* string fields as a :class:`Dictionary`: one int32 code per row plus
+  the object array of distinct values the codes index.
+
+Two producers fill a table.  :func:`repro.logs.binfmt.read_bin_table`
+decodes a ``.bin`` log straight into columns through a
+:class:`TableAssembler`, which recodes each block's string dictionary into
+one dictionary per field.  :meth:`ColumnTable.from_records` wraps a row
+list and fills each column from the rows the first time it is asked for,
+so a consumer that reads three columns pays for three.
+
+Rows (:attr:`ColumnTable.records`) are built from the columns only when
+a row consumer asks; rows built from a decoded table share one string
+object per dictionary entry and one int object per distinct byte count.
+
+The group-by helpers at the end (:func:`first_seen`, :func:`distinct`,
+:func:`runs`, :func:`group_sum`) are what the column folds of
+:mod:`repro.core.parallel` are made of: integer group keys, integer
+accumulators, and keys listed in the order of their first row, so a fold
+inserts dict keys in the order a row-by-row loop would.
+"""
+
+from __future__ import annotations
+
+import gc
+from functools import lru_cache
+from itertools import compress
+from typing import Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
+
+from repro.logs.records import fields_for
+
+#: Rows built per record-constructor call: bounds the per-column Python
+#: lists alive while rows are built.
+ROW_CHUNK = 8192
+
+#: Column dtype per field type code (``s`` fields are dictionaries).
+_DTYPES = {"f": np.float64, "i": np.int64}
+
+
+class Dictionary(NamedTuple):
+    """A dictionary-encoded string column."""
+
+    #: int32 index into :attr:`values`, one per row.
+    codes: np.ndarray
+    #: Object array of distinct strings.
+    values: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def type_codes(record_type: type) -> tuple[str, ...]:
+    """Column type codes in field order (``f``/``i``/``s``)."""
+    from repro.logs.io import _field_types
+
+    types = _field_types(record_type)
+    return tuple(
+        "f" if types[name] is float else "i" if types[name] is int else "s"
+        for name in fields_for(record_type)
+    )
+
+
+def object_array(values: Sequence) -> np.ndarray:
+    """A 1-D object array holding ``values`` (strings stay strings)."""
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
+def encode_strings(values: Sequence[str]) -> Dictionary:
+    """Dictionary-encode a string sequence, values in first-occurrence order."""
+    distinct = list(dict.fromkeys(values))
+    index = {value: code for code, value in enumerate(distinct)}
+    codes = np.fromiter(
+        map(index.__getitem__, values), dtype=np.int32, count=len(values)
+    )
+    return Dictionary(codes, object_array(distinct))
+
+
+_MAKERS: dict[type, Callable] = {}
+
+
+def record_maker(record_type: type) -> Callable:
+    """Columns-in, record-list-out constructor with the loop inlined.
+
+    The columns come from validated data (a decoded block that passed
+    its batch checks, or a table of such blocks), so the per-record
+    ``__post_init__`` checks would only repeat work.  The records are
+    frozen slotted dataclasses; binding each slot descriptor's
+    ``__set__`` once beats ``object.__setattr__``, and inlining the loop
+    into one generated function drops a per-record call as well.
+    """
+    maker = _MAKERS.get(record_type)
+    if maker is not None:
+        return maker
+    names = fields_for(record_type)
+    args = ", ".join(f"c_{name}" for name in names)
+    row = ", ".join(names)
+    namespace = {"_new": object.__new__, "_cls": record_type, "_zip": zip}
+    lines = [
+        f"def make_all({args}):",
+        "    new = _new; cls = _cls",
+        "    out = []",
+        "    append = out.append",
+    ]
+    for name in names:
+        namespace[f"_set_{name}"] = getattr(record_type, name).__set__
+        lines.append(f"    set_{name} = _set_{name}")
+    lines.append(f"    for {row} in _zip({args}):")
+    lines.append("        r = new(cls)")
+    for name in names:
+        lines.append(f"        set_{name}(r, {name})")
+    lines.append("        append(r)")
+    lines.append("    return out")
+    exec("\n".join(lines), namespace)  # noqa: S102 - static, local template
+    maker = namespace["make_all"]
+    _MAKERS[record_type] = maker
+    return maker
+
+
+class ColumnTable:
+    """One log stream's rows as columns, with rows built on demand."""
+
+    def __init__(
+        self,
+        record_type: type,
+        columns: dict[str, np.ndarray | Dictionary] | None = None,
+        *,
+        records: list | None = None,
+    ) -> None:
+        self.record_type = record_type
+        self.fields = fields_for(record_type)
+        self._codes = dict(zip(self.fields, type_codes(record_type)))
+        self._columns: dict = dict(columns or {})
+        self._records = records
+        if records is not None:
+            self._size = len(records)
+        else:
+            first = self._columns[self.fields[0]]
+            self._size = len(first)
+
+    @classmethod
+    def from_records(cls, record_type: type, records: list) -> "ColumnTable":
+        """A table over a row list; columns are filled when first read."""
+        return cls(record_type, records=records)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def column(self, name: str) -> np.ndarray | Dictionary:
+        """Field ``name``'s column: an array, or a :class:`Dictionary`."""
+        column = self._columns.get(name)
+        if column is None:
+            get = getattr(self.record_type, name).__get__
+            code = self._codes[name]
+            if code == "s":
+                column = encode_strings(list(map(get, self._records)))
+            else:
+                column = np.fromiter(
+                    map(get, self._records), dtype=_DTYPES[code], count=self._size
+                )
+            self._columns[name] = column
+        return column
+
+    @property
+    def records(self) -> list:
+        """Every row as a record, built from the columns on first use.
+
+        Building allocates nothing but acyclic records, so automatic
+        garbage collection pauses meanwhile: each collection would only
+        walk the growing heap again.
+        """
+        if self._records is None:
+            make = record_maker(self.record_type)
+            columns = [self._row_source(name) for name in self.fields]
+            records: list = []
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                for start in range(0, self._size, ROW_CHUNK):
+                    end = start + ROW_CHUNK
+                    records.extend(
+                        make(
+                            *(
+                                (
+                                    column.values[column.codes[start:end]]
+                                    if isinstance(column, Dictionary)
+                                    else column[start:end]
+                                ).tolist()
+                                for column in columns
+                            )
+                        )
+                    )
+            finally:
+                if collecting:
+                    gc.enable()
+            self._records = records
+        return self._records
+
+    def _row_source(self, name: str) -> np.ndarray | Dictionary:
+        """Field ``name`` as rows are built from it.
+
+        Int fields are dictionary-encoded here too, values in
+        first-occurrence order, so rows share one int object per distinct
+        byte count as they share one string per dictionary entry (about
+        a third fewer objects at the medium preset); first-occurrence
+        order keeps the shared objects near the rows that use them.
+        """
+        column = self._columns[name]
+        if self._codes[name] != "i":
+            return column
+        values, codes = first_seen(column)
+        return Dictionary(codes, object_array(values.tolist()))
+
+    def rows_where(self, mask: np.ndarray) -> list:
+        """The records of the rows ``mask`` selects, in row order."""
+        return list(compress(self.records, mask.tolist()))
+
+    def take(self, mask: np.ndarray) -> "ColumnTable":
+        """A table of the rows ``mask`` selects from a decoded table
+        (dictionaries are kept whole)."""
+        return ColumnTable(
+            self.record_type,
+            {
+                name: (
+                    Dictionary(column.codes[mask], column.values)
+                    if isinstance(column, Dictionary)
+                    else column[mask]
+                )
+                for name, column in self._columns.items()
+            },
+        )
+
+    def entry_mask(self, name: str, predicate: Callable[[str], bool]) -> np.ndarray:
+        """Row mask of string field ``name``: ``predicate`` of each row's
+        value, evaluated once per dictionary entry."""
+        column = self.column(name)
+        flags = np.fromiter(
+            map(predicate, column.values), dtype=bool, count=len(column.values)
+        )
+        return flags[column.codes]
+
+    def sort_keys(self, index: np.ndarray) -> list[tuple]:
+        """:func:`~repro.logs.records.record_sort_key` of the rows at
+        ``index``, without building the rows."""
+        if self._records is not None:
+            return [self._records[i].sort_key() for i in index.tolist()]
+        values = []
+        for name in self.fields:
+            column = self.column(name)
+            if isinstance(column, Dictionary):
+                values.append(column.values[column.codes[index]].tolist())
+            else:
+                values.append(column[index].tolist())
+        return list(zip(*values))
+
+    def distinct(self, name: str, mask: np.ndarray) -> list[str]:
+        """The values of string field ``name`` on the rows ``mask`` selects."""
+        column = self.column(name)
+        return column.values[np.unique(column.codes[mask])].tolist()
+
+
+class TableAssembler:
+    """Accumulates decoded blocks into one :class:`ColumnTable`.
+
+    Each block's string dictionary is recoded into one dictionary per
+    field as the block arrives: the first string object seen for a value
+    stays the entry, and a block costs one dict probe per distinct value
+    plus one array gather per row.
+    """
+
+    def __init__(self, record_type: type) -> None:
+        self.record_type = record_type
+        self.fields = fields_for(record_type)
+        self._parts: dict[str, list[np.ndarray]] = {
+            name: [] for name in self.fields
+        }
+        self._entries: dict[str, dict[str, int]] = {}
+
+    def add(self, columns: Sequence, keep: np.ndarray | None = None) -> None:
+        """Append one block: numeric arrays and ``(values, index)`` string
+        pairs in field order; ``keep`` selects rows (None = all)."""
+        for name, column in zip(self.fields, columns):
+            if isinstance(column, tuple):
+                values, index = column
+                entries = self._entries.setdefault(name, {})
+                recode = np.fromiter(
+                    (entries.setdefault(value, len(entries)) for value in values),
+                    dtype=np.int32,
+                    count=len(values),
+                )
+                column = recode[index]
+            if keep is not None:
+                column = column[keep]
+            self._parts[name].append(column)
+
+    def table(self) -> ColumnTable:
+        columns: dict = {}
+        for name, code in zip(self.fields, type_codes(self.record_type)):
+            parts = self._parts[name]
+            if code == "s":
+                codes = (
+                    np.concatenate(parts) if parts else np.empty(0, np.int32)
+                )
+                columns[name] = Dictionary(
+                    codes, object_array(list(self._entries.get(name, ())))
+                )
+            else:
+                columns[name] = (
+                    np.concatenate(parts) if parts else np.empty(0, _DTYPES[code])
+                )
+        return ColumnTable(self.record_type, columns)
+
+
+# ------------------------------------------------------------ group-bys
+def _dense(n: int, span: int) -> bool:
+    """Whether a key range of ``span`` is small enough to index directly
+    for ``n`` rows (cheaper than sorting them)."""
+    return span <= 16 * n + (1 << 16)
+
+
+def first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct integer ``keys`` in the order of their first row, and
+    each row's position in that order."""
+    n = len(keys)
+    if not n:
+        return keys[:0], np.empty(0, dtype=np.intp)
+    if keys.min() >= 0 and _dense(n, int(keys.max()) + 1):
+        # Small non-negative keys (codes, hours, days) index a table of
+        # first rows directly.
+        first = np.full(int(keys.max()) + 1, n, dtype=np.intp)
+        np.minimum.at(first, keys, np.arange(n))
+        present = np.flatnonzero(first < n)
+        order = present[np.argsort(first[present])]
+        rank = np.empty(len(first), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        return order.astype(keys.dtype), rank[keys]
+    # Sparse keys (byte sizes): sort, then order the runs of equal keys
+    # by the first row in each.
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    )
+    by_first = np.argsort(np.minimum.reduceat(order, starts))
+    rank = np.empty(len(starts), dtype=np.intp)
+    rank[by_first] = np.arange(len(starts))
+    group = np.empty(n, dtype=np.intp)
+    group[order] = np.repeat(rank, np.diff(np.append(starts, n)))
+    return ordered[starts][by_first], group
+
+
+def distinct(*columns: np.ndarray) -> list[np.ndarray]:
+    """The distinct tuples of integer columns, one int64 array per
+    column, sorted lexicographically.
+
+    The tuples are packed into one int64 key, so the product of the
+    columns' ranges must stay below 2**63 (codes, days and hours do).
+    """
+    if not len(columns[0]):
+        return [np.asarray(column, dtype=np.int64) for column in columns]
+    lows = [int(column.min()) for column in columns]
+    bounds = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for column, low, bound in zip(columns, lows, bounds):
+        key = key * bound + (column - low)
+    span = int(np.prod(bounds, dtype=object))
+    if _dense(len(key), span):
+        seen = np.zeros(span, dtype=bool)
+        seen[key] = True
+        key = np.flatnonzero(seen)
+    else:
+        key = np.unique(key)
+    out = []
+    for low, bound in zip(reversed(lows), reversed(bounds)):
+        out.append(key % bound + low)
+        key = key // bound
+    return out[::-1]
+
+
+def runs(sorted_keys: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """``(key, start, end)`` for each run of equal values in a sorted array."""
+    if not len(sorted_keys):
+        return
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    )
+    ends = np.append(starts[1:], len(sorted_keys))
+    yield from zip(sorted_keys[starts].tolist(), starts.tolist(), ends.tolist())
+
+
+def group_sum(groups: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """int64 sum of ``values`` per group index (``np.bincount`` weights
+    would sum in float64)."""
+    out = np.zeros(n, dtype=np.int64)
+    np.add.at(out, groups, values)
+    return out

@@ -530,16 +530,21 @@ def subscriber_shard(
     return crc32(key.encode("utf-8")) % shards
 
 
+def check_shard(shard: int, shards: int) -> None:
+    """Raise ``ValueError`` unless ``shard`` is one of ``shards`` shards."""
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
+    if not 0 <= shard < shards:
+        raise ValueError(f"shard must be in [0, {shards}), got {shard}")
+
+
 def shard_keep_predicate(
     shard: int,
     shards: int,
     account_directory: Mapping[str, str] | None = None,
 ) -> Callable[[RecordT], bool]:
     """Predicate keeping only the records belonging to ``shard``."""
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if not 0 <= shard < shards:
-        raise ValueError(f"shard must be in [0, {shards}), got {shard}")
+    check_shard(shard, shards)
 
     def keep(record: RecordT) -> bool:
         return (

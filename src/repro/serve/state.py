@@ -5,7 +5,8 @@ by *account* and consumes each shard in one pass.  The service splits by
 account **and by time**: rows arrive in small deltas as the trace grows.
 That partition is only safe for partials whose ``consume`` is a
 per-record fold — the **split-safe six** (:data:`FOLDED`): census,
-adoption, activity, comparison, weekly, devices.  The other six
+adoption, activity, comparison, weekly, devices, which fold each delta
+dataset's column table.  The other six
 (:data:`REPLAYED`) are cross-row:
 
 * mobility and through-device build per-subscriber sector timelines and
@@ -18,10 +19,11 @@ adoption, activity, comparison, weekly, devices.  The other six
 Those six are recomputed at finalize time from per-shard **replay
 buffers** — the record subsets their batch consumes actually read: all
 wearable proxy rows, phone proxy rows in the detailed window, and MME
-rows in the detailed window.  The buffers hold O(trace) rows.  Per-shard
-ownership accumulates as the union of each delta's wearable accounts
-(ownership is shard-local, so the union over time deltas equals the
-batch set).
+rows in the detailed window, each taken from a delta by the dataset's
+row masks.  The buffers hold O(trace) rows.  Per-shard ownership
+accumulates as the union of each delta's wearable accounts (ownership
+is shard-local, so the union over time deltas equals the batch set) and
+is handed to the replay dataset as its ``owner_accounts``.
 
 Finalize replays the shards through :func:`repro.obs.map_shards` (in
 process, or in a pool when the service has ``workers > 1``),
@@ -107,19 +109,15 @@ class ShardSlot:
     ) -> None:
         """Fold one delta of this shard's rows into the live state."""
         dataset = artifacts.dataset(delta_proxy, delta_mme)
-        self.census.consume(dataset)
-        self.adoption.consume(dataset)
-        self.activity.consume(dataset)
-        self.comparison.consume(dataset)
-        self.weekly.consume(delta_proxy)
-        self.devices.consume(dataset)
-        window = artifacts.window
-        self.proxy_wearable.extend(dataset.wearable_proxy)
+        for name in FOLDED:
+            getattr(self, name).consume(dataset)
+        wearable = dataset.wearable_proxy_mask
+        self.proxy_wearable.extend(dataset.proxy.rows_where(wearable))
         self.proxy_phone_detailed.extend(
-            r for r in dataset.phone_proxy if window.in_detailed(r.timestamp)
+            dataset.proxy.rows_where(~wearable & dataset.detailed_proxy_mask)
         )
         self.mme_detailed.extend(
-            r for r in delta_mme if window.in_detailed(r.timestamp)
+            dataset.mme.rows_where(dataset.detailed_mme_mask)
         )
         self.owner_accounts |= dataset.wearable_accounts
         self.rows += len(delta_proxy) + len(delta_mme)
@@ -199,8 +197,9 @@ def _replay_partials(payload: tuple) -> dict:
         phone = sorted(phone, key=record_sort_key)
     if sort_mme:
         mme = sorted(mme, key=record_sort_key)
-    dataset = artifacts.dataset(wearable + phone, list(mme))
-    dataset.__dict__["wearable_accounts"] = frozenset(slot.owner_accounts)
+    dataset = artifacts.dataset(
+        wearable + phone, list(mme), owner_accounts=slot.owner_accounts
+    )
     inputs = PanelInputs(dataset)
     with obs.span("serve.replay"):
         return {name: inputs.partial(name) for name in REPLAYED}

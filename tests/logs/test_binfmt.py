@@ -141,7 +141,7 @@ class TestNumpyParity:
 
     def test_decode_results_identical(self, tmp_path):
         packed = struct.pack(f"<{len(self.INTS)}q", *self.INTS)
-        assert binfmt._unpack_numeric(memoryview(packed), "q") == self.INTS
+        assert binfmt._unpack_numeric(memoryview(packed), "q").tolist() == self.INTS
         records = mme_records(300)
         path = tmp_path / "mme.bin"
         write_bin_records(path, records, MmeRecord)

@@ -124,9 +124,11 @@ obs-smoke:
 
 ## Parallel-analysis smoke: export the small preset, map-reduce it over
 ## 4 account shards with 2 workers (metrics + timeline artifacts), then
-## validate the artifacts: every shard must report load/aggregate
-## progress and the run report must carry the analyze.parallel ->
-## analyze.shard -> analyze.merge span chain.  Artifacts land in
+## validate the artifacts: every shard must report aggregate progress,
+## the run report must carry the analyze.parallel -> analyze.load (the
+## one parent load) -> analyze.shard -> analyze.merge span chain, and
+## its log rows-read counter must equal the data rows of the two CSV
+## logs (each log decoded once, not once per shard).  Artifacts land in
 ## analyze-smoke/ (gitignored; CI uploads them).
 analyze-smoke:
 	rm -rf analyze-smoke && mkdir -p analyze-smoke
@@ -143,16 +145,23 @@ analyze-smoke:
 	from repro.obs.timeline import validate_events_file; \
 	report = validate_run_report_file('analyze-smoke/run-report.json'); \
 	paths = set(span_index(report)); \
-	needed = ('analyze.parallel', 'analyze.shard[', 'shard.load', \
+	needed = ('analyze.parallel', 'analyze.load', 'analyze.shard[', \
 	    'analyze.merge', 'analyze.finalize'); \
 	missing = [n for n in needed if not any(n in p for p in paths)]; \
 	assert not missing, missing; \
+	read = sum(c['value'] for c in report['metrics']['counters'] \
+	    if c['name'] == 'repro_io_rows_read_total' \
+	    and c['labels'].get('category') == 'log'); \
+	rows = sum(sum(1 for _ in open(f'analyze-smoke/trace/{n}.csv')) - 1 \
+	    for n in ('proxy', 'mme')); \
+	assert read == rows, f'log rows read {read:.0f} != {rows} trace rows'; \
 	events = validate_events_file('analyze-smoke/events.jsonl'); \
 	shards = sorted({e.get('shard') for e in events \
 	    if e['type'] == 'progress' and e.get('stage') == 'aggregate'}); \
 	assert shards == [0, 1, 2, 3], shards; \
 	print('analyze-smoke: run report + timeline schema-valid, ' \
-	    f'{len(events)} events, all 4 shards aggregated')"
+	    f'{len(events)} events, all 4 shards aggregated, ' \
+	    f'{rows} log rows read once')"
 	PYTHONPATH=src $(PY) -m repro obs summarize analyze-smoke/run-report.json
 
 ## Encounter-join smoke: export the small preset, run the encounters

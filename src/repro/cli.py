@@ -33,9 +33,11 @@ headline table; ``obs summarize`` renders a saved observability run
 report as a stage table.
 
 With ``--shards N`` (and optionally ``--workers W``) ``analyze`` runs
-the map-reduce path (:mod:`repro.core.parallel`): the report is computed
-as merged per-account-shard partial aggregates, peak memory bounded by
-the largest shard, and the output is invariant to the worker count.
+the map-reduce path (:mod:`repro.core.parallel`): the trace is decoded
+and scrubbed once, in the parent, and the report is computed as merged
+per-account-shard partial aggregates, invariant to the worker count.
+The parent holds the whole trace as columns (about 44 bytes per row);
+each worker holds the rows of its shard.
 
 Observability
 -------------
@@ -1154,8 +1156,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="partition accounts into this many shards and compute the "
         "report as merged per-shard partial aggregates (default: 1 == "
-        "the classic single-pass batch path); peak memory is bounded by "
-        "the largest shard, not the trace",
+        "the classic single-pass batch path); the trace is decoded once "
+        "and held as columns (about 44 bytes per row), and each worker "
+        "holds the rows of its shard",
     )
     analyze.add_argument(
         "--workers",
@@ -1364,8 +1367,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error [{stem}-{exc.code}]: {exc}", file=sys.stderr)
         # Structural binary-format errors (wrong magic, unknown version)
         # are not row-level defects: lenient mode rejects them too, so
-        # the hint would mislead.
-        if exc.code not in ("magic", "version"):
+        # the hint would mislead; so would it on a command without
+        # --lenient (``corrupt`` reads its input strictly).
+        if exc.code not in ("magic", "version") and hasattr(args, "lenient"):
             print(
                 "hint: use --lenient to quarantine bad rows and continue",
                 file=sys.stderr,

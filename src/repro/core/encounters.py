@@ -248,12 +248,14 @@ def build_cell_index(
     *,
     shard: int = 0,
     shards: int = 1,
+    seen: set[str] | None = None,
 ) -> CellIndex:
     """Time-bucketed per-sector inverted index over dwell intervals.
 
     ``intervals`` yields ``(subscriber, sector, start, end)`` and is
-    drained into columns.  Intervals in sectors not owned by ``shard``
-    (per :func:`sector_shard`, decided once per distinct sector) are
+    drained into columns; ``seen``, when given, collects the subscriber
+    of every interval.  Intervals in sectors not owned by ``shard`` (per
+    :func:`sector_shard`, decided once per distinct sector) are then
     dropped, which is what keeps the sharded join disjoint.  Each
     interval is clipped into every :data:`BUCKET_SECONDS` bucket it
     overlaps, relative to ``study_start``; intervals are half-open, so
@@ -279,6 +281,8 @@ def build_cell_index(
         sector_column.append(sector_codes.setdefault(sector, len(sector_codes)))
         starts.append(start)
         ends.append(end)
+    if seen is not None:
+        seen.update(subscriber_codes)
     subscribers, subscriber = _codes(subscriber_codes, subscriber_column)
     sectors, sector = _codes(sector_codes, sector_column)
     start = np.frombuffer(starts, dtype=np.float64)

@@ -12,11 +12,14 @@ how they feed it:
 * :func:`analyze_parallel` splits the trace into **account shards** —
   ``crc32(account_id) % shards``, the same partition the simulation
   engine uses — so every per-user and per-account aggregation is
-  shard-local; each worker reads the whole trace but keeps only its
-  shard's rows (:meth:`~repro.core.dataset.StudyDataset.load` with
-  ``shard=``), builds one :class:`ShardPartials` and ships it back (peak
-  memory: O(largest shard)), and the parent merges them in shard order
-  and finalizes;
+  shard-local.  The parent decodes and scrubs each log once
+  (:meth:`~repro.core.dataset.StudyDataset.load`), hands each worker its
+  shard's column slices (:meth:`~repro.core.dataset.StudyDataset.shard`)
+  and the MME dwell intervals of the sectors it joins; each worker
+  builds one :class:`ShardPartials` and ships it back, and the parent
+  merges them in shard order and finalizes.  Memory: the parent holds
+  O(trace) columns, about 44 bytes per row; each worker holds
+  O(largest shard) rows;
 * :mod:`repro.serve` folds growing deltas into the same partials.
 
 The six split-safe partials — census, adoption, activity, comparison,
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import os
 import time
+from array import array
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, repeat
@@ -71,13 +75,19 @@ from repro.core.apps import (
     CategoryStats,
 )
 from repro.core.comparison import ComparisonResult
-from repro.core.dataset import StudyDataset, StudyWindow, load_artifacts
+from repro.core.dataset import (
+    StudyDataset,
+    StudyWindow,
+    TraceArtifacts,
+    load_artifacts,
+)
 from repro.core.devices import DeviceResult, ModelStats
 from repro.core.encounters import (
     EncountersResult,
     build_cell_index,
     consume_classification,
     join_cells,
+    sector_shard,
     stream_dwell_intervals,
     summarize_encounters,
 )
@@ -102,6 +112,7 @@ from repro.core.throughdevice import (
 from repro.core.weekly import StreamingWeekly
 from repro.devicedb.database import DeviceDatabase
 from repro.logs.columns import (
+    ColumnTable,
     distinct,
     first_seen,
     group_sum,
@@ -110,7 +121,12 @@ from repro.logs.columns import (
 )
 from repro.logs.io import read_records
 from repro.logs.quarantine import QuarantineCollector, QuarantineReport
-from repro.logs.records import PROTOCOL_HTTP, MmeRecord, record_sort_key
+from repro.logs.records import (
+    PROTOCOL_HTTP,
+    MmeRecord,
+    ProxyRecord,
+    record_sort_key,
+)
 from repro.logs.timeutil import SECONDS_PER_DAY
 from repro.simnet.appcatalog import (
     DOMAIN_ADVERTISING,
@@ -1490,12 +1506,13 @@ class EncountersPartial(_PartialState):
 
     * the **join side** (``pair_events`` / ``partners`` / ``sub_events``
       / ``seen_subscribers``) partitions by *sector*
-      (:func:`repro.core.encounters.sector_shard`): every worker streams
-      the full MME log but only indexes its own sectors' cells, so each
-      encounter event is produced by exactly one worker and the merge is
-      plain integer addition + partner-set union (``seen_subscribers``
-      is replicated identically on every worker and unions
-      idempotently);
+      (:func:`repro.core.encounters.sector_shard`): the dwell intervals
+      of the whole MME stream are routed to the shard owning each
+      interval's sector, and each shard indexes and joins only those
+      cells, so each encounter event is produced by exactly one shard
+      and the merge is plain integer addition + partner-set union
+      (``seen_subscribers`` holds the subscribers of the intervals a
+      partial was fed, so the shards' sets union to the whole stream's);
     * the **account side** (SIM classification, detailed proxy traffic,
       billing pairing maps) partitions by account like every other
       partial, merging as disjoint-key unions.
@@ -1537,20 +1554,40 @@ class EncountersPartial(_PartialState):
         shard: int = 0,
         shards: int = 1,
     ) -> int:
-        """Join side: index + join this worker's sector slice.
-
-        ``records`` is the canonically ordered *full* MME stream (not
-        the account shard); sector routing happens inside
-        :func:`build_cell_index`.  Returns the number of encounter
-        events found in this slice.
+        """Join side over a canonically ordered *full* MME stream (not
+        the account shard): its dwell intervals
+        (:func:`stream_dwell_intervals`) fed to :meth:`consume_intervals`.
+        Returns the number of encounter events found in ``shard``'s
+        sectors.
         """
-        index = build_cell_index(
-            stream_dwell_intervals(
-                records, window, seen=self.seen_subscribers
-            ),
+        return self.consume_intervals(
+            stream_dwell_intervals(records, window),
             window.study_start,
             shard=shard,
             shards=shards,
+        )
+
+    def consume_intervals(
+        self,
+        intervals,
+        study_start: float,
+        *,
+        shard: int = 0,
+        shards: int = 1,
+    ) -> int:
+        """Join side over given dwell intervals: index and join the cells
+        of ``shard``'s sectors (routing happens inside
+        :func:`build_cell_index`; intervals already routed to one shard
+        are fed with the default ``shards=1``).  Every subscriber with an
+        interval here joins ``seen_subscribers``.  Returns the number of
+        encounter events found.
+        """
+        index = build_cell_index(
+            intervals,
+            study_start,
+            shard=shard,
+            shards=shards,
+            seen=self.seen_subscribers,
         )
         return join_cells(
             index,
@@ -1757,9 +1794,11 @@ class ShardPartials(_PartialState):
 
         ``shard`` labels the caller's shard; the partials do not depend
         on it.  Only the encounter *account* side is fed here — the
-        join side needs the full MME stream, which the dataset does not
-        hold when account-sharded; ``_analyze_shard`` (and the serve
-        finalize) feed it via ``encounters.consume_stream``.
+        join side needs the intervals of the full MME stream, which the
+        dataset does not hold when account-sharded; ``_analyze_shard``
+        feeds it the intervals of its sectors
+        (``encounters.consume_intervals``), the serve finalize the full
+        stream (``encounters.consume_stream``).
         """
         inputs = PanelInputs(dataset, app_catalog)
         with obs.span("shard.attribute"):
@@ -1814,11 +1853,14 @@ class AnalysisShardStats:
 class _AnalysisPayload:
     """Everything an analysis worker needs; must stay picklable."""
 
-    trace_dir: str
     shard: int
-    shards: int
-    lenient: bool
-    format: str
+    artifacts: TraceArtifacts
+    #: The shard's proxy and MME column slices (:meth:`StudyDataset.shard`).
+    proxy: dict
+    mme: dict
+    #: The dwell intervals of this shard's sectors, in stream order, as
+    #: subscriber, sector, start and end columns.
+    intervals: tuple[list[str], list[str], array, array]
 
 
 @dataclass
@@ -1826,24 +1868,20 @@ class _ShardResult:
     """A worker's shipped-back partials plus accounting."""
 
     partials: ShardPartials
-    quarantine: QuarantineReport | None
     stats: AnalysisShardStats
 
 
 def _full_mme_stream(trace_dir: str, *, lenient: bool, format: str):
-    """The unsharded canonical MME stream for the encounter join.
+    """The unsharded canonical MME stream of a trace directory.
 
     Strict mode streams straight off the log (engine traces are written
     in canonical order), holding O(1) rows.  Lenient mode runs the same
     read and :class:`~repro.core.dataset.Scrubber` pass a lenient
     :meth:`StudyDataset.load` does — parse salvage, semantic row drops,
     dedup, re-sort on disorder — so the kept rows equal the serial
-    lenient load's exactly; the defect accounting is discarded because
-    the shard's own load already shipped the identical stream-global
-    quarantine report.  (The load materialises the kept MME rows, the
-    one place the join's O(largest-shard) bound loosens to O(MME log) —
-    acceptable because the MME log is the small log, and only in
-    lenient mode.)
+    lenient load's exactly; the defect accounting is discarded.
+    :func:`analyze_parallel` does not read the log again: it takes the
+    join's intervals from its one load (:func:`_sector_intervals`).
     """
     base = Path(trace_dir)
     if not lenient:
@@ -1861,38 +1899,51 @@ def _full_mme_stream(trace_dir: str, *, lenient: bool, format: str):
     )
 
 
+def _sector_intervals(
+    dataset: StudyDataset, shards: int
+) -> list[tuple[list[str], list[str], array, array]]:
+    """The dwell intervals of the dataset's MME log, routed to the shard
+    owning each interval's sector (:func:`sector_shard`, one hash per
+    distinct sector): per shard, the subscriber, sector, start and end
+    columns, in stream order.  The MME rows are built a chunk at a time
+    and not kept."""
+    routed = [([], [], array("d"), array("d")) for _ in range(shards)]
+    owner: dict[str, tuple] = {}
+    for subscriber, sector, start, end in stream_dwell_intervals(
+        dataset.mme.iter_records(), dataset.window
+    ):
+        columns = owner.get(sector)
+        if columns is None:
+            columns = owner[sector] = routed[sector_shard(sector, shards)]
+        columns[0].append(subscriber)
+        columns[1].append(sector)
+        columns[2].append(start)
+        columns[3].append(end)
+    return routed
+
+
 def _analyze_shard(payload: _AnalysisPayload) -> _ShardResult:
-    """Load one shard and build its partials (a pool task)."""
+    """Build one shard's partials from its slices (a pool task)."""
     started = time.perf_counter()
     events = obs.events()
     shard = payload.shard
+    # Fresh tables over the slices: the rows and partitions the panels
+    # build are this task's and go when it returns, also in the serial
+    # fallback, where every payload stays alive until the last task.
+    dataset = payload.artifacts.dataset(
+        ColumnTable(ProxyRecord, payload.proxy),
+        ColumnTable(MmeRecord, payload.mme),
+    )
     with obs.tracer().span("analyze.shard", shard=shard) as shard_span:
-        with obs.span("shard.load"):
-            dataset = StudyDataset.load(
-                payload.trace_dir,
-                lenient=payload.lenient,
-                shard=shard,
-                shards=payload.shards,
-                format=payload.format,
-            )
         rows = len(dataset.proxy) + len(dataset.mme)
-        events.emit("progress", shard=shard, stage="load", rows=rows)
         partials = ShardPartials.compute(dataset, shard=shard)
         events.emit("progress", shard=shard, stage="aggregate", rows=rows)
         # Encounter join side: pairs straddle account shards, so the join
-        # partitions by *sector* instead — every worker streams the full
-        # MME log once more and joins only the cells whose sector hashes
-        # to its shard index.
+        # partitions by *sector* instead — this shard joins the intervals
+        # the parent routed to its sectors.
         with obs.span("shard.encounters"):
-            encounter_events = partials.encounters.consume_stream(
-                _full_mme_stream(
-                    payload.trace_dir,
-                    lenient=payload.lenient,
-                    format=payload.format,
-                ),
-                dataset.window,
-                shard=shard,
-                shards=payload.shards,
+            encounter_events = partials.encounters.consume_intervals(
+                zip(*payload.intervals), dataset.window.study_start
             )
         events.emit(
             "progress", shard=shard, stage="encounters", rows=encounter_events
@@ -1910,7 +1961,6 @@ def _analyze_shard(payload: _AnalysisPayload) -> _ShardResult:
         ).add(encounter_events)
     return _ShardResult(
         partials=partials,
-        quarantine=dataset.quarantine,
         stats=AnalysisShardStats(
             shard=shard,
             proxy_records=len(dataset.proxy),
@@ -1943,8 +1993,9 @@ class ParallelAnalysisRun:
 
     @property
     def peak_resident_records(self) -> int:
-        """Largest record count any single worker held in memory —
-        the pipeline's memory bound (O(largest shard), not O(trace))."""
+        """Largest record count any single shard held as rows — a
+        worker's bound, O(largest shard).  The parent holds the whole
+        trace as columns (about 44 bytes per row) while the shards run."""
         if not self.shard_stats:
             return 0
         return max(s.resident_records for s in self.shard_stats)
@@ -1961,31 +2012,61 @@ def analyze_parallel(
 ) -> ParallelAnalysisRun:
     """Map-reduce the full study over account shards.
 
-    ``workers=1`` is the fully serial fallback (same partials, same
-    merge order, same report — bit-for-bit).  ``lenient=True`` loads
-    each shard with quarantine-and-continue ingestion; every worker
-    observes the identical full-stream defects, so the report carries
-    the same quarantine accounting as a serial lenient load.
+    The parent loads the trace once (:meth:`StudyDataset.load`, strict
+    or ``lenient``, in the ``format`` asked for: ``auto`` / ``csv`` /
+    ``bin``), so each log is decoded and scrubbed once.  It cuts one
+    account shard per worker task (:meth:`StudyDataset.shard`, column
+    slices) and routes the MME log's dwell intervals to the shard owning
+    each sector; a task loads nothing.  The report carries the load's
+    quarantine accounting, the same as a serial lenient load's.
 
-    ``format`` selects the log encoding to load (``auto`` / ``csv`` /
-    ``bin``).  Every worker reads and decodes the whole log, in either
-    encoding, and keeps its own shard's rows.
+    ``workers=1`` is the fully serial fallback (same partials, same
+    merge order, same report — bit-for-bit).  Memory: the parent holds
+    O(trace) columns, about 44 bytes per row, and each worker holds
+    O(largest shard) rows.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    base = Path(trace_dir)
     if workers is None:
         workers = min(shards, os.cpu_count() or 1)
     workers = max(1, min(workers, shards))
 
-    payloads = [
-        _AnalysisPayload(str(base), shard, shards, lenient, format)
-        for shard in range(shards)
-    ]
-
     # NOTE: like the engine, ``workers`` is deliberately NOT a span
     # attribute — the span *tree* must be identical for any worker count.
     with obs.span("analyze.parallel", shards=shards):
+        with obs.span("analyze.load"):
+            dataset = StudyDataset.load(
+                trace_dir, lenient=lenient, format=format
+            )
+            obs.events().emit(
+                "progress",
+                stage="load",
+                rows=len(dataset.proxy) + len(dataset.mme),
+            )
+            artifacts = TraceArtifacts(
+                dataset.window,
+                dataset.device_db,
+                dataset.sector_map,
+                dataset.account_directory,
+            )
+            payloads = []
+            for shard, intervals in enumerate(
+                _sector_intervals(dataset, shards)
+            ):
+                part = dataset.shard(shard, shards)
+                payloads.append(
+                    _AnalysisPayload(
+                        shard,
+                        artifacts,
+                        part.proxy.columns(),
+                        part.mme.columns(),
+                        intervals,
+                    )
+                )
+            quarantine = dataset.quarantine
+            # Pool workers fork from here: only the slices stay resident.
+            del dataset
+
         with obs.span("analyze.shards"):
             results = obs.map_shards(_analyze_shard, payloads, workers)
 
@@ -1997,12 +2078,11 @@ def analyze_parallel(
         with obs.span("analyze.finalize"):
             catalog = app_catalog or builtin_app_catalog()
             app_categories = {app.name: app.category for app in catalog}
-            artifacts = load_artifacts(base)
             report = merged.finalize(
                 artifacts.window,
                 artifacts.device_db,
                 app_categories,
-                quarantine=results[0].quarantine,
+                quarantine=quarantine,
             )
 
     stats = [result.stats for result in results]

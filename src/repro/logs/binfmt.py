@@ -691,6 +691,12 @@ def read_bin_table(
     return assembler.table()
 
 
+#: What decompressing and unpacking a damaged block payload raises.
+#: zlib.error is not an OSError: a byte flipped *inside* a gzip member
+#: surfaces as a bare decompress failure, not a BadGzipFile.
+_PAYLOAD_ERRORS = (OSError, EOFError, ValueError, struct.error, zlib.error)
+
+
 def _decoded_blocks(
     path: str | Path,
     record_type: type,
@@ -813,16 +819,7 @@ def _decoded_blocks(
                     cols = _unpack_columns(
                         gzip.decompress(payload), record_type, rows
                     )
-                # zlib.error is not an OSError: a byte flipped *inside*
-                # a gzip member surfaces as a bare decompress failure,
-                # not a BadGzipFile.
-                except (
-                    OSError,
-                    EOFError,
-                    ValueError,
-                    struct.error,
-                    zlib.error,
-                ) as exc:
+                except _PAYLOAD_ERRORS as exc:
                     if quarantine is None:
                         raise LogReadError(
                             source,
@@ -986,5 +983,15 @@ def read_bin_rows(
                     source, 0, "file truncated inside block payload",
                     code="truncated",
                 )
-            cols = _unpack_columns(gzip.decompress(payload), record_type, n)
+            try:
+                cols = _unpack_columns(
+                    gzip.decompress(payload), record_type, n
+                )
+            except _PAYLOAD_ERRORS as exc:
+                raise LogReadError(
+                    source,
+                    0,
+                    f"undecodable block payload: {exc} ({n} rows lost)",
+                    code="truncated",
+                ) from exc
             rows.extend(zip(*_row_lists(cols)))

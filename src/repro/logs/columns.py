@@ -8,12 +8,14 @@ column, in the field order of :mod:`repro.logs.records`:
 * string fields as a :class:`Dictionary`: one int32 code per row plus
   the object array of distinct values the codes index.
 
-Two producers fill a table.  :func:`repro.logs.binfmt.read_bin_table`
+Three producers fill a table.  :func:`repro.logs.binfmt.read_bin_table`
 decodes a ``.bin`` log straight into columns through a
 :class:`TableAssembler`, which recodes each block's string dictionary into
-one dictionary per field.  :meth:`ColumnTable.from_records` wraps a row
-list and fills each column from the rows the first time it is asked for,
-so a consumer that reads three columns pays for three.
+one dictionary per field.  :func:`assemble_records` feeds a record stream
+(a CSV or lenient load) through the same assembler a chunk of rows at a
+time.  :meth:`ColumnTable.from_records` wraps a row list and fills each
+column from the rows the first time it is asked for, so a consumer that
+reads three columns pays for three.
 
 Rows (:attr:`ColumnTable.records`) are built from the columns only when
 a row consumer asks; rows built from a decoded table share one string
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 import gc
 from functools import lru_cache
-from itertools import compress
-from typing import Callable, Iterator, NamedTuple, Sequence
+from itertools import chain, compress, islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,6 +155,11 @@ class ColumnTable:
     def __len__(self) -> int:
         return self._size
 
+    def columns(self) -> dict[str, np.ndarray | Dictionary]:
+        """Every field's column, by name (a table of them is
+        ``ColumnTable(record_type, columns)``)."""
+        return {name: self.column(name) for name in self.fields}
+
     def column(self, name: str) -> np.ndarray | Dictionary:
         """Field ``name``'s column: an array, or a :class:`Dictionary`."""
         column = self._columns.get(name)
@@ -177,31 +184,41 @@ class ColumnTable:
         walk the growing heap again.
         """
         if self._records is None:
-            make = record_maker(self.record_type)
-            columns = [self._row_source(name) for name in self.fields]
             records: list = []
             collecting = gc.isenabled()
             gc.disable()
             try:
-                for start in range(0, self._size, ROW_CHUNK):
-                    end = start + ROW_CHUNK
-                    records.extend(
-                        make(
-                            *(
-                                (
-                                    column.values[column.codes[start:end]]
-                                    if isinstance(column, Dictionary)
-                                    else column[start:end]
-                                ).tolist()
-                                for column in columns
-                            )
-                        )
-                    )
+                for chunk in self._record_chunks():
+                    records.extend(chunk)
             finally:
                 if collecting:
                     gc.enable()
             self._records = records
         return self._records
+
+    def iter_records(self) -> Iterator:
+        """Every row as a record, :data:`ROW_CHUNK` rows at a time; rows
+        not already built are not kept."""
+        if self._records is not None:
+            return iter(self._records)
+        return chain.from_iterable(self._record_chunks())
+
+    def _record_chunks(self) -> Iterator[list]:
+        make = record_maker(self.record_type)
+        columns = [self._row_source(name) for name in self.fields]
+        chunk = ROW_CHUNK
+        for start in range(0, self._size, chunk):
+            end = start + chunk
+            yield make(
+                *(
+                    (
+                        column.values[column.codes[start:end]]
+                        if isinstance(column, Dictionary)
+                        else column[start:end]
+                    ).tolist()
+                    for column in columns
+                )
+            )
 
     def _row_source(self, name: str) -> np.ndarray | Dictionary:
         """Field ``name`` as rows are built from it.
@@ -222,20 +239,57 @@ class ColumnTable:
         """The records of the rows ``mask`` selects, in row order."""
         return list(compress(self.records, mask.tolist()))
 
-    def take(self, mask: np.ndarray) -> "ColumnTable":
-        """A table of the rows ``mask`` selects from a decoded table
+    def take(self, rows: np.ndarray) -> "ColumnTable":
+        """A table of the rows ``rows`` selects, a mask or an index array
         (dictionaries are kept whole)."""
         return ColumnTable(
             self.record_type,
             {
                 name: (
-                    Dictionary(column.codes[mask], column.values)
+                    Dictionary(column.codes[rows], column.values)
                     if isinstance(column, Dictionary)
-                    else column[mask]
+                    else column[rows]
                 )
-                for name, column in self._columns.items()
+                for name, column in self.columns().items()
             },
         )
+
+    def sort(self) -> None:
+        """Put the rows in :func:`~repro.logs.records.record_sort_key`
+        order, in place.
+
+        One stable lexsort by timestamp, then each later field (a string
+        field by its entry's rank in sorted value order), so the table
+        equals :meth:`from_records` over the rows sorted by key: its
+        dictionaries list their values in the sorted rows' first-row
+        order.  Columns are permuted one at a time, each replacing the
+        old one.
+        """
+        order = np.lexsort(
+            [self._sort_key(name) for name in reversed(self.fields)]
+        )
+        for name in self.fields:
+            column = self.column(name)
+            if isinstance(column, Dictionary):
+                first, codes = first_seen(column.codes[order])
+                column = Dictionary(
+                    codes.astype(np.int32), column.values[first]
+                )
+            else:
+                column = column[order]
+            self._columns[name] = column
+        self._records = None
+
+    def _sort_key(self, name: str) -> np.ndarray:
+        column = self.column(name)
+        if not isinstance(column, Dictionary):
+            return column
+        values = column.values
+        rank = np.empty(len(values), dtype=np.int32)
+        rank[sorted(range(len(values)), key=values.__getitem__)] = np.arange(
+            len(values), dtype=np.int32
+        )
+        return rank[column.codes]
 
     def entry_mask(self, name: str, predicate: Callable[[str], bool]) -> np.ndarray:
         """Row mask of string field ``name``: ``predicate`` of each row's
@@ -316,6 +370,31 @@ class TableAssembler:
                     np.concatenate(parts) if parts else np.empty(0, _DTYPES[code])
                 )
         return ColumnTable(self.record_type, columns)
+
+
+def assemble_records(record_type: type, records: Iterable) -> ColumnTable:
+    """A decoded table of a record stream, assembled :data:`ROW_CHUNK`
+    rows at a time: only one chunk of rows is alive at once, and the
+    dictionaries list their values in first-row order."""
+    assembler = TableAssembler(record_type)
+    getters = [
+        (getattr(record_type, name).__get__, code)
+        for name, code in zip(fields_for(record_type), type_codes(record_type))
+    ]
+    records = iter(records)
+    while chunk := list(islice(records, ROW_CHUNK)):
+        columns: list = []
+        for get, code in getters:
+            values = list(map(get, chunk))
+            if code == "s":
+                dictionary = encode_strings(values)
+                columns.append((dictionary.values, dictionary.codes))
+            else:
+                columns.append(
+                    np.fromiter(values, dtype=_DTYPES[code], count=len(values))
+                )
+        assembler.add(columns)
+    return assembler.table()
 
 
 # ------------------------------------------------------------ group-bys

@@ -17,11 +17,14 @@ import math
 
 import pytest
 
+from repro import obs
+from repro.core.dataset import StudyDataset
 from repro.core.parallel import ShardPartials, analyze_parallel
 from repro.logs.faults import FaultSpec, corrupt_trace
 from repro.serve.service import AnalysisService, ServeConfig
 from repro.stats.cdf import ECDF
 
+from tests.core import golden
 from tests.serve.conftest import drain, feed_prefix, make_growing_dir
 
 SHARD_COUNTS = [1, 4, 7]
@@ -319,3 +322,48 @@ class TestECDFEquality:
         assert ECDF([1.0, 2.0]) != ECDF([1.0, 2.0, 2.0])
         assert ECDF([1.0]) != object()
         assert hash(ECDF([2.0, 1.0])) == hash(ECDF([1.0, 2.0]))
+
+
+class TestOneDecode:
+    """``analyze_parallel`` decodes each log once, in the parent: the
+    merged ``repro_io_rows_read_total{category="log"}`` of a 4-shard run
+    equals what one ``StudyDataset.load`` of the trace counts."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, small_output, small_trace_dir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("one-decode")
+        small_output.write(root / "bin", format="bin")
+        spec = golden.CORRUPT_SPEC
+        corrupt_trace(small_trace_dir, root / "csv-lenient", spec)
+        corrupt_trace(root / "bin", root / "bin-lenient", spec)
+        return {
+            ("csv", "strict"): small_trace_dir,
+            ("bin", "strict"): root / "bin",
+            ("csv", "lenient"): root / "csv-lenient",
+            ("bin", "lenient"): root / "bin-lenient",
+        }
+
+    @staticmethod
+    def rows_read(call) -> float:
+        with obs.observe() as ob:
+            call()
+            return ob.metrics.sum_counter(
+                "repro_io_rows_read_total", category="log"
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_rows_read_equal_one_load(self, traces, fmt, mode, workers):
+        trace = traces[(fmt, mode)]
+        lenient = mode == "lenient"
+        once = self.rows_read(
+            lambda: StudyDataset.load(trace, lenient=lenient, format=fmt)
+        )
+        assert once > 0
+        sharded = self.rows_read(
+            lambda: analyze_parallel(
+                trace, shards=4, workers=workers, lenient=lenient, format=fmt
+            )
+        )
+        assert sharded == once

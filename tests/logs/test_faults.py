@@ -5,11 +5,16 @@ import gzip
 import pytest
 
 from repro.core.dataset import StudyDataset
+from repro.logs.binfmt import _BLOCK_HEADER, iter_blocks
 from repro.logs.faults import (
     FAULT_CLASSES,
     FaultSpec,
     corrupt_trace,
 )
+from repro.logs.io import LogReadError
+from repro.logs.records import ProxyRecord
+
+BLOCK_HEADER_BYTES = _BLOCK_HEADER.size
 
 
 def _bytes_of(directory):
@@ -213,3 +218,36 @@ class TestGzipRoundTrip:
     def test_zero_rate_gzip_noop(self, small_trace_dir_gz, tmp_path):
         corrupt_trace(small_trace_dir_gz, tmp_path / "copy", FaultSpec(seed=1))
         assert _bytes_of(tmp_path / "copy") == _bytes_of(small_trace_dir_gz)
+
+
+class TestDamagedBinPayload:
+    """The injector's raw ``.bin`` reader on a block whose payload is
+    damaged: a ``LogReadError``, never a bare ``zlib.error``."""
+
+    @pytest.fixture()
+    def damaged(self, small_output, tmp_path):
+        trace = tmp_path / "trace"
+        small_output.write(trace, format="bin")
+        path = trace / "proxy.bin"
+        offset, header = next(iter_blocks(path, ProxyRecord))
+        data = bytearray(path.read_bytes())
+        start = offset + BLOCK_HEADER_BYTES + header.comp_len // 2
+        data[start : start + 8] = b"\xa5" * 8
+        path.write_bytes(bytes(data))
+        return trace
+
+    def test_corrupt_trace_raises_log_read_error(self, damaged, tmp_path):
+        spec = FaultSpec(seed=1, duplicate_rate=0.01)
+        with pytest.raises(LogReadError, match="undecodable block") as info:
+            corrupt_trace(damaged, tmp_path / "out", spec)
+        assert info.value.code == "truncated"
+
+    def test_cli_exits_2_with_one_stderr_line(self, damaged, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = ["corrupt", str(damaged), "--out", str(tmp_path / "out")]
+        assert main([*argv, "--seed", "1", "--rate", "0.01"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error [proxy-truncated]: ")
+        assert "undecodable block payload" in lines[0]

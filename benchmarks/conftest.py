@@ -146,7 +146,7 @@ def fresh_panel(name: str, dataset: StudyDataset, study: WearableStudy | None = 
     """
     fresh = WearableStudy(dataset)
     if study is not None:
-        fresh.attributed = study.attributed
-        fresh.sessions = study.sessions
+        fresh.attribution = study.attribution
+        fresh.usage = study.usage
     return getattr(fresh, name)
 

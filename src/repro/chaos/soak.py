@@ -456,8 +456,8 @@ def run_episode(
 
 def _check_accounting(result, dataset, quarantine) -> None:
     kept = {
-        "proxy": len(dataset.proxy_records),
-        "mme": len(dataset.mme_records),
+        "proxy": len(dataset.proxy),
+        "mme": len(dataset.mme),
     }
     for stream, kept_rows in kept.items():
         read = quarantine.rows_read.get(stream, 0)

@@ -10,9 +10,15 @@ Two pieces reproduce that:
 * :class:`SignatureCatalog` — host → (app, domain category).  Hosts owned
   by exactly one app resolve directly; hosts shared across apps (CDNs, ad
   networks, analytics backends) resolve to a domain category only.
-* :func:`attribute_records` — the timeframe rule: a shared-host
-  transaction inherits the app of the nearest directly-attributed
-  transaction of the same subscriber within an attribution window.
+* :func:`attribute_table` — the timeframe rule over a column table: a
+  shared-host transaction inherits the app of the nearest
+  directly-attributed transaction of the same subscriber within an
+  attribution window.  Each host dictionary entry is classified once,
+  and the nearest direct row is one per-subscriber ``searchsorted``
+  (:func:`~repro.logs.columns.group_searchsorted`) over the direct rows
+  in stable timestamp order — the ``bisect_left`` of the scalar rule,
+  with the earlier candidate winning an equal gap.
+  :func:`attribute_records` is its row adapter.
 
 The domain categories follow Seneviratne et al. as the paper does:
 Application (first party), Utilities (CDNs), Advertising, Analytics.
@@ -20,11 +26,19 @@ Application (first party), Utilities (CDNs), Advertising, Analytics.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from repro.logs.columns import (
+    ColumnTable,
+    Dictionary,
+    encode_strings,
+    group_searchsorted,
+    object_array,
+)
 from repro.logs.records import ProxyRecord
 from repro.simnet.appcatalog import AppCatalog
 
@@ -121,57 +135,124 @@ class SignatureCatalog:
         return frozenset(self._exclusive) | frozenset(self._shared)
 
 
+@dataclass(frozen=True)
+class Attribution:
+    """The §3.3 attribution of every row of a proxy table, as columns."""
+
+    #: The attributed rows.
+    table: ColumnTable
+    #: Each row's app, a code into :attr:`apps`; -1 when unresolved.
+    app: np.ndarray
+    #: App names.
+    apps: np.ndarray
+    #: Each row's domain category.
+    category: Dictionary
+
+    def __len__(self) -> int:
+        return len(self.app)
+
+    @classmethod
+    def from_records(cls, items: Iterable[AttributedRecord]) -> "Attribution":
+        """The columns of attributed rows built elsewhere."""
+        items = list(items)
+        codes: dict[str, int] = {}
+        app = np.fromiter(
+            (
+                -1 if item.app is None else codes.setdefault(item.app, len(codes))
+                for item in items
+            ),
+            dtype=np.int32,
+            count=len(items),
+        )
+        return cls(
+            ColumnTable.from_records(ProxyRecord, [item.record for item in items]),
+            app,
+            object_array(list(codes)),
+            encode_strings([item.domain_category for item in items]),
+        )
+
+    def records(self) -> list[AttributedRecord]:
+        """The rows as :class:`AttributedRecord` objects."""
+        apps = [*self.apps.tolist(), None]
+        categories = self.category.values.tolist()
+        return [
+            AttributedRecord(record, apps[app], categories[category])
+            for record, app, category in zip(
+                self.table.records, self.app.tolist(), self.category.codes.tolist()
+            )
+        ]
+
+
+def attribute_table(
+    table: ColumnTable,
+    signatures: SignatureCatalog,
+    window_seconds: float = DEFAULT_ATTRIBUTION_WINDOW_S,
+) -> Attribution:
+    """Attribute every row of a proxy table to an app where possible.
+
+    Directly-signed hosts resolve immediately.  Shared hosts (third
+    parties) inherit the app of the *nearest in time* directly-attributed
+    transaction of the same subscriber within ``window_seconds`` — the
+    paper's "set of connections in the same timeframe" rule.  The
+    candidates are the subscriber's direct rows on either side of the
+    ``bisect_left`` position of the shared row's timestamp among its
+    direct rows in stable timestamp order; the earlier wins an equal
+    gap, and a gap of at most ``window_seconds`` attributes.  Rows that
+    stay unresolved keep app -1 with their domain category.
+    """
+    hosts = table.column("host")
+    matches = [signatures.classify_host(host) for host in hosts.values.tolist()]
+    codes: dict[str, int] = {}
+    entry_app = np.fromiter(
+        (
+            -1 if match.app is None else codes.setdefault(match.app, len(codes))
+            for match in matches
+        ),
+        dtype=np.int32,
+        count=len(matches),
+    )
+    entry_category = encode_strings([match.domain_category for match in matches])
+    app = entry_app[hosts.codes]
+    category = entry_category.codes[hosts.codes]
+    known = entry_category.values != CATEGORY_UNKNOWN
+    shared = np.flatnonzero((app < 0) & known[category])
+    direct = np.flatnonzero(app >= 0)
+    if len(shared) and len(direct):
+        subscriber = table.column("subscriber_id").codes
+        timestamp = table.column("timestamp")
+        direct = direct[np.lexsort((timestamp[direct], subscriber[direct]))]
+        owner = subscriber[direct]
+        times = timestamp[direct]
+        wanted = subscriber[shared]
+        at = timestamp[shared]
+        after = group_searchsorted(owner, times, wanted, at, side="left")
+        before = after - 1
+        gaps = []
+        for candidate in (before, after):
+            clipped = np.clip(candidate, 0, len(direct) - 1)
+            valid = (candidate == clipped) & (owner[clipped] == wanted)
+            gaps.append(np.where(valid, np.abs(times[clipped] - at), np.inf))
+        later = gaps[1] < gaps[0]
+        best = np.where(later, after, before)
+        near = np.where(later, gaps[1], gaps[0]) <= window_seconds
+        app[shared[near]] = app[direct[best[near]]]
+    return Attribution(
+        table,
+        app,
+        object_array(list(codes)),
+        Dictionary(category, entry_category.values),
+    )
+
+
 def attribute_records(
     records: Sequence[ProxyRecord],
     signatures: SignatureCatalog,
     window_seconds: float = DEFAULT_ATTRIBUTION_WINDOW_S,
 ) -> list[AttributedRecord]:
-    """Attribute every record to an app where possible.
-
-    Directly-signed hosts resolve immediately.  Shared hosts (third
-    parties) inherit the app of the *nearest in time* directly-attributed
-    transaction of the same subscriber within ``window_seconds`` — the
-    paper's "set of connections in the same timeframe" rule.  Records that
-    stay unresolved keep ``app=None`` with their domain category.
-    """
-    matches = [signatures.classify_host(record.host) for record in records]
-
-    # Index direct attributions per subscriber, time-ordered.
-    direct_times: dict[str, list[float]] = defaultdict(list)
-    direct_apps: dict[str, list[str]] = defaultdict(list)
-    order: dict[str, list[tuple[float, str]]] = defaultdict(list)
-    for record, match in zip(records, matches):
-        if match.app is not None:
-            order[record.subscriber_id].append((record.timestamp, match.app))
-    for subscriber, pairs in order.items():
-        pairs.sort(key=lambda pair: pair[0])
-        direct_times[subscriber] = [pair[0] for pair in pairs]
-        direct_apps[subscriber] = [pair[1] for pair in pairs]
-
-    attributed: list[AttributedRecord] = []
-    for record, match in zip(records, matches):
-        app = match.app
-        if app is None and match.domain_category != CATEGORY_UNKNOWN:
-            times = direct_times.get(record.subscriber_id)
-            if times:
-                apps = direct_apps[record.subscriber_id]
-                index = bisect_left(times, record.timestamp)
-                best_gap = float("inf")
-                best_app = None
-                for candidate in (index - 1, index):
-                    if 0 <= candidate < len(times):
-                        gap = abs(times[candidate] - record.timestamp)
-                        if gap < best_gap:
-                            best_gap = gap
-                            best_app = apps[candidate]
-                if best_app is not None and best_gap <= window_seconds:
-                    app = best_app
-        attributed.append(
-            AttributedRecord(
-                record=record, app=app, domain_category=match.domain_category
-            )
-        )
-    return attributed
+    """:func:`attribute_table` over a row list: every record with its
+    app (None when unresolved) and domain category."""
+    table = ColumnTable.from_records(ProxyRecord, list(records))
+    return attribute_table(table, signatures, window_seconds).records()
 
 
 def attribution_coverage(attributed: Iterable[AttributedRecord]) -> float:

@@ -19,11 +19,12 @@ its whole row list, and a lenient load that saw disorder re-sorts the
 table as columns (:meth:`~repro.logs.columns.ColumnTable.sort`).
 :meth:`StudyDataset.from_simulation` and datasets built from row lists
 fill the table from the rows, one column at a time, when a consumer
-first reads that column.  Rows
+first reads that column.  Every analysis panel folds the columns; rows
 (:attr:`~StudyDataset.proxy_records`, :attr:`~StudyDataset.mme_records`)
-are built from the table only when a row consumer asks.  A decoded
-table holds 44 bytes per proxy row and 24 per MME row, plus its
-dictionaries.
+are built from the table only for edge callers — validation, the
+chaos harness, the cohort and full through-device extensions, the
+benchmark and tests.  A decoded table holds 44 bytes per proxy row and
+24 per MME row, plus its dictionaries.
 
 This module is the one home of the trace-directory contract; batch,
 sharded and served analysis all go through it:
@@ -41,8 +42,8 @@ sharded and served analysis all go through it:
 The class also owns the shared partitions as boolean row masks computed
 once — wearable rows (the TAC of each IMEI dictionary entry) and the
 detailed window — and the time buckets the column folds share; the row
-partitions (:attr:`~StudyDataset.wearable_proxy` and the rest) are the
-masks applied to the rows.
+partitions (:attr:`~StudyDataset.wearable_proxy` and the rest), for
+edge callers, are the masks applied to the rows.
 """
 
 from __future__ import annotations

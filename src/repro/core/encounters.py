@@ -53,7 +53,6 @@ MME record order, as they do in the stably sorted timelines.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
@@ -64,6 +63,14 @@ from zlib import crc32
 import numpy as np
 
 from repro.core.dataset import StudyDataset, StudyWindow
+from repro.core.mobility import DwellIntervals
+from repro.logs.columns import (
+    Dictionary,
+    add_counts,
+    encode_strings,
+    first_seen,
+    group_sum,
+)
 from repro.logs.records import MmeRecord
 from repro.logs.timeutil import SECONDS_PER_DAY
 from repro.stats.cdf import ECDF
@@ -234,12 +241,15 @@ class _CellValues(ValuesView):
             yield _Cell(index, low, high)
 
 
-def _codes(names: dict[str, int], first_seen: array) -> tuple[list[str], np.ndarray]:
-    """Sorted distinct ids, and first-seen codes remapped to sorted codes."""
-    ordered = sorted(names)
-    rank = np.empty(len(ordered), dtype=np.int64)
-    rank[[names[name] for name in ordered]] = np.arange(len(ordered))
-    return ordered, rank[np.frombuffer(first_seen, dtype=np.int64)]
+def _sorted_codes(column: Dictionary) -> tuple[list[str], np.ndarray]:
+    """The distinct values a dictionary column uses, sorted, and its
+    codes remapped to positions in them."""
+    present = np.unique(column.codes)
+    names = column.values[present].tolist()
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.zeros(len(column.values), dtype=np.int64)
+    rank[present[order]] = np.arange(len(order))
+    return [names[index] for index in order], rank[column.codes]
 
 
 def build_cell_index(
@@ -252,7 +262,8 @@ def build_cell_index(
 ) -> CellIndex:
     """Time-bucketed per-sector inverted index over dwell intervals.
 
-    ``intervals`` yields ``(subscriber, sector, start, end)`` and is
+    ``intervals`` is :class:`~repro.core.mobility.DwellIntervals`
+    columns, or yields ``(subscriber, sector, start, end)`` and is
     drained into columns; ``seen``, when given, collects the subscriber
     of every interval.  Intervals in sectors not owned by ``shard`` (per
     :func:`sector_shard`, decided once per distinct sector) are then
@@ -268,25 +279,20 @@ def build_cell_index(
     :class:`CellIndex` describes, so timeline order and canonical stream
     order produce identical cells.
     """
-    subscriber_codes: dict[str, int] = {}
-    sector_codes: dict[str, int] = {}
-    subscriber_column = array("q")
-    sector_column = array("q")
-    starts = array("d")
-    ends = array("d")
-    for subscriber, sector, start, end in intervals:
-        subscriber_column.append(
-            subscriber_codes.setdefault(subscriber, len(subscriber_codes))
+    if not isinstance(intervals, DwellIntervals):
+        rows = list(intervals)
+        names, sector_ids, starts, ends = zip(*rows) if rows else ([],) * 4
+        intervals = DwellIntervals(
+            encode_strings(names),
+            encode_strings(sector_ids),
+            np.array(starts, dtype=np.float64),
+            np.array(ends, dtype=np.float64),
         )
-        sector_column.append(sector_codes.setdefault(sector, len(sector_codes)))
-        starts.append(start)
-        ends.append(end)
+    subscribers, subscriber = _sorted_codes(intervals.subscriber)
+    sectors, sector = _sorted_codes(intervals.sector)
+    start, end = intervals.start, intervals.end
     if seen is not None:
-        seen.update(subscriber_codes)
-    subscribers, subscriber = _codes(subscriber_codes, subscriber_column)
-    sectors, sector = _codes(sector_codes, sector_column)
-    start = np.frombuffer(starts, dtype=np.float64)
-    end = np.frombuffer(ends, dtype=np.float64)
+        seen.update(subscribers)
     if shards > 1:
         owned = np.array(
             [sector_shard(name, shards) == shard for name in sectors], dtype=bool
@@ -661,19 +667,19 @@ def consume_classification(
     account-shard dataset, and the merged accumulators are exact
     disjoint-key unions.
     """
-    window = dataset.window
-    for record in dataset.wearable_mme:
-        if window.in_detailed(record.timestamp):
-            wearable_subs.add(record.subscriber_id)
-    for record in dataset.phone_mme:
-        if window.in_detailed(record.timestamp):
-            phone_subs.add(record.subscriber_id)
-    for record in dataset.proxy_records:
-        if not window.in_detailed(record.timestamp):
-            continue
-        subscriber = record.subscriber_id
-        tx_count[subscriber] = tx_count.get(subscriber, 0) + 1
-        tx_bytes[subscriber] = tx_bytes.get(subscriber, 0) + record.total_bytes
+    mme = dataset.mme
+    detailed = dataset.detailed_mme_mask
+    wearable = dataset.wearable_mme_mask
+    wearable_subs.update(mme.distinct("subscriber_id", detailed & wearable))
+    phone_subs.update(mme.distinct("subscriber_id", detailed & ~wearable))
+    proxy = dataset.proxy
+    rows = np.flatnonzero(dataset.detailed_proxy_mask)
+    subscribers = proxy.column("subscriber_id")
+    keys, group = first_seen(subscribers.codes[rows])
+    names = subscribers.values[keys].tolist()
+    add_counts(tx_count, names, np.bincount(group, minlength=len(names)))
+    size = proxy.column("bytes_up")[rows] + proxy.column("bytes_down")[rows]
+    add_counts(tx_bytes, names, group_sum(group, size, len(names)))
     for subscriber in sorted(wearable_subs):
         account = dataset.account_of(subscriber)
         if account is not None:

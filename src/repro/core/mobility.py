@@ -12,18 +12,40 @@ and derives:
 * the fraction of data-active wearable users transacting from a **single
   location** (joining proxy timestamps onto the timeline);
 * the Fig. 4(d) relation between displacement and hourly transaction rate.
+
+The analysis folds read the MME log as columns: :func:`timeline_rows`
+puts a row selection in timeline order (by subscriber, each subscriber's
+events stably by timestamp, as :class:`SectorTimeline` sorts them),
+:func:`dwell_intervals` applies the :meth:`SectorTimeline.dwell_intervals`
+rule to it, :func:`dwell_entropy` and :func:`daily_displacement` reduce
+it per subscriber, and :func:`sector_at` is one ``searchsorted`` per
+looked-up row.  :class:`SectorTimeline` and :func:`build_timelines`
+remain the row form for edge callers.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
+from repro.logs.columns import (
+    ColumnTable,
+    Dictionary,
+    distinct,
+    first_seen,
+    group_searchsorted,
+    runs,
+)
 from repro.logs.records import MmeRecord
-from repro.logs.timeutil import SECONDS_PER_DAY
+from repro.logs.timeutil import SECONDS_PER_DAY, day_indices
+from repro.simnet.topology import SectorMap
 from repro.stats.cdf import ECDF
 from repro.stats.correlation import BinnedTrend
+from repro.stats.entropy import entropy_bits
+from repro.stats.geo import haversine_km
 
 
 class SectorTimeline:
@@ -117,6 +139,149 @@ def build_timelines(
     return {
         subscriber: SectorTimeline(items) for subscriber, items in events.items()
     }
+
+
+class DwellIntervals(NamedTuple):
+    """Dwell intervals as columns, one row per interval."""
+
+    subscriber: Dictionary
+    sector: Dictionary
+    start: np.ndarray
+    end: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "DwellIntervals":
+        """The intervals ``rows`` selects (dictionaries kept whole)."""
+        return DwellIntervals(
+            Dictionary(self.subscriber.codes[rows], self.subscriber.values),
+            Dictionary(self.sector.codes[rows], self.sector.values),
+            self.start[rows],
+            self.end[rows],
+        )
+
+
+def timeline_rows(table: ColumnTable, rows: np.ndarray) -> np.ndarray:
+    """MME ``rows`` in timeline order: by subscriber code, each
+    subscriber's events stably by timestamp."""
+    return rows[
+        np.lexsort(
+            (table.column("timestamp")[rows], table.column("subscriber_id").codes[rows])
+        )
+    ]
+
+
+def dwell_intervals(
+    table: ColumnTable, rows: np.ndarray, study_start: float
+) -> DwellIntervals:
+    """:meth:`SectorTimeline.dwell_intervals` of every subscriber of MME
+    ``rows``: each event dwells until the subscriber's next event or the
+    end of its study day, whichever comes first, and zero-length
+    intervals are omitted.  Each subscriber's intervals come in timeline
+    order, subscribers by code."""
+    order = timeline_rows(table, rows)
+    subscribers = table.column("subscriber_id")
+    sectors = table.column("sector_id")
+    subscriber = subscribers.codes[order]
+    start = table.column("timestamp")[order]
+    end = (
+        study_start
+        + (np.floor_divide(start - study_start, SECONDS_PER_DAY) + 1)
+        * SECONDS_PER_DAY
+    )
+    same = np.flatnonzero(subscriber[1:] == subscriber[:-1])
+    end[same] = np.minimum(start[same + 1], end[same])
+    keep = end > start
+    return DwellIntervals(
+        Dictionary(subscriber[keep], subscribers.values),
+        Dictionary(sectors.codes[order][keep], sectors.values),
+        start[keep],
+        end[keep],
+    )
+
+
+def dwell_entropy(intervals: DwellIntervals) -> np.ndarray:
+    """:func:`~repro.stats.entropy.dwell_weighted_entropy` of each
+    subscriber's :meth:`SectorTimeline.dwell_seconds`, per subscriber
+    dictionary entry (0 without intervals): dwell is summed per sector
+    in timeline order, sectors taken in first-interval order."""
+    width = len(intervals.sector.values)
+    keys, pair = first_seen(
+        intervals.subscriber.codes.astype(np.int64) * width + intervals.sector.codes
+    )
+    dwell = np.bincount(
+        pair, weights=intervals.end - intervals.start, minlength=len(keys)
+    ).tolist()
+    entropy = np.zeros(len(intervals.subscriber.values))
+    for code, low, high in runs(keys // max(1, width)):
+        entropy[code] = entropy_bits(dwell[low:high])
+    return entropy
+
+
+def daily_displacement(
+    table: ColumnTable, rows: np.ndarray, study_start: float, sector_map: SectorMap
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each (subscriber, study day) of MME ``rows`` with the day's max
+    displacement (:func:`~repro.stats.geo.max_displacement_km` of its
+    distinct sectors' locations), by subscriber code and then day:
+    returns the subscriber codes and the displacements.
+
+    Sectors missing from ``sector_map`` are skipped.  Each distinct pair
+    of located sectors on one day is measured once; the day's value is
+    the largest (0 below two locations)."""
+    subscriber, day, sector = distinct(
+        table.column("subscriber_id").codes[rows],
+        day_indices(table.column("timestamp")[rows], study_start),
+        table.column("sector_id").codes[rows],
+    )
+    new_day = np.ones(len(day), dtype=bool)
+    new_day[1:] = (subscriber[1:] != subscriber[:-1]) | (day[1:] != day[:-1])
+    group = np.cumsum(new_day) - 1
+    points = [sector_map.get(name) for name in table.column("sector_id").values]
+    located = np.flatnonzero(
+        np.array([point is not None for point in points], dtype=bool)[sector]
+    )
+    group_of, sector = group[located], sector[located]
+    # Every pair of one day's located sectors: each with each later one.
+    index = np.arange(len(sector))
+    later = np.searchsorted(group_of, group_of, side="right") - index - 1
+    first = np.repeat(index, later)
+    second = (
+        first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    )
+    width = len(points)
+    keys, pair = np.unique(
+        sector[first].astype(np.int64) * width + sector[second], return_inverse=True
+    )
+    distance = np.array(
+        [
+            haversine_km(points[key // width], points[key % width])
+            for key in keys.tolist()
+        ]
+    )
+    displacement = np.zeros(int(new_day.sum()))
+    np.maximum.at(displacement, group_of[first], distance[pair] if len(keys) else 0.0)
+    return subscriber[new_day], displacement
+
+
+def sector_at(
+    table: ColumnTable,
+    timeline: np.ndarray,
+    subscriber: np.ndarray,
+    timestamp: np.ndarray,
+) -> np.ndarray:
+    """:meth:`SectorTimeline.sector_at` for each (subscriber code,
+    timestamp): the sector code of the subscriber's last event at or
+    before the timestamp among the MME rows ``timeline`` (in timeline
+    order), -1 before the first."""
+    owner = table.column("subscriber_id").codes[timeline]
+    last = (
+        group_searchsorted(
+            owner, table.column("timestamp")[timeline], subscriber, timestamp, "right"
+        )
+        - 1
+    )
+    clipped = np.maximum(last, 0)
+    found = (last >= 0) & (owner[clipped] == subscriber)
+    return np.where(found, table.column("sector_id").codes[timeline[clipped]], -1)
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,19 +18,25 @@ how they feed it:
   and the MME dwell intervals of the sectors it joins; each worker
   builds one :class:`ShardPartials` and ships it back, and the parent
   merges them in shard order and finalizes.  Memory: the parent holds
-  O(trace) columns, about 44 bytes per row; each worker holds
-  O(largest shard) rows;
+  O(trace) columns, about 44 bytes per row; each worker holds its
+  shard's columns;
 * :mod:`repro.serve` folds growing deltas into the same partials.
 
-The six split-safe partials — census, adoption, activity, comparison,
-weekly (:class:`~repro.core.weekly.StreamingWeekly`) and devices — fold a
-dataset's column table (:attr:`~repro.core.dataset.StudyDataset.proxy`,
+Every partial folds a dataset's column tables
+(:attr:`~repro.core.dataset.StudyDataset.proxy`,
 :attr:`~repro.core.dataset.StudyDataset.mme`) as group-bys over
 dictionary codes and time buckets (:mod:`repro.logs.columns`): integer
 sums in int64, keys inserted in the order of their first row, so each
-partial's state equals what a row-by-row loop would build.  The other
-six still consume rows, which the dataset builds from its table on
-first use.
+partial's state equals what a row-by-row loop would build.  The six
+split-safe ones — census, adoption, activity, comparison, weekly
+(:class:`~repro.core.weekly.StreamingWeekly`) and devices — read the
+tables directly.  Apps, domains and protocols fold the §3.3 attribution
+and §5.1 sessions of :class:`PanelInputs`, themselves column kernels
+(:func:`~repro.core.app_mapping.attribute_table`,
+:func:`~repro.core.sessions.session_table`); mobility, through-device
+and the encounter join read the MME table through the timeline kernels
+of :mod:`repro.core.mobility` (dwell intervals, daily displacement,
+``sector_at``).  No partial builds a row object.
 
 Merging is exact — integer counts, set unions, min/max, an exact
 transaction-size histogram, and float folds taken over *sorted* keys or
@@ -48,13 +54,11 @@ from __future__ import annotations
 
 import os
 import time
-from array import array
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain, repeat
 from math import fsum, log10
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -65,8 +69,9 @@ from repro.core.adoption import ABANDON_QUIET_DAYS, AdoptionResult
 from repro.core.app_mapping import (
     CATEGORY_UNKNOWN,
     AttributedRecord,
+    Attribution,
     SignatureCatalog,
-    attribute_records,
+    attribute_table,
 )
 from repro.core.apps import (
     SINGLE_APP_THRESHOLD,
@@ -97,13 +102,26 @@ from repro.core.domains import (
     SingleUsageStats,
 )
 from repro.core.identification import DeviceCensus
-from repro.core.mobility import MobilityResult, build_timelines
+from repro.core.mobility import (
+    DwellIntervals,
+    MobilityResult,
+    daily_displacement,
+    dwell_entropy,
+    dwell_intervals,
+    sector_at,
+    timeline_rows,
+)
 from repro.core.protocols import (
     SENSITIVE_CATEGORIES,
     AppProtocolStats,
     ProtocolResult,
 )
-from repro.core.sessions import UsageSession, sessionize
+from repro.core.sessions import (
+    INTERACTIVE_TX,
+    SessionTable,
+    UsageSession,
+    session_table,
+)
 from repro.core.throughdevice import (
     ASSUMED_COVERAGE,
     TD_FINGERPRINT_HOSTS,
@@ -113,8 +131,11 @@ from repro.core.weekly import StreamingWeekly
 from repro.devicedb.database import DeviceDatabase
 from repro.logs.columns import (
     ColumnTable,
+    LazyRows,
+    add_counts as _add_counts,
     distinct,
     first_seen,
+    group_ends,
     group_sum,
     object_array,
     runs,
@@ -125,9 +146,8 @@ from repro.logs.records import (
     PROTOCOL_HTTP,
     MmeRecord,
     ProxyRecord,
-    record_sort_key,
 )
-from repro.logs.timeutil import SECONDS_PER_DAY
+from repro.logs.timeutil import SECONDS_PER_DAY, day_indices
 from repro.simnet.appcatalog import (
     DOMAIN_ADVERTISING,
     DOMAIN_ANALYTICS,
@@ -139,8 +159,6 @@ from repro.simnet.appcatalog import (
 from repro.state import decode_value, encode_value
 from repro.stats.cdf import ECDF
 from repro.stats.correlation import binned_means, pearson
-from repro.stats.entropy import dwell_weighted_entropy
-from repro.stats.geo import GeoPoint, max_displacement_km
 
 if TYPE_CHECKING:
     from repro.core.pipeline import StudyReport
@@ -171,15 +189,6 @@ def _disjoint_update(target: dict, other: dict) -> None:
     target.update(other)
 
 
-def _add_counts(target: dict, keys: list, counts: np.ndarray) -> None:
-    """``target[key] += count``, new keys inserted in ``keys`` order."""
-    if not target:
-        target.update(zip(keys, counts.tolist()))
-        return
-    for key, count in zip(keys, counts.tolist()):
-        target[key] = target.get(key, 0) + count
-
-
 def _add_members(target: dict, keys: list, groups: np.ndarray, members: list) -> None:
     """``target[keys[g]] |= members``: ``groups`` is sorted and gives the
     key index of each member; new keys inserted in ``keys`` order."""
@@ -187,6 +196,104 @@ def _add_members(target: dict, keys: list, groups: np.ndarray, members: list) ->
         target.setdefault(key, set())
     for group, start, end in runs(groups):
         target[keys[group]].update(members[start:end])
+
+
+def _keep_smallest(target: dict, labels: list, groups: np.ndarray, keys: list) -> None:
+    """``target[labels[g]] = min(target[labels[g]], keys of group g)``,
+    new labels inserted in ``labels`` order (every group has a key)."""
+    smallest: dict[int, tuple] = {}
+    for index, key in zip(groups.tolist(), keys):
+        mine = smallest.get(index)
+        if mine is None or key < mine:
+            smallest[index] = key
+    for index, label in enumerate(labels):
+        key = smallest[index]
+        mine = target.get(label)
+        if mine is None or key < mine:
+            target[label] = key
+
+
+def _min_sort_keys(
+    target: dict, labels: list, groups: np.ndarray, table: ColumnTable, rows: np.ndarray
+) -> None:
+    """``target[labels[g]]``: the smallest canonical sort key of group
+    ``g``'s ``rows``, kept when smaller than the present one.  The
+    smallest key is among the rows at the group's earliest timestamp, so
+    only those rows' keys are built."""
+    timestamps = table.column("timestamp")[rows]
+    earliest = np.full(len(labels), np.inf)
+    np.minimum.at(earliest, groups, timestamps)
+    tied = np.flatnonzero(timestamps == earliest[groups])
+    _keep_smallest(target, labels, groups[tied], table.sort_keys(rows[tied]))
+
+
+def _pair_first(attribution: Attribution, pairs: set[tuple[str, str]]) -> dict:
+    """The smallest canonical sort key of the attributed rows of each
+    (subscriber, app) pair, whatever their time."""
+    table = attribution.table
+    subscribers = table.column("subscriber_id")
+    width = len(attribution.apps)
+    subscriber_code = {
+        name: code for code, name in enumerate(subscribers.values.tolist())
+    }
+    app_code = {name: code for code, name in enumerate(attribution.apps.tolist())}
+    wanted = {
+        subscriber_code[subscriber] * width + app_code[app]: (subscriber, app)
+        for subscriber, app in pairs
+    }
+    key = subscribers.codes.astype(np.int64) * width + attribution.app
+    rows = np.flatnonzero(
+        (attribution.app >= 0) & np.isin(key, np.fromiter(wanted, np.int64))
+    )
+    keys, group = first_seen(key[rows])
+    smallest: dict = {}
+    _min_sort_keys(smallest, [wanted[k] for k in keys.tolist()], group, table, rows)
+    return smallest
+
+
+def _detailed(window: StudyWindow, timestamps: np.ndarray) -> np.ndarray:
+    """Which ``timestamps`` :meth:`StudyWindow.in_detailed` admits."""
+    return (timestamps >= window.detailed_start) & (timestamps < window.study_end)
+
+
+def _general(dataset: StudyDataset, table: ColumnTable) -> np.ndarray:
+    """Rows of subscribers outside every wearable-owner account."""
+    owners = dataset.wearable_accounts
+    directory = dataset.account_directory
+    return table.entry_mask(
+        "subscriber_id", lambda subscriber: directory.get(subscriber) not in owners
+    )
+
+
+def _entry_codes(names: np.ndarray, dictionary) -> np.ndarray:
+    """The code of each of ``names`` in ``dictionary``; -1 where absent."""
+    codes = {name: code for code, name in enumerate(dictionary.values.tolist())}
+    return np.fromiter(
+        (codes.get(name, -1) for name in names.tolist()),
+        dtype=np.int64,
+        count=len(names),
+    )
+
+
+def _daily_displacement(
+    dataset: StudyDataset, rows: np.ndarray
+) -> tuple[list[str], np.ndarray, list[float], list[float]]:
+    """Per subscriber of MME ``rows``, in first-row order: names,
+    dictionary codes, every subscriber-day's max displacement (days in
+    order) and the mean over days, summed in day order."""
+    subscribers = dataset.mme.column("subscriber_id")
+    codes, _ = first_seen(subscribers.codes[rows])
+    owner, displacement = daily_displacement(
+        dataset.mme, rows, dataset.window.study_start, dataset.sector_map
+    )
+    entries = len(subscribers.values)
+    rank = np.zeros(entries, dtype=np.int64)
+    rank[codes] = np.arange(len(codes))
+    days = displacement[np.argsort(rank[owner], kind="stable")].tolist()
+    means = np.bincount(owner, weights=displacement, minlength=entries)[
+        codes
+    ] / np.bincount(owner, minlength=entries)[codes]
+    return subscribers.values[codes].tolist(), codes, days, means.tolist()
 
 
 class _PartialState:
@@ -483,11 +590,7 @@ class ActivityPartial(_PartialState):
         if not self.sizes:
             raise ValueError("no wearable transactions in the detailed window")
         weeks = max(1, window.detailed_days // 7)
-        sizes_ecdf = ECDF(
-            chain.from_iterable(
-                repeat(size, count) for size, count in self.sizes.items()
-            )
-        )
+        sizes_ecdf = ECDF.from_counts(self.sizes)
         tx_count = len(sizes_ecdf)
         bytes_total = sum(size * count for size, count in self.sizes.items())
 
@@ -711,73 +814,67 @@ class MobilityPartial(_PartialState):
     tx_hour_count: dict[str, int] = field(default_factory=dict)
 
     def consume(self, dataset: StudyDataset) -> None:
+        mme = dataset.mme
         window = dataset.window
-        study_start = window.study_start
-        sector_map = dataset.sector_map
-        owner_accounts = dataset.wearable_accounts
-        detailed_wearable = [
-            r for r in dataset.wearable_mme if window.in_detailed(r.timestamp)
-        ]
-        detailed_general = [
-            r
-            for r in dataset.phone_mme
-            if window.in_detailed(r.timestamp)
-            and dataset.account_of(r.subscriber_id) not in owner_accounts
-        ]
-        wearable_timelines = build_timelines(detailed_wearable)
-        general_timelines = build_timelines(detailed_general)
-
-        def reduce_side(timelines, days_out, mean_out, entropy_out) -> None:
-            for subscriber, timeline in timelines.items():
-                values: list[float] = []
-                for sectors in timeline.daily_sectors(study_start).values():
-                    points: list[GeoPoint] = []
-                    for sector in sectors:
-                        location = sector_map.get(sector)
-                        if location is not None:
-                            points.append(location)
-                    values.append(max_displacement_km(points))
-                if values:
-                    days_out.extend(values)
-                    mean_out[subscriber] = sum(values) / len(values)
-                entropy_out[subscriber] = dwell_weighted_entropy(
-                    timeline.dwell_seconds(study_start)
-                )
-
-        reduce_side(
-            wearable_timelines,
-            self.wearable_days,
-            self.wearable_user_mean,
-            self.wearable_entropy,
+        detailed = dataset.detailed_mme_mask
+        wearable = np.flatnonzero(detailed & dataset.wearable_mme_mask)
+        general = np.flatnonzero(
+            detailed & ~dataset.wearable_mme_mask & _general(dataset, mme)
         )
-        reduce_side(
-            general_timelines,
-            self.general_days,
-            self.general_user_mean,
-            self.general_entropy,
-        )
+        for rows, days_out, mean_out, entropy_out in (
+            (
+                wearable,
+                self.wearable_days,
+                self.wearable_user_mean,
+                self.wearable_entropy,
+            ),
+            (general, self.general_days, self.general_user_mean, self.general_entropy),
+        ):
+            names, codes, days, means = _daily_displacement(dataset, rows)
+            days_out.extend(days)
+            mean_out.update(zip(names, means))
+            entropy = dwell_entropy(dwell_intervals(mme, rows, window.study_start))
+            entropy_out.update(zip(names, entropy[codes].tolist()))
 
-        tx_sectors: dict[str, set[str]] = {}
-        tx_hours: dict[str, set[tuple[int, int]]] = {}
-        for record in dataset.wearable_proxy_detailed:
-            subscriber = record.subscriber_id
-            timeline = wearable_timelines.get(subscriber)
-            if timeline is None:
-                continue
-            sector = timeline.sector_at(record.timestamp)
-            tx_sectors.setdefault(subscriber, set())
-            if sector is not None:
-                tx_sectors[subscriber].add(sector)
-            self.tx_counts[subscriber] = self.tx_counts.get(subscriber, 0) + 1
-            day = window.day_of(record.timestamp)
-            hour = int(
-                (record.timestamp - study_start) % SECONDS_PER_DAY // 3600
-            )
-            tx_hours.setdefault(subscriber, set()).add((day, hour))
-        for subscriber, sectors in tx_sectors.items():
-            self.tx_sector_count[subscriber] = len(sectors)
-        for subscriber, hours in tx_hours.items():
-            self.tx_hour_count[subscriber] = len(hours)
+        # Each detailed wearable transaction of a subscriber with a
+        # timeline, joined onto that timeline.  A subscriber absent from
+        # the MME dictionary has code -1, which reads the padding entry.
+        proxy = dataset.proxy
+        subscribers = proxy.column("subscriber_id")
+        timeline_code = _entry_codes(subscribers.values, mme.column("subscriber_id"))
+        has_timeline = np.zeros(len(mme.column("subscriber_id").values) + 1, bool)
+        has_timeline[mme.column("subscriber_id").codes[wearable]] = True
+        rows = np.flatnonzero(
+            dataset.wearable_proxy_mask
+            & dataset.detailed_proxy_mask
+            & has_timeline[timeline_code][subscribers.codes]
+        )
+        at = proxy.column("timestamp")[rows]
+        sector = sector_at(
+            mme,
+            timeline_rows(mme, wearable),
+            timeline_code[subscribers.codes[rows]],
+            at,
+        )
+        keys, group = first_seen(subscribers.codes[rows])
+        names = subscribers.values[keys].tolist()
+        located = sector >= 0
+        sectors = distinct(group[located], sector[located])[0]
+        offset = at - window.study_start
+        hours = distinct(
+            group,
+            day_indices(at, window.study_start),
+            np.floor_divide(np.remainder(offset, SECONDS_PER_DAY), 3600).astype(
+                np.int64
+            ),
+        )[0]
+        _add_counts(self.tx_counts, names, np.bincount(group, minlength=len(names)))
+        self.tx_sector_count.update(
+            zip(names, np.bincount(sectors, minlength=len(names)).tolist())
+        )
+        self.tx_hour_count.update(
+            zip(names, np.bincount(hours, minlength=len(names)).tolist())
+        )
 
     def merge(self, other: "MobilityPartial") -> None:
         self.wearable_days.extend(other.wearable_days)
@@ -883,38 +980,78 @@ class AppsPartial(_PartialState):
         default_factory=dict
     )
 
-    def consume(self, dataset: StudyDataset, attributed, sessions) -> None:
+    def consume(
+        self,
+        dataset: StudyDataset,
+        attribution: Attribution,
+        sessions: SessionTable,
+    ) -> None:
         window = dataset.window
-        for item in attributed:
-            if item.app is None:
-                continue
-            record = item.record
-            if not window.in_detailed(record.timestamp):
-                continue
-            day = window.day_of(record.timestamp)
-            subscriber = record.subscriber_id
-            app = item.app
-            self.app_day_users.setdefault(app, set()).add((subscriber, day))
-            self.any_day_users.setdefault(day, set()).add(subscriber)
-            self.app_users.setdefault(app, set()).add(subscriber)
-            self.app_tx[app] = self.app_tx.get(app, 0) + 1
-            self.app_bytes[app] = self.app_bytes.get(app, 0) + record.total_bytes
-            self.user_apps.setdefault(subscriber, set()).add(app)
-            key = record_sort_key(record)
-            mine = self.app_first.get(app)
-            if mine is None or key < mine:
-                self.app_first[app] = key
-        for session in sessions:
-            if not window.in_detailed(session.start):
-                continue
-            self.app_sessions[session.app] = (
-                self.app_sessions.get(session.app, 0) + 1
+        table = attribution.table
+        timestamp = table.column("timestamp")
+        rows = np.flatnonzero(_detailed(window, timestamp) & (attribution.app >= 0))
+        subscribers = table.column("subscriber_id")
+        subscriber = subscribers.codes[rows]
+        app = attribution.app[rows]
+        day = day_indices(timestamp[rows], window.study_start)
+        size = table.column("bytes_up")[rows] + table.column("bytes_down")[rows]
+
+        keys, group = first_seen(app)
+        apps = attribution.apps[keys].tolist()
+        groups, users, days = distinct(group, subscriber, day)
+        _add_members(
+            self.app_day_users,
+            apps,
+            groups,
+            list(zip(subscribers.values[users].tolist(), days.tolist())),
+        )
+        groups, users = distinct(group, subscriber)
+        _add_members(self.app_users, apps, groups, subscribers.values[users].tolist())
+        _add_counts(self.app_tx, apps, np.bincount(group, minlength=len(apps)))
+        _add_counts(self.app_bytes, apps, group_sum(group, size, len(apps)))
+        _min_sort_keys(self.app_first, apps, group, table, rows)
+
+        days, group = first_seen(day)
+        groups, users = distinct(group, subscriber)
+        _add_members(
+            self.any_day_users,
+            days.tolist(),
+            groups,
+            subscribers.values[users].tolist(),
+        )
+        keys, group = first_seen(subscriber)
+        groups, codes = distinct(group, app)
+        _add_members(
+            self.user_apps,
+            subscribers.values[keys].tolist(),
+            groups,
+            attribution.apps[codes].tolist(),
+        )
+
+        rows = np.flatnonzero(_detailed(window, sessions.start))
+        keys, group = first_seen(sessions.app.codes[rows])
+        _add_counts(
+            self.app_sessions,
+            sessions.app.values[keys].tolist(),
+            np.bincount(group, minlength=len(keys)),
+        )
+        rows = rows[sessions.tx_count[rows] >= INTERACTIVE_TX]
+        subscriber = sessions.subscriber.codes[rows].astype(np.int64)
+        day = day_indices(sessions.start[rows], window.study_start)
+        keys, group = first_seen(subscriber * (window.total_days + 1) + day)
+        pairs = list(
+            zip(
+                sessions.subscriber.values[keys // (window.total_days + 1)].tolist(),
+                (keys % (window.total_days + 1)).tolist(),
             )
-            if session.is_interactive:
-                day = window.day_of(session.start)
-                self.user_day_interactive.setdefault(
-                    (session.subscriber_id, day), set()
-                ).add(session.app)
+        )
+        groups, codes = distinct(group, sessions.app.codes[rows])
+        _add_members(
+            self.user_day_interactive,
+            pairs,
+            groups,
+            sessions.app.values[codes].tolist(),
+        )
 
     def merge(self, other: "AppsPartial") -> None:
         _set_union(self.app_day_users, other.app_day_users)
@@ -1043,47 +1180,64 @@ class DomainsPartial(_PartialState):
     dom_tx: dict[str, int] = field(default_factory=dict)
     dom_data: dict[str, int] = field(default_factory=dict)
 
-    def consume(self, dataset: StudyDataset, attributed, sessions) -> None:
+    def consume(
+        self,
+        dataset: StudyDataset,
+        attribution: Attribution,
+        sessions: SessionTable,
+    ) -> None:
         window = dataset.window
-        pair_first: dict[tuple[str, str], tuple] = {}
-        for item in attributed:
-            if item.app is None:
-                continue
-            pair = (item.record.subscriber_id, item.app)
-            key = record_sort_key(item.record)
-            mine = pair_first.get(pair)
-            if mine is None or key < mine:
-                pair_first[pair] = key
-        for session in sessions:
-            if not window.in_detailed(session.start):
-                continue
-            app = session.app
-            self.usage_tx[app] = self.usage_tx.get(app, 0) + session.tx_count
-            self.usage_bytes[app] = (
-                self.usage_bytes.get(app, 0) + session.bytes_total
+        rows = np.flatnonzero(_detailed(window, sessions.start))
+        start = sessions.start[rows]
+        keys, group = first_seen(sessions.app.codes[rows])
+        apps = sessions.app.values[keys].tolist()
+        _add_counts(
+            self.usage_tx, apps, group_sum(group, sessions.tx_count[rows], len(apps))
+        )
+        _add_counts(
+            self.usage_bytes,
+            apps,
+            group_sum(group, sessions.bytes_total[rows], len(apps)),
+        )
+        _add_counts(self.usage_count, apps, np.bincount(group, minlength=len(apps)))
+        # Each app's first usage: its earliest start, ties broken by the
+        # first record key of the usage's (subscriber, app) pair.
+        earliest = np.full(len(apps), np.inf)
+        np.minimum.at(earliest, group, start)
+        tied = np.flatnonzero(start == earliest[group])
+        first = rows[tied]
+        pairs = list(
+            zip(
+                sessions.subscriber.values[sessions.subscriber.codes[first]].tolist(),
+                sessions.app.values[sessions.app.codes[first]].tolist(),
             )
-            self.usage_count[app] = self.usage_count.get(app, 0) + 1
-            order_key = (
-                session.start,
-                pair_first[(session.subscriber_id, app)],
-            )
-            mine = self.usage_first.get(app)
-            if mine is None or order_key < mine:
-                self.usage_first[app] = order_key
-        for item in attributed:
-            category = item.domain_category
-            if category == CATEGORY_UNKNOWN:
-                continue
-            record = item.record
-            if not window.in_detailed(record.timestamp):
-                continue
-            self.dom_users.setdefault(category, set()).add(
-                record.subscriber_id
-            )
-            self.dom_tx[category] = self.dom_tx.get(category, 0) + 1
-            self.dom_data[category] = (
-                self.dom_data.get(category, 0) + record.total_bytes
-            )
+        )
+        pair_first = _pair_first(attribution, set(pairs))
+        _keep_smallest(
+            self.usage_first,
+            apps,
+            group[tied],
+            [(at, pair_first[pair]) for at, pair in zip(start[tied].tolist(), pairs)],
+        )
+
+        table = attribution.table
+        category = attribution.category
+        known = category.values != CATEGORY_UNKNOWN
+        rows = np.flatnonzero(
+            _detailed(window, table.column("timestamp")) & known[category.codes]
+        )
+        keys, group = first_seen(category.codes[rows])
+        categories = category.values[keys].tolist()
+        subscribers = table.column("subscriber_id")
+        groups, users = distinct(group, subscribers.codes[rows])
+        _add_members(
+            self.dom_users, categories, groups, subscribers.values[users].tolist()
+        )
+        _add_counts(
+            self.dom_tx, categories, np.bincount(group, minlength=len(categories))
+        )
+        size = table.column("bytes_up")[rows] + table.column("bytes_down")[rows]
+        _add_counts(self.dom_data, categories, group_sum(group, size, len(categories)))
 
     def merge(self, other: "DomainsPartial") -> None:
         _int_add(self.usage_tx, other.usage_tx)
@@ -1159,42 +1313,44 @@ class ThroughDevicePartial(_PartialState):
     displacement_mean: dict[str, float] = field(default_factory=dict)
 
     def consume(self, dataset: StudyDataset) -> None:
-        window = dataset.window
-        owner_accounts = dataset.wearable_accounts
-        for record in dataset.phone_proxy:
-            if not window.in_detailed(record.timestamp):
-                continue
-            if dataset.account_of(record.subscriber_id) in owner_accounts:
-                continue
-            subscriber = record.subscriber_id
-            self.tx_count[subscriber] = self.tx_count.get(subscriber, 0) + 1
-            self.byte_count[subscriber] = (
-                self.byte_count.get(subscriber, 0) + record.total_bytes
-            )
-            self.phone_imei.setdefault(subscriber, record.imei)
-            kind = TD_FINGERPRINT_HOSTS.get(record.host)
-            if kind is not None:
-                self.detected_kind[subscriber] = kind
-        detailed_mme = [
-            r
-            for r in dataset.phone_mme
-            if window.in_detailed(r.timestamp)
-            and dataset.account_of(r.subscriber_id) not in owner_accounts
-        ]
-        study_start = window.study_start
-        for subscriber, timeline in build_timelines(detailed_mme).items():
-            per_day: list[float] = []
-            for sectors in timeline.daily_sectors(study_start).values():
-                points: list[GeoPoint] = []
-                for sector in sectors:
-                    location = dataset.sector_map.get(sector)
-                    if location is not None:
-                        points.append(location)
-                per_day.append(max_displacement_km(points))
-            if per_day:
-                self.displacement_mean[subscriber] = sum(per_day) / len(
-                    per_day
-                )
+        proxy = dataset.proxy
+        rows = np.flatnonzero(
+            ~dataset.wearable_proxy_mask
+            & dataset.detailed_proxy_mask
+            & _general(dataset, proxy)
+        )
+        subscribers = proxy.column("subscriber_id")
+        keys, group = first_seen(subscribers.codes[rows])
+        names = subscribers.values[keys].tolist()
+        _add_counts(self.tx_count, names, np.bincount(group, minlength=len(names)))
+        size = proxy.column("bytes_up")[rows] + proxy.column("bytes_down")[rows]
+        _add_counts(self.byte_count, names, group_sum(group, size, len(names)))
+        first, _ = group_ends(group, len(names))
+        imeis = proxy.column("imei")
+        for name, imei in zip(
+            names, imeis.values[imeis.codes[rows[first]]].tolist()
+        ):
+            self.phone_imei.setdefault(name, imei)
+        hosts = proxy.column("host")
+        kinds = [TD_FINGERPRINT_HOSTS.get(host) for host in hosts.values.tolist()]
+        marked = np.flatnonzero(
+            np.array([kind is not None for kind in kinds], dtype=bool)[
+                hosts.codes[rows]
+            ]
+        )
+        keys, group = first_seen(group[marked])
+        _, last = group_ends(group, len(keys))
+        for key, host in zip(
+            keys.tolist(), hosts.codes[rows[marked[last]]].tolist()
+        ):
+            self.detected_kind[names[key]] = kinds[host]
+        general = np.flatnonzero(
+            dataset.detailed_mme_mask
+            & ~dataset.wearable_mme_mask
+            & _general(dataset, dataset.mme)
+        )
+        names, _, _, means = _daily_displacement(dataset, general)
+        self.displacement_mean.update(zip(names, means))
 
     def merge(self, other: "ThroughDevicePartial") -> None:
         _disjoint_update(self.detected_kind, other.detected_kind)
@@ -1295,22 +1451,9 @@ class DevicesPartial(_PartialState):
         )
         codes = imeis.codes[rows]
         keys, group = first_seen(codes)
-        # The smallest canonical sort key of each IMEI's rows is among
-        # its rows at the IMEI's earliest timestamp.
-        timestamps = mme.column("timestamp")[rows]
-        earliest = np.full(len(keys), np.inf)
-        np.minimum.at(earliest, group, timestamps)
-        tied = np.flatnonzero(timestamps == earliest[group])
-        smallest: dict[int, tuple] = {}
-        for index, key in zip(group[tied].tolist(), mme.sort_keys(rows[tied])):
-            mine = smallest.get(index)
-            if mine is None or key < mine:
-                smallest[index] = key
-        for index, imei in enumerate(imeis.values[keys].tolist()):
-            key = smallest[index]
-            mine = self.imei_first.get(imei)
-            if mine is None or key < mine:
-                self.imei_first[imei] = key
+        _min_sort_keys(
+            self.imei_first, imeis.values[keys].tolist(), group, mme, rows
+        )
 
         week = dataset.mme_days[rows] // 7
         in_range = (week >= 0) & (week < self.total_weeks)
@@ -1411,33 +1554,46 @@ class ProtocolsPartial(_PartialState):
     category_tx: dict[str, int] = field(default_factory=dict)
     category_http: dict[str, int] = field(default_factory=dict)
 
-    def consume(self, dataset: StudyDataset, attributed, app_categories) -> None:
-        window = dataset.window
-        for item in attributed:
-            record = item.record
-            if not window.in_detailed(record.timestamp):
-                continue
-            self.total += 1
-            is_http = record.protocol == PROTOCOL_HTTP
-            if is_http:
-                self.http_total += 1
-            if item.app is None:
-                continue
-            app = item.app
-            self.app_tx[app] = self.app_tx.get(app, 0) + 1
-            key = record_sort_key(record)
-            mine = self.app_first.get(app)
-            if mine is None or key < mine:
-                self.app_first[app] = key
-            category = app_categories.get(app, "Tools")
-            self.category_tx[category] = self.category_tx.get(category, 0) + 1
-            if is_http:
-                self.app_http[app] = self.app_http.get(app, 0) + 1
-                self.category_http[category] = (
-                    self.category_http.get(category, 0) + 1
-                )
-                if record.path:
-                    self.app_url[app] = self.app_url.get(app, 0) + 1
+    def consume(
+        self, dataset: StudyDataset, attribution: Attribution, app_categories
+    ) -> None:
+        table = attribution.table
+        rows = np.flatnonzero(_detailed(dataset.window, table.column("timestamp")))
+        protocols = table.column("protocol")
+        is_http = (protocols.values == PROTOCOL_HTTP)[protocols.codes[rows]]
+        self.total += len(rows)
+        self.http_total += int(is_http.sum())
+        attributed = attribution.app[rows] >= 0
+        rows = rows[attributed]
+        is_http = is_http[attributed]
+        app = attribution.app[rows]
+        keys, group = first_seen(app)
+        apps = attribution.apps[keys].tolist()
+        _add_counts(self.app_tx, apps, np.bincount(group, minlength=len(apps)))
+        _min_sort_keys(self.app_first, apps, group, table, rows)
+        names: dict[str, int] = {}
+        app_category = np.array(
+            [
+                names.setdefault(app_categories.get(name, "Tools"), len(names))
+                for name in attribution.apps.tolist()
+            ],
+            dtype=np.int64,
+        )
+        categories = object_array(list(names))
+        paths = table.column("path")
+        has_path = (paths.values != "")[paths.codes[rows]]
+        for target, selected, labels, codes in (
+            (self.category_tx, slice(None), categories, app_category[app]),
+            (self.app_http, is_http, attribution.apps, app),
+            (self.category_http, is_http, categories, app_category[app]),
+            (self.app_url, is_http & has_path, attribution.apps, app),
+        ):
+            keys, group = first_seen(codes[selected])
+            _add_counts(
+                target,
+                labels[keys].tolist(),
+                np.bincount(group, minlength=len(keys)),
+            )
 
     def merge(self, other: "ProtocolsPartial") -> None:
         self.total += other.total
@@ -1629,7 +1785,9 @@ class PanelInputs:
 
     The apps, domains and protocols panels all read the app attribution
     (§3.3) and the one-minute-gap sessions (§5.1) of the dataset's
-    wearable traffic; both are cached here.
+    wearable traffic; both are cached here as columns
+    (:attr:`attribution`, :attr:`usage`).  :attr:`attributed` and
+    :attr:`sessions` are their rows, built only when asked for.
     """
 
     def __init__(
@@ -1652,16 +1810,29 @@ class PanelInputs:
         return {app.name: app.category for app in self._catalog}
 
     @cached_property
-    def attributed(self) -> list[AttributedRecord]:
-        """Wearable transactions with resolved apps (whole dataset)."""
+    def attribution(self) -> Attribution:
+        """The dataset's wearable transactions with resolved apps."""
+        dataset = self.dataset
         with obs.span("analyze.attributed"):
-            return attribute_records(self.dataset.wearable_proxy, self.signatures)
+            return attribute_table(
+                dataset.proxy.take(dataset.wearable_proxy_mask), self.signatures
+            )
 
     @cached_property
-    def sessions(self) -> list[UsageSession]:
+    def usage(self) -> SessionTable:
         """One-minute-gap usage sessions over the attributed traffic."""
         with obs.span("analyze.sessions"):
-            return sessionize(self.attributed)
+            return session_table(self.attribution)
+
+    @cached_property
+    def attributed(self) -> Sequence[AttributedRecord]:
+        """:attr:`attribution` as rows, built on first access."""
+        return LazyRows(len(self.attribution), self.attribution.records)
+
+    @cached_property
+    def sessions(self) -> Sequence[UsageSession]:
+        """:attr:`usage` as rows, built on first access."""
+        return LazyRows(len(self.usage), self.usage.records)
 
     def partial(self, name: str):
         """Panel ``name``'s partial, fed this whole dataset."""
@@ -1686,8 +1857,8 @@ class Panel:
 #: Every ``StudyReport`` panel in execution order, with its one consume
 #: and one finalize call; ``ShardPartials`` and ``WearableStudy`` both go
 #: through this table.  The encounters entry covers the account side
-#: only: the sector-routed join side needs the canonically ordered MME
-#: stream and is fed through ``EncountersPartial.consume_stream``.
+#: only: the sector-routed join side needs the dwell intervals of the
+#: whole MME log and is fed through ``EncountersPartial.consume_intervals``.
 PANELS: dict[str, Panel] = {
     "census": Panel(
         lambda s: _fed(CensusPartial(), s.dataset),
@@ -1712,11 +1883,11 @@ PANELS: dict[str, Panel] = {
         lambda p, window, db, categories: p.finalize(),
     ),
     "apps": Panel(
-        lambda s: _fed(AppsPartial(), s.dataset, s.attributed, s.sessions),
+        lambda s: _fed(AppsPartial(), s.dataset, s.attribution, s.usage),
         lambda p, window, db, categories: p.finalize(window, categories),
     ),
     "domains": Panel(
-        lambda s: _fed(DomainsPartial(), s.dataset, s.attributed, s.sessions),
+        lambda s: _fed(DomainsPartial(), s.dataset, s.attribution, s.usage),
         lambda p, window, db, categories: p.finalize(),
     ),
     "through_device": Panel(
@@ -1731,7 +1902,7 @@ PANELS: dict[str, Panel] = {
     ),
     "protocols": Panel(
         lambda s: _fed(
-            ProtocolsPartial(), s.dataset, s.attributed, s.app_categories
+            ProtocolsPartial(), s.dataset, s.attribution, s.app_categories
         ),
         lambda p, window, db, categories: p.finalize(categories),
     ),
@@ -1794,15 +1965,14 @@ class ShardPartials(_PartialState):
 
         ``shard`` labels the caller's shard; the partials do not depend
         on it.  Only the encounter *account* side is fed here — the
-        join side needs the intervals of the full MME stream, which the
+        join side needs the intervals of the full MME log, which the
         dataset does not hold when account-sharded; ``_analyze_shard``
-        feeds it the intervals of its sectors
-        (``encounters.consume_intervals``), the serve finalize the full
-        stream (``encounters.consume_stream``).
+        feeds it the intervals of its sectors and the serve finalize
+        those of every shard (``encounters.consume_intervals``).
         """
         inputs = PanelInputs(dataset, app_catalog)
         with obs.span("shard.attribute"):
-            inputs.sessions  # attribute and sessionise under their own span
+            inputs.usage  # attribute and sessionise under their own span
         with obs.span("shard.aggregate"):
             return cls(**{name: inputs.partial(name) for name in PANELS})
 
@@ -1858,9 +2028,8 @@ class _AnalysisPayload:
     #: The shard's proxy and MME column slices (:meth:`StudyDataset.shard`).
     proxy: dict
     mme: dict
-    #: The dwell intervals of this shard's sectors, in stream order, as
-    #: subscriber, sector, start and end columns.
-    intervals: tuple[list[str], list[str], array, array]
+    #: The dwell intervals of this shard's sectors.
+    intervals: DwellIntervals
 
 
 @dataclass
@@ -1899,27 +2068,21 @@ def _full_mme_stream(trace_dir: str, *, lenient: bool, format: str):
     )
 
 
-def _sector_intervals(
-    dataset: StudyDataset, shards: int
-) -> list[tuple[list[str], list[str], array, array]]:
-    """The dwell intervals of the dataset's MME log, routed to the shard
-    owning each interval's sector (:func:`sector_shard`, one hash per
-    distinct sector): per shard, the subscriber, sector, start and end
-    columns, in stream order.  The MME rows are built a chunk at a time
-    and not kept."""
-    routed = [([], [], array("d"), array("d")) for _ in range(shards)]
-    owner: dict[str, tuple] = {}
-    for subscriber, sector, start, end in stream_dwell_intervals(
-        dataset.mme.iter_records(), dataset.window
-    ):
-        columns = owner.get(sector)
-        if columns is None:
-            columns = owner[sector] = routed[sector_shard(sector, shards)]
-        columns[0].append(subscriber)
-        columns[1].append(sector)
-        columns[2].append(start)
-        columns[3].append(end)
-    return routed
+def _sector_intervals(dataset: StudyDataset, shards: int) -> list[DwellIntervals]:
+    """The dwell intervals of the dataset's MME log
+    (:func:`~repro.core.mobility.dwell_intervals` over the detailed
+    window), routed to the shard owning each interval's sector
+    (:func:`sector_shard`, one hash per sector dictionary entry)."""
+    intervals = dwell_intervals(
+        dataset.mme,
+        np.flatnonzero(dataset.detailed_mme_mask),
+        dataset.window.study_start,
+    )
+    owner = np.array(
+        [sector_shard(sector, shards) for sector in intervals.sector.values.tolist()],
+        dtype=np.int64,
+    )[intervals.sector.codes]
+    return [intervals.take(owner == shard) for shard in range(shards)]
 
 
 def _analyze_shard(payload: _AnalysisPayload) -> _ShardResult:
@@ -1943,7 +2106,7 @@ def _analyze_shard(payload: _AnalysisPayload) -> _ShardResult:
         # the parent routed to its sectors.
         with obs.span("shard.encounters"):
             encounter_events = partials.encounters.consume_intervals(
-                zip(*payload.intervals), dataset.window.study_start
+                payload.intervals, dataset.window.study_start
             )
         events.emit(
             "progress", shard=shard, stage="encounters", rows=encounter_events
@@ -1993,9 +2156,9 @@ class ParallelAnalysisRun:
 
     @property
     def peak_resident_records(self) -> int:
-        """Largest record count any single shard held as rows — a
-        worker's bound, O(largest shard).  The parent holds the whole
-        trace as columns (about 44 bytes per row) while the shards run."""
+        """Largest record count any single shard held — a worker's
+        bound, O(largest shard).  The parent holds the whole trace as
+        columns (about 44 bytes per row) while the shards run."""
         if not self.shard_stats:
             return 0
         return max(s.resident_records for s in self.shard_stats)
@@ -2022,8 +2185,8 @@ def analyze_parallel(
 
     ``workers=1`` is the fully serial fallback (same partials, same
     merge order, same report — bit-for-bit).  Memory: the parent holds
-    O(trace) columns, about 44 bytes per row, and each worker holds
-    O(largest shard) rows.
+    O(trace) columns, about 44 bytes per row, and each worker holds its
+    shard's columns.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")

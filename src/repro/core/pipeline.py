@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from repro import obs
 
 from repro.core.activity import ActivityResult
@@ -32,7 +34,7 @@ from repro.core.devices import DeviceResult
 from repro.core.domains import DomainsResult
 from repro.core.encounters import EncountersResult
 from repro.core.identification import DeviceCensus
-from repro.core.mobility import MobilityResult
+from repro.core.mobility import MobilityResult, dwell_intervals
 from repro.core.parallel import PANELS, PanelInputs
 from repro.logs.quarantine import QuarantineReport
 from repro.core.protocols import ProtocolResult
@@ -122,10 +124,19 @@ class WearableStudy(PanelInputs):
     @cached_property
     def encounters(self) -> EncountersResult:
         """Both sides of the encounter partial: the account side from the
-        dataset, the sector join from its canonically ordered MME log."""
+        dataset, the sector join from the dwell intervals of its MME log
+        over the detailed window."""
+        dataset = self.dataset
         with obs.span("analyze.encounters"):
             partial = self.partial("encounters")
-            partial.consume_stream(self.dataset.mme_records, self.dataset.window)
+            partial.consume_intervals(
+                dwell_intervals(
+                    dataset.mme,
+                    np.flatnonzero(dataset.detailed_mme_mask),
+                    dataset.window.study_start,
+                ),
+                dataset.window.study_start,
+            )
             return partial.finalize()
 
     @property
@@ -149,9 +160,9 @@ class WearableStudy(PanelInputs):
         registry.gauge("repro_pipeline_proxy_records").set(len(self.dataset.proxy))
         registry.gauge("repro_pipeline_mme_records").set(len(self.dataset.mme))
         registry.gauge("repro_pipeline_attributed_records").set(
-            len(self.attributed)
+            len(self.attribution)
         )
-        registry.gauge("repro_pipeline_sessions").set(len(self.sessions))
+        registry.gauge("repro_pipeline_sessions").set(len(self.usage))
         return report
 
     #: Analysis execution order; also the ``phase`` timeline sequence.

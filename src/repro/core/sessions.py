@@ -5,6 +5,12 @@ consecutive transactions are less than a gap apart — the paper uses one
 minute ("until when the two consecutive transactions are made at least one
 minute apart").  Sessions feed Fig. 5(b) (frequency of usage), Fig. 7
 (transactions/data per single usage) and the apps-run-per-day headline.
+
+:func:`session_table` is the rule over columns: one stable lexsort of the
+attributed rows by (subscriber, app) pair, pairs in first-row order, then
+timestamp, split wherever the pair changes or the gap is at least the
+session gap, and the sessions listed stably by start.
+:func:`sessionize` is its row adapter.
 """
 
 from __future__ import annotations
@@ -13,10 +19,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.app_mapping import AttributedRecord
+import numpy as np
+
+from repro.core.app_mapping import Attribution, AttributedRecord
+from repro.logs.columns import Dictionary, first_seen
 
 #: The paper's session gap.
 DEFAULT_SESSION_GAP_S = 60.0
+
+#: Transactions from which a usage counts as interactive.
+INTERACTIVE_TX = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,52 +51,89 @@ class UsageSession:
         """Foreground usages carry several transactions; one- or
         two-transaction touches are background syncs, notifications or
         stray third-party beacons rather than deliberate use."""
-        return self.tx_count >= 3
+        return self.tx_count >= INTERACTIVE_TX
+
+
+@dataclass(frozen=True)
+class SessionTable:
+    """Usage sessions as columns, listed stably by start."""
+
+    subscriber: Dictionary
+    app: Dictionary
+    start: np.ndarray
+    end: np.ndarray
+    tx_count: np.ndarray
+    bytes_total: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def records(self) -> list[UsageSession]:
+        """The sessions as :class:`UsageSession` objects."""
+        return [
+            UsageSession(*row)
+            for row in zip(
+                self.subscriber.values[self.subscriber.codes].tolist(),
+                self.app.values[self.app.codes].tolist(),
+                self.start.tolist(),
+                self.end.tolist(),
+                self.tx_count.tolist(),
+                self.bytes_total.tolist(),
+            )
+        ]
+
+
+def session_table(
+    attribution: Attribution, gap_seconds: float = DEFAULT_SESSION_GAP_S
+) -> SessionTable:
+    """Split the attributed rows into usage sessions.
+
+    Rows without a resolved app are skipped — they cannot be assigned to
+    a usage.  The rest are grouped per (subscriber, app), pairs in the
+    order of their first row, and each pair's rows ordered stably by
+    timestamp; a session ends where the next row of its pair is at least
+    ``gap_seconds`` later.  Sessions are listed stably by start.
+    """
+    if gap_seconds <= 0:
+        raise ValueError("gap_seconds must be positive")
+    table = attribution.table
+    rows = np.flatnonzero(attribution.app >= 0)
+    subscribers = table.column("subscriber_id")
+    subscriber = subscribers.codes[rows]
+    app = attribution.app[rows]
+    timestamp = table.column("timestamp")[rows]
+    _, pair = first_seen(subscriber.astype(np.int64) * len(attribution.apps) + app)
+    order = np.lexsort((timestamp, pair))
+    timestamp = timestamp[order]
+    pair = pair[order]
+    split = np.ones(len(order), dtype=bool)
+    split[1:] = (pair[1:] != pair[:-1]) | (
+        timestamp[1:] - timestamp[:-1] >= gap_seconds
+    )
+    starts = np.flatnonzero(split)
+    ends = np.append(starts[1:], len(order))
+    size = table.column("bytes_up")[rows] + table.column("bytes_down")[rows]
+    totals = np.add.reduceat(size[order], starts) if len(starts) else size[:0]
+    listing = np.argsort(timestamp[starts], kind="stable")
+    first = order[starts[listing]]
+    return SessionTable(
+        Dictionary(subscriber[first], subscribers.values),
+        Dictionary(app[first], attribution.apps),
+        timestamp[starts[listing]],
+        timestamp[ends[listing] - 1],
+        (ends - starts)[listing],
+        totals[listing],
+    )
 
 
 def sessionize(
     attributed: Sequence[AttributedRecord],
     gap_seconds: float = DEFAULT_SESSION_GAP_S,
 ) -> list[UsageSession]:
-    """Split attributed transactions into usage sessions.
-
-    Records without a resolved app are skipped — they cannot be assigned
-    to a usage.  Input order does not matter; transactions are grouped per
-    (subscriber, app) and sorted in time.
-    """
-    if gap_seconds <= 0:
-        raise ValueError("gap_seconds must be positive")
-    grouped: dict[tuple[str, str], list[tuple[float, int]]] = defaultdict(list)
-    for item in attributed:
-        if item.app is None:
-            continue
-        grouped[(item.record.subscriber_id, item.app)].append(
-            (item.record.timestamp, item.record.total_bytes)
-        )
-
-    sessions: list[UsageSession] = []
-    for (subscriber, app), events in grouped.items():
-        events.sort(key=lambda event: event[0])
-        start, _ = events[0]
-        last = start
-        tx_count = 0
-        bytes_total = 0
-        for timestamp, size in events:
-            if timestamp - last >= gap_seconds and tx_count > 0:
-                sessions.append(
-                    UsageSession(subscriber, app, start, last, tx_count, bytes_total)
-                )
-                start = timestamp
-                tx_count = 0
-                bytes_total = 0
-            tx_count += 1
-            bytes_total += size
-            last = timestamp
-        sessions.append(
-            UsageSession(subscriber, app, start, last, tx_count, bytes_total)
-        )
-    sessions.sort(key=lambda session: session.start)
-    return sessions
+    """:func:`session_table` over attributed rows, as :class:`UsageSession`
+    objects.  Input order does not matter beyond ties: transactions are
+    grouped per (subscriber, app) and sorted in time."""
+    return session_table(Attribution.from_records(attributed), gap_seconds).records()
 
 
 def sessions_per_subscriber_day(

@@ -367,6 +367,8 @@ def _block_valid(record_type: type, cols: Sequence) -> bool:
     String checks look at the block's distinct values, numeric checks at
     the whole column; a block that fails goes row by row.
     """
+    if not np.isfinite(cols[0]).all():
+        return False
     if record_type is ProxyRecord:
         return (
             set(cols[5][0]) <= _VALID_PROTOCOLS

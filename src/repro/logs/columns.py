@@ -17,22 +17,24 @@ time.  :meth:`ColumnTable.from_records` wraps a row list and fills each
 column from the rows the first time it is asked for, so a consumer that
 reads three columns pays for three.
 
-Rows (:attr:`ColumnTable.records`) are built from the columns only when
-a row consumer asks; rows built from a decoded table share one string
+Rows (:attr:`ColumnTable.records`) are built from the columns only for
+edge callers (validation, writers, the benchmark, tests): the analysis
+folds read columns.  Rows built from a decoded table share one string
 object per dictionary entry and one int object per distinct byte count.
 
 The group-by helpers at the end (:func:`first_seen`, :func:`distinct`,
-:func:`runs`, :func:`group_sum`) are what the column folds of
-:mod:`repro.core.parallel` are made of: integer group keys, integer
-accumulators, and keys listed in the order of their first row, so a fold
-inserts dict keys in the order a row-by-row loop would.
+:func:`runs`, :func:`group_sum`, :func:`add_counts`, :func:`group_ends`,
+:func:`group_searchsorted`) are what the column folds of
+:mod:`repro.core` are made of: integer group keys, integer accumulators,
+and keys listed in the order of their first row, so a fold inserts dict
+keys in the order a row-by-row loop would.
 """
 
 from __future__ import annotations
 
 import gc
 from functools import lru_cache
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -126,6 +128,30 @@ def record_maker(record_type: type) -> Callable:
     return maker
 
 
+class LazyRows(Sequence):
+    """A read-only row sequence whose rows are built on first access;
+    ``len`` alone builds nothing."""
+
+    def __init__(self, size: int, build: Callable[[], list]) -> None:
+        self._size = size
+        self._build = build
+        self._rows: list | None = None
+
+    def _built(self) -> list:
+        if self._rows is None:
+            self._rows = self._build()
+        return self._rows
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._built())
+
+
 class ColumnTable:
     """One log stream's rows as columns, with rows built on demand."""
 
@@ -195,13 +221,6 @@ class ColumnTable:
                     gc.enable()
             self._records = records
         return self._records
-
-    def iter_records(self) -> Iterator:
-        """Every row as a record, :data:`ROW_CHUNK` rows at a time; rows
-        not already built are not kept."""
-        if self._records is not None:
-            return iter(self._records)
-        return chain.from_iterable(self._record_chunks())
 
     def _record_chunks(self) -> Iterator[list]:
         make = record_maker(self.record_type)
@@ -480,3 +499,47 @@ def group_sum(groups: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros(n, dtype=np.int64)
     np.add.at(out, groups, values)
     return out
+
+
+def add_counts(target: dict, keys: list, counts: np.ndarray) -> None:
+    """``target[key] += count``, new keys inserted in ``keys`` order."""
+    if not target:
+        target.update(zip(keys, counts.tolist()))
+        return
+    for key, count in zip(keys, counts.tolist()):
+        target[key] = target.get(key, 0) + count
+
+
+def group_ends(groups: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last row of each of ``n`` groups (every group
+    has a row)."""
+    rows = np.arange(len(groups))
+    first = np.full(n, len(groups), dtype=np.intp)
+    np.minimum.at(first, groups, rows)
+    last = np.full(n, -1, dtype=np.intp)
+    np.maximum.at(last, groups, rows)
+    return first, last
+
+
+def group_searchsorted(
+    groups: np.ndarray,
+    times: np.ndarray,
+    query_groups: np.ndarray,
+    query_times: np.ndarray,
+    side: str,
+) -> np.ndarray:
+    """``np.searchsorted`` of each query time within its group's times.
+
+    ``groups`` and ``times`` are sorted by group, then time.  Each query
+    is searched among the rows of its own group only, as ``bisect_left``
+    (``side="left"``) or ``bisect_right`` over that group's times would,
+    and the position is returned in the whole array: the group's rows
+    start at a position whose row holds another group, or at 0.  Times
+    are replaced by their rank among all times, which keeps order and
+    equality, so one int64 key orders (group, time) exactly.
+    """
+    ranks = np.unique(np.concatenate((times, query_times)), return_inverse=True)[1]
+    width = len(ranks) + 1
+    keys = groups.astype(np.int64) * width + ranks[: len(times)]
+    queries = query_groups.astype(np.int64) * width + ranks[len(times) :]
+    return np.searchsorted(keys, queries, side=side)

@@ -15,6 +15,7 @@ analyses, hashed into sets, and used as dictionary keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 PROTOCOL_HTTP = "http"
 PROTOCOL_HTTPS = "https"
@@ -54,6 +55,8 @@ class ProxyRecord:
     bytes_down: int = 0
 
     def __post_init__(self) -> None:
+        if not isfinite(self.timestamp):
+            raise ValueError(f"timestamp must be finite, got {self.timestamp!r}")
         if self.protocol not in _VALID_PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.bytes_up < 0 or self.bytes_down < 0:
@@ -115,6 +118,8 @@ class MmeRecord:
     event: str = EVENT_ATTACH
 
     def __post_init__(self) -> None:
+        if not isfinite(self.timestamp):
+            raise ValueError(f"timestamp must be finite, got {self.timestamp!r}")
         if self.event not in _VALID_EVENTS:
             raise ValueError(f"unknown MME event {self.event!r}")
         if not self.subscriber_id:

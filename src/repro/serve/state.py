@@ -26,7 +26,11 @@ is shard-local, so the union over time deltas equals the batch set) and
 is handed to the replay dataset as its ``owner_accounts``.
 
 Finalize replays the shards through :func:`repro.obs.map_shards` (in
-process, or in a pool when the service has ``workers > 1``),
+process, or in a pool when the service has ``workers > 1``): each
+shard's replay dataset wraps its buffers, its column tables are filled
+from those rows, and the six partials fold the columns as in batch; the
+encounter join reads the dwell intervals of every shard's buffered MME
+rows (:func:`~repro.core.mobility.dwell_intervals`).  Finalize also
 deep-copies the split-safe partials through their state round trip
 (``merge()`` mutates), bundles everything into the same
 :class:`~repro.core.parallel.ShardPartials` the batch workers ship, and
@@ -36,8 +40,11 @@ ingested prefix.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import obs
 from repro.core.dataset import TraceArtifacts
+from repro.core.mobility import dwell_intervals
 from repro.core.parallel import (
     ActivityPartial,
     AdoptionPartial,
@@ -49,6 +56,7 @@ from repro.core.parallel import (
 )
 from repro.core.pipeline import StudyReport
 from repro.core.weekly import StreamingWeekly
+from repro.logs.columns import ColumnTable
 from repro.logs.quarantine import QuarantineReport
 from repro.logs.records import (
     MmeRecord,
@@ -248,11 +256,18 @@ def finalize_slots(
     # the merged bundle's partial is the shards=1 routing — the same
     # cells any sharded routing would produce, merged.
     with obs.span("serve.encounters"):
-        all_mme = sorted(
-            (r for slot in slots for r in slot.mme_detailed),
-            key=record_sort_key,
+        all_mme = ColumnTable.from_records(
+            MmeRecord,
+            sorted(
+                (r for slot in slots for r in slot.mme_detailed),
+                key=record_sort_key,
+            ),
         )
-        merged.encounters.consume_stream(iter(all_mme), artifacts.window)
+        study_start = artifacts.window.study_start
+        merged.encounters.consume_intervals(
+            dwell_intervals(all_mme, np.arange(len(all_mme)), study_start),
+            study_start,
+        )
     catalog = builtin_app_catalog()
     app_categories = {app.name: app.category for app in catalog}
     with obs.span("serve.finalize"):

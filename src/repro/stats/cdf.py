@@ -11,7 +11,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import ceil
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class ECDF:
@@ -26,6 +28,21 @@ class ECDF:
         if not values:
             raise ValueError("ECDF needs at least one sample point")
         self._values = values
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[float, int]) -> "ECDF":
+        """The ECDF of a sample given as ``{value: multiplicity}``: its
+        sorted distinct values, each repeated by its count, without
+        expanding and sorting the sample."""
+        values = sorted(counts)
+        ecdf = cls.__new__(cls)
+        ecdf._values = np.repeat(
+            np.array(values, dtype=np.float64),
+            np.array([counts[value] for value in values], dtype=np.int64),
+        ).tolist()
+        if not ecdf._values:
+            raise ValueError("ECDF needs at least one sample point")
+        return ecdf
 
     def __len__(self) -> int:
         return len(self._values)

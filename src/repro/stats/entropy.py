@@ -18,8 +18,9 @@ from math import log2
 from typing import Hashable, Iterable, Mapping
 
 
-def _entropy_from_weights(weights: Iterable[float]) -> float:
-    """Entropy in bits of the normalised weight vector."""
+def entropy_bits(weights: Iterable[float]) -> float:
+    """Entropy in bits of the normalised weight vector (non-positive
+    weights are ignored)."""
     positive = [w for w in weights if w > 0]
     total = sum(positive)
     if total <= 0:
@@ -42,7 +43,7 @@ def shannon_entropy(visits: Iterable[Hashable]) -> float:
     counts = Counter(visits)
     if not counts:
         return 0.0
-    return _entropy_from_weights(counts.values())
+    return entropy_bits(counts.values())
 
 
 def dwell_weighted_entropy(dwell_seconds: Mapping[Hashable, float]) -> float:
@@ -53,7 +54,7 @@ def dwell_weighted_entropy(dwell_seconds: Mapping[Hashable, float]) -> float:
     paper's "entropy of visited location normalised by the time a user stays
     in a single location".
     """
-    return _entropy_from_weights(dwell_seconds.values())
+    return entropy_bits(dwell_seconds.values())
 
 
 def normalized_entropy(visits: Iterable[Hashable]) -> float:
@@ -66,4 +67,4 @@ def normalized_entropy(visits: Iterable[Hashable]) -> float:
     distinct = len(counts)
     if distinct <= 1:
         return 0.0
-    return _entropy_from_weights(counts.values()) / log2(distinct)
+    return entropy_bits(counts.values()) / log2(distinct)

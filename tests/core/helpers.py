@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.core.app_mapping import Attribution
 from repro.core.dataset import StudyDataset, StudyWindow
 from repro.core.parallel import PANELS, PanelInputs
 from repro.core.pipeline import WearableStudy
+from repro.core.sessions import SessionTable, UsageSession
 from repro.devicedb.database import DeviceDatabase, DeviceModel
 from repro.devicedb.tac import (
     DEVICE_TYPE_SMARTPHONE,
     DEVICE_TYPE_WEARABLE,
     make_imei,
 )
+from repro.logs.columns import encode_strings
 from repro.logs.io import shard_keep_predicate
 from repro.logs.records import MmeRecord, ProxyRecord
 from repro.logs.timeutil import SECONDS_PER_DAY
@@ -118,13 +123,34 @@ def make_dataset(
     )
 
 
+def session_table(sessions: list[UsageSession]) -> SessionTable:
+    """Hand-built sessions as the columns the panels fold, in order."""
+
+    def column(name: str, dtype) -> np.ndarray:
+        return np.array([getattr(s, name) for s in sessions], dtype=dtype)
+
+    return SessionTable(
+        encode_strings([s.subscriber_id for s in sessions]),
+        encode_strings([s.app for s in sessions]),
+        column("start", np.float64),
+        column("end", np.float64),
+        column("tx_count", np.int64),
+        column("bytes_total", np.int64),
+    )
+
+
 def panel(name: str, dataset: StudyDataset, **inputs):
     """Report field ``name`` exactly as :class:`WearableStudy` computes it.
 
     ``inputs`` replaces the shared intermediates (``attributed``,
-    ``sessions``, ``app_categories``) with hand-built ones.
+    ``sessions``, ``app_categories``) with hand-built ones; hand-built
+    rows replace the columns the panels fold (``attribution``, ``usage``).
     """
     study = WearableStudy(dataset)
+    if "attributed" in inputs:
+        inputs["attribution"] = Attribution.from_records(inputs["attributed"])
+    if "sessions" in inputs:
+        inputs["usage"] = session_table(inputs["sessions"])
     study.__dict__.update(inputs)
     return getattr(study, name)
 

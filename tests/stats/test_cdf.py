@@ -94,6 +94,26 @@ class TestEcdfProperties:
         quantiles = [ecdf.quantile(q / 10) for q in range(1, 11)]
         assert quantiles == sorted(quantiles)
 
+    @given(
+        st.dictionaries(
+            st.integers(0, 10**12), st.integers(0, 50), min_size=1, max_size=50
+        )
+    )
+    def test_from_counts_equals_expanded_sample(self, counts):
+        """A ``{value: count}`` histogram gives the ECDF of its expanded
+        sample: equal, same sample and same quantiles."""
+        if not any(counts.values()):
+            with pytest.raises(ValueError, match="at least one"):
+                ECDF.from_counts(counts)
+            return
+        ecdf = ECDF.from_counts(counts)
+        expanded = ECDF(v for v, n in counts.items() for _ in range(n))
+        assert ecdf == expanded
+        assert ecdf.sample == expanded.sample
+        assert all(type(v) is float for v in ecdf.sample)
+        for q in (0.01, 0.25, 0.5, 0.9, 1.0):
+            assert ecdf.quantile(q) == expanded.quantile(q)
+
 
 class TestHelpers:
     def test_percentile_matches_ecdf(self):

@@ -34,9 +34,8 @@ only sectors with ``crc32(sector_id) % n == s`` and never sees another
 worker's cells.  An encounter event belongs to exactly one cell, hence
 exactly one worker — per-shard event counts merge by plain integer
 addition and partner sets by union, both exact under the merge contract
-(:mod:`repro.core.parallel`).  Peak memory per worker is the pending
-map (one entry per live subscriber), that worker's clip columns and one
-bounded chunk of candidate pairs.
+(:mod:`repro.core.parallel`).  Peak memory per worker is its interval
+and clip columns and one bounded chunk of candidate pairs.
 
 The join walks every candidate pair's two clip lists in lockstep across
 the whole chunk.  Overlaps are summed one at a time in the order of the
@@ -44,11 +43,13 @@ classic two-pointer merge walk, so every total — and hence every
 :data:`MIN_OVERLAP_SECONDS` decision — is bit-identical to a sequential
 Python sum however fractional the endpoints are.
 
-:func:`stream_dwell_intervals` produces the :class:`SectorTimeline`
-dwell intervals without materialising timelines: over the canonically
-time-ordered MME stream it keeps one pending attachment per subscriber
-and closes intervals as the stream advances.  Same-timestamp events keep
-MME record order, as they do in the stably sorted timelines.
+The analysis paths take their intervals as columns from
+:func:`repro.core.mobility.dwell_intervals`.  :func:`stream_dwell_intervals`
+produces the same intervals without materialising timelines: over the
+canonically time-ordered MME stream it keeps one pending attachment per
+subscriber and closes intervals as the stream advances.  Same-timestamp
+events keep MME record order, as they do in the stably sorted
+timelines.
 """
 
 from __future__ import annotations

@@ -584,13 +584,13 @@ class TestCrossRowFoldsMatchRowFolds:
         ]
         columnar = new_partials()
         expected = new_partials()
-        with tempfile.TemporaryDirectory() as scratch:
+        with tempfile.TemporaryDirectory() as workdir:
             for index, (delta_proxy, delta_mme) in enumerate(deltas):
                 if producer == "rows":
                     feed_columns(columnar, rows_dataset(delta_proxy, delta_mme))
                     feed_rows(expected, rows_dataset(delta_proxy, delta_mme))
                     continue
-                part = Path(scratch) / str(index)
+                part = Path(workdir) / str(index)
                 part.mkdir()
                 feed_columns(columnar, bin_dataset(delta_proxy, delta_mme, part))
                 feed_rows(expected, bin_dataset(delta_proxy, delta_mme, part))

@@ -56,13 +56,13 @@ relation = settings(
 
 
 # ------------------------------------------------------------------ traces
-def report_of(output, scratch: Path, shards: int):
+def report_of(output, workdir: Path, shards: int):
     """The report of a trace: batch for ``shards=1``, else ``analyze_parallel``."""
-    scratch.mkdir(parents=True, exist_ok=True)
-    output.write(scratch, format="bin")
+    workdir.mkdir(parents=True, exist_ok=True)
+    output.write(workdir, format="bin")
     if shards == 1:
-        return WearableStudy(StudyDataset.load(scratch)).run_all()
-    return analyze_parallel(scratch, shards=shards, workers=1).report
+        return WearableStudy(StudyDataset.load(workdir)).run_all()
+    return analyze_parallel(workdir, shards=shards, workers=1).report
 
 
 def with_rows(base, proxy=(), mme=(), accounts=None, sectors=()):
@@ -147,7 +147,7 @@ class TestTimeframeAttribution:
         """The direct row 59 or 60 s away attributes the shared-host row;
         61 s away it does not."""
         at = detailed_instant(small_output, day, second)
-        scratch = tmp_path_factory.mktemp("attribution")
+        workdir = tmp_path_factory.mktemp("attribution")
         counts = {}
         for gap in (59, 60, 61):
             direct = at + gap if after else at - gap
@@ -159,7 +159,7 @@ class TestTimeframeAttribution:
                 ],
                 accounts=PROBE_ACCOUNTS,
             )
-            report = report_of(trace, scratch / str(gap), shards)
+            report = report_of(trace, workdir / str(gap), shards)
             counts[gap] = app_transactions(report).get(app, 0)
         assert counts[59] == counts[60] == counts[61] + 1
 
@@ -181,7 +181,7 @@ class TestTimeframeAttribution:
         two at different gaps, the nearer one's."""
         at = detailed_instant(small_output, day, second)
         earlier, later = apps
-        scratch = tmp_path_factory.mktemp("ties")
+        workdir = tmp_path_factory.mktemp("ties")
         for later_gap, winner in ((gap, earlier), (max(1, gap - nearer), later)):
             directs = [
                 probe_proxy(small_output, at - gap, DIRECT_HOSTS[earlier]),
@@ -190,14 +190,14 @@ class TestTimeframeAttribution:
             shared = probe_proxy(small_output, at, host)
             without = report_of(
                 with_rows(small_output, proxy=directs, accounts=PROBE_ACCOUNTS),
-                scratch / f"{later_gap}-without",
+                workdir / f"{later_gap}-without",
                 shards,
             )
             with_shared = report_of(
                 with_rows(
                     small_output, proxy=[*directs, shared], accounts=PROBE_ACCOUNTS
                 ),
-                scratch / f"{later_gap}-with",
+                workdir / f"{later_gap}-with",
                 shards,
             )
             before = app_transactions(without)
@@ -232,7 +232,7 @@ class TestSessionGap:
         """Two transactions 60 s apart are two usages; 59.999 s apart, one."""
         app = listed_apps[pick % len(listed_apps)]
         at = detailed_instant(small_output, day, second)
-        scratch = tmp_path_factory.mktemp("sessions")
+        workdir = tmp_path_factory.mktemp("sessions")
         counts = {}
         for gap in (60.0, 59.999):
             trace = with_rows(
@@ -243,7 +243,7 @@ class TestSessionGap:
                 ],
                 accounts=PROBE_ACCOUNTS,
             )
-            counts[gap] = usage_counts(report_of(trace, scratch / str(gap), shards))[
+            counts[gap] = usage_counts(report_of(trace, workdir / str(gap), shards))[
                 app
             ]
         assert counts[60.0] == counts[59.999] + 1
@@ -290,7 +290,7 @@ class TestEncounterOverlap:
         start = detailed_instant(small_output, day, hour * SECONDS_PER_HOUR + offset)
         first, second = names
         imeis = [wearable_imei(small_output, serial) for serial in (2, 3)]
-        scratch = tmp_path_factory.mktemp("encounters")
+        workdir = tmp_path_factory.mktemp("encounters")
         events = {}
         for late in (0.0, 0.001):
             mme = [
@@ -305,7 +305,7 @@ class TestEncounterOverlap:
                 accounts={first: "zz-a1", second: "zz-a2"},
                 sectors=PROBE_SECTORS,
             )
-            encounters = report_of(trace, scratch / str(late), shards).encounters
+            encounters = report_of(trace, workdir / str(late), shards).encounters
             events[late] = (encounters.n_events, encounters.n_pairs)
         assert events[0.0] == (events[0.001][0] + 1, events[0.001][1] + 1)
 
@@ -357,9 +357,9 @@ class TestInvariance:
                 new_sub[s]: new_account[a] for s, a in base.account_directory.items()
             },
         )
-        scratch = tmp_path_factory.mktemp("relabel")
-        assert report_of(renamed, scratch / "renamed", shards) == report_of(
-            base, scratch / "base", shards
+        workdir = tmp_path_factory.mktemp("relabel")
+        assert report_of(renamed, workdir / "renamed", shards) == report_of(
+            base, workdir / "base", shards
         )
 
     @pytest.mark.parametrize("shards", SHARDS)
@@ -386,7 +386,7 @@ class TestInvariance:
                 ],
             )
 
-        scratch = tmp_path_factory.mktemp("shift")
+        workdir = tmp_path_factory.mktemp("shift")
         assert report_of(
-            shifted(weeks * SECONDS_PER_WEEK), scratch / "moved", shards
-        ) == report_of(shifted(0.0), scratch / "base", shards)
+            shifted(weeks * SECONDS_PER_WEEK), workdir / "moved", shards
+        ) == report_of(shifted(0.0), workdir / "base", shards)

@@ -13,7 +13,12 @@ effect, through the batch path (``StudyDataset.load`` +
 * encounters: 60 s of co-presence in one (sector, hour) cell is an
   event;
 * an order-preserving relabelling of subscribers and accounts, and a
-  shift of the whole trace by whole weeks, leave the report unchanged.
+  shift of the whole trace by whole weeks, leave the report unchanged;
+* lenient ingest: exact copies inserted right after rows, and rows with
+  a malformed IMEI, an unknown sector or negative byte counts, leave
+  every analysis field unchanged and add exactly the quarantine issues
+  injected.  These run through the lenient batch load of a CSV and of a
+  ``.bin`` trace and through a 4-shard ``analyze_parallel(lenient=True)``.
 
 The traces are the small preset with hand-built probe rows added: probe
 subscribers with their own accounts, and for the encounter relation
@@ -23,6 +28,7 @@ whole seconds, so every gap below is exact.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import random
 from pathlib import Path
@@ -37,7 +43,14 @@ from repro.core.parallel import PanelInputs, analyze_parallel
 from repro.core.pipeline import WearableStudy
 from repro.core.sessions import sessionize
 from repro.devicedb.tac import make_imei
-from repro.logs.records import MmeRecord, ProxyRecord, record_sort_key
+from repro.logs.binfmt import write_bin_rows
+from repro.logs.records import (
+    MmeRecord,
+    ProxyRecord,
+    fields_for,
+    record_sort_key,
+    record_to_row,
+)
 from repro.logs.timeutil import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_WEEK
 from repro.simnet.appcatalog import builtin_app_catalog
 from repro.simnet.topology import Sector, SectorMap
@@ -390,3 +403,165 @@ class TestInvariance:
         assert report_of(
             shifted(weeks * SECONDS_PER_WEEK), workdir / "moved", shards
         ) == report_of(shifted(0.0), workdir / "base", shards)
+
+
+# --------------------------------------------------------- lenient ingest
+#: (wire format, shards): the lenient batch load of each format, and a
+#: 4-shard ``analyze_parallel`` over the ``.bin`` trace.
+LENIENT_PATHS = [("csv", 1), ("bin", 1), ("bin", 4)]
+
+LOG_TYPES = (("proxy", ProxyRecord), ("mme", MmeRecord))
+
+
+def write_raw_trace(output, workdir: Path, fmt: str, rows: dict) -> None:
+    """``output``'s side files plus logs of raw value tuples, written
+    without the record checks (so out-of-domain values reach the file)."""
+    output.write(workdir, format=fmt)
+    for stem, record_type in LOG_TYPES:
+        path = workdir / f"{stem}.{fmt}"
+        if fmt == "bin":
+            write_bin_rows(path, (("row", row) for row in rows[stem]), record_type)
+            continue
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(fields_for(record_type))
+            writer.writerows(rows[stem])
+
+
+def lenient_report(output, workdir: Path, path: tuple[str, int], rows: dict):
+    fmt, shards = path
+    workdir.mkdir(parents=True, exist_ok=True)
+    write_raw_trace(output, workdir, fmt, rows)
+    if shards == 1:
+        return WearableStudy(StudyDataset.load(workdir, lenient=True)).run_all()
+    return analyze_parallel(workdir, shards=shards, workers=1, lenient=True).report
+
+
+def analysis_fields(report):
+    return dataclasses.replace(report, quarantine=None)
+
+
+def issue_counts(report) -> dict[str, int]:
+    return {issue.code: issue.count for issue in report.quarantine.issues}
+
+
+@pytest.fixture(scope="module")
+def clean_rows(small_output) -> dict:
+    return {
+        "proxy": [record_to_row(r) for r in small_output.proxy_records],
+        "mme": [record_to_row(r) for r in small_output.mme_records],
+    }
+
+
+@pytest.fixture(scope="module")
+def clean_lenient(small_output, clean_rows, tmp_path_factory) -> dict:
+    """The lenient report of the unmodified trace, per path."""
+    workdir = tmp_path_factory.mktemp("lenient-clean")
+    return {
+        path: lenient_report(
+            small_output, workdir / f"{path[0]}-{path[1]}", path, clean_rows
+        )
+        for path in LENIENT_PATHS
+    }
+
+
+def insert_after(rows: list, picks: dict[int, list[tuple]]) -> list:
+    """``rows`` with ``picks[i]`` inserted right after row ``i``."""
+    out = []
+    for index, row in enumerate(rows):
+        out.append(row)
+        out.extend(picks.get(index, ()))
+    return out
+
+
+def picked(rng: random.Random, rows: list, count: int) -> list[int]:
+    return rng.sample(range(len(rows)), count)
+
+
+MALFORMED_IMEIS = ["35884708000001", "3588470800000111", "35884708000001x", ""]
+
+
+class TestLenientIngest:
+    @pytest.mark.parametrize("path", LENIENT_PATHS)
+    @relation
+    @given(
+        copies=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        seed=st.integers(0, 10**6),
+    )
+    def test_exact_copies(
+        self, small_output, clean_rows, clean_lenient, tmp_path_factory, path,
+        copies, seed,
+    ):
+        """k exact copies, each right after its row, add k duplicates."""
+        rng = random.Random(seed)
+        rows = {}
+        for (stem, _), count in zip(LOG_TYPES, copies):
+            base = clean_rows[stem]
+            rows[stem] = insert_after(
+                base, {i: [base[i]] for i in picked(rng, base, count)}
+            )
+        report = lenient_report(
+            small_output, tmp_path_factory.mktemp("copies"), path, rows
+        )
+        clean = clean_lenient[path]
+        assert analysis_fields(report) == analysis_fields(clean)
+        expected = issue_counts(clean)
+        for (stem, _), count in zip(LOG_TYPES, copies):
+            code = f"{stem}-duplicate"
+            expected[code] = expected.get(code, 0) + count
+        assert issue_counts(report) == expected
+
+    @pytest.mark.parametrize("path", LENIENT_PATHS)
+    @relation
+    @given(
+        imeis=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        sectors=st.integers(1, 6),
+        negative=st.integers(2, 8),
+        seed=st.integers(0, 10**6),
+    )
+    def test_unanalysable_rows(
+        self, small_output, clean_rows, clean_lenient, tmp_path_factory, path,
+        imeis, sectors, negative, seed,
+    ):
+        """Rows with a malformed IMEI, an unknown sector or a negative byte
+        count (up and down alternately), each a copy of a row with that one
+        field changed and inserted right after it, add exactly their
+        ``<stream>-imei``, ``mme-sector`` and ``proxy-value`` issues."""
+        rng = random.Random(seed)
+        proxy, mme = clean_rows["proxy"], clean_rows["mme"]
+        bad_proxy: dict[int, list[tuple]] = {}
+        bad_mme: dict[int, list[tuple]] = {}
+        for n, index in enumerate(picked(rng, proxy, imeis[0])):
+            row = list(proxy[index])
+            row[2] = MALFORMED_IMEIS[n % len(MALFORMED_IMEIS)]
+            bad_proxy.setdefault(index, []).append(tuple(row))
+        for n, index in enumerate(picked(rng, proxy, negative)):
+            row = list(proxy[index])
+            row[6 + n % 2] = -1 - n
+            bad_proxy.setdefault(index, []).append(tuple(row))
+        for n, index in enumerate(picked(rng, mme, imeis[1])):
+            row = list(mme[index])
+            row[2] = MALFORMED_IMEIS[n % len(MALFORMED_IMEIS)]
+            bad_mme.setdefault(index, []).append(tuple(row))
+        for n, index in enumerate(picked(rng, mme, sectors)):
+            row = list(mme[index])
+            row[3] = f"zz-unplanned-{n}"
+            bad_mme.setdefault(index, []).append(tuple(row))
+        rows = {
+            "proxy": insert_after(proxy, bad_proxy),
+            "mme": insert_after(mme, bad_mme),
+        }
+        report = lenient_report(
+            small_output, tmp_path_factory.mktemp("unanalysable"), path, rows
+        )
+        clean = clean_lenient[path]
+        assert analysis_fields(report) == analysis_fields(clean)
+        expected = issue_counts(clean)
+        for code, count in (
+            ("proxy-imei", imeis[0]),
+            ("mme-imei", imeis[1]),
+            ("mme-sector", sectors),
+            ("proxy-value", negative),
+        ):
+            expected[code] = expected.get(code, 0) + count
+        assert issue_counts(report) == expected

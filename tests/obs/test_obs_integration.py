@@ -171,6 +171,67 @@ class TestQuarantineMetrics:
         assert total == sum(dataset.quarantine.rows_quarantined.values())
 
 
+class TestQuarantineCounters:
+    """The quarantine counters of a lenient load of the small preset,
+    corrupted by ``FaultSpec.chaos`` (every row fault at 2 % and a torn
+    proxy tail), count exactly what its report says, in both formats."""
+
+    #: ``repro_io_rows_read_total{stream}``: every row that parsed
+    #: (kept, or dropped by the scrubber), per format.
+    ROWS_READ = {
+        "csv": {"proxy": 7_848, "mme": 7_691},
+        "bin": {"proxy": 7_847, "mme": 7_691},
+    }
+
+    @pytest.fixture(scope="class", params=["csv", "bin"])
+    def loaded(self, request, small_output, tmp_path_factory):
+        fmt = request.param
+        base = tmp_path_factory.mktemp(f"quarantine-counters-{fmt}")
+        small_output.write(base / "pristine", format=fmt)
+        corrupt_trace(base / "pristine", base / "corrupted", FaultSpec.chaos(seed=3))
+        with obs.observe() as ob:
+            dataset = StudyDataset.load(base / "corrupted", lenient=True)
+        return fmt, dataset, ob.metrics
+
+    def test_rows_quarantined(self, loaded):
+        _fmt, dataset, registry = loaded
+        rows = dataset.quarantine.rows_quarantined
+        assert set(rows) == {"proxy", "mme"}
+        for stream, count in rows.items():
+            assert registry.counter_value(
+                "repro_quarantine_rows_total", stream=stream
+            ) == count
+        assert registry.sum_counter("repro_quarantine_rows_total") == sum(
+            rows.values()
+        )
+
+    def test_issue_counts(self, loaded):
+        _fmt, dataset, registry = loaded
+        issues = dataset.quarantine.issues
+        assert len(issues) >= 8
+        for issue in issues:
+            assert registry.counter_value(
+                "repro_quarantine_issues_total", code=issue.code
+            ) == issue.count, issue.code
+        assert registry.sum_counter("repro_quarantine_issues_total") == sum(
+            issue.count for issue in issues
+        )
+
+    def test_rows_read(self, loaded):
+        fmt, dataset, registry = loaded
+        report = dataset.quarantine
+        for stream, table in (("proxy", dataset.proxy), ("mme", dataset.mme)):
+            read = registry.counter_value(
+                "repro_io_rows_read_total", stream=stream, format=fmt, category="log"
+            )
+            assert read == self.ROWS_READ[fmt][stream]
+            dropped = sum(
+                report.count(f"{stream}-{defect}")
+                for defect in ("duplicate", "imei", "sector")
+            )
+            assert read == len(table) + dropped
+
+
 class TestCliArtifacts:
     @pytest.fixture(scope="class")
     def artifacts(self, tmp_path_factory):

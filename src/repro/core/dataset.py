@@ -12,11 +12,15 @@ Each log is held as a :class:`~repro.logs.columns.ColumnTable` (the data
 plane): float64 timestamps, int64 byte counts, and int32 dictionary codes
 plus an array of distinct values per string field.  A strict ``.bin``
 load decodes every block straight into the table
-(:func:`~repro.logs.binfmt.read_bin_table`); CSV loads and lenient loads
-(after the :class:`Scrubber`) assemble it from the rows a chunk at a
-time (:func:`~repro.logs.columns.assemble_records`), so no load keeps
-its whole row list, and a lenient load that saw disorder re-sorts the
-table as columns (:meth:`~repro.logs.columns.ColumnTable.sort`).
+(:func:`~repro.logs.binfmt.read_bin_table`), and a strict CSV load
+assembles it from the rows a chunk at a time
+(:func:`~repro.logs.columns.assemble_records`).  A lenient load of any
+format feeds the column :class:`Scrubber`: a ``.bin`` log's decoded
+blocks, or a CSV log's records a chunk at a time; it keeps only the
+rows that pass, builds a record only for a row that fails a ``.bin``
+block's checks, and re-sorts the table as columns when it saw disorder
+(:meth:`~repro.logs.columns.ColumnTable.sort`).  No load keeps its
+whole row list.
 :meth:`StudyDataset.from_simulation` and datasets built from row lists
 fill the table from the rows, one column at a time, when a consumer
 first reads that column.  Every analysis panel folds the columns; rows
@@ -32,8 +36,9 @@ sharded and served analysis all go through it:
 * :func:`load_artifacts` is the only parser of the side files
   (``metadata.json``, ``accounts.csv``, ``devices.csv``, ``sectors.csv``);
 * :meth:`StudyDataset._log_path` is the only log-suffix probe;
-* :class:`Scrubber` is the one lenient row filter, with a checkpointable
-  carry so the service runs it over a growing stream;
+* :class:`Scrubber` is the one lenient row filter, masks over column
+  batches with a checkpointable carry, so the service runs it over a
+  growing stream;
 * account-shard selection is one method, :meth:`StudyDataset.shard`: a
   mask over each log's subscriber dictionary, one ``crc32`` per distinct
   subscriber however many shards are cut.  ``load(shard=)`` loads the
@@ -54,28 +59,36 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from typing import Iterable, Iterator, NamedTuple
+from itertools import islice
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from repro.devicedb.database import DeviceDatabase
 from repro.devicedb.tac import IMEI_LENGTH
-from repro.logs.binfmt import read_bin_table
-from repro.logs.columns import ColumnTable, assemble_records
+from repro.logs.binfmt import _decoded_blocks, read_bin_table
+from repro.logs.columns import (
+    ROW_CHUNK,
+    ColumnTable,
+    TableAssembler,
+    assemble_records,
+    record_columns,
+)
 from repro.logs.io import (
     check_shard,
     log_kind,
+    read_csv_records,
     read_records,
     subscriber_shard,
     trace_format,
 )
-from repro.logs.quarantine import QuarantineCollector, QuarantineReport
-from repro.logs.records import (
-    MmeRecord,
-    ProxyRecord,
-    record_to_row,
-    row_to_record,
+from repro.logs.quarantine import (
+    MAX_EXAMPLES,
+    PendingIssues,
+    QuarantineCollector,
+    QuarantineReport,
 )
+from repro.logs.records import MmeRecord, ProxyRecord
 from repro.logs.timeutil import SECONDS_PER_DAY, day_indices, hours_and_weekdays
 from repro.simnet.topology import SectorMap
 
@@ -304,8 +317,10 @@ class StudyDataset:
         keep their readable prefix, missing logs load as empty, and the
         :class:`Scrubber` removes rows with malformed IMEIs or unknown
         sectors, deduplicates exact duplicates and re-sorts out-of-order
-        logs.  The full accounting lands in :attr:`quarantine` (a
-        :class:`~repro.logs.quarantine.QuarantineReport`).
+        logs, as masks over column batches.  The full accounting lands
+        in :attr:`quarantine` (a
+        :class:`~repro.logs.quarantine.QuarantineReport`), its issues in
+        the order a row-by-row pass first meets them.
 
         With ``shard``/``shards`` the dataset is :meth:`shard` of the
         whole load: every row is still read and, in lenient mode,
@@ -342,10 +357,11 @@ class StudyDataset:
     ) -> ColumnTable:
         """One log as a decoded table.
 
-        A strict ``.bin`` log is decoded straight into columns.
-        Otherwise rows are read (with a ``collector``: leniently, then
-        scrubbed) and assembled into columns a chunk at a time, and the
-        table is re-sorted into canonical order when the scrubber saw
+        A strict ``.bin`` log is decoded straight into columns, a strict
+        CSV log assembled from its rows a chunk at a time.  With a
+        ``collector`` the log is read leniently as column parts
+        (:meth:`_lenient_parts`) into :meth:`Scrubber.table`, which
+        re-sorts the kept table into canonical order when it saw
         disorder.
         """
         stem = log_kind(record_type)
@@ -356,8 +372,9 @@ class StudyDataset:
             return assemble_records(
                 record_type, read_records(path, record_type)
             )
-        return Scrubber(record_type, collector, sector_map).table(
-            cls._lenient_log(base, stem, record_type, collector, format)
+        scrubber = Scrubber(record_type, collector, sector_map)
+        return scrubber.table(
+            cls._lenient_parts(base, stem, record_type, scrubber.pending, format)
         )
 
     def shard(self, shard: int, shards: int) -> "StudyDataset":
@@ -398,24 +415,29 @@ class StudyDataset:
         )
 
     @staticmethod
-    def _lenient_log(
+    def _lenient_parts(
         base: Path,
         stem: str,
         record_type: type,
-        collector: QuarantineCollector,
+        quarantine: PendingIssues,
         format: str = "auto",
-    ) -> Iterator:
-        """Lenient record stream for one log; empty when the file is gone."""
+    ) -> Iterable[tuple[list, np.ndarray | None]]:
+        """One log read leniently as column parts (:meth:`Scrubber.scrub`'s
+        input): a ``.bin`` log's decoded blocks, a CSV log's records a
+        chunk at a time; none when the file is gone."""
         try:
             path = StudyDataset._log_path(base, stem, format)
         except FileNotFoundError:
-            collector.note(
+            quarantine.note(
                 f"{stem}-missing",
                 "log file missing from the trace directory",
                 f"{stem}.csv[.gz|.bin]",
             )
-            return iter(())
-        return read_records(path, record_type, collector)
+            return ()
+        if trace_format(path) == "bin":
+            return _decoded_blocks(path, record_type, quarantine, category="log")
+        records = read_csv_records(path, record_type, quarantine)
+        return ((columns, None) for columns in record_columns(record_type, records))
 
     # ------------------------------------------------------------ rows
     @property
@@ -543,25 +565,27 @@ def _as_table(record_type: type, log: list | ColumnTable) -> ColumnTable:
 
 
 class Scrubber:
-    """The lenient semantic row filter, with a checkpointable carry.
+    """The lenient semantic row filter: masks over column batches, with a
+    checkpointable carry.
 
-    The I/O layer already dropped rows that failed to *parse*; this pass
+    The reader already dropped rows that failed to *parse*; this pass
     drops rows that parsed but cannot be analysed — malformed IMEIs
-    (``<kind>-imei``), sectors absent from the cell plan
-    (``mme-sector``, when a ``sector_map`` is given) — removes exact
-    duplicates of the immediately preceding row (``<kind>-duplicate``),
-    and notes out-of-order timestamps (``<kind>-order``), counting them
-    in :attr:`disorder`.
+    (``<kind>-imei``), sectors absent from the cell plan (``mme-sector``,
+    when a ``sector_map`` is given) — removes exact duplicates of the
+    previous parsed row, kept or not (``<kind>-duplicate``), and notes a
+    timestamp below the previous kept row's (``<kind>-order``), counting
+    them in :attr:`disorder`.  The IMEI and sector checks run once per
+    dictionary entry.  The reader records its events into
+    :attr:`pending`, so read- and scrub-layer events reach the collector
+    in row order.
 
-    The carry — global row index, last record, previous timestamp,
+    The carry — global row index, last parsed row, last kept timestamp,
     disorder count — persists across :meth:`scrub` calls and through
-    :meth:`to_state`, so scrubbing a stream in chunks keeps the same
-    rows and records the same quarantine accounting as one pass over
-    the whole stream.  :meth:`scrub` leaves re-sorting to the caller:
-    :meth:`table` (a lenient load) sorts its assembled columns when
-    :attr:`disorder` is non-zero, the service sorts its replay buffers.
-    A sharded analysis scrubs each stream once, in the parent, before
-    any shard is cut.
+    :meth:`to_state`, so scrubbing a stream in pieces keeps the same
+    rows and accounting as one pass.  Lenient batch loads of every
+    format (:meth:`table`) and the service's lenient polls run it; the
+    caller re-sorts on disorder (:meth:`table` sorts the kept table, the
+    service its replay buffers).
     """
 
     STATE_VERSION = 1
@@ -576,90 +600,122 @@ class Scrubber:
         self.kind = log_kind(record_type)
         self.collector = collector
         self.sector_map = sector_map
+        #: The quarantine the reader feeding :meth:`scrub` records into.
+        self.pending = PendingIssues(collector)
         self._index = 0
-        self._last_seen = None
+        self._last_seen: tuple | None = None
         self._previous_ts = float("-inf")
         self.disorder = 0
 
-    def scrub(self, records: Iterable) -> Iterator:
-        """Yield the analysable records, quarantining the rest.
+    def scrub(self, parts: Iterable[tuple[list, np.ndarray | None]]) -> ColumnTable:
+        """The analysable rows of parsed column parts, in parsed order.
 
-        Lazy: each record is scrubbed as it is pulled, so when the input
-        is a lenient reader, read- and scrub-layer quarantine events land
-        in the collector in row order.  The carry is stored back when the
-        generator finishes.
+        ``parts`` are ``(columns, keep)`` pairs in
+        :meth:`~repro.logs.columns.TableAssembler.add`'s layout, whose
+        reader records into :attr:`pending`.  A batch is scrubbed once
+        it holds :data:`~repro.logs.columns.ROW_CHUNK` rows, before the
+        next part is read.  The table's dictionaries may list values no
+        kept row uses.
         """
-        kind = self.kind
-        collector = self.collector
-        sector_map = self.sector_map
-        last_seen = self._last_seen
-        previous_ts = self._previous_ts
-        index = self._index - 1
-        try:
-            for index, record in enumerate(records, self._index):
-                if record == last_seen:
-                    collector.quarantine_row(
-                        kind,
-                        f"{kind}-duplicate",
-                        "exact duplicate of the previous row",
-                        f"{kind}[{index}]",
-                    )
-                    continue
-                last_seen = record
-                imei = record.imei
-                if len(imei) != IMEI_LENGTH or not imei.isdigit():
-                    collector.quarantine_row(
-                        kind,
-                        f"{kind}-imei",
-                        "malformed IMEI",
-                        f"{kind}[{index}] {imei!r}",
-                    )
-                    continue
-                if sector_map is not None and record.sector_id not in sector_map:
-                    collector.quarantine_row(
-                        kind,
-                        f"{kind}-sector",
-                        "sector missing from the cell plan",
-                        f"{kind}[{index}] {record.sector_id}",
-                    )
-                    continue
-                timestamp = record.timestamp
-                if timestamp < previous_ts:
-                    self.disorder += 1
-                    collector.note(
-                        f"{kind}-order",
-                        "records out of time order (kept; log re-sorted)",
-                        f"{kind}[{index}]",
-                    )
-                previous_ts = timestamp
-                yield record
-        finally:
-            self._index = index + 1
-            self._last_seen = last_seen
-            self._previous_ts = previous_ts
+        run = _ScrubRun(self)
+        batch: list = []
+        rows = 0
+        for columns, keep in parts:
+            batch.append((columns, keep))
+            rows += len(columns[0]) if keep is None else len(keep)
+            if rows >= ROW_CHUNK:
+                self._scrub_batch(run, batch)
+                self.pending.flush()
+                batch, rows = [], 0
+        if batch:
+            self._scrub_batch(run, batch)
+        self.pending.flush(restart=True)
+        return run.assembler.table()
 
-    def table(self, records: Iterable) -> ColumnTable:
-        """The analysable records of a whole stream as one canonical table.
-
-        The records are scrubbed and assembled into columns a chunk at a
-        time (:func:`~repro.logs.columns.assemble_records`), and the
-        table is re-sorted when this scrubber has seen disorder: the
-        same table as sorting the kept rows by
-        :func:`~repro.logs.records.record_sort_key`.
-        """
-        table = assemble_records(self.record_type, self.scrub(records))
+    def table(self, parts: Iterable[tuple[list, np.ndarray | None]]) -> ColumnTable:
+        """The analysable rows of a whole stream as one canonical table:
+        :meth:`scrub`, then sorted when this scrubber has seen disorder
+        (the same table as sorting the kept rows by
+        :func:`~repro.logs.records.record_sort_key`), and its
+        dictionaries listed in first-row order."""
+        table = self.scrub(parts)
         if self.disorder:
             table.sort()
+        else:
+            table.renumber()
         return table
+
+    #: Per scrub code suffix: its message, whether it drops its rows, and
+    #: how an example shows the row's value of the checked field.
+    _RULES = {
+        "duplicate": ("exact duplicate of the previous row", True, None),
+        "imei": ("malformed IMEI", True, "{!r}"),
+        "sector": ("sector missing from the cell plan", True, "{}"),
+        "order": ("records out of time order (kept; log re-sorted)", False, None),
+    }
+
+    def _scrub_batch(self, run: "_ScrubRun", batch: list) -> None:
+        columns = run.gather(batch)
+        rows = len(columns[0])
+        if not rows:
+            return
+        # A duplicate equals the previous parsed row in every field.
+        dropped = np.ones(rows, dtype=bool)
+        for column in columns:
+            dropped[1:] &= column[1:] == column[:-1]
+        dropped[0] = run.row(columns, 0) == self._last_seen
+        events = [("duplicate", np.flatnonzero(dropped), None)]
+        for field, (rule, _test) in run.checks.items():
+            failed = ~dropped & ~run.valid[field][columns[field]]
+            dropped |= failed
+            events.append((rule, np.flatnonzero(failed), field))
+        kept = ~dropped
+        timestamps = columns[0][kept]
+        late = timestamps < np.concatenate(([self._previous_ts], timestamps[:-1]))
+        events.append(("order", np.flatnonzero(kept)[late], None))
+        for rule, at, field in events:
+            if len(at):
+                self._hold(run, columns, rule, at, field)
+        run.assembler.add(columns, kept)
+        self.disorder += int(np.count_nonzero(late))
+        self._index += rows
+        self._last_seen = run.row(columns, rows - 1)
+        if len(timestamps):
+            self._previous_ts = float(timestamps[-1])
+        run.fed += rows
+
+    def _hold(
+        self,
+        run: "_ScrubRun",
+        columns: list[np.ndarray],
+        rule: str,
+        at: np.ndarray,
+        field: int | None,
+    ) -> None:
+        """Hold one rule's events, at rows ``at`` of the batch."""
+        message, drops, shown = self._RULES[rule]
+        examples = []
+        for row in at[:MAX_EXAMPLES].tolist():
+            example = f"{self.kind}[{self._index + row}]"
+            if shown is not None:
+                example += " " + shown.format(run.names[field][columns[field][row]])
+            examples.append(example)
+        self.pending.hold(
+            (run.fed + int(at[0]), 1),
+            f"{self.kind}-{rule}",
+            message,
+            examples,
+            len(at),
+            kind=self.kind,
+            rows=len(at) if drops else 0,
+        )
 
     def to_state(self) -> dict:
         return {
             "v": self.STATE_VERSION,
             "index": self._index,
             "last_seen": (
-                list(record_to_row(self._last_seen))
-                if self._last_seen is not None
-                else None
+                list(self._last_seen) if self._last_seen is not None else None
             ),
             "previous_ts": self._previous_ts,
             "disorder": self.disorder,
@@ -672,10 +728,81 @@ class Scrubber:
             )
         self._index = int(state["index"])
         last = state["last_seen"]
-        self._last_seen = (
-            row_to_record(self.record_type, tuple(last))
-            if last is not None
-            else None
-        )
+        self._last_seen = tuple(last) if last is not None else None
         self._previous_ts = float(state["previous_ts"])
         self.disorder = int(state["disorder"])
+
+
+def _valid_imei(imei: str) -> bool:
+    return len(imei) == IMEI_LENGTH and imei.isdigit()
+
+
+class _ScrubRun:
+    """One :meth:`Scrubber.scrub` call's kept columns and dictionaries:
+    every parsed row's strings are recoded (so masks compare codes),
+    only kept rows are appended, and a checked field keeps one validity
+    flag per dictionary entry."""
+
+    def __init__(self, scrubber: Scrubber) -> None:
+        self.assembler = TableAssembler(scrubber.record_type)
+        fields = self.assembler.fields
+        #: Per checked field, in rule order: the rule and its value test.
+        self.checks = {fields.index("imei"): ("imei", _valid_imei)}
+        if scrubber.sector_map is not None:
+            self.checks[fields.index("sector_id")] = (
+                "sector",
+                scrubber.sector_map.__contains__,
+            )
+        self.valid = {field: np.empty(0, dtype=bool) for field in self.checks}
+        self.names: list[list | None] = [
+            [] if name in self.assembler.entries else None for name in fields
+        ]
+        #: Rows this run has scrubbed: the position of the next batch.
+        self.fed = 0
+
+    def gather(self, batch: list) -> list[np.ndarray]:
+        """One array per field over the batch's rows: the values of a
+        numeric field, the dictionary codes of a string field.  The
+        distinct values of a batch's blocks are gathered and recoded in
+        one pass."""
+        columns = []
+        for field, name in enumerate(self.assembler.fields):
+            names = self.names[field]
+            if names is None:
+                columns.append(
+                    np.concatenate(
+                        [
+                            cols[field] if keep is None else cols[field][keep]
+                            for cols, keep in batch
+                        ]
+                    )
+                )
+                continue
+            values: list = []
+            indexes = []
+            starts = []
+            for cols, keep in batch:
+                distinct, index = cols[field]
+                starts.append(len(values))
+                values.extend(distinct)
+                indexes.append(index if keep is None else index[keep])
+            index = np.concatenate(indexes)
+            if len(indexes) > 1:
+                index = index + np.repeat(starts, [len(i) for i in indexes])
+            columns.append(self.assembler.recode(name, values, index))
+            entries = self.assembler.entries[name]
+            if len(entries) > len(names):
+                fresh = list(islice(entries, len(names), None))
+                names.extend(fresh)
+                if field in self.checks:
+                    test = self.checks[field][1]
+                    flags = np.fromiter(map(test, fresh), dtype=bool, count=len(fresh))
+                    self.valid[field] = np.concatenate((self.valid[field], flags))
+        return columns
+
+    def row(self, columns: list[np.ndarray], row: int) -> tuple:
+        """Row ``row`` of gathered columns as a tuple of values."""
+        return tuple(
+            names[column[row]] if names is not None else column[row].item()
+            for column, names in zip(columns, self.names)
+        )

@@ -54,12 +54,19 @@ are quarantined individually, and a truncated tail block is quarantined
 with **exact** row accounting (the block header says how many rows were
 lost).
 
-Both readers run one block loop (``_decoded_blocks``):
-:func:`read_bin_records` builds records from each decoded block, and
+Every reader runs one block loop (``_decoded_blocks``):
+:func:`read_bin_records` builds records from each decoded block;
 :func:`read_bin_table` — the strict analysis load — appends each block's
 columns to a :class:`~repro.logs.columns.ColumnTable`, recoding the
 block's string dictionaries into one dictionary per field, and builds no
-rows.
+rows; lenient loads and the serve tailer's lenient polls hand the
+decoded blocks to the column :class:`~repro.core.dataset.Scrubber`.  The
+loop counts rows a block at a time.  A block that fails its batch checks
+is checked with column masks, and only a row they flag is built as a
+record, for its exact ``ValueError`` text.  Each quarantine event is
+recorded after the rows parsed before it are counted, so a
+:class:`~repro.logs.quarantine.PendingIssues` can place it in row order
+among the scrubber's events.
 
 Numeric columns are packed and unpacked with numpy (a hard dependency
 of the package).
@@ -77,14 +84,22 @@ import zlib
 from array import array
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Type
+from typing import (
+    Callable,
+    Generator,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+    Type,
+)
 
 import numpy as np
 
 from repro import obs
 from repro.logs.columns import ColumnTable, TableAssembler, record_maker, type_codes
 from repro.logs.io import LogReadError, log_kind
-from repro.logs.quarantine import QuarantineCollector
+from repro.logs.quarantine import PendingIssues, QuarantineCollector
 from repro.logs.records import (
     MmeRecord,
     ProxyRecord,
@@ -365,7 +380,8 @@ def _block_valid(record_type: type, cols: Sequence) -> bool:
     """Batch equivalent of the record ``__post_init__`` checks.
 
     String checks look at the block's distinct values, numeric checks at
-    the whole column; a block that fails goes row by row.
+    the whole column; a block that fails is checked row by row
+    (:func:`_failing_rows`).
     """
     if not np.isfinite(cols[0]).all():
         return False
@@ -378,6 +394,7 @@ def _block_valid(record_type: type, cols: Sequence) -> bool:
             and not (cols[7] < 0).any()
         )
     return set(cols[4][0]) <= _VALID_EVENTS and all(cols[1][0]) and all(cols[3][0])
+
 
 
 # -------------------------------------------------------------- writer
@@ -660,7 +677,7 @@ def read_bin_records(
     still being appended is never mistaken for a truncated tail.
     """
     make = record_maker(record_type)
-    for cols, keep, records in _decoded_blocks(
+    for cols, keep in _decoded_blocks(
         path,
         record_type,
         quarantine,
@@ -669,7 +686,7 @@ def read_bin_records(
         start_offset=start_offset,
         end_offset=end_offset,
     ):
-        yield from records if records is not None else make(*_row_lists(cols, keep))
+        yield from make(*_row_lists(cols, keep))
 
 
 def read_bin_table(
@@ -686,9 +703,7 @@ def read_bin_table(
     string dictionaries recoded into one dictionary per field.
     """
     assembler = TableAssembler(record_type)
-    for cols, keep, _records in _decoded_blocks(
-        path, record_type, None, category=category
-    ):
+    for cols, keep in _decoded_blocks(path, record_type, None, category=category):
         assembler.add(cols, keep)
     return assembler.table()
 
@@ -702,28 +717,35 @@ _PAYLOAD_ERRORS = (OSError, EOFError, ValueError, struct.error, zlib.error)
 def _decoded_blocks(
     path: str | Path,
     record_type: type,
-    quarantine: QuarantineCollector | None,
+    quarantine: QuarantineCollector | PendingIssues | None,
     *,
     category: str,
     time_range: tuple[float, float] | None = None,
     start_offset: int | None = None,
     end_offset: int | None = None,
-) -> Iterator[tuple[list, np.ndarray | None, list | None]]:
-    """The one ``.bin`` block loop: ``(columns, keep, records)`` per
-    decoded block.
+    first_block: int = 0,
+) -> Generator[tuple[list, np.ndarray | None], None, int]:
+    """The one ``.bin`` block loop: ``(columns, keep)`` per decoded block.
 
     ``columns`` is :func:`_unpack_columns`' output; ``keep`` indexes the
     rows that passed validation and ``time_range`` (None = every row).
-    A block that failed its batch checks was validated row by row, and
-    ``records`` then holds the kept rows' records (None otherwise).
     Header checks, resync, truncation accounting, row validation and the
-    read counters all live here.
+    read counters all live here.  Blocks are numbered from
+    ``first_block`` (the blocks before ``start_offset``), and the
+    generator returns the number of the block after the last it read.
+    Rows are counted a block at a time, and a block that fails its
+    batch checks builds a record only for each row its column masks
+    flag (:func:`_failing_rows`).  Every quarantine event is recorded
+    after the rows parsed before it are counted, so a
+    :class:`~repro.logs.quarantine.PendingIssues` places it in row
+    order.
     """
     source = Path(path)
     kind = log_kind(record_type)
     on = obs.enabled()
     rows_out = 0
     started = time.perf_counter() if on else 0.0
+    block_index = first_block
     try:
         with source.open("rb") as handle:
             try:
@@ -735,7 +757,7 @@ def _decoded_blocks(
                         "binary log truncated inside the file header",
                         f"{source.name}: {exc.reason}",
                     )
-                    return
+                    return block_index
                 raise
             if start_offset is not None:
                 if start_offset < data_start:
@@ -744,13 +766,12 @@ def _decoded_blocks(
                         f"header (first block at {data_start})"
                     )
                 handle.seek(start_offset)
-            block_index = 0
             while True:
                 if end_offset is not None and handle.tell() >= end_offset:
-                    return
+                    return block_index
                 header = _read_exact(handle, _BLOCK_HEADER.size)
                 if not header:
-                    return
+                    return block_index
                 if len(header) < _BLOCK_HEADER.size:
                     # Tail cut inside a block header: the row count is
                     # unrecoverable, so this is a structural note only.
@@ -767,7 +788,7 @@ def _decoded_blocks(
                         " unknown rows lost",
                         f"{source.name}: block {block_index}",
                     )
-                    return
+                    return block_index
                 (
                     magic,
                     comp_len,
@@ -787,7 +808,7 @@ def _decoded_blocks(
                             code="magic",
                         )
                     if not _resync(handle, header, source, kind, quarantine):
-                        return
+                        return block_index
                     continue
                 payload = _read_exact(handle, comp_len)
                 if len(payload) < comp_len:
@@ -801,15 +822,15 @@ def _decoded_blocks(
                             f" ({rows} rows lost)",
                             code="truncated",
                         )
-                    for _ in range(rows):
-                        quarantine.saw_row(kind)
-                        quarantine.quarantine_row(
-                            kind,
-                            f"{kind}-truncated",
-                            "row lost in truncated final binary block",
-                            f"{source.name}: block {block_index}",
-                        )
-                    return
+                    quarantine.saw_rows(kind, rows)
+                    quarantine.quarantine_row(
+                        kind,
+                        f"{kind}-truncated",
+                        "row lost in truncated final binary block",
+                        f"{source.name}: block {block_index}",
+                        rows,
+                    )
+                    return block_index
                 block_index += 1
                 if (
                     quarantine is None
@@ -830,66 +851,31 @@ def _decoded_blocks(
                             f" ({rows} rows lost)",
                             code="truncated",
                         ) from exc
-                    for _ in range(rows):
-                        quarantine.saw_row(kind)
-                        quarantine.quarantine_row(
-                            kind,
-                            f"{kind}-truncated",
-                            "row lost in undecodable binary block",
-                            f"{source.name}: block {block_index - 1}",
-                        )
+                    quarantine.saw_rows(kind, rows)
+                    quarantine.quarantine_row(
+                        kind,
+                        f"{kind}-truncated",
+                        "row lost in undecodable binary block",
+                        f"{source.name}: block {block_index - 1}",
+                        rows,
+                    )
                     continue
                 if _block_valid(record_type, cols):
                     if quarantine is not None:
-                        for _ in range(rows):
-                            quarantine.saw_row(kind)
+                        quarantine.saw_rows(kind, rows)
                     keep = None
-                    if time_range is not None:
-                        low, high = time_range
-                        keep = np.flatnonzero((cols[0] >= low) & (cols[0] <= high))
-                    yield cols, keep, None
-                    rows_out += rows if keep is None else len(keep)
-                    continue
-                # Slow path: at least one row in this block is invalid.
-                # The valid rows before each quarantined one are yielded
-                # first, so a consumer that quarantines rows too (the
-                # lenient scrub) records its events in row order.
-                kept: list[int] = []
-                records: list = []
-                for row_index, values in enumerate(zip(*_row_lists(cols))):
-                    if quarantine is not None:
-                        quarantine.saw_row(kind)
-                    try:
-                        record = record_type(*values)
-                    except ValueError as exc:
-                        if quarantine is None:
-                            raise LogReadError(
-                                source,
-                                block_index - 1,
-                                f"row {row_index}: {exc}",
-                                code="value",
-                            ) from exc
-                        if kept:
-                            yield cols, np.array(kept, dtype=np.intp), records
-                            rows_out += len(kept)
-                            kept, records = [], []
-                        quarantine.quarantine_row(
-                            kind,
-                            f"{kind}-value",
-                            "row with an unparseable or out-of-domain value",
-                            f"{source.name}: block {block_index - 1}"
-                            f" row {row_index}: {exc}",
-                        )
-                        continue
-                    if time_range is not None and not (
-                        time_range[0] <= record.timestamp <= time_range[1]
-                    ):
-                        continue
-                    kept.append(row_index)
-                    records.append(record)
-                if kept:
-                    yield cols, np.array(kept, dtype=np.intp), records
-                    rows_out += len(kept)
+                else:
+                    keep = _failing_rows(
+                        record_type, cols, quarantine, source, block_index - 1
+                    )
+                if time_range is not None:
+                    low, high = time_range
+                    inside = (cols[0] >= low) & (cols[0] <= high)
+                    keep = (
+                        np.flatnonzero(inside) if keep is None else keep[inside[keep]]
+                    )
+                yield cols, keep
+                rows_out += rows if keep is None else len(keep)
     except FileNotFoundError:
         if quarantine is None:
             raise
@@ -906,6 +892,65 @@ def _decoded_blocks(
             registry.histogram(
                 "repro_io_read_seconds", stream=kind, category=category
             ).observe(time.perf_counter() - started)
+
+
+def _failing_rows(
+    record_type: type,
+    cols: list,
+    quarantine: QuarantineCollector | PendingIssues | None,
+    source: Path,
+    block: int,
+) -> np.ndarray:
+    """Index of the rows of a block that failed its batch checks that
+    pass the record checks.
+
+    Column masks flag each row with a non-finite timestamp, an unknown
+    protocol or event, a negative byte count, or an empty subscriber,
+    host or sector (each distinct string checked once).  Only a flagged
+    row is built as a record, for the exact ``ValueError`` text: strict
+    mode raises it as a :class:`~repro.logs.io.LogReadError`, lenient
+    mode quarantines the row under ``<kind>-value``, after counting the
+    rows up to it.
+    """
+    bad = ~np.isfinite(cols[0])
+    if record_type is ProxyRecord:
+        bad |= (cols[6] < 0) | (cols[7] < 0)
+        checks = ((5, _VALID_PROTOCOLS.__contains__), (1, bool), (3, bool))
+    else:
+        checks = ((4, _VALID_EVENTS.__contains__), (1, bool), (3, bool))
+    for field, ok in checks:
+        values, index = cols[field]
+        flags = np.fromiter(
+            (not ok(value) for value in values), dtype=bool, count=len(values)
+        )
+        bad |= flags[index]
+    kind = log_kind(record_type)
+    counted = 0
+    for row in np.flatnonzero(bad).tolist():
+        values = [
+            col[0][col[1][row]] if isinstance(col, tuple) else col[row].item()
+            for col in cols
+        ]
+        try:
+            record_type(*values)
+        except ValueError as exc:
+            if quarantine is None:
+                raise LogReadError(
+                    source, block, f"row {row}: {exc}", code="value"
+                ) from exc
+            quarantine.saw_rows(kind, row + 1 - counted)
+            counted = row + 1
+            quarantine.quarantine_row(
+                kind,
+                f"{kind}-value",
+                "row with an unparseable or out-of-domain value",
+                f"{source.name}: block {block} row {row}: {exc}",
+            )
+        else:
+            bad[row] = False
+    if quarantine is not None:
+        quarantine.saw_rows(kind, len(bad) - counted)
+    return np.flatnonzero(~bad)
 
 
 def _skip_garbage(handle, consumed: bytes) -> tuple[int, bool]:
@@ -935,7 +980,7 @@ def _resync(
     consumed: bytes,
     source: Path,
     kind: str,
-    quarantine: QuarantineCollector,
+    quarantine: QuarantineCollector | PendingIssues,
 ) -> bool:
     """Skip undecodable bytes between blocks, accounting for them.
 
@@ -945,7 +990,7 @@ def _resync(
     analogue of one unparseable text line.
     """
     garbage, found = _skip_garbage(handle, consumed)
-    quarantine.saw_row(kind)
+    quarantine.saw_rows(kind, 1)
     quarantine.quarantine_row(
         kind,
         f"{kind}-fields",

@@ -110,9 +110,9 @@ class AnalysisService:
                     MmeRecord, self.collector, self.artifacts.sector_map
                 ),
             }
-        # Each tailer streams its parsed records through the scrubber, so
-        # read- and scrub-layer quarantine events land in row order, as
-        # in a lenient batch load.
+        # Each tailer scrubs its polls with the batch loader's column
+        # scrubber, so read- and scrub-layer quarantine events land in
+        # row order, as in a lenient batch load.
         self.tailers = {
             stem: StreamTailer(
                 config.trace_dir,

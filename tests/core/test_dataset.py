@@ -3,7 +3,6 @@
 from dataclasses import replace
 from unittest.mock import patch
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,18 +14,15 @@ from repro.core.dataset import (
     load_artifacts,
 )
 from repro.logs import columns
-from repro.logs.columns import ColumnTable, Dictionary
+from repro.logs.columns import record_columns
 from repro.logs.io import subscriber_shard
 from repro.logs.quarantine import QuarantineCollector
-from repro.logs.records import (
-    MmeRecord,
-    ProxyRecord,
-    fields_for,
-    record_sort_key,
-)
+from repro.logs.records import MmeRecord, ProxyRecord
 from repro.logs.timeutil import SECONDS_PER_DAY
 from repro.simnet.topology import Sector, SectorMap
 from repro.stats.geo import GeoPoint
+
+from tests.core.scrub_oracle import RowScrubber, assert_tables_equal, oracle_table
 
 
 class TestStudyWindow:
@@ -144,7 +140,18 @@ _MME = st.builds(
 )
 
 
+def column_scrub(scrubber, records):
+    """``scrubber``'s kept rows of a record stream, fed as columns."""
+    columns = record_columns(scrubber.record_type, records)
+    return scrubber.scrub((part, None) for part in columns).records
+
+
 class TestScrubber:
+    """The column scrubber, fed in chunks with its carry checkpointed
+    between them, against one pass of the row oracle
+    (``tests/core/scrub_oracle.py``; ``tests/core/test_scrubber.py``
+    checks it by file and by poll)."""
+
     SECTORS = SectorMap(
         [Sector("S1", GeoPoint(0.0, 0.0)), Sector("S2", GeoPoint(0.0, 0.1))]
     )
@@ -160,7 +167,13 @@ class TestScrubber:
                 state = scrubber.to_state()
                 scrubber = Scrubber(MmeRecord, collector, self.SECTORS)
                 scrubber.restore_state(state)
-            kept.extend(scrubber.scrub(iter(chunk)))
+            kept.extend(column_scrub(scrubber, chunk))
+        return kept, scrubber.disorder, collector.report()
+
+    def oracle(self, stream):
+        collector = QuarantineCollector()
+        scrubber = RowScrubber(MmeRecord, collector, self.SECTORS)
+        kept = list(scrubber.scrub(iter(stream)))
         return kept, scrubber.disorder, collector.report()
 
     @given(
@@ -173,7 +186,7 @@ class TestScrubber:
         stream = [r for r, repeat in entries for _ in range(1 + repeat)]
         bounds = [0, *sorted(min(c, len(stream)) for c in cuts), len(stream)]
         chunks = [stream[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        assert self.run(chunks, checkpoint=checkpoint) == self.run([stream])
+        assert self.run(chunks, checkpoint=checkpoint) == self.oracle(stream)
 
     def test_every_defect_class_is_accounted(self):
         good = MmeRecord(5.0, "a", "358847080000011", "S1")
@@ -222,44 +235,35 @@ _MME_ROWS = st.builds(
 
 
 class TestScrubbedTable:
-    """``Scrubber.table`` (scrub, assemble a chunk of rows at a time,
-    re-sort as columns) against the row path a lenient load ran before:
-    keep the scrubbed rows in a list, sort them by ``record_sort_key``
-    on disorder, and wrap them with ``ColumnTable.from_records``."""
+    """``Scrubber.table`` (scrub column batches, re-sort as columns)
+    against the row oracle: keep the rows ``RowScrubber`` yields, sort
+    them by ``record_sort_key`` on disorder, and wrap them with
+    ``ColumnTable.from_records``."""
 
-    def scrubber(self, record_type, collector):
-        sectors = TestScrubber.SECTORS if record_type is MmeRecord else None
-        return Scrubber(record_type, collector, sectors)
+    def sectors(self, record_type):
+        return TestScrubber.SECTORS if record_type is MmeRecord else None
 
     def row_path(self, record_type, stream):
         collector = QuarantineCollector()
-        scrubber = self.scrubber(record_type, collector)
-        kept = list(scrubber.scrub(iter(stream)))
-        if scrubber.disorder:
-            kept.sort(key=record_sort_key)
-        table = ColumnTable.from_records(record_type, kept)
+        scrubber = RowScrubber(record_type, collector, self.sectors(record_type))
+        table, _kept = oracle_table(iter(stream), scrubber)
         return table, scrubber.disorder, collector.report()
 
     def table_path(self, record_type, stream, chunk):
         collector = QuarantineCollector()
-        scrubber = self.scrubber(record_type, collector)
-        with patch.object(columns, "ROW_CHUNK", chunk):
-            table = scrubber.table(iter(stream))
+        scrubber = Scrubber(record_type, collector, self.sectors(record_type))
+        with patch.object(columns, "ROW_CHUNK", chunk), patch(
+            "repro.core.dataset.ROW_CHUNK", chunk
+        ):
+            table = scrubber.table(
+                (parts, None) for parts in record_columns(record_type, stream)
+            )
         return table, scrubber.disorder, collector.report()
 
     def check(self, record_type, stream, chunk):
         want, want_disorder, want_report = self.row_path(record_type, stream)
         got, disorder, report = self.table_path(record_type, stream, chunk)
-        assert len(got) == len(want)
-        for name in fields_for(record_type):
-            column, expected = got.column(name), want.column(name)
-            if isinstance(expected, Dictionary):
-                assert column.values.tolist() == expected.values.tolist(), name
-                assert column.codes.dtype == np.int32
-                assert column.codes.tolist() == expected.codes.tolist(), name
-            else:
-                assert column.dtype == expected.dtype
-                assert column.tolist() == expected.tolist(), name
+        assert_tables_equal(got, want)
         assert got.records == want.records
         assert disorder == want_disorder
         assert [i.code for i in report.issues] == [

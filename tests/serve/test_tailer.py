@@ -194,6 +194,39 @@ class TestBin:
             seen.extend(tailer.poll())
         assert seen == records
 
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_examples_name_blocks_as_a_batch_read_does(self, tmp_path, restart):
+        """A row quarantined in a later poll names its block by its
+        number in the whole file, also after a restart from the state."""
+        rows = [record_to_row(r) for r in proxy_records(6)]
+        rows[4] = (float("nan"), *rows[4][1:])
+        (tmp_path / "full").mkdir()
+        full = tmp_path / "full" / "proxy.bin"
+        binfmt.write_bin_rows(
+            full, [("row", row) for row in rows], ProxyRecord, block_rows=2
+        )
+        blocks = [offset for offset, _header in binfmt.iter_blocks(full)]
+        grow = tmp_path / "grow"
+        grow.mkdir()
+        path = grow / "proxy.bin"
+        collector = QuarantineCollector()
+        tailer = StreamTailer(grow, "proxy", ProxyRecord, quarantine=collector)
+        path.write_bytes(full.read_bytes()[: blocks[2]])
+        assert len(tailer.poll()) == 4
+        if restart:
+            state = tailer.to_state()
+            tailer = StreamTailer(grow, "proxy", ProxyRecord, quarantine=collector)
+            tailer.restore_state(state)
+        path.write_bytes(full.read_bytes())
+        assert len(tailer.poll()) == 1
+        batch = QuarantineCollector()
+        list(binfmt.read_bin_records(full, ProxyRecord, batch))
+        assert collector.report().to_dict() == batch.report().to_dict()
+        (issue,) = collector.report().issues
+        assert issue.examples == [
+            "proxy.bin: block 2 row 0: timestamp must be finite, got nan"
+        ]
+
     def test_unfinished_file_header_is_pending(self, tmp_path):
         header = binfmt.file_header_bytes(ProxyRecord)
         (tmp_path / "proxy.bin").write_bytes(header[:6])

@@ -228,7 +228,8 @@ convert-smoke:
 ## Live-serving smoke: start the daemon over a fresh small trace, check
 ## ETag caching on a panel endpoint, append rows and watch the ETag
 ## advance, stop it with SIGTERM, and verify the final served panel is
-## identical to a batch analyze of the same trace.  Artifacts land in
+## identical to a batch analyze of the same trace; then restart it from
+## its checkpoint and verify the restored panel too.  Artifacts land in
 ## serve-smoke/ (gitignored).
 serve-smoke:
 	rm -rf serve-smoke && mkdir -p serve-smoke

@@ -619,13 +619,19 @@ def iter_blocks(
             offset = end
 
 
-def resume_offset(path: str | Path, record_type: type | None = None) -> int:
+def resume_offset(
+    path: str | Path, record_type: type | None = None, *, start: int | None = None
+) -> int:
     """Byte offset just past the last complete block.
 
     This is where a tailer resumes reading a growing ``.bin`` stream:
     everything before it has been consumed as whole blocks, everything
     after it is a block still being appended.  On a file with no blocks
     yet it is the first-block offset (just past the file header).
+
+    ``start`` is a block boundary an earlier call returned: the scan
+    begins there, so a poll reads the file header and the bytes after
+    ``start`` only, not every block header again.
 
     Undecodable bytes between blocks are skipped the way the lenient
     reader resyncs (the next block magic ends them), so garbage spliced
@@ -635,6 +641,9 @@ def resume_offset(path: str | Path, record_type: type | None = None) -> int:
     source = Path(path)
     with source.open("rb") as handle:
         offset = _read_file_header(handle, source, record_type)
+        if start is not None and start > offset:
+            handle.seek(start)
+            offset = start
         file_size = os.fstat(handle.fileno()).st_size
         while True:
             header = _read_exact(handle, _BLOCK_HEADER.size)

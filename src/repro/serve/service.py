@@ -5,7 +5,10 @@
 batch loader's own :class:`~repro.core.dataset.Scrubber` per stream
 (its carry is checkpointed), one :class:`~repro.serve.state.ShardSlot`
 per account shard, the quarantine collector and the checkpoint store —
-behind a single lock shared with the HTTP thread.
+behind a single lock shared with the HTTP thread.  An ingest pass makes
+one delta dataset of the two polled tables and cuts it into account
+shards with :meth:`~repro.core.dataset.StudyDataset.shard`, which
+resolves each distinct subscriber once.
 
 The state advances in *generations*: every poll that ingests at least
 one row bumps the generation, and every served resource (report,
@@ -36,7 +39,6 @@ from repro.core.export import report_to_dict
 from repro.core.pipeline import StudyReport
 from repro.logs.quarantine import QuarantineCollector
 from repro.logs.records import MmeRecord, ProxyRecord
-from repro.logs.io import subscriber_shard
 from repro.obs.export import RUN_REPORT_SCHEMA, build_run_report
 from repro.obs.profiler import build_profile
 from repro.serve.checkpoint import CheckpointStore
@@ -127,50 +129,39 @@ class AnalysisService:
 
     # ------------------------------------------------------------ ingest
     def ingest_once(self) -> int:
-        """Poll both streams once; returns rows folded into the state."""
+        """Poll both streams once; returns rows folded into the state.
+
+        The poll's two tables make one delta dataset, cut into account
+        shards by :meth:`~repro.core.dataset.StudyDataset.shard`."""
         with self._lock, obs.span("serve.ingest"):
-            new_rows = 0
-            by_shard_proxy: dict[int, list] = {}
-            by_shard_mme: dict[int, list] = {}
+            tables = {}
             for name, tailer in self.tailers.items():
-                records = tailer.poll()
-                if not records:
-                    continue
-                # Cumulative per-stream rows: the timeline contract
-                # (repro.obs/events/v1) requires non-decreasing counts
-                # per (stage, stream).
-                obs.events().emit(
-                    "progress",
-                    stage="ingest",
-                    stream=name,
-                    rows=tailer.rows_read,
-                )
-                new_rows += len(records)
-                target = by_shard_proxy if name == "proxy" else by_shard_mme
-                for record in records:
-                    shard = subscriber_shard(
-                        record.subscriber_id,
-                        self.config.shards,
-                        self.artifacts.account_directory,
+                tables[name] = tailer.poll()
+                if len(tables[name]):
+                    # Cumulative per-stream rows: the timeline contract
+                    # (repro.obs/events/v1) requires non-decreasing
+                    # counts per (stage, stream).
+                    obs.events().emit(
+                        "progress",
+                        stage="ingest",
+                        stream=name,
+                        rows=tailer.rows_read,
                     )
-                    target.setdefault(shard, []).append(record)
-            for shard in sorted(set(by_shard_proxy) | set(by_shard_mme)):
-                self.slots[shard].consume(
-                    by_shard_proxy.get(shard, []),
-                    by_shard_mme.get(shard, []),
-                    self.artifacts,
-                )
-            if new_rows:
-                self.generation += 1
-                self.rows_total += new_rows
-                if obs.enabled():
-                    registry = obs.metrics()
-                    registry.gauge("repro_serve_generation").set(
-                        self.generation
-                    )
-                    registry.gauge("repro_serve_rows_total").set(
-                        self.rows_total
-                    )
+            new_rows = sum(map(len, tables.values()))
+            if not new_rows:
+                return 0
+            delta = self.artifacts.dataset(tables["proxy"], tables["mme"])
+            shards = self.config.shards
+            for shard, slot in enumerate(self.slots):
+                part = delta.shard(shard, shards)
+                if len(part.proxy) or len(part.mme):
+                    slot.consume(part)
+            self.generation += 1
+            self.rows_total += new_rows
+            if obs.enabled():
+                registry = obs.metrics()
+                registry.gauge("repro_serve_generation").set(self.generation)
+                registry.gauge("repro_serve_rows_total").set(self.rows_total)
             return new_rows
 
     # -------------------------------------------------------- checkpoints
@@ -229,7 +220,8 @@ class AnalysisService:
 
         Raises ``ValueError`` when a checkpoint exists but was written
         under different analysis settings — silently re-using it would
-        produce a report no batch run could reproduce.
+        produce a report no batch run could reproduce — or in an older
+        payload or shard state version; the service is left as it was.
         """
         if self.store is None:
             return False
@@ -250,6 +242,10 @@ class AnalysisService:
                 "--checkpoint-dir or matching flags"
             )
         with self._lock, obs.span("serve.restore", generation=generation):
+            slots = [
+                ShardSlot.from_state(state, self.artifacts)
+                for state in payload["shards"]
+            ]
             if payload["quarantine"] is not None:
                 self.collector = QuarantineCollector.from_state(
                     payload["quarantine"]
@@ -260,10 +256,7 @@ class AnalysisService:
             if self.scrubs is not None and payload["scrubs"] is not None:
                 for name, scrub in self.scrubs.items():
                     scrub.restore_state(payload["scrubs"][name])
-            self.slots = [
-                ShardSlot.from_state(state, self.artifacts)
-                for state in payload["shards"]
-            ]
+            self.slots = slots
             self.generation = payload["generation"]
             self.rows_total = payload["rows_total"]
             self.restored_generation = generation

@@ -1,10 +1,11 @@
 """Incremental readers for growing trace streams.
 
 A :class:`StreamTailer` wraps one log file that another process is still
-appending to and turns "whatever arrived since last time" into parsed
-records, one :meth:`~StreamTailer.poll` at a time.  The consumption
-point is a plain byte offset plus a tiny carry, so the whole tailer
-state fits in a checkpoint and survives a restart bit-for-bit.
+appending to and turns "whatever arrived since last time" into one
+:class:`~repro.logs.columns.ColumnTable`, one
+:meth:`~StreamTailer.poll` at a time.  The consumption point is a plain
+byte offset plus a tiny carry, so the whole tailer state fits in a
+checkpoint and survives a restart bit-for-bit.
 
 Per wire format:
 
@@ -14,27 +15,32 @@ Per wire format:
   the offset only advances across *complete* members (a member still
   being flushed decompresses without reaching its end marker and is left
   alone).  A line spanning a member boundary is kept in a byte carry;
-* **binary** (``.bin``) — :func:`repro.logs.binfmt.resume_offset` finds
-  the end of the last complete block and the reader is bounded there, so
-  a block still being appended is never mistaken for a truncated tail.
-  Garbage bytes between blocks are skipped with the batch reader's
-  resync rule once the block after them is complete; tailing goes on.
+* **binary** (``.bin``) — :func:`repro.logs.binfmt.resume_offset`,
+  starting at the stored offset, finds the end of the last complete
+  block and the reader is bounded there, so a block still being
+  appended is never mistaken for a truncated tail, and a poll reads the
+  file header and the new bytes only.  Garbage bytes between blocks are
+  skipped with the batch reader's resync rule once the block after them
+  is complete; tailing goes on.  The decoded blocks go straight into
+  the table (a :class:`~repro.logs.columns.TableAssembler`, as
+  :func:`~repro.logs.binfmt.read_bin_table` does): no row is built.
 
 Failure discipline mirrors the batch readers: strict mode raises
 :class:`~repro.logs.io.LogReadError` on the first defect; with a
 quarantine collector bad rows are recorded and skipped with the same
 issue codes, row numbering and accounting the batch lenient read
-produces on the same prefix.  With a
+produces on the same prefix.  A CSV poll parses its lines into records
+and assembles them into the table a chunk at a time.  With a
 :class:`~repro.core.dataset.Scrubber` a poll runs the lenient batch
 load's own column pass: the new blocks (or the new lines, a chunk of
 records at a time) are scrubbed as columns, the reader records its
 events into the scrubber's :attr:`~repro.core.dataset.Scrubber.pending`
 quarantine so they interleave with the scrub events in row order, and
-the poll returns the kept rows.  The one deliberate difference from a
-batch read: an *incomplete* tail (partial line, unfinished gzip member,
-unfinished block) is "not arrived yet" here, where a batch read of the
-same bytes would call it truncated — a growing stream is not a damaged
-one.
+the poll returns the scrubber's table of the kept rows.  The one
+deliberate difference from a batch read: an *incomplete* tail (partial
+line, unfinished gzip member, unfinished block) is "not arrived yet"
+here, where a batch read of the same bytes would call it truncated — a
+growing stream is not a damaged one.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from typing import Iterable, Iterator
 from repro import obs
 from repro.core.dataset import Scrubber, StudyDataset
 from repro.logs import binfmt
-from repro.logs.columns import record_columns, record_maker
+from repro.logs.columns import ColumnTable, TableAssembler, record_columns
 from repro.logs.io import (
     LogReadError,
     _ROW_MESSAGES,
@@ -164,33 +170,29 @@ class StreamTailer:
         return self.path
 
     # ------------------------------------------------------------ polling
-    def poll(self) -> list:
-        """Parse and return every record that arrived since last poll
-        (the kept ones, with a scrubber)."""
+    def poll(self) -> ColumnTable:
+        """Every row that arrived since the last poll (the kept ones,
+        with a scrubber), as one table."""
+        assembler = TableAssembler(self.record_type)
         if self._dead:
-            return []
+            return assembler.table()
         path = self._resolve()
         if path is None or not path.exists():
-            return []
+            return assembler.table()
         self._parsed = 0
         if self.scrub is not None:
-            records = self.scrub.scrub(self._parts(path)).records
-        elif self._suffix == ".bin":
-            make = record_maker(self.record_type)
-            records = [
-                record
-                for cols, keep in self._poll_bin(path)
-                for record in make(*binfmt._row_lists(cols, keep))
-            ]
+            table = self.scrub.scrub(self._parts(path))
         else:
-            records = list(self._poll_text(path))
+            for columns, keep in self._parts(path):
+                assembler.add(columns, keep)
+            table = assembler.table()
         self.rows_read += self._parsed
-        if obs.enabled() and (records or self._parsed):
+        if obs.enabled() and (len(table) or self._parsed):
             registry = obs.metrics()
-            if records:
+            if len(table):
                 registry.counter(
                     "repro_serve_rows_ingested_total", stream=self.kind
-                ).add(len(records))
+                ).add(len(table))
             # The ``.bin`` reader already counts its own rows under
             # ``category="serve"``; the text paths count here, pre-scrub
             # (parity with the batch reader's counter).
@@ -201,10 +203,12 @@ class StreamTailer:
                     format="csv.gz" if self._suffix == ".csv.gz" else "csv",
                     category="serve",
                 ).add(self._parsed)
-        return records
+        return table
 
     def _parts(self, path: Path) -> Iterable:
-        """The new rows as column parts, :meth:`Scrubber.scrub`'s input."""
+        """The new rows as column parts, :meth:`TableAssembler.add`'s
+        layout: a ``.bin`` log's decoded blocks, or parsed CSV rows a
+        chunk at a time."""
         if self._suffix == ".bin":
             return self._poll_bin(path)
         rows = self._poll_text(path)
@@ -358,7 +362,9 @@ class StreamTailer:
     def _poll_bin(self, path: Path) -> Iterable:
         """The new complete blocks, decoded: ``(columns, keep)`` each."""
         try:
-            end = binfmt.resume_offset(path, self.record_type)
+            end = binfmt.resume_offset(
+                path, self.record_type, start=self._offset or None
+            )
         except LogReadError as exc:
             if exc.code == "truncated":
                 # File header still being written: not arrived yet.

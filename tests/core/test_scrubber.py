@@ -158,8 +158,8 @@ def tailed(path: Path, record_type, cuts: list[int], checkpoint: bool):
                 grow, stem, record_type, quarantine=collector, scrub=scrubber
             )
             tailer.restore_state(states[2])
-        kept.extend(tailer.poll())
-    kept.extend(tailer.poll())
+        kept.extend(tailer.poll().records)
+    kept.extend(tailer.poll().records)
     return kept, scrubber.disorder, collector.report()
 
 

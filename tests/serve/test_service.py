@@ -17,6 +17,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -25,8 +26,9 @@ from repro.core.export import report_to_dict
 from repro.core.parallel import analyze_parallel
 from repro.core.pipeline import WearableStudy
 from repro.logs import binfmt
+from repro.logs.columns import ColumnTable
 from repro.logs.faults import FaultSpec, corrupt_trace
-from repro.logs.records import MmeRecord, ProxyRecord, fields_for
+from repro.logs.records import MmeRecord, ProxyRecord, fields_for, record_to_row
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.service import AnalysisService, ServeConfig, ServiceNotReady
 
@@ -322,6 +324,66 @@ class TestCheckpointRestore:
             ValueError, match="unsupported checkpoint payload version: 1"
         ):
             restarted.restore()
+
+    def test_row_list_shard_state_is_refused(self, small_trace_dir, tmp_path):
+        """A version-1 shard state (replay buffers as JSON row lists)
+        fails loudly, naming its version, and the service keeps its own
+        state: there is no reader for it."""
+        grow = make_growing_dir(small_trace_dir, tmp_path / "grow")
+        ckpt = tmp_path / "ckpt"
+        for suffix in ("proxy.csv", "mme.csv"):
+            feed_prefix(small_trace_dir, grow, suffix, 0.5)
+        first = AnalysisService(self._config(grow, ckpt))
+        drain(first)
+        payload = first._payload()
+        for slot, state in zip(first.slots, payload["shards"]):
+            state["v"] = 1
+            for name in ("proxy_wearable", "proxy_phone_detailed", "mme_detailed"):
+                state[name] = [list(record_to_row(r)) for r in getattr(slot, name)]
+        CheckpointStore(ckpt).write(first.generation, payload)
+
+        restarted = AnalysisService(self._config(grow, ckpt))
+        with pytest.raises(
+            ValueError, match="unsupported shard state version: 1"
+        ):
+            restarted.restore()
+        assert restarted.generation == 0
+        assert restarted.restored_generation is None
+        assert all(tailer.offset == 0 for tailer in restarted.tailers.values())
+
+
+class TestNoRowObjects:
+    """The ``.bin`` serve path holds and checkpoints columns: ingest,
+    finalize, checkpoint, restore and a second finalize build no row.
+    (CSV polls still parse rows.)"""
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_bin_service_builds_no_row(self, bin_trace_dir, tmp_path, lenient):
+        grow = make_growing_dir(bin_trace_dir, tmp_path / "grow")
+        config = ServeConfig(
+            trace_dir=grow,
+            shards=2,
+            lenient=lenient,
+            format="bin",
+            checkpoint_dir=tmp_path / "ckpt",
+        )
+        refuse = AssertionError("rows built")
+        with patch.object(
+            ColumnTable, "_record_chunks", side_effect=refuse
+        ), patch.object(binfmt, "record_maker", side_effect=refuse):
+            service = AnalysisService(config)
+            for frac in GROWTH_FRACS:
+                for suffix in ("proxy.bin", "mme.bin"):
+                    feed_prefix(bin_trace_dir, grow, suffix, frac)
+                drain(service)
+            live = service.report()[1]
+            assert service.checkpoint(force=True)
+            restored = AnalysisService(config)
+            assert restored.restore()
+            assert restored.report()[1] == live
+        assert report_to_dict(live) == batch_report_dict(
+            bin_trace_dir, shards=2, lenient=lenient, fmt="bin"
+        )
 
 
 class TestSubprocessCrash:

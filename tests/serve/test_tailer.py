@@ -8,6 +8,7 @@ identical consumption point.
 """
 
 import gzip
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,29 @@ def gzip_member(payload: bytes) -> bytes:
     return buf.getvalue()
 
 
+class ReadLog:
+    """A file handle that logs the byte range of every read."""
+
+    def __init__(self, handle, reads: list) -> None:
+        self._handle = handle
+        self._reads = reads
+
+    def read(self, size=-1):
+        start = self._handle.tell()
+        data = self._handle.read(size)
+        self._reads.append((start, start + len(data)))
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+
 class TestRowCodec:
     def test_roundtrip(self):
         record = proxy_records(1)[0]
@@ -60,12 +84,12 @@ class TestPlainCsv:
         # Prime-stride cuts guarantee many mid-line boundaries.
         for cut in list(range(0, len(blob), 611)) + [len(blob)]:
             path.write_bytes(blob[:cut])
-            seen.extend(tailer.poll())
+            seen.extend(tailer.poll().records)
         assert seen == records
 
     def test_missing_file_polls_empty(self, tmp_path):
         tailer = StreamTailer(tmp_path, "proxy", ProxyRecord)
-        assert tailer.poll() == []
+        assert tailer.poll().records == []
         assert tailer.path is None
 
     def test_offset_only_advances_past_complete_lines(self, tmp_path):
@@ -73,7 +97,7 @@ class TestPlainCsv:
         path = tmp_path / "proxy.csv"
         path.write_bytes(blob[:-5])  # torn final line
         tailer = StreamTailer(tmp_path, "proxy", ProxyRecord)
-        got = tailer.poll()
+        got = tailer.poll().records
         assert len(got) == 2
         assert blob[: tailer.offset].endswith(b"\n")
         path.write_bytes(blob)
@@ -110,7 +134,7 @@ class TestPlainCsv:
         tailer = StreamTailer(fresh.parent, "proxy", ProxyRecord, quarantine=serve)
         for cut in list(range(0, len(blob), 301)) + [len(blob)]:
             fresh.write_bytes(blob[:cut])
-            got.extend(tailer.poll())
+            got.extend(tailer.poll().records)
         assert got == expected
         assert serve.report() == batch.report()
 
@@ -133,10 +157,10 @@ class TestGzipCsv:
             # Expose the member one half at a time: the incomplete half
             # must read as "not arrived yet".
             path.write_bytes(written + member[: len(member) // 2])
-            assert tailer.poll() == []
+            assert tailer.poll().records == []
             written += member
             path.write_bytes(written)
-            seen.extend(tailer.poll())
+            seen.extend(tailer.poll().records)
         assert seen == records
 
     def test_line_spanning_members_is_carried(self, tmp_path):
@@ -148,9 +172,9 @@ class TestGzipCsv:
         path = tmp_path / "proxy.csv.gz"
         tailer = StreamTailer(tmp_path, "proxy", ProxyRecord)
         path.write_bytes(members[: len(members) - 4])
-        first = tailer.poll()
+        first = tailer.poll().records
         path.write_bytes(members)
-        assert first + tailer.poll() == records
+        assert first + tailer.poll().records == records
 
     def test_corrupt_member_kills_the_stream(self, tmp_path):
         records = proxy_records(30)
@@ -166,7 +190,7 @@ class TestGzipCsv:
         tailer.poll()
         assert tailer.dead
         assert collector.count("proxy-truncated") >= 1
-        assert tailer.poll() == []
+        assert tailer.poll().records == []
 
     def test_corrupt_member_strict_raises(self, tmp_path):
         member = bytearray(gzip_member(write_csv_bytes(proxy_records(30))))
@@ -191,7 +215,7 @@ class TestBin:
         seen = []
         for frac in (0.01, 0.25, 0.5, 0.77, 1.0):
             path.write_bytes(blob[: int(len(blob) * frac)])
-            seen.extend(tailer.poll())
+            seen.extend(tailer.poll().records)
         assert seen == records
 
     @pytest.mark.parametrize("restart", [False, True])
@@ -227,11 +251,45 @@ class TestBin:
             "proxy.bin: block 2 row 0: timestamp must be finite, got nan"
         ]
 
+    def test_a_poll_reads_no_block_before_its_offset(self, tmp_path, monkeypatch):
+        """An idle poll and an appended poll read the file header and the
+        bytes from the stored offset on: no block before it."""
+        records = proxy_records(300)
+        full = tmp_path / "full.bin"
+        binfmt.write_bin_records(full, records, ProxyRecord, block_rows=32)
+        blob = full.read_bytes()
+        blocks = [offset for offset, _header in binfmt.iter_blocks(full)]
+        grow = tmp_path / "grow"
+        grow.mkdir()
+        path = grow / "proxy.bin"
+        path.write_bytes(blob[: blocks[5]])
+        tailer = StreamTailer(grow, "proxy", ProxyRecord, format="bin")
+        assert tailer.poll().records == records[: 5 * 32]
+        reads: list[tuple[int, int]] = []
+        real_open = Path.open
+
+        def logged_open(self, *args, **kwargs):
+            handle = real_open(self, *args, **kwargs)
+            return ReadLog(handle, reads) if self == path else handle
+
+        monkeypatch.setattr(Path, "open", logged_open)
+        for append in (b"", blob[blocks[5] :]):
+            with real_open(path, "ab") as handle:
+                handle.write(append)
+            stored = tailer.offset
+            reads.clear()
+            rows = tailer.poll()
+            assert reads
+            before = [(a, b) for a, b in reads if b > blocks[0] and a < stored]
+            assert before == [], f"read {before} before offset {stored}"
+        assert rows.records == records[5 * 32 :]
+        assert tailer.offset == len(blob)
+
     def test_unfinished_file_header_is_pending(self, tmp_path):
         header = binfmt.file_header_bytes(ProxyRecord)
         (tmp_path / "proxy.bin").write_bytes(header[:6])
         tailer = StreamTailer(tmp_path, "proxy", ProxyRecord, format="bin")
-        assert tailer.poll() == []
+        assert tailer.poll().records == []
         assert not tailer.dead
 
 
@@ -250,13 +308,13 @@ class TestState:
         path = grow / f"proxy.{suffix}"
         tailer = StreamTailer(grow, "proxy", ProxyRecord)
         path.write_bytes(blob[: len(blob) // 2])
-        first = tailer.poll()
+        first = tailer.poll().records
         state = tailer.to_state()
 
         resumed = StreamTailer(grow, "proxy", ProxyRecord)
         resumed.restore_state(state)
         path.write_bytes(blob)
-        assert first + resumed.poll() == records
+        assert first + resumed.poll().records == records
 
     def test_state_is_json_safe(self, tmp_path):
         blob = write_csv_bytes(proxy_records(5))

@@ -12,7 +12,10 @@ the live socket:
    advances (new generation, new bytes);
 4. stop the daemon with SIGTERM — it must exit 0 after writing a final
    checkpoint — and check the served panel text against a batch
-   ``analyze`` of the very same (now final) trace.
+   ``analyze`` of the very same (now final) trace;
+5. start a second daemon on the same ``--checkpoint-dir``, wait until
+   ``/status`` reports the generation it restored, and check its panel
+   against the same batch text; it too must exit 0 on SIGTERM.
 
 Usage: ``python tools/serve_smoke.py WORKDIR`` where ``WORKDIR/trace``
 holds a simulated small trace (the Makefile target creates it).
@@ -51,11 +54,9 @@ def wait_until(predicate, what: str, timeout: float = TIMEOUT):
     sys.exit(f"serve-smoke: timed out waiting for {what}")
 
 
-def main() -> None:
-    workdir = Path(sys.argv[1])
-    trace = workdir / "trace"
-    ckpt = workdir / "checkpoints"
-
+def start_daemon(trace: Path, ckpt: Path) -> tuple[subprocess.Popen, str]:
+    """The daemon over ``trace`` (two shards finalized by two workers)
+    and its base URL."""
     daemon = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
@@ -69,11 +70,33 @@ def main() -> None:
         stdout=subprocess.PIPE,
         text=True,
     )
+    banner = daemon.stdout.readline().strip()
+    # "repro serve: listening on http://127.0.0.1:PORT"
+    base = banner.rsplit(" ", 1)[-1]
+    if not base.startswith("http://"):
+        daemon.kill()
+        sys.exit(f"serve-smoke: no listening banner: {banner!r}")
+    return daemon, base
+
+
+def stop(daemon: subprocess.Popen) -> int:
+    daemon.send_signal(signal.SIGTERM)
+    return daemon.wait(timeout=30)
+
+
+def panel_text(base: str) -> str:
+    status, _, body = fetch(f"{base}/panels/{PANEL}")
+    assert status == 200, (status, body)
+    return json.loads(body)["text"]
+
+
+def main() -> None:
+    workdir = Path(sys.argv[1])
+    trace = workdir / "trace"
+    ckpt = workdir / "checkpoints"
+
+    daemon, base = start_daemon(trace, ckpt)
     try:
-        banner = daemon.stdout.readline().strip()
-        # "repro serve: listening on http://127.0.0.1:PORT"
-        base = banner.rsplit(" ", 1)[-1]
-        assert base.startswith("http://"), banner
 
         def healthy():
             status, _, body = fetch(base + "/healthz")
@@ -110,11 +133,9 @@ def main() -> None:
         new_etag = wait_until(etag_moved, "the panel ETag to advance")
         print(f"serve-smoke: appended one row, ETag {etag} -> {new_etag}")
 
-        _, _, body = fetch(f"{base}/panels/{PANEL}")
-        served_text = json.loads(body)["text"]
+        served_text = panel_text(base)
     finally:
-        daemon.send_signal(signal.SIGTERM)
-        code = daemon.wait(timeout=30)
+        code = stop(daemon)
     assert code == 0, f"daemon exited {code}"
     checkpoints = sorted(ckpt.glob("checkpoint-*.json"))
     assert checkpoints, "no checkpoint written on shutdown"
@@ -131,6 +152,31 @@ def main() -> None:
         "serve-smoke: clean SIGTERM exit, "
         f"{len(checkpoints)} checkpoint(s) on disk, "
         f"final panel identical to batch analyze"
+    )
+
+    daemon, base = start_daemon(trace, ckpt)
+    try:
+
+        def restored():
+            status, _, body = fetch(base + "/status")
+            if status != 200:
+                return None
+            payload = json.loads(body)
+            return payload if payload["restored_generation"] is not None else None
+
+        generation = wait_until(restored, "the restart to restore")[
+            "restored_generation"
+        ]
+        restored_text = panel_text(base)
+    finally:
+        code = stop(daemon)
+    assert code == 0, f"restarted daemon exited {code}"
+    assert restored_text == batch_text, (
+        "restarted daemon's panel diverged from batch analyze"
+    )
+    print(
+        f"serve-smoke: restart restored generation {generation}, "
+        "panel identical to batch analyze, clean SIGTERM exit"
     )
 
 

@@ -123,7 +123,7 @@ obs-smoke:
 	PYTHONPATH=src $(PY) -m repro obs summarize obs-smoke/run-report.json
 
 ## Parallel-analysis smoke: export the small preset, map-reduce it over
-## 4 account shards with 2 workers (metrics + timeline artifacts), then
+## 4 account shards (metrics + timeline artifacts), then
 ## validate the artifacts: every shard must report aggregate progress,
 ## the run report must carry the analyze.parallel -> analyze.load (the
 ## one parent load) -> analyze.shard -> analyze.merge span chain, and
@@ -135,7 +135,7 @@ analyze-smoke:
 	PYTHONPATH=src $(PY) -m repro simulate --preset small --seed 7 \
 	    --out analyze-smoke/trace
 	PYTHONPATH=src $(PY) -m repro analyze analyze-smoke/trace \
-	    --shards 4 --workers 2 --figures fig2a,fig8 \
+	    --shards 4 --figures fig2a,fig8 \
 	    --out analyze-smoke/figures \
 	    --metrics-out analyze-smoke/run-report.json \
 	    --events-out analyze-smoke/events.jsonl
@@ -165,8 +165,8 @@ analyze-smoke:
 	PYTHONPATH=src $(PY) -m repro obs summarize analyze-smoke/run-report.json
 
 ## Encounter-join smoke: export the small preset, run the encounters
-## figure through the batch pipeline and through the 4-shard / 2-worker
-## map-reduce, and require the JSON panel and the rendered figure to be
+## figure through the batch pipeline and through the 4-shard map-reduce,
+## and require the JSON panel and the rendered figure to be
 ## byte-identical (the encounter join sits in the bit-exact merge tier).
 ## Artifacts land in encounters-smoke/ (gitignored; CI uploads them).
 encounters-smoke:
@@ -177,7 +177,7 @@ encounters-smoke:
 	    --figures encounters --out encounters-smoke/batch \
 	    --json encounters-smoke/batch.json
 	PYTHONPATH=src $(PY) -m repro analyze encounters-smoke/trace \
-	    --shards 4 --workers 2 --figures encounters \
+	    --shards 4 --figures encounters \
 	    --out encounters-smoke/par --json encounters-smoke/par.json
 	PYTHONPATH=src $(PY) -c "\
 	import json, pathlib, sys; \
@@ -191,7 +191,7 @@ encounters-smoke:
 	sys.exit('encounters-smoke: rendered figure diverged') \
 	    if a != b else None; \
 	assert batch['n_pairs'] > 0 and batch['n_events'] >= batch['n_pairs']; \
-	print('encounters-smoke: batch == 4-shard/2-worker, ' \
+	print('encounters-smoke: batch == 4-shard, ' \
 	    f\"{batch['n_pairs']} pairs / {batch['n_events']} events\")"
 
 ## Format-conversion smoke: export the small preset as CSV, convert it to
@@ -249,10 +249,10 @@ prof-smoke:
 	PYTHONPATH=src $(PY) -m repro simulate --preset small --seed 7 \
 	    --out prof-smoke/trace
 	PYTHONPATH=src $(PY) -m repro analyze prof-smoke/trace \
-	    --shards 4 --workers 4 --figures fig2a \
+	    --shards 4 --figures fig2a \
 	    --profile-out prof-smoke/p.json --profile-hz 97
 	PYTHONPATH=src $(PY) -m repro analyze prof-smoke/trace \
-	    --shards 4 --workers 4 --figures fig2a \
+	    --shards 4 --figures fig2a \
 	    --profile-out prof-smoke/q.json --profile-hz 97
 	PYTHONPATH=src $(PY) -c "\
 	import json; \

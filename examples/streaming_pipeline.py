@@ -47,9 +47,9 @@ def main() -> None:
     print(f"  {n_records:,} records on disk")
 
     # --- sharded side: one account shard in memory at a time -----------
-    print(f"Sharded pass ({args.shards} shards, one worker)...")
+    print(f"Sharded pass ({args.shards} shards)...")
     started = time.time()
-    run = analyze_parallel(trace_dir, shards=args.shards, workers=1)
+    run = analyze_parallel(trace_dir, shards=args.shards)
     stream_seconds = time.time() - started
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     sharded = run.report

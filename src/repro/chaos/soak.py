@@ -549,7 +549,6 @@ def _check_shard_equality(result, config, trace_dir, quarantine) -> None:
         run = analyze_parallel(
             trace_dir,
             shards=config.shards,
-            workers=1,
             lenient=True,
         )
     except Exception as exc:

@@ -9,11 +9,10 @@ The subcommands cover the full workflow::
     python -m repro validate  trace/ [--lenient]
     python -m repro analyze   trace/ [--figures fig2a,fig5a] [--out reports/]
                               [--lenient --quarantine-report q.json]
-                              [--shards N --workers W]
-                              [--format auto|csv|bin]
+                              [--shards N] [--format auto|csv|bin]
     python -m repro serve     --trace trace/ --port 8321
                               [--checkpoint-dir ckpt/ --checkpoint-interval 30]
-                              [--shards N --workers W --lenient --format auto]
+                              [--shards N --lenient --format auto]
     python -m repro scoreboard trace/
     python -m repro obs summarize report.json
 
@@ -32,12 +31,12 @@ serves live finalized panels over a checkpointed HTTP JSON API
 headline table; ``obs summarize`` renders a saved observability run
 report as a stage table.
 
-With ``--shards N`` (and optionally ``--workers W``) ``analyze`` runs
-the map-reduce path (:mod:`repro.core.parallel`): the trace is decoded
-and scrubbed once, in the parent, and the report is computed as merged
-per-account-shard partial aggregates, invariant to the worker count.
-The parent holds the whole trace as columns (about 44 bytes per row);
-each worker holds the rows of its shard.
+With ``--shards N`` ``analyze`` runs the map-reduce path
+(:mod:`repro.core.parallel`): the trace is decoded and scrubbed once,
+and the report is computed as merged per-account-shard partial
+aggregates, one shard at a time in this process, equal to the batch
+report.  It holds the whole trace as columns (about 44 bytes per row)
+plus the slices of the shard being folded.
 
 Observability
 -------------
@@ -373,18 +372,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("--quarantine-report requires --lenient", file=sys.stderr)
         return 2
     shards = getattr(args, "shards", 1)
-    workers = getattr(args, "workers", None)
     if shards < 1:
         print("--shards must be >= 1", file=sys.stderr)
         return 2
-    if workers is not None and workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if shards > 1 or (workers or 1) > 1:
+    if shards > 1:
         run = analyze_parallel(
             args.trace,
             shards=shards,
-            workers=workers,
             lenient=args.lenient,
             format=getattr(args, "format", "auto"),
         )
@@ -392,8 +386,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         quarantine = full_report.quarantine
         print(
             f"analyzed {run.proxy_rows + run.mme_rows:,} rows across "
-            f"{shards} shard(s) ({run.workers} worker(s), peak shard "
-            f"residency {run.peak_resident_records:,} records)",
+            f"{shards} shard(s) (peak shard residency "
+            f"{run.peak_resident_records:,} records)",
             file=sys.stderr,
         )
     else:
@@ -462,9 +456,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("--shards must be >= 1", file=sys.stderr)
         return 2
-    if args.workers is not None and args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
     if args.checkpoint_interval <= 0:
         print("--checkpoint-interval must be > 0", file=sys.stderr)
         return 2
@@ -478,7 +469,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_interval=args.checkpoint_interval,
         poll_interval=args.poll_interval,
         shards=args.shards,
-        workers=args.workers or 1,
         lenient=args.lenient,
         format=args.format,
     )
@@ -1157,16 +1147,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition accounts into this many shards and compute the "
         "report as merged per-shard partial aggregates (default: 1 == "
         "the classic single-pass batch path); the trace is decoded once "
-        "and held as columns (about 44 bytes per row), and each worker "
-        "holds the rows of its shard",
-    )
-    analyze.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process shards with this many worker processes (default: "
-        "min(shards, cpu count); 1 == serial fallback over the same "
-        "partials — bit-identical report for any worker count)",
+        "and held as columns (about 44 bytes per row), and the shards are "
+        "folded one at a time in this process",
     )
     analyze.add_argument(
         "--format",
@@ -1227,13 +1209,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="account shards for the incremental partial aggregates "
         "(default: 1); must match any checkpoint being restored",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the finalize replay step "
-        "(default: 1 == in-process; the report is identical either way)",
     )
     serve.add_argument(
         "--lenient",

@@ -35,11 +35,12 @@ install an enabled instance via :func:`enable` / :func:`observe`.
 
 Worker processes
 ----------------
-:func:`map_shards` is the one process pool.  The engine, the parallel
-analysis and the serve finalize fan their shards out through it; each
-pool task runs under a fresh worker instance and ships its metrics, span
-roots and profile back, and the parent merges them in payload order, so
-the span tree and the counters do not depend on the worker count.
+:func:`map_shards` is the one process pool: the simulation engine fans
+its shards out through it (the analysis and the serve finalize run their
+shards in process).  Each pool task runs under a fresh worker instance
+and ships its metrics, span roots and profile back, and the parent
+merges them in payload order, so the span tree and the counters do not
+depend on the worker count.
 
 Metric naming: ``repro_<area>_<name>``, counters suffixed ``_total``.
 """

@@ -66,6 +66,7 @@ class ServeConfig:
     checkpoint_interval: float = 30.0
     poll_interval: float = 0.5
     shards: int = 4
+    #: Accepted and ignored: finalize replays the shards in process.
     workers: int = 1
     lenient: bool = False
     format: str = "auto"
@@ -283,7 +284,6 @@ class AnalysisService:
                 report = finalize_slots(
                     self.slots,
                     self.artifacts,
-                    workers=self.config.workers,
                     sort_proxy=sort_proxy,
                     sort_mme=sort_mme,
                     quarantine=(
@@ -367,7 +367,6 @@ class AnalysisService:
                 "config": {
                     "trace_dir": str(self.config.trace_dir),
                     **self.config.fingerprint(),
-                    "workers": self.config.workers,
                 },
                 "streams": {
                     name: {

@@ -41,7 +41,7 @@ from repro.core.app_mapping import (
     attribute_records,
 )
 from repro.core.mobility import build_timelines
-from repro.core.dataset import StudyDataset, TraceArtifacts
+from repro.core.dataset import StudyDataset
 from repro.core.parallel import (
     AppsPartial,
     DomainsPartial,
@@ -50,7 +50,6 @@ from repro.core.parallel import (
     PanelInputs,
     ProtocolsPartial,
     ThroughDevicePartial,
-    _AnalysisPayload,
     _analyze_shard,
     _sector_intervals,
 )
@@ -614,7 +613,7 @@ class TestCrossRowFoldsMatchRowFolds:
 
 class TestNoRowObjects:
     """The analysis folds columns: a ``.bin``-loaded batch run and an
-    analysis shard task never build a proxy or MME row."""
+    analysis shard step never build a proxy or MME row."""
 
     @pytest.fixture
     def no_rows(self, monkeypatch):
@@ -635,20 +634,5 @@ class TestNoRowObjects:
 
     def test_shard_task(self, bin_trace, no_rows):
         dataset = StudyDataset.load(bin_trace)
-        artifacts = TraceArtifacts(
-            dataset.window,
-            dataset.device_db,
-            dataset.sector_map,
-            dataset.account_directory,
-        )
-        part = dataset.shard(0, 2)
-        result = _analyze_shard(
-            _AnalysisPayload(
-                0,
-                artifacts,
-                part.proxy.columns(),
-                part.mme.columns(),
-                _sector_intervals(dataset, 2)[0],
-            )
-        )
-        assert result.stats.proxy_records == len(part.proxy)
+        _, stats = _analyze_shard(dataset, 0, 2, _sector_intervals(dataset, 2)[0])
+        assert stats.proxy_records == len(dataset.shard(0, 2).proxy)

@@ -1,8 +1,9 @@
 """Every execution mode against the golden report fixtures.
 
-Batch analysis, ``analyze_parallel`` at several shard × worker counts and
-a ``repro serve`` service that catches up with a growing copy of the
-trace must all reproduce the stored small-preset reports (see
+Batch analysis, ``analyze_parallel`` at several shard counts (each also
+with the ``workers`` keyword it accepts and ignores) and a ``repro
+serve`` service that catches up with a growing copy of the trace must
+all reproduce the stored small-preset reports (see
 ``tests/core/golden.py``), strict and lenient, over CSV and ``.bin``
 traces.  The medium preset has a strict entry, checked for batch over
 CSV and ``.bin`` and a 4-shard ``analyze_parallel`` over ``.bin``, and a
@@ -181,7 +182,7 @@ class TestMedium:
         )
 
     def test_parallel_bin_matches_golden(self, medium_traces, medium_fixture):
-        run = analyze_parallel(medium_traces["strict_bin"], shards=4, workers=1)
+        run = analyze_parallel(medium_traces["strict_bin"], shards=4)
         self.assert_entry(run.report, medium_fixture, "strict")
 
     def test_lenient_bin_batch_matches_golden(
@@ -197,6 +198,6 @@ class TestMedium:
         self, medium_traces, medium_fixture, shards
     ):
         run = analyze_parallel(
-            medium_traces["lenient_bin"], shards=shards, workers=1, lenient=True
+            medium_traces["lenient_bin"], shards=shards, lenient=True
         )
         self.assert_entry(run.report, medium_fixture, "lenient_bin")

@@ -8,9 +8,9 @@ merged report equals the batch report field for field — ``==`` on the
 whole :class:`StudyReport` — at every shard count, and so does the
 report of a ``repro serve`` service that has ingested the whole trace.
 
-The worker count must never matter either: at a fixed shard count the
-merged report is bit-identical for 1 worker (serial fallback) and N
-processes.
+The shards run in the calling process.  ``analyze_parallel`` still
+accepts a ``workers`` keyword and ignores it; the tests parametrized by
+it check that it changes nothing.
 """
 
 import math
@@ -112,30 +112,30 @@ class TestServeVsBatch:
 
 
 class TestWorkerInvariance:
-    """At a fixed shard count the report must not depend on the worker
-    count — the merge happens in deterministic shard order either way."""
+    """At a fixed shard count the report must not depend on the ignored
+    ``workers`` keyword: the shards merge in shard order either way."""
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_reports_bit_identical(self, parallel_runs, shards):
-        serial = parallel_runs[(shards, 1)].report
-        pooled = parallel_runs[(shards, 4)].report
-        assert serial == pooled
+        one = parallel_runs[(shards, 1)].report
+        four = parallel_runs[(shards, 4)].report
+        assert one == four
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_row_accounting_identical(self, parallel_runs, shards):
-        serial = parallel_runs[(shards, 1)]
-        pooled = parallel_runs[(shards, 4)]
-        assert serial.proxy_rows == pooled.proxy_rows
-        assert serial.mme_rows == pooled.mme_rows
-        assert [s.shard for s in serial.shard_stats] == [
-            s.shard for s in pooled.shard_stats
+        one = parallel_runs[(shards, 1)]
+        four = parallel_runs[(shards, 4)]
+        assert one.proxy_rows == four.proxy_rows
+        assert one.mme_rows == four.mme_rows
+        assert [s.shard for s in one.shard_stats] == [
+            s.shard for s in four.shard_stats
         ]
 
 
 class TestMemoryBound:
     def test_peak_residency_is_one_shard_not_the_trace(self, parallel_runs):
-        """The map-reduce memory bound: a worker only ever holds its own
-        shard's records, so peak residency is the largest shard."""
+        """The map-reduce memory bound: a shard step only ever holds its
+        own shard's rows, so peak residency is the largest shard."""
         run = parallel_runs[(4, 4)]
         total = run.proxy_rows + run.mme_rows
         assert run.peak_resident_records < total
@@ -257,9 +257,10 @@ class TestShardedLoadPartition:
 
 
 class TestChaosParallel:
-    """Lenient parallel analysis of a corrupted trace: every worker
-    scrubs the full stream (duplicate/order defects are stream-global),
-    so quarantine accounting and the report match serial exactly."""
+    """Lenient parallel analysis of a corrupted trace: the whole stream
+    is scrubbed once, before sharding (duplicate/order defects are
+    stream-global), so quarantine accounting and the report match serial
+    exactly."""
 
     @pytest.fixture(scope="class")
     def chaos_trace(self, small_trace_dir, tmp_path_factory):

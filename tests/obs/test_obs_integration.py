@@ -2,10 +2,9 @@
 
 These are the acceptance gates for the observability subsystem:
 
-* for each process pool — the engine, ``analyze_parallel`` and the
-  served finalize — the merged span tree's *structure* is identical for
-  ``workers=1`` and ``workers=2`` at a fixed seed (and so are the merged
-  counters);
+* for the process pool (the simulation engine's) the merged span tree's
+  *structure* is identical for ``workers=1`` and ``workers=2`` at a
+  fixed seed (and so are the merged counters);
 * quarantine issue codes from a corrupted trace surface as labeled
   counters in the Prometheus export;
 * the CLI writes a schema-valid run report and a Perfetto-loadable
@@ -22,21 +21,17 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.core.dataset import StudyDataset
-from repro.core.parallel import analyze_parallel
 from repro.logs.faults import FaultSpec, corrupt_trace
 from repro.obs.export import (
     validate_chrome_trace_file,
     validate_run_report_file,
 )
 from repro.obs.metrics import render_prometheus
-from repro.serve.service import AnalysisService, ServeConfig
 from repro.simnet.config import SimulationConfig
 from repro.simnet.engine import ShardedSimulationEngine
 
-from tests.serve.conftest import drain
 
-
-def _engine(workers: int, tmp_path, trace_dir):
+def _engine(workers: int, tmp_path):
     """The sharded engine's simulate-and-export, as an observable call."""
     engine = ShardedSimulationEngine(
         SimulationConfig.small(seed=20), shards=4, workers=workers
@@ -47,20 +42,6 @@ def _engine(workers: int, tmp_path, trace_dir):
             run.write(tmp_path / "out")
 
     return simulate
-
-
-def _analysis(workers: int, tmp_path, trace_dir):
-    """A 4-shard ``analyze_parallel`` of the small trace."""
-    return lambda: analyze_parallel(trace_dir, shards=4, workers=workers)
-
-
-def _serve(workers: int, tmp_path, trace_dir):
-    """A served report over 3 shards, with the whole trace ingested."""
-    service = AnalysisService(
-        ServeConfig(trace_dir=trace_dir, shards=3, workers=workers)
-    )
-    drain(service)
-    return service.report
 
 
 def _observed(call):
@@ -77,21 +58,15 @@ def _observed(call):
 
 
 class TestEngineDeterminism:
-    @pytest.mark.parametrize(
-        "case",
-        [_engine, _analysis, _serve],
-        ids=["engine", "analysis", "serve"],
-    )
-    def test_span_tree_invariant_to_workers(
-        self, case, small_trace_dir, tmp_path
-    ):
-        serial = _observed(case(1, tmp_path / "w1", small_trace_dir))
-        pooled = _observed(case(2, tmp_path / "w2", small_trace_dir))
+    @pytest.mark.parametrize("case", [_engine], ids=["engine"])
+    def test_span_tree_invariant_to_workers(self, case, tmp_path):
+        serial = _observed(case(1, tmp_path / "w1"))
+        pooled = _observed(case(2, tmp_path / "w2"))
         assert serial[0] == pooled[0]
         assert serial[1] == pooled[1]
 
     def test_worker_count_not_in_span_attrs(self, tmp_path):
-        structure, _ = _observed(_engine(2, tmp_path, None))
+        structure, _ = _observed(_engine(2, tmp_path))
 
         def attr_keys(node) -> set[str]:
             name, attrs, children = node

@@ -1,8 +1,9 @@
 """CLI surface of the sampling profiler.
 
 Covers the ``--profile-out`` artifact triple end to end through a real
-sharded ``analyze`` (workers sample inside their own processes and the
-parent merges in shard order), ``obs summarize`` schema-sniffing the
+sharded ``analyze`` (its shards run in process) and a pooled sharded
+``simulate`` (workers sample inside their own processes and the parent
+merges in shard order), ``obs summarize`` schema-sniffing the
 positional and rendering hotspot tables, and ``obs compare --hotspots``
 alignment including its error paths.
 """
@@ -58,8 +59,6 @@ class TestAnalyzeProfileOut:
                 "fig2a",
                 "--shards",
                 "4",
-                "--workers",
-                "2",
                 "--profile-out",
                 str(profile_out),
                 "--profile-hz",
@@ -115,6 +114,39 @@ class TestAnalyzeProfileOut:
         )
         assert code == 0
         assert "wrote profile" not in capsys.readouterr().err
+
+
+class TestSimulateProfileOut:
+    def test_pool_worker_profiles_merged(self, tmp_path):
+        """The engine's pool workers sample their shards and ship the
+        profiles back.  A worker's spans are roots of its own tracer, so
+        its samples sit under a bare ``simulate.shard[shard=k]`` path; a
+        shard run in the parent would nest under ``cli.simulate``."""
+        profile_out = tmp_path / "p.json"
+        code = main(
+            [
+                "simulate",
+                "--preset",
+                "small",
+                "--seed",
+                "7",
+                "--shards",
+                "4",
+                "--workers",
+                "2",
+                "--out",
+                str(tmp_path / "trace"),
+                "--profile-out",
+                str(profile_out),
+                "--profile-hz",
+                "97",
+            ]
+        )
+        assert code == 0
+        doc = validate_profile_file(profile_out)
+        assert doc["meta"]["command"] == "simulate"
+        spans = {entry["span"] for entry in doc["spans"]}
+        assert any(span.startswith("simulate.shard[shard=") for span in spans)
 
 
 class TestSummarizeProfile:

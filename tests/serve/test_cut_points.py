@@ -89,7 +89,7 @@ def batch(traces):
         if mode not in runs:
             _suffix, lenient = MODES[mode]
             result = analyze_parallel(
-                traces[mode], shards=SHARDS, workers=1, lenient=lenient
+                traces[mode], shards=SHARDS, lenient=lenient
             )
             quarantine = result.report.quarantine
             runs[mode] = (

@@ -44,7 +44,7 @@ GROWTH_FRACS = (0.45, 1.0)
 
 def batch_report_dict(trace_dir, *, shards, lenient, fmt):
     run = analyze_parallel(
-        trace_dir, shards=shards, workers=1, lenient=lenient, format=fmt
+        trace_dir, shards=shards, lenient=lenient, format=fmt
     )
     return report_to_dict(run.report)
 
@@ -127,7 +127,7 @@ def grow_and_compare(
         except ServiceNotReady:
             with pytest.raises(ValueError):
                 analyze_parallel(
-                    prefix, shards=shards, workers=1, lenient=lenient,
+                    prefix, shards=shards, lenient=lenient,
                     format=fmt,
                 )
             continue
@@ -198,20 +198,6 @@ class TestDifferentialGrowth:
         assert quarantine.count("mme-truncated") == 0
         assert quarantine.to_dict() == batch.quarantine.to_dict()
         assert service.report()[1] == WearableStudy(batch).run_all()
-
-    def test_workers_do_not_change_the_report(self, small_trace_dir, tmp_path):
-        grow = make_growing_dir(small_trace_dir, tmp_path / "grow")
-        for suffix in ("proxy.csv", "mme.csv"):
-            feed_prefix(small_trace_dir, grow, suffix, 1.0)
-        serial = AnalysisService(
-            ServeConfig(trace_dir=grow, shards=3, workers=1)
-        )
-        pooled = AnalysisService(
-            ServeConfig(trace_dir=grow, shards=3, workers=2)
-        )
-        drain(serial)
-        drain(pooled)
-        assert service_report_dict(serial) == service_report_dict(pooled)
 
 
 class TestCheckpointRestore:
@@ -284,7 +270,7 @@ class TestCheckpointRestore:
             feed_prefix(small_corrupt_trace_dir, grow, suffix, 1.0)
         drain(second)
         batch = analyze_parallel(
-            small_corrupt_trace_dir, shards=2, workers=1, lenient=True
+            small_corrupt_trace_dir, shards=2, lenient=True
         )
         assert (
             second.collector.report().to_dict()

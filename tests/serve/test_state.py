@@ -1,10 +1,13 @@
-"""Unit tests for :class:`repro.serve.state.ReplayBuffer`."""
+"""Unit tests for :mod:`repro.serve.state`: the replay buffers and the
+finalize's hold on the live state."""
 
 from repro.logs.columns import ColumnTable
 from repro.logs.records import ProxyRecord
+from repro.serve.service import AnalysisService, ServeConfig
 from repro.serve.state import ReplayBuffer
 
 from tests.logs.test_binfmt import proxy_records
+from tests.serve.conftest import drain
 
 
 class TestReplayBuffer:
@@ -30,3 +33,15 @@ class TestReplayBuffer:
         assert buffer._slices == []
         assert len(buffer) == 0
         assert list(buffer) == []
+
+
+class TestFinalize:
+    def test_a_finalize_leaves_every_slot_as_it_was(self, small_trace_dir):
+        """Finalize merges every shard into the first shard's bundle; the
+        live state it reads, every slot's state included, must survive
+        unchanged to keep ingesting."""
+        service = AnalysisService(ServeConfig(trace_dir=small_trace_dir, shards=3))
+        drain(service)
+        before = [slot.to_state() for slot in service.slots]
+        service.report()
+        assert [slot.to_state() for slot in service.slots] == before

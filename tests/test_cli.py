@@ -360,8 +360,6 @@ class TestAnalyzeParallel:
                     str(par),
                     "--shards",
                     "4",
-                    "--workers",
-                    "2",
                 ]
             )
             == 0
@@ -382,8 +380,6 @@ class TestAnalyzeParallel:
                 str(tmp_path / "figs"),
                 "--shards",
                 "3",
-                "--workers",
-                "1",
             ]
         )
         assert code == 0
@@ -394,10 +390,6 @@ class TestAnalyzeParallel:
     def test_invalid_shards_rejected(self, trace_dir, capsys):
         assert main(["analyze", str(trace_dir), "--shards", "0"]) == 2
         assert "--shards" in capsys.readouterr().err
-
-    def test_invalid_workers_rejected(self, trace_dir, capsys):
-        assert main(["analyze", str(trace_dir), "--workers", "0"]) == 2
-        assert "--workers" in capsys.readouterr().err
 
     def test_parallel_lenient_quarantine_report(self, trace_dir, tmp_path):
         broken = tmp_path / "broken"
@@ -427,8 +419,6 @@ class TestAnalyzeParallel:
                 str(tmp_path / "figs"),
                 "--shards",
                 "4",
-                "--workers",
-                "2",
                 "--lenient",
                 "--quarantine-report",
                 str(qpath),
@@ -449,8 +439,6 @@ class TestAnalyzeParallel:
                 "--out",
                 str(tmp_path / "figs"),
                 "--shards",
-                "2",
-                "--workers",
                 "2",
                 "--metrics-out",
                 str(out),

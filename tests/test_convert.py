@@ -102,8 +102,8 @@ class TestAnalyzeEquivalence:
         from repro.core.parallel import analyze_parallel
 
         csv_dir, bin_dir = both_formats
-        a = analyze_parallel(csv_dir, shards=4, workers=1)
-        b = analyze_parallel(bin_dir, shards=4, workers=1, format="bin")
+        a = analyze_parallel(csv_dir, shards=4)
+        b = analyze_parallel(bin_dir, shards=4, format="bin")
         assert report_to_dict(a.report) == report_to_dict(b.report)
         assert a.proxy_rows == b.proxy_rows
         assert a.mme_rows == b.mme_rows

@@ -1,9 +1,7 @@
 """End-to-end smoke for ``repro serve`` (driven by ``make serve-smoke``).
 
 Starts the real daemon over a freshly simulated small trace, with two
-shards finalized in a two-worker process pool (the serial finalize is
-covered by ``tests/serve/``), then walks the full serving story against
-the live socket:
+shards, then walks the full serving story against the live socket:
 
 1. wait for ``/healthz`` to go green with the initial rows ingested;
 2. fetch a figure panel, remember its ``ETag``, and revalidate — the
@@ -55,8 +53,7 @@ def wait_until(predicate, what: str, timeout: float = TIMEOUT):
 
 
 def start_daemon(trace: Path, ckpt: Path) -> tuple[subprocess.Popen, str]:
-    """The daemon over ``trace`` (two shards finalized by two workers)
-    and its base URL."""
+    """The daemon over ``trace`` (two shards) and its base URL."""
     daemon = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
@@ -65,7 +62,6 @@ def start_daemon(trace: Path, ckpt: Path) -> tuple[subprocess.Popen, str]:
             "--checkpoint-interval", "1",
             "--poll-interval", "0.1",
             "--shards", "2",
-            "--workers", "2",
         ],
         stdout=subprocess.PIPE,
         text=True,
@@ -143,7 +139,7 @@ def main() -> None:
     from repro.core.figures import FIGURE_RENDERERS
     from repro.core.parallel import analyze_parallel
 
-    run = analyze_parallel(trace, shards=2, workers=1)
+    run = analyze_parallel(trace, shards=2)
     batch_text = FIGURE_RENDERERS[PANEL](run.report)
     assert served_text == batch_text, (
         "served panel diverged from batch analyze on the same trace"

@@ -27,17 +27,18 @@ from repro.stats.entropy import (
 @pytest.fixture(scope="module")
 def timelines(paper_study):
     dataset = paper_study.dataset
-    window = dataset.window
     owner_accounts = dataset.wearable_accounts
-    wearable = build_timelines(
-        r for r in dataset.wearable_mme if window.in_detailed(r.timestamp)
+    detailed = dataset.detailed_mme_mask
+    outside_owners = dataset.mme.entry_mask(
+        "subscriber_id",
+        lambda subscriber: dataset.account_of(subscriber) not in owner_accounts,
     )
-    general = build_timelines(
-        r
-        for r in dataset.phone_mme
-        if window.in_detailed(r.timestamp)
-        and dataset.account_of(r.subscriber_id) not in owner_accounts
-    )
+
+    def timelines_of(mask):
+        return build_timelines(dataset.mme.take(mask).records)
+
+    wearable = timelines_of(detailed & dataset.wearable_mme_mask)
+    general = timelines_of(detailed & ~dataset.wearable_mme_mask & outside_owners)
     return wearable, general
 
 

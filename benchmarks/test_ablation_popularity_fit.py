@@ -11,6 +11,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.core.report import format_table
+from repro.logs.columns import first_seen, group_sum
 from repro.simnet.appcatalog import POPULARITY_DECAY_RATE
 from repro.stats.concentration import bootstrap_ci, fit_exponential_decay, gini
 
@@ -48,13 +49,12 @@ def test_popularity_decay_fit(benchmark, popularity_series, report_dir):
 
 
 def test_traffic_concentration(benchmark, paper_study, report_dir):
-    window = paper_study.dataset.window
-    per_user_bytes: dict[str, int] = {}
-    for record in paper_study.dataset.wearable_proxy_detailed:
-        per_user_bytes[record.subscriber_id] = (
-            per_user_bytes.get(record.subscriber_id, 0) + record.total_bytes
-        )
-    volumes = [float(v) for v in per_user_bytes.values()]
+    dataset = paper_study.dataset
+    proxy = dataset.proxy
+    rows = dataset.wearable_proxy_mask & dataset.detailed_proxy_mask
+    users, user = first_seen(proxy.column("subscriber_id").codes[rows])
+    size = proxy.column("bytes_up")[rows] + proxy.column("bytes_down")[rows]
+    volumes = group_sum(user, size, len(users)).astype(float).tolist()
     value = benchmark.pedantic(gini, args=(volumes,), rounds=3, iterations=1)
     value = gini(volumes)
     popularity_gini = gini(

@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.core.report import format_table
-from repro.core.sessions import sessionize
+from repro.core.sessions import session_table
 
 GAPS_S = (15.0, 30.0, 60.0, 120.0, 300.0, 600.0)
 
@@ -20,11 +20,9 @@ GAPS_S = (15.0, 30.0, 60.0, 120.0, 300.0, 600.0)
 def sweep(paper_study):
     results = {}
     for gap in GAPS_S:
-        sessions = sessionize(paper_study.attributed, gap_seconds=gap)
-        tx_total = sum(s.tx_count for s in sessions)
-        kb_per_usage = (
-            sum(s.bytes_total for s in sessions) / len(sessions) / 1000.0
-        )
+        sessions = session_table(paper_study.attribution, gap_seconds=gap)
+        tx_total = int(sessions.tx_count.sum())
+        kb_per_usage = int(sessions.bytes_total.sum()) / len(sessions) / 1000.0
         results[gap] = {
             "sessions": len(sessions),
             "tx_per_usage": tx_total / len(sessions),
@@ -35,8 +33,8 @@ def sweep(paper_study):
 
 def test_session_gap_sweep(benchmark, paper_study, sweep, report_dir):
     benchmark.pedantic(
-        sessionize,
-        args=(paper_study.attributed,),
+        session_table,
+        args=(paper_study.attribution,),
         kwargs={"gap_seconds": 60.0},
         rounds=3,
         iterations=1,
@@ -77,8 +75,11 @@ def test_results_stable_near_one_minute(benchmark, sweep):
 
 
 def test_transactions_conserved_across_gaps(benchmark, paper_study, sweep):
-    benchmark.pedantic(lambda: sum(1 for a in paper_study.attributed if a.app is not None), rounds=1, iterations=1)
-    attributed_tx = sum(1 for a in paper_study.attributed if a.app is not None)
+    def resolved() -> int:
+        return int((paper_study.attribution.app >= 0).sum())
+
+    benchmark.pedantic(resolved, rounds=1, iterations=1)
+    attributed_tx = resolved()
     for gap in GAPS_S:
         assert (
             sweep[gap]["sessions"] * sweep[gap]["tx_per_usage"]

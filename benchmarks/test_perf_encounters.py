@@ -9,9 +9,10 @@ the join crosses many of its pair chunks):
 * the batch path (streamed dwell intervals → numpy clip columns sorted
   into cells → chunked all-pairs merge walk → panels) — baseline, what
   ``analyze --figures encounters`` pays;
-* the streaming join alone (single-pass dwell extraction feeding the
-  index), the per-worker kernel of the parallel path;
-* the four-way sector-sharded join plus merge — the map-reduce shape,
+* the streaming join alone (single-pass dwell extraction,
+  ``stream_dwell_intervals``, feeding the index);
+* the four-way sector-sharded join plus merge — ``analyze_parallel``'s
+  routing (``_sector_intervals``), one join per shard and the merge,
   which must reproduce the serial accumulators bit-for-bit.
 
 The last two also assert their panel equals the batch panel, so
@@ -23,7 +24,8 @@ import pytest
 
 from benchmarks.conftest import fresh_panel
 from repro.core.dataset import StudyDataset
-from repro.core.parallel import EncountersPartial
+from repro.core.encounters import stream_dwell_intervals
+from repro.core.parallel import EncountersPartial, _sector_intervals
 from repro.simnet.config import SimulationConfig
 from repro.simnet.simulator import Simulator
 
@@ -59,12 +61,14 @@ def test_perf_batch_encounters(benchmark, encounters_dataset):
 
 
 def test_perf_streaming_join(benchmark, encounters_dataset):
-    """The parallel path's per-worker kernel, unsharded."""
+    """Dwell intervals streamed off the MME rows, joined unsharded."""
+    window = encounters_dataset.window
 
     def run():
         partial = _account_side(encounters_dataset)
-        partial.consume_stream(
-            iter(encounters_dataset.mme_records), encounters_dataset.window
+        partial.consume_intervals(
+            stream_dwell_intervals(iter(encounters_dataset.mme_records), window),
+            window.study_start,
         )
         return partial
 
@@ -73,24 +77,17 @@ def test_perf_streaming_join(benchmark, encounters_dataset):
 
 
 def test_perf_sharded_join_and_merge(benchmark, encounters_dataset):
-    """Four sector shards joined independently, then merged."""
+    """The dwell intervals routed to four sector shards, each shard
+    joined independently, then merged."""
+    study_start = encounters_dataset.window.study_start
 
     def run():
         merged = _account_side(encounters_dataset)
-        merged.consume_stream(
-            iter(encounters_dataset.mme_records),
-            encounters_dataset.window,
-            shard=0,
-            shards=SHARDS,
-        )
-        for shard in range(1, SHARDS):
+        first, *rest = _sector_intervals(encounters_dataset, SHARDS)
+        merged.consume_intervals(first, study_start)
+        for intervals in rest:
             piece = EncountersPartial()
-            piece.consume_stream(
-                iter(encounters_dataset.mme_records),
-                encounters_dataset.window,
-                shard=shard,
-                shards=SHARDS,
-            )
+            piece.consume_intervals(intervals, study_start)
             merged.merge(piece)
         return merged
 

@@ -2,18 +2,19 @@
 
 Unlike the figure modules (which regenerate paper results), these measure
 throughput of the computational kernels the pipeline spends its time in —
-attribution, sessionisation, timeline construction, haversine scans and
-the P² streaming estimator — so a performance regression shows up as a
-drop in ops/sec rather than a silently slower analysis.
+the attribution, session and dwell-interval column kernels, haversine
+scans and the P² streaming estimator — so a performance regression shows
+up as a drop in ops/sec rather than a silently slower analysis.
 """
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.core.app_mapping import SignatureCatalog, attribute_records
-from repro.core.mobility import build_timelines
-from repro.core.sessions import sessionize
+from repro.core.app_mapping import SignatureCatalog, attribute_table
+from repro.core.mobility import dwell_intervals
+from repro.core.sessions import session_table
 from repro.simnet.appcatalog import builtin_app_catalog
 from repro.stats.geo import GeoPoint, haversine_km, max_displacement_km
 from repro.stats.streaming import P2Quantile
@@ -21,8 +22,9 @@ from repro.stats.streaming import P2Quantile
 
 @pytest.fixture(scope="module")
 def wearable_slice(paper_dataset):
-    """A fixed 50k-record slice of wearable traffic."""
-    return paper_dataset.wearable_proxy[:50_000]
+    """A fixed 50k-row slice of wearable traffic, as a column table."""
+    rows = np.flatnonzero(paper_dataset.wearable_proxy_mask)[:50_000]
+    return paper_dataset.proxy.take(rows)
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +34,12 @@ def signatures():
 
 @pytest.fixture(scope="module")
 def attributed_slice(wearable_slice, signatures):
-    return attribute_records(wearable_slice, signatures)
+    return attribute_table(wearable_slice, signatures)
 
 
 def test_perf_host_classification(benchmark, wearable_slice, signatures):
-    hosts = [record.host for record in wearable_slice[:10_000]]
+    hosts = wearable_slice.column("host")
+    hosts = hosts.values[hosts.codes[:10_000]].tolist()
 
     def classify_all():
         for host in hosts:
@@ -47,7 +50,7 @@ def test_perf_host_classification(benchmark, wearable_slice, signatures):
 
 def test_perf_attribution(benchmark, wearable_slice, signatures):
     benchmark.pedantic(
-        attribute_records,
+        attribute_table,
         args=(wearable_slice, signatures),
         rounds=3,
         iterations=1,
@@ -55,12 +58,19 @@ def test_perf_attribution(benchmark, wearable_slice, signatures):
 
 
 def test_perf_sessionize(benchmark, attributed_slice):
-    benchmark.pedantic(sessionize, args=(attributed_slice,), rounds=3, iterations=1)
+    benchmark.pedantic(
+        session_table, args=(attributed_slice,), rounds=3, iterations=1
+    )
 
 
 def test_perf_timeline_build(benchmark, paper_dataset):
-    records = paper_dataset.wearable_mme[:50_000]
-    benchmark.pedantic(build_timelines, args=(records,), rounds=3, iterations=1)
+    rows = np.flatnonzero(paper_dataset.wearable_mme_mask)[:50_000]
+    benchmark.pedantic(
+        dwell_intervals,
+        args=(paper_dataset.mme, rows, paper_dataset.window.study_start),
+        rounds=3,
+        iterations=1,
+    )
 
 
 def test_perf_haversine(benchmark):

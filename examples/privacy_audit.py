@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 from collections import defaultdict
 
+import numpy as np
+
 from repro import SimulationConfig, Simulator, StudyDataset, WearableStudy
 from repro.core.report import format_table
 from repro.simnet.appcatalog import DOMAIN_ADVERTISING, DOMAIN_ANALYTICS
@@ -59,19 +61,31 @@ def main() -> None:
     )
 
     # --- per-app tracking breakdown ------------------------------------
+    # The attribution is columns: the attributed proxy rows, each row's
+    # app code (-1 when unresolved) and domain category.
+    attribution = study.attribution
+    table = attribution.table
+    window = study.dataset.window
+    timestamps = table.column("timestamp")
+    rows = np.flatnonzero(
+        (attribution.app >= 0)
+        & (timestamps >= window.detailed_start)
+        & (timestamps < window.study_end)
+    )
+    subscribers = table.column("subscriber_id")
     tracker_bytes: dict[str, int] = defaultdict(int)
     app_bytes: dict[str, int] = defaultdict(int)
     per_user_tracker: dict[str, int] = defaultdict(int)
-    window = study.dataset.window
-    for item in study.attributed:
-        if item.app is None or not window.in_detailed(item.record.timestamp):
-            continue
-        app_bytes[item.app] += item.record.total_bytes
-        if item.domain_category in (DOMAIN_ADVERTISING, DOMAIN_ANALYTICS):
-            tracker_bytes[item.app] += item.record.total_bytes
-            per_user_tracker[item.record.subscriber_id] += (
-                item.record.total_bytes
-            )
+    for app, category, subscriber, size in zip(
+        attribution.apps[attribution.app[rows]].tolist(),
+        attribution.category.values[attribution.category.codes[rows]].tolist(),
+        subscribers.values[subscribers.codes[rows]].tolist(),
+        (table.column("bytes_up") + table.column("bytes_down"))[rows].tolist(),
+    ):
+        app_bytes[app] += size
+        if category in (DOMAIN_ADVERTISING, DOMAIN_ANALYTICS):
+            tracker_bytes[app] += size
+            per_user_tracker[subscriber] += size
 
     rows = sorted(
         (

@@ -18,10 +18,9 @@ from repro.core.activity import ActivityResult, HourlyProfile
 from repro.core.adoption import AdoptionResult
 from repro.core.app_mapping import (
     AppMatch,
-    AttributedRecord,
+    Attribution,
     SignatureCatalog,
-    attribute_records,
-    attribution_coverage,
+    attribute_table,
 )
 from repro.core.apps import AppDailyStats, AppsResult, CategoryStats
 from repro.core.comparison import ComparisonResult
@@ -38,7 +37,7 @@ from repro.core.mobility import (
     build_timelines,
 )
 from repro.core.pipeline import StudyReport, WearableStudy
-from repro.core.sessions import UsageSession, sessionize
+from repro.core.sessions import SessionTable, session_table
 from repro.core.throughdevice import (
     TD_FINGERPRINT_HOSTS,
     ThroughDeviceResult,
@@ -60,7 +59,7 @@ __all__ = [
     "AppDailyStats",
     "AppMatch",
     "AppsResult",
-    "AttributedRecord",
+    "Attribution",
     "CategoryStats",
     "CohortResult",
     "CohortRow",
@@ -75,6 +74,7 @@ __all__ = [
     "MobilityResult",
     "ProtocolResult",
     "SectorTimeline",
+    "SessionTable",
     "SignatureCatalog",
     "SingleUsageStats",
     "StreamingWeekly",
@@ -84,17 +84,15 @@ __all__ = [
     "TD_FINGERPRINT_HOSTS",
     "ThroughDeviceFullResult",
     "ThroughDeviceResult",
-    "UsageSession",
     "WearableIdentifier",
     "WearableStudy",
     "WeeklyResult",
     "analyze_cohorts",
     "analyze_through_device_full",
-    "attribute_records",
-    "attribution_coverage",
+    "attribute_table",
     "build_timelines",
     "render_all",
     "report_to_dict",
-    "sessionize",
+    "session_table",
     "write_report_json",
 ]

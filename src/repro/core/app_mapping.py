@@ -17,8 +17,9 @@ Two pieces reproduce that:
   and the nearest direct row is one per-subscriber ``searchsorted``
   (:func:`~repro.logs.columns.group_searchsorted`) over the direct rows
   in stable timestamp order — the ``bisect_left`` of the scalar rule,
-  with the earlier candidate winning an equal gap.
-  :func:`attribute_records` is its row adapter.
+  with the earlier candidate winning an equal gap.  The result,
+  :class:`Attribution`, is columns: each row's app code and domain
+  category beside the proxy table it attributes.
 
 The domain categories follow Seneviratne et al. as the paper does:
 Application (first party), Utilities (CDNs), Advertising, Analytics.
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from repro.logs.columns import (
     group_searchsorted,
     object_array,
 )
-from repro.logs.records import ProxyRecord
 from repro.simnet.appcatalog import AppCatalog
 
 CATEGORY_UNKNOWN = "unknown"
@@ -53,15 +52,6 @@ DEFAULT_ATTRIBUTION_WINDOW_S = 60.0
 class AppMatch:
     """Classification of one host: owning app (if unique) and category."""
 
-    app: str | None
-    domain_category: str
-
-
-@dataclass(frozen=True, slots=True)
-class AttributedRecord:
-    """A proxy record with its resolved app and domain category."""
-
-    record: ProxyRecord
     app: str | None
     domain_category: str
 
@@ -151,37 +141,6 @@ class Attribution:
     def __len__(self) -> int:
         return len(self.app)
 
-    @classmethod
-    def from_records(cls, items: Iterable[AttributedRecord]) -> "Attribution":
-        """The columns of attributed rows built elsewhere."""
-        items = list(items)
-        codes: dict[str, int] = {}
-        app = np.fromiter(
-            (
-                -1 if item.app is None else codes.setdefault(item.app, len(codes))
-                for item in items
-            ),
-            dtype=np.int32,
-            count=len(items),
-        )
-        return cls(
-            ColumnTable.from_records(ProxyRecord, [item.record for item in items]),
-            app,
-            object_array(list(codes)),
-            encode_strings([item.domain_category for item in items]),
-        )
-
-    def records(self) -> list[AttributedRecord]:
-        """The rows as :class:`AttributedRecord` objects."""
-        apps = [*self.apps.tolist(), None]
-        categories = self.category.values.tolist()
-        return [
-            AttributedRecord(record, apps[app], categories[category])
-            for record, app, category in zip(
-                self.table.records, self.app.tolist(), self.category.codes.tolist()
-            )
-        ]
-
 
 def attribute_table(
     table: ColumnTable,
@@ -242,25 +201,3 @@ def attribute_table(
         object_array(list(codes)),
         Dictionary(category, entry_category.values),
     )
-
-
-def attribute_records(
-    records: Sequence[ProxyRecord],
-    signatures: SignatureCatalog,
-    window_seconds: float = DEFAULT_ATTRIBUTION_WINDOW_S,
-) -> list[AttributedRecord]:
-    """:func:`attribute_table` over a row list: every record with its
-    app (None when unresolved) and domain category."""
-    table = ColumnTable.from_records(ProxyRecord, list(records))
-    return attribute_table(table, signatures, window_seconds).records()
-
-
-def attribution_coverage(attributed: Iterable[AttributedRecord]) -> float:
-    """Fraction of records resolved to a concrete app."""
-    total = 0
-    resolved = 0
-    for item in attributed:
-        total += 1
-        if item.app is not None:
-            resolved += 1
-    return resolved / total if total else 0.0

@@ -5,7 +5,9 @@ A longitudinal ISP would track the full retention surface — for each
 *adoption cohort* (users first registered in week *w*), the fraction still
 registering 1, 2, 3 … weeks later — plus a survival curve over all users.
 This module computes both from the same MME log, generalising the paper's
-single data point.
+single data point: the wearable rows (:attr:`StudyDataset.wearable_mme_mask`)
+and their study days (:attr:`StudyDataset.mme_days`) reduced to each
+subscriber's distinct registration weeks.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.dataset import StudyDataset
+from repro.logs.columns import distinct
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,41 +59,40 @@ def analyze_cohorts(
     if max_offset_weeks is None:
         max_offset_weeks = total_weeks - 1
 
-    user_weeks: dict[str, set[int]] = defaultdict(set)
-    for record in dataset.wearable_mme:
-        day = window.day_of(record.timestamp)
-        if not 0 <= day < total_weeks * 7:
-            continue
-        user_weeks[record.subscriber_id].add(day // 7)
-
-    if not user_weeks:
+    # Each wearable SIM's distinct registration weeks, by subscriber code
+    # and then week; ``first`` and ``last`` bound each subscriber's run.
+    rows = np.flatnonzero(dataset.wearable_mme_mask)
+    days = dataset.mme_days[rows]
+    kept = (days >= 0) & (days < total_weeks * 7)
+    subscriber, week = distinct(
+        dataset.mme.column("subscriber_id").codes[rows[kept]], days[kept] // 7
+    )
+    if not len(subscriber):
         raise ValueError("no wearable registrations observed")
-
-    cohort_members: dict[int, list[str]] = defaultdict(list)
-    for subscriber, weeks in user_weeks.items():
-        cohort_members[min(weeks)].append(subscriber)
+    first = np.flatnonzero(np.append(True, subscriber[1:] != subscriber[:-1]))
+    last = np.append(first[1:], len(subscriber)) - 1
+    cohort = np.repeat(week[first], last - first + 1)
+    # alive[c][k]: members of cohort c registering k weeks after joining.
+    alive = np.zeros((total_weeks, total_weeks), dtype=np.int64)
+    np.add.at(alive, (cohort, week - cohort), 1)
+    alive = alive.tolist()
 
     cohorts: list[CohortRow] = []
     offset_weighted: dict[int, float] = defaultdict(float)
     offset_weight: dict[int, int] = defaultdict(int)
-    for cohort_week in sorted(cohort_members):
-        members = cohort_members[cohort_week]
+    for cohort_week in np.unique(week[first]).tolist():
+        size = alive[cohort_week][0]
         horizon = min(max_offset_weeks, total_weeks - 1 - cohort_week)
         retention: list[float] = []
         for offset in range(horizon + 1):
-            alive = sum(
-                1
-                for subscriber in members
-                if cohort_week + offset in user_weeks[subscriber]
-            )
-            fraction = alive / len(members)
+            fraction = alive[cohort_week][offset] / size
             retention.append(fraction)
-            offset_weighted[offset] += fraction * len(members)
-            offset_weight[offset] += len(members)
+            offset_weighted[offset] += fraction * size
+            offset_weight[offset] += size
         cohorts.append(
             CohortRow(
                 cohort_week=cohort_week,
-                size=len(members),
+                size=size,
                 retention=tuple(retention),
             )
         )
@@ -98,9 +102,7 @@ def analyze_cohorts(
         for offset in sorted(offset_weight)
     ]
 
-    lifetimes = [
-        (max(weeks) - min(weeks)) for weeks in user_weeks.values()
-    ]
+    lifetimes = (week[last] - week[first]).tolist()
     n = len(lifetimes)
     survival = [
         sum(1 for lifetime in lifetimes if lifetime >= k) / n

@@ -23,12 +23,12 @@ block's checks, and re-sorts the table as columns when it saw disorder
 whole row list.
 :meth:`StudyDataset.from_simulation` and datasets built from row lists
 fill the table from the rows, one column at a time, when a consumer
-first reads that column.  Every analysis panel folds the columns; rows
+first reads that column.  Every analysis panel, trace validation and
+the cohort and full through-device extensions fold the columns; rows
 (:attr:`~StudyDataset.proxy_records`, :attr:`~StudyDataset.mme_records`)
-are built from the table only for edge callers — validation, the
-chaos harness, the cohort and full through-device extensions, the
-benchmark and tests.  A decoded table holds 44 bytes per proxy row and
-24 per MME row, plus its dictionaries.
+are built from the table only for the benchmark and tests.  A decoded
+table holds 44 bytes per proxy row and 24 per MME row, plus its
+dictionaries.
 
 This module is the one home of the trace-directory contract; batch,
 sharded and served analysis all go through it:
@@ -46,9 +46,7 @@ sharded and served analysis all go through it:
 
 The class also owns the shared partitions as boolean row masks computed
 once — wearable rows (the TAC of each IMEI dictionary entry) and the
-detailed window — and the time buckets the column folds share; the row
-partitions (:attr:`~StudyDataset.wearable_proxy` and the rest), for
-edge callers, are the masks applied to the rows.
+detailed window — and the time buckets the column folds share.
 """
 
 from __future__ import annotations
@@ -505,34 +503,7 @@ class StudyDataset:
         """Study day (:meth:`StudyWindow.day_of`) of every MME row."""
         return day_indices(self.mme.column("timestamp"), self.window.study_start)
 
-    # ------------------------------------------------------------ partitions
-    @cached_property
-    def wearable_proxy(self) -> list[ProxyRecord]:
-        """Proxy transactions originating from wearable devices."""
-        return self.proxy.rows_where(self.wearable_proxy_mask)
-
-    @cached_property
-    def phone_proxy(self) -> list[ProxyRecord]:
-        """Proxy transactions from non-wearable devices."""
-        return self.proxy.rows_where(~self.wearable_proxy_mask)
-
-    @cached_property
-    def wearable_mme(self) -> list[MmeRecord]:
-        """MME events of wearable SIMs."""
-        return self.mme.rows_where(self.wearable_mme_mask)
-
-    @cached_property
-    def phone_mme(self) -> list[MmeRecord]:
-        """MME events of non-wearable SIMs."""
-        return self.mme.rows_where(~self.wearable_mme_mask)
-
-    @cached_property
-    def wearable_proxy_detailed(self) -> list[ProxyRecord]:
-        """Wearable transactions inside the detailed seven-week window."""
-        return self.proxy.rows_where(
-            self.wearable_proxy_mask & self.detailed_proxy_mask
-        )
-
+    # ------------------------------------------------------------ accounts
     @cached_property
     def wearable_subscribers(self) -> frozenset[str]:
         """Every subscriber id seen on a wearable SIM (via MME or proxy)."""

@@ -19,8 +19,9 @@ events stably by timestamp, as :class:`SectorTimeline` sorts them),
 :func:`dwell_intervals` applies the :meth:`SectorTimeline.dwell_intervals`
 rule to it, :func:`dwell_entropy` and :func:`daily_displacement` reduce
 it per subscriber, and :func:`sector_at` is one ``searchsorted`` per
-looked-up row.  :class:`SectorTimeline` and :func:`build_timelines`
-remain the row form for edge callers.
+looked-up row.  :class:`SectorTimeline` and :func:`build_timelines`,
+the row form, are kept for the benchmark's traced batch replay until
+ROADMAP item 1.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from math import fsum, log10
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from repro.core.activity import ActivityResult, HourlyProfile
 from repro.core.adoption import ABANDON_QUIET_DAYS, AdoptionResult
 from repro.core.app_mapping import (
     CATEGORY_UNKNOWN,
-    AttributedRecord,
     Attribution,
     SignatureCatalog,
     attribute_table,
@@ -86,7 +85,6 @@ from repro.core.encounters import (
     consume_classification,
     join_cells,
     sector_shard,
-    stream_dwell_intervals,
     summarize_encounters,
 )
 from repro.core.domains import (
@@ -112,7 +110,6 @@ from repro.core.protocols import (
 from repro.core.sessions import (
     INTERACTIVE_TX,
     SessionTable,
-    UsageSession,
     session_table,
 )
 from repro.core.throughdevice import (
@@ -124,7 +121,6 @@ from repro.core.weekly import StreamingWeekly
 from repro.devicedb.database import DeviceDatabase
 from repro.logs.columns import (
     ColumnTable,
-    LazyRows,
     add_counts as _add_counts,
     distinct,
     first_seen,
@@ -1691,49 +1687,13 @@ class EncountersPartial(_PartialState):
             account_phones=self.account_phones,
         )
 
-    def consume_stream(
-        self,
-        records,
-        window: StudyWindow,
-        *,
-        shard: int = 0,
-        shards: int = 1,
-    ) -> int:
-        """Join side over a canonically ordered *full* MME stream (not
-        the account shard): its dwell intervals
-        (:func:`stream_dwell_intervals`) fed to :meth:`consume_intervals`.
-        Returns the number of encounter events found in ``shard``'s
-        sectors.
+    def consume_intervals(self, intervals, study_start: float) -> int:
+        """Join side over given dwell intervals, already routed to this
+        partial's sectors: index and join their cells.  Every subscriber
+        with an interval here joins ``seen_subscribers``.  Returns the
+        number of encounter events found.
         """
-        return self.consume_intervals(
-            stream_dwell_intervals(records, window),
-            window.study_start,
-            shard=shard,
-            shards=shards,
-        )
-
-    def consume_intervals(
-        self,
-        intervals,
-        study_start: float,
-        *,
-        shard: int = 0,
-        shards: int = 1,
-    ) -> int:
-        """Join side over given dwell intervals: index and join the cells
-        of ``shard``'s sectors (routing happens inside
-        :func:`build_cell_index`; intervals already routed to one shard
-        are fed with the default ``shards=1``).  Every subscriber with an
-        interval here joins ``seen_subscribers``.  Returns the number of
-        encounter events found.
-        """
-        index = build_cell_index(
-            intervals,
-            study_start,
-            shard=shard,
-            shards=shards,
-            seen=self.seen_subscribers,
-        )
+        index = build_cell_index(intervals, study_start, seen=self.seen_subscribers)
         return join_cells(
             index,
             pair_events=self.pair_events,
@@ -1776,7 +1736,8 @@ class PanelInputs:
     (§3.3) and the one-minute-gap sessions (§5.1) of the dataset's
     wearable traffic; both are cached here as columns
     (:attr:`attribution`, :attr:`usage`).  :attr:`attributed` and
-    :attr:`sessions` are their rows, built only when asked for.
+    :attr:`sessions` are aliases of them, kept for the benchmark's traced
+    batch replay, which takes their ``len()``, until ROADMAP item 1.
     """
 
     def __init__(
@@ -1813,15 +1774,13 @@ class PanelInputs:
         with obs.span("analyze.sessions"):
             return session_table(self.attribution)
 
-    @cached_property
-    def attributed(self) -> Sequence[AttributedRecord]:
-        """:attr:`attribution` as rows, built on first access."""
-        return LazyRows(len(self.attribution), self.attribution.records)
+    @property
+    def attributed(self) -> Attribution:
+        return self.attribution
 
-    @cached_property
-    def sessions(self) -> Sequence[UsageSession]:
-        """:attr:`usage` as rows, built on first access."""
-        return LazyRows(len(self.usage), self.usage.records)
+    @property
+    def sessions(self) -> SessionTable:
+        return self.usage
 
     def partial(self, name: str):
         """Panel ``name``'s partial, fed this whole dataset."""

@@ -9,49 +9,27 @@ minute apart").  Sessions feed Fig. 5(b) (frequency of usage), Fig. 7
 :func:`session_table` is the rule over columns: one stable lexsort of the
 attributed rows by (subscriber, app) pair, pairs in first-row order, then
 timestamp, split wherever the pair changes or the gap is at least the
-session gap, and the sessions listed stably by start.
-:func:`sessionize` is its row adapter.
+session gap, and the sessions listed stably by start.  The result,
+:class:`SessionTable`, is columns, one row per session.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.app_mapping import Attribution, AttributedRecord
+from repro.core.app_mapping import Attribution
 from repro.logs.columns import Dictionary, first_seen
 
 #: The paper's session gap.
 DEFAULT_SESSION_GAP_S = 60.0
 
-#: Transactions from which a usage counts as interactive.
+#: Transactions from which a usage counts as interactive: foreground
+#: usages carry several transactions; one- or two-transaction touches are
+#: background syncs, notifications or stray third-party beacons rather
+#: than deliberate use.
 INTERACTIVE_TX = 3
-
-
-@dataclass(frozen=True, slots=True)
-class UsageSession:
-    """One usage of one app by one subscriber."""
-
-    subscriber_id: str
-    app: str
-    start: float
-    end: float
-    tx_count: int
-    bytes_total: int
-
-    @property
-    def duration_seconds(self) -> float:
-        return self.end - self.start
-
-    @property
-    def is_interactive(self) -> bool:
-        """Foreground usages carry several transactions; one- or
-        two-transaction touches are background syncs, notifications or
-        stray third-party beacons rather than deliberate use."""
-        return self.tx_count >= INTERACTIVE_TX
 
 
 @dataclass(frozen=True)
@@ -67,20 +45,6 @@ class SessionTable:
 
     def __len__(self) -> int:
         return len(self.start)
-
-    def records(self) -> list[UsageSession]:
-        """The sessions as :class:`UsageSession` objects."""
-        return [
-            UsageSession(*row)
-            for row in zip(
-                self.subscriber.values[self.subscriber.codes].tolist(),
-                self.app.values[self.app.codes].tolist(),
-                self.start.tolist(),
-                self.end.tolist(),
-                self.tx_count.tolist(),
-                self.bytes_total.tolist(),
-            )
-        ]
 
 
 def session_table(
@@ -124,28 +88,3 @@ def session_table(
         (ends - starts)[listing],
         totals[listing],
     )
-
-
-def sessionize(
-    attributed: Sequence[AttributedRecord],
-    gap_seconds: float = DEFAULT_SESSION_GAP_S,
-) -> list[UsageSession]:
-    """:func:`session_table` over attributed rows, as :class:`UsageSession`
-    objects.  Input order does not matter beyond ties: transactions are
-    grouped per (subscriber, app) and sorted in time."""
-    return session_table(Attribution.from_records(attributed), gap_seconds).records()
-
-
-def sessions_per_subscriber_day(
-    sessions: Iterable[UsageSession],
-    study_start: float,
-) -> dict[tuple[str, int], list[UsageSession]]:
-    """Group sessions by (subscriber, study day) for daily analyses."""
-    from repro.logs.timeutil import day_index
-
-    grouped: dict[tuple[str, int], list[UsageSession]] = defaultdict(list)
-    for session in sessions:
-        grouped[(session.subscriber_id, day_index(session.start, study_start))].append(
-            session
-        )
-    return dict(grouped)

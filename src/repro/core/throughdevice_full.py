@@ -16,17 +16,18 @@ the fingerprintable through-device population:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from math import sqrt
 
+import numpy as np
+
 from repro.core.dataset import StudyDataset
-from repro.core.mobility import build_timelines
+from repro.core.mobility import dwell_entropy, dwell_intervals
+from repro.core.parallel import _daily_displacement, _general
 from repro.core.throughdevice import TD_FINGERPRINT_HOSTS
-from repro.logs.timeutil import hour_of_day
+from repro.logs.columns import distinct, first_seen, group_sum
+from repro.logs.timeutil import day_indices, hours_and_weekdays
 from repro.stats.cdf import ECDF
-from repro.stats.entropy import dwell_weighted_entropy
-from repro.stats.geo import GeoPoint, max_displacement_km
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,134 +79,118 @@ def _hourly_share(counts: list[int]) -> list[float]:
 
 
 def analyze_through_device_full(dataset: StudyDataset) -> ThroughDeviceFullResult:
-    """Run the full §6 characterisation over the detailed window."""
+    """Run the full §6 characterisation over the detailed window.
+
+    The three populations are row masks: phone traffic of subscribers
+    outside every wearable-owner account (through-device users are
+    those with a fingerprint host among it, the general users the
+    rest), and wearable traffic.  Traffic is summed per subscriber
+    dictionary entry; mobility reads the MME rows of each side through
+    :func:`~repro.core.mobility.daily_displacement` and
+    :func:`~repro.core.mobility.dwell_entropy`, and each group's means
+    are summed in the order of the subscribers' first MME rows.
+    """
     window = dataset.window
-    owner_accounts = dataset.wearable_accounts
-    fingerprints = set(TD_FINGERPRINT_HOSTS)
+    proxy, mme = dataset.proxy, dataset.mme
+    subscribers = proxy.column("subscriber_id")
+    entries = len(subscribers.values)
+    detailed = dataset.detailed_proxy_mask
+    phone = np.flatnonzero(
+        ~dataset.wearable_proxy_mask & detailed & _general(dataset, proxy)
+    )
+    wearable = np.flatnonzero(dataset.wearable_proxy_mask & detailed)
+    timestamps = proxy.column("timestamp")
+    size = proxy.column("bytes_up") + proxy.column("bytes_down")
 
     # ---------------------------------------------------------- partitions
-    td_users: set[str] = set()
-    phone_tx: dict[str, int] = defaultdict(int)
-    phone_bytes: dict[str, int] = defaultdict(int)
-    phone_daily_bytes: dict[tuple[str, int], int] = defaultdict(int)
-    sync_tx = 0
-    sync_bytes = 0
-    sync_user_days: set[tuple[str, int]] = set()
-    sync_hourly = [0] * 24
-    for record in dataset.phone_proxy:
-        if not window.in_detailed(record.timestamp):
-            continue
-        if dataset.account_of(record.subscriber_id) in owner_accounts:
-            continue
-        subscriber = record.subscriber_id
-        day = window.day_of(record.timestamp)
-        phone_tx[subscriber] += 1
-        phone_bytes[subscriber] += record.total_bytes
-        phone_daily_bytes[(subscriber, day)] += record.total_bytes
-        if record.host in fingerprints:
-            td_users.add(subscriber)
-            sync_tx += 1
-            sync_bytes += record.total_bytes
-            sync_user_days.add((subscriber, day))
-            sync_hourly[hour_of_day(record.timestamp)] += 1
-
-    if not td_users:
+    owner = subscribers.codes[phone]
+    phone_tx = np.bincount(owner, minlength=entries)
+    phone_bytes = group_sum(owner, size[phone], entries)
+    sync = phone[proxy.entry_mask("host", TD_FINGERPRINT_HOSTS.__contains__)[phone]]
+    td = np.zeros(entries, dtype=bool)
+    td[subscribers.codes[sync]] = True
+    if not td.any():
         raise ValueError("no fingerprintable through-device users in trace")
-    general_users = set(phone_tx) - td_users
+    general = (phone_tx > 0) & ~td
+    day = day_indices(timestamps, window.study_start)
+    sync_user_days = len(distinct(subscribers.codes[sync], day[sync])[0])
 
     # ------------------------------------------------------- SIM wearables
-    wearable_tx: dict[str, int] = defaultdict(int)
-    wearable_bytes: dict[str, int] = defaultdict(int)
-    wearable_hourly = [0] * 24
-    for record in dataset.wearable_proxy_detailed:
-        wearable_tx[record.subscriber_id] += 1
-        wearable_bytes[record.subscriber_id] += record.total_bytes
-        wearable_hourly[hour_of_day(record.timestamp)] += 1
+    wearable_tx = np.bincount(subscribers.codes[wearable], minlength=entries)
+    wearable_bytes = group_sum(subscribers.codes[wearable], size[wearable], entries)
 
     # ------------------------------------------------------------ mobility
-    detailed_phone_mme = [
-        r
-        for r in dataset.phone_mme
-        if window.in_detailed(r.timestamp)
-        and dataset.account_of(r.subscriber_id) not in owner_accounts
-    ]
-    phone_timelines = build_timelines(detailed_phone_mme)
-    wearable_timelines = build_timelines(
-        r for r in dataset.wearable_mme if window.in_detailed(r.timestamp)
-    )
+    detailed_mme = dataset.detailed_mme_mask
 
-    def mobility_means(
-        users: set[str], timelines
-    ) -> tuple[float, float]:
-        displacements: list[float] = []
-        entropies: list[float] = []
-        for subscriber in users:
-            timeline = timelines.get(subscriber)
-            if timeline is None:
-                continue
-            per_day: list[float] = []
-            for sectors in timeline.daily_sectors(window.study_start).values():
-                points: list[GeoPoint] = []
-                for sector in sectors:
-                    location = dataset.sector_map.get(sector)
-                    if location is not None:
-                        points.append(location)
-                per_day.append(max_displacement_km(points))
-            if per_day:
-                displacements.append(sum(per_day) / len(per_day))
-            entropies.append(
-                dwell_weighted_entropy(
-                    timeline.dwell_seconds(window.study_start)
-                )
-            )
-        mean_displacement = (
-            sum(displacements) / len(displacements) if displacements else 0.0
+    def mobility(rows: np.ndarray) -> dict[str, tuple[float, float]]:
+        """Each subscriber's mean daily displacement and dwell entropy,
+        in first-row order."""
+        names, codes, _, means = _daily_displacement(dataset, rows)
+        entropy = dwell_entropy(dwell_intervals(mme, rows, window.study_start))
+        return dict(zip(names, zip(means, entropy[codes].tolist())))
+
+    phone_mobility = mobility(
+        np.flatnonzero(
+            detailed_mme & ~dataset.wearable_mme_mask & _general(dataset, mme)
         )
-        mean_entropy = sum(entropies) / len(entropies) if entropies else 0.0
-        return mean_displacement, mean_entropy
+    )
+    wearable_mobility = mobility(
+        np.flatnonzero(detailed_mme & dataset.wearable_mme_mask)
+    )
 
     days = max(1, window.detailed_days)
 
     def group(
-        users: set[str],
-        tx: dict[str, int],
-        volume: dict[str, int],
-        timelines,
+        users: np.ndarray,
+        tx: np.ndarray,
+        volume: np.ndarray,
+        moves: dict[str, tuple[float, float]],
     ) -> GroupBehaviour:
-        if not users:
+        count = int(users.sum())
+        if not count:
             return GroupBehaviour(0, 0.0, 0.0, 0.0, 0.0)
-        displacement, entropy = mobility_means(users, timelines)
+        names = set(subscribers.values[users].tolist())
+        means = [pair for name, pair in moves.items() if name in names]
         return GroupBehaviour(
-            users=len(users),
-            mean_daily_tx=sum(tx[u] for u in users) / len(users) / days,
-            mean_daily_bytes=sum(volume[u] for u in users) / len(users) / days,
-            mean_displacement_km=displacement,
-            mean_entropy_bits=entropy,
+            users=count,
+            mean_daily_tx=int(tx[users].sum()) / count / days,
+            mean_daily_bytes=int(volume[users].sum()) / count / days,
+            mean_displacement_km=(
+                sum(m for m, _ in means) / len(means) if means else 0.0
+            ),
+            mean_entropy_bits=(
+                sum(e for _, e in means) / len(means) if means else 0.0
+            ),
         )
 
-    sim_users = set(wearable_tx)
-    td_group = group(td_users, phone_tx, phone_bytes, phone_timelines)
-    general_group = group(general_users, phone_tx, phone_bytes, phone_timelines)
-    sim_group = group(sim_users, wearable_tx, wearable_bytes, wearable_timelines)
-
-    def daily_bytes_ecdf(users: set[str]) -> ECDF:
-        values = [
-            float(total)
-            for (subscriber, _day), total in phone_daily_bytes.items()
-            if subscriber in users
-        ]
+    def daily_bytes_ecdf(users: np.ndarray) -> ECDF:
+        """Bytes of each (user, study day) of ``users``' phone traffic."""
+        rows = phone[users[subscribers.codes[phone]]]
+        keys, pair = first_seen(
+            subscribers.codes[rows].astype(np.int64) * window.total_days + day[rows]
+        )
+        values = group_sum(pair, size[rows], len(keys)).tolist()
         return ECDF(values) if values else ECDF([0.0])
 
+    sync_hourly = _hours(timestamps[sync])
     return ThroughDeviceFullResult(
-        sync_tx_per_user_day=sync_tx / max(1, len(sync_user_days)),
-        sync_bytes_per_user_day=sync_bytes / max(1, len(sync_user_days)),
+        sync_tx_per_user_day=len(sync) / max(1, sync_user_days),
+        sync_bytes_per_user_day=int(size[sync].sum()) / max(1, sync_user_days),
         sync_hourly_profile=_hourly_share(sync_hourly),
-        daily_bytes_td=daily_bytes_ecdf(td_users),
-        daily_bytes_general=daily_bytes_ecdf(general_users),
-        through_device=td_group,
-        sim_wearable=sim_group,
-        general=general_group,
+        daily_bytes_td=daily_bytes_ecdf(td),
+        daily_bytes_general=daily_bytes_ecdf(general),
+        through_device=group(td, phone_tx, phone_bytes, phone_mobility),
+        sim_wearable=group(
+            wearable_tx > 0, wearable_tx, wearable_bytes, wearable_mobility
+        ),
+        general=group(general, phone_tx, phone_bytes, phone_mobility),
         hourly_similarity_td_vs_sim=_cosine(
-            _hourly_share(sync_hourly), _hourly_share(wearable_hourly)
+            _hourly_share(sync_hourly),
+            _hourly_share(_hours(timestamps[wearable])),
         ),
     )
+
+
+def _hours(timestamps: np.ndarray) -> list[int]:
+    """Rows per UTC hour of day."""
+    return np.bincount(hours_and_weekdays(timestamps)[0], minlength=24).tolist()

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
-from typing import Iterable
 
 from repro.logs.records import MmeRecord, ProxyRecord
 
@@ -86,12 +85,6 @@ class Anonymizer:
             sector_id=record.sector_id,
             event=record.event,
         )
-
-    def proxy_records(self, records: Iterable[ProxyRecord]) -> list[ProxyRecord]:
-        return [self.proxy_record(record) for record in records]
-
-    def mme_records(self, records: Iterable[MmeRecord]) -> list[MmeRecord]:
-        return [self.mme_record(record) for record in records]
 
     def account_directory(self, directory: dict[str, str]) -> dict[str, str]:
         """Pseudonymise both sides of the billing directory."""

@@ -21,10 +21,13 @@ reads three columns pays for three.
 :meth:`ColumnTable.concat` joins tables into one (the service's replay
 buffers are both).
 
-Rows (:attr:`ColumnTable.records`) are built from the columns only for
-edge callers (validation, writers, the benchmark, tests): the analysis
-folds read columns.  Rows built from a decoded table share one string
-object per dictionary entry and one int object per distinct byte count.
+Rows (:attr:`ColumnTable.records`) are built from the columns only
+where the benchmark still asks for them (its row count and traced
+replays) and in tests: the analysis folds, trace validation and the
+extensions read columns, and a selection is a mask
+(:meth:`ColumnTable.entry_mask`, :meth:`ColumnTable.take`).  Rows built
+from a decoded table share one string object per dictionary entry and
+one int object per distinct byte count.
 
 The group-by helpers at the end (:func:`first_seen`, :func:`distinct`,
 :func:`runs`, :func:`group_sum`, :func:`add_counts`, :func:`group_ends`,
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import gc
 from functools import lru_cache
-from itertools import compress, count, islice
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -130,30 +133,6 @@ def record_maker(record_type: type) -> Callable:
     maker = namespace["make_all"]
     _MAKERS[record_type] = maker
     return maker
-
-
-class LazyRows(Sequence):
-    """A read-only row sequence whose rows are built on first access;
-    ``len`` alone builds nothing."""
-
-    def __init__(self, size: int, build: Callable[[], list]) -> None:
-        self._size = size
-        self._build = build
-        self._rows: list | None = None
-
-    def _built(self) -> list:
-        if self._rows is None:
-            self._rows = self._build()
-        return self._rows
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, index):
-        return self._built()[index]
-
-    def __iter__(self) -> Iterator:
-        return iter(self._built())
 
 
 class ColumnTable:
@@ -257,10 +236,6 @@ class ColumnTable:
             return column
         values, codes = first_seen(column)
         return Dictionary(codes, object_array(values.tolist()))
-
-    def rows_where(self, mask: np.ndarray) -> list:
-        """The records of the rows ``mask`` selects, in row order."""
-        return list(compress(self.records, mask.tolist()))
 
     def take(self, rows: np.ndarray) -> "ColumnTable":
         """A table of the rows ``rows`` selects, a mask or an index array

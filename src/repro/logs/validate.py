@@ -18,8 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.dataset import StudyDataset
 from repro.devicedb.tac import IMEI_LENGTH
+from repro.logs.columns import Dictionary
 from repro.logs.quarantine import MAX_EXAMPLES, Issue, IssueSet
 from repro.logs.timeutil import SECONDS_PER_HOUR
 
@@ -66,85 +69,109 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-#: Backwards-compatible alias; the implementation moved to
-#: :mod:`repro.logs.quarantine` so ingestion shares it.
-_IssueSet = IssueSet
-
-
 def validate_trace(dataset: StudyDataset) -> ValidationReport:
     """Validate a loaded trace; returns a report instead of raising.
+
+    Each check is a row mask over a log's columns: the IMEI, TAC,
+    billing-directory and cell-plan checks run once per dictionary entry,
+    the order and window checks over the timestamp column.  The TAC check
+    applies to well-formed IMEIs only.  Issues are listed as a row-by-row
+    pass would meet them (:func:`_record`), the proxy log's first.
 
     When the dataset was loaded leniently, the ingestion-side quarantine
     issues are folded into the report (first, in ingestion order) so one
     summary covers everything wrong with the trace.
     """
-    issues = _IssueSet()
     window = dataset.window
     directory = dataset.account_directory
-    sector_map = dataset.sector_map
     device_db = dataset.device_db
     lo = window.study_start
     hi = window.study_end + WINDOW_SLACK_S
 
-    previous = float("-inf")
-    for index, record in enumerate(dataset.proxy_records):
-        where = f"proxy[{index}]"
-        if record.timestamp < previous:
-            issues.record(
-                "proxy-order", "proxy records out of time order", where
-            )
-        previous = record.timestamp
-        if not lo <= record.timestamp < hi:
-            issues.record(
-                "proxy-window",
-                "proxy timestamp outside the declared window",
-                f"{where} ts={record.timestamp}",
-            )
-        if len(record.imei) != IMEI_LENGTH or not record.imei.isdigit():
-            issues.record(
-                "proxy-imei", "malformed IMEI in proxy log", f"{where} {record.imei!r}"
-            )
-        elif device_db.lookup_imei(record.imei) is None:
-            issues.record(
-                "proxy-tac",
-                "proxy IMEI with TAC unknown to the device database",
-                f"{where} tac={record.imei[:8]}",
-            )
-        if record.subscriber_id not in directory:
-            issues.record(
-                "proxy-subscriber",
-                "proxy subscriber missing from the billing directory",
-                f"{where} {record.subscriber_id}",
-            )
+    def malformed(imei: str) -> bool:
+        return len(imei) != IMEI_LENGTH or not imei.isdigit()
 
-    previous = float("-inf")
-    for index, record in enumerate(dataset.mme_records):
-        where = f"mme[{index}]"
-        if record.timestamp < previous:
-            issues.record("mme-order", "MME records out of time order", where)
-        previous = record.timestamp
-        if not lo <= record.timestamp < hi:
-            issues.record(
-                "mme-window",
-                "MME timestamp outside the declared window",
-                f"{where} ts={record.timestamp}",
-            )
-        if record.sector_id not in sector_map:
-            issues.record(
-                "mme-sector",
-                "MME sector missing from the cell plan",
-                f"{where} {record.sector_id}",
-            )
-        if record.subscriber_id not in directory:
-            issues.record(
-                "mme-subscriber",
-                "MME subscriber missing from the billing directory",
-                f"{where} {record.subscriber_id}",
-            )
-        if len(record.imei) != IMEI_LENGTH or not record.imei.isdigit():
-            issues.record(
-                "mme-imei", "malformed IMEI in MME log", f"{where} {record.imei!r}"
-            )
+    def unknown_tac(imei: str) -> bool:
+        return not malformed(imei) and device_db.lookup_imei(imei) is None
+
+    def absent(subscriber: str) -> bool:
+        return subscriber not in directory
+
+    def unplanned(sector: str) -> bool:
+        return sector not in dataset.sector_map
+
+    # Per log: (code, field, failing value, example format, message) for
+    # each dictionary check; ``{:.8}`` shows a string's first 8
+    # characters, the TAC.
+    issues = IssueSet()
+    for stream, name, table, checks in (
+        (
+            "proxy",
+            "proxy",
+            dataset.proxy,
+            (
+                ("imei", "imei", malformed, " {!r}", "malformed IMEI in proxy log"),
+                (
+                    "tac",
+                    "imei",
+                    unknown_tac,
+                    " tac={:.8}",
+                    "proxy IMEI with TAC unknown to the device database",
+                ),
+                (
+                    "subscriber",
+                    "subscriber_id",
+                    absent,
+                    " {}",
+                    "proxy subscriber missing from the billing directory",
+                ),
+            ),
+        ),
+        (
+            "mme",
+            "MME",
+            dataset.mme,
+            (
+                (
+                    "sector",
+                    "sector_id",
+                    unplanned,
+                    " {}",
+                    "MME sector missing from the cell plan",
+                ),
+                (
+                    "subscriber",
+                    "subscriber_id",
+                    absent,
+                    " {}",
+                    "MME subscriber missing from the billing directory",
+                ),
+                ("imei", "imei", malformed, " {!r}", "malformed IMEI in MME log"),
+            ),
+        ),
+    ):
+        timestamps = table.column("timestamp")
+        backwards = np.zeros(len(table), dtype=bool)
+        backwards[1:] = timestamps[1:] < timestamps[:-1]
+        outside = ~((lo <= timestamps) & (timestamps < hi))
+        _record(
+            issues,
+            stream,
+            [
+                ("order", f"{name} records out of time order", backwards, "", None),
+                (
+                    "window",
+                    f"{name} timestamp outside the declared window",
+                    outside,
+                    " ts={}",
+                    timestamps,
+                ),
+            ]
+            + [
+                (code, message, table.entry_mask(field, fails), form, table.column(field))
+                for code, field, fails, form, message in checks
+            ],
+        )
 
     merged: list[Issue] = []
     rows_quarantined = 0
@@ -154,8 +181,37 @@ def validate_trace(dataset: StudyDataset) -> ValidationReport:
     merged.extend(issues.to_list())
 
     return ValidationReport(
-        proxy_records=len(dataset.proxy_records),
-        mme_records=len(dataset.mme_records),
+        proxy_records=len(dataset.proxy),
+        mme_records=len(dataset.mme),
         issues=merged,
         rows_quarantined=rows_quarantined,
     )
+
+
+def _record(issues: IssueSet, stream: str, checks: list[tuple]) -> None:
+    """Add one log's ``checks`` to ``issues`` as a row-by-row pass over
+    the log would meet them: by first failing row, then check order.
+
+    Each check is (code, message, row mask, example format, the column
+    the example shows or None); its examples are its first
+    :data:`MAX_EXAMPLES` failing rows, ``<stream>[<row>]`` followed by
+    the format applied to the row's value.
+    """
+    found = []
+    for rank, (code, message, mask, form, column) in enumerate(checks):
+        rows = np.flatnonzero(mask)
+        if len(rows):
+            found.append((int(rows[0]), rank, code, message, rows, form, column))
+    for *_, code, message, rows, form, column in sorted(found, key=lambda f: f[:2]):
+        shown = rows[:MAX_EXAMPLES]
+        if column is None:
+            values = [None] * len(shown)
+        elif isinstance(column, Dictionary):
+            values = column.values[column.codes[shown]].tolist()
+        else:
+            values = column[shown].tolist()
+        examples = [
+            f"{stream}[{row}]" + form.format(value)
+            for row, value in zip(shown.tolist(), values)
+        ]
+        issues.extend(f"{stream}-{code}", message, examples, len(rows))

@@ -1,21 +1,41 @@
-"""Hand-crafted dataset builder for exact-value analysis tests."""
+"""Hand-crafted dataset builder for exact-value analysis tests.
+
+The analyses fold columns; the tests state their cases as rows.  The row
+forms of §3.3 attribution and §5.1 sessions live here
+(:class:`AttributedRecord`, :class:`UsageSession`), with the converters
+between them and the columns the panels fold: :func:`attribution_of`,
+:func:`attributed_rows`, :func:`session_table` and :func:`session_rows`,
+and over a row list :func:`attribute_rows` and :func:`sessionize`.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.core.app_mapping import Attribution
+from repro.core.app_mapping import (
+    DEFAULT_ATTRIBUTION_WINDOW_S,
+    Attribution,
+    SignatureCatalog,
+    attribute_table,
+)
 from repro.core.dataset import StudyDataset, StudyWindow
 from repro.core.parallel import PANELS, PanelInputs
 from repro.core.pipeline import WearableStudy
-from repro.core.sessions import SessionTable, UsageSession
+from repro.core.sessions import (
+    DEFAULT_SESSION_GAP_S,
+    INTERACTIVE_TX,
+    SessionTable,
+    session_table as session_kernel,
+)
 from repro.devicedb.database import DeviceDatabase, DeviceModel
 from repro.devicedb.tac import (
     DEVICE_TYPE_SMARTPHONE,
     DEVICE_TYPE_WEARABLE,
     make_imei,
 )
-from repro.logs.columns import encode_strings
+from repro.logs.columns import ColumnTable, encode_strings, object_array
 from repro.logs.io import shard_keep_predicate
 from repro.logs.records import MmeRecord, ProxyRecord
 from repro.logs.timeutil import SECONDS_PER_DAY
@@ -123,6 +143,110 @@ def make_dataset(
     )
 
 
+def wearable_rows(dataset: StudyDataset, rows) -> list:
+    """The rows of wearable IMEIs (the dataset's TAC rule, §3.2)."""
+    return [r for r in rows if dataset.is_wearable_imei(r.imei)]
+
+
+def phone_rows(dataset: StudyDataset, rows) -> list:
+    """The rows of every other IMEI."""
+    return [r for r in rows if not dataset.is_wearable_imei(r.imei)]
+
+
+@dataclass(frozen=True, slots=True)
+class AttributedRecord:
+    """A proxy record with its resolved app and domain category."""
+
+    record: ProxyRecord
+    app: str | None
+    domain_category: str
+
+
+@dataclass(frozen=True, slots=True)
+class UsageSession:
+    """One usage of one app by one subscriber."""
+
+    subscriber_id: str
+    app: str
+    start: float
+    end: float
+    tx_count: int
+    bytes_total: int
+
+    @property
+    def duration_seconds(self) -> float:
+        return self.end - self.start
+
+    @property
+    def is_interactive(self) -> bool:
+        return self.tx_count >= INTERACTIVE_TX
+
+
+def attribution_of(items: list[AttributedRecord]) -> Attribution:
+    """Hand-built attributed rows as the columns the panels fold."""
+    codes: dict[str, int] = {}
+    app = np.fromiter(
+        (
+            -1 if item.app is None else codes.setdefault(item.app, len(codes))
+            for item in items
+        ),
+        dtype=np.int32,
+        count=len(items),
+    )
+    return Attribution(
+        ColumnTable.from_records(ProxyRecord, [item.record for item in items]),
+        app,
+        object_array(list(codes)),
+        encode_strings([item.domain_category for item in items]),
+    )
+
+
+def attributed_rows(attribution: Attribution) -> list[AttributedRecord]:
+    """An attribution's rows as :class:`AttributedRecord` objects."""
+    apps = [*attribution.apps.tolist(), None]
+    categories = attribution.category.values.tolist()
+    return [
+        AttributedRecord(record, apps[app], categories[category])
+        for record, app, category in zip(
+            attribution.table.records,
+            attribution.app.tolist(),
+            attribution.category.codes.tolist(),
+        )
+    ]
+
+
+def attribute_rows(
+    records: list[ProxyRecord],
+    signatures: SignatureCatalog,
+    window_seconds: float = DEFAULT_ATTRIBUTION_WINDOW_S,
+) -> list[AttributedRecord]:
+    """:func:`~repro.core.app_mapping.attribute_table` over a row list."""
+    table = ColumnTable.from_records(ProxyRecord, list(records))
+    return attributed_rows(attribute_table(table, signatures, window_seconds))
+
+
+def session_rows(sessions: SessionTable) -> list[UsageSession]:
+    """A session table's rows as :class:`UsageSession` objects."""
+    return [
+        UsageSession(*row)
+        for row in zip(
+            sessions.subscriber.values[sessions.subscriber.codes].tolist(),
+            sessions.app.values[sessions.app.codes].tolist(),
+            sessions.start.tolist(),
+            sessions.end.tolist(),
+            sessions.tx_count.tolist(),
+            sessions.bytes_total.tolist(),
+        )
+    ]
+
+
+def sessionize(
+    attributed: list[AttributedRecord], gap_seconds: float = DEFAULT_SESSION_GAP_S
+) -> list[UsageSession]:
+    """:func:`~repro.core.sessions.session_table` over attributed rows."""
+    return session_rows(session_kernel(attribution_of(attributed), gap_seconds))
+
+
 def session_table(sessions: list[UsageSession]) -> SessionTable:
     """Hand-built sessions as the columns the panels fold, in order."""
 
@@ -148,9 +272,9 @@ def panel(name: str, dataset: StudyDataset, **inputs):
     """
     study = WearableStudy(dataset)
     if "attributed" in inputs:
-        inputs["attribution"] = Attribution.from_records(inputs["attributed"])
+        inputs["attribution"] = attribution_of(inputs.pop("attributed"))
     if "sessions" in inputs:
-        inputs["usage"] = session_table(inputs["sessions"])
+        inputs["usage"] = session_table(inputs.pop("sessions"))
     study.__dict__.update(inputs)
     return getattr(study, name)
 

@@ -31,16 +31,8 @@ from repro.logs.validate import WINDOW_SLACK_S, ValidationReport
 from repro.stats.cdf import ECDF
 from repro.stats.entropy import dwell_weighted_entropy
 from repro.stats.geo import GeoPoint, max_displacement_km
-
-
-def wearable(dataset, rows) -> list:
-    """The rows of wearable IMEIs."""
-    return [r for r in rows if dataset.is_wearable_imei(r.imei)]
-
-
-def phone(dataset, rows) -> list:
-    """The rows of every other IMEI."""
-    return [r for r in rows if not dataset.is_wearable_imei(r.imei)]
+from tests.core.helpers import phone_rows as phone
+from tests.core.helpers import wearable_rows as wearable
 
 
 def reference_validate(dataset, proxy_rows, mme_rows) -> ValidationReport:

@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.core.app_mapping import AttributedRecord
-from repro.core.sessions import sessionize
-from tests.core.helpers import day_ts, make_dataset, make_window, panel, proxy
+from tests.core.helpers import (
+    AttributedRecord,
+    day_ts,
+    make_dataset,
+    make_window,
+    panel,
+    proxy,
+    sessionize,
+)
 
 D = 14  # first detailed day
 

@@ -8,7 +8,9 @@ reference below is the row code they replaced, kept verbatim as the
 oracle the way ``tests/core/test_column_folds.py`` keeps the six
 group-bys' row folds: the bodies of the row ``consume`` methods
 (``self`` renamed ``partial``), of ``consume_classification``, and of
-``attribute_records`` and ``sessionize``.
+the row forms of attribution and sessionisation.  The references read
+the dataset's rows and split them into wearable and phone rows with its
+TAC rule where the bodies read its row partitions.
 
 A property test builds small datasets through both table producers —
 row lists, and a ``.bin`` write decoded by ``read_bin_table`` — folds
@@ -36,9 +38,8 @@ from hypothesis import strategies as st
 
 from repro.core.app_mapping import (
     CATEGORY_UNKNOWN,
-    AttributedRecord,
     SignatureCatalog,
-    attribute_records,
+    attribute_table,
 )
 from repro.core.mobility import build_timelines
 from repro.core.dataset import StudyDataset
@@ -54,7 +55,7 @@ from repro.core.parallel import (
     _sector_intervals,
 )
 from repro.core.pipeline import WearableStudy
-from repro.core.sessions import UsageSession, sessionize
+from repro.core.sessions import session_table
 from repro.core.throughdevice import TD_FINGERPRINT_HOSTS
 from repro.logs.columns import ColumnTable
 from repro.logs.records import (
@@ -70,7 +71,15 @@ from repro.logs.timeutil import SECONDS_PER_DAY
 from repro.simnet.appcatalog import builtin_app_catalog
 from repro.stats.entropy import dwell_weighted_entropy
 from repro.stats.geo import GeoPoint, max_displacement_km
-from tests.core.helpers import DEVICE_DB
+from tests.core.helpers import (
+    DEVICE_DB,
+    AttributedRecord,
+    UsageSession,
+    attributed_rows,
+    phone_rows,
+    session_rows,
+    wearable_rows,
+)
 from tests.core.test_column_folds import (
     ANCHORS,
     IMEIS,
@@ -167,11 +176,13 @@ def reference_mobility(partial, dataset):
     sector_map = dataset.sector_map
     owner_accounts = dataset.wearable_accounts
     detailed_wearable = [
-        r for r in dataset.wearable_mme if window.in_detailed(r.timestamp)
+        r
+        for r in wearable_rows(dataset, dataset.mme_records)
+        if window.in_detailed(r.timestamp)
     ]
     detailed_general = [
         r
-        for r in dataset.phone_mme
+        for r in phone_rows(dataset, dataset.mme_records)
         if window.in_detailed(r.timestamp)
         and dataset.account_of(r.subscriber_id) not in owner_accounts
     ]
@@ -210,7 +221,9 @@ def reference_mobility(partial, dataset):
 
     tx_sectors: dict[str, set[str]] = {}
     tx_hours: dict[str, set[tuple[int, int]]] = {}
-    for record in dataset.wearable_proxy_detailed:
+    for record in wearable_rows(dataset, dataset.proxy_records):
+        if not window.in_detailed(record.timestamp):
+            continue
         subscriber = record.subscriber_id
         timeline = wearable_timelines.get(subscriber)
         if timeline is None:
@@ -311,7 +324,7 @@ def reference_domains(partial, dataset, attributed, sessions):
 def reference_through_device(partial, dataset):
     window = dataset.window
     owner_accounts = dataset.wearable_accounts
-    for record in dataset.phone_proxy:
+    for record in phone_rows(dataset, dataset.proxy_records):
         if not window.in_detailed(record.timestamp):
             continue
         if dataset.account_of(record.subscriber_id) in owner_accounts:
@@ -327,7 +340,7 @@ def reference_through_device(partial, dataset):
             partial.detected_kind[subscriber] = kind
     detailed_mme = [
         r
-        for r in dataset.phone_mme
+        for r in phone_rows(dataset, dataset.mme_records)
         if window.in_detailed(r.timestamp)
         and dataset.account_of(r.subscriber_id) not in owner_accounts
     ]
@@ -387,10 +400,10 @@ def reference_classification(
     account_phones: dict[str, set[str]],
 ) -> None:
     window = dataset.window
-    for record in dataset.wearable_mme:
+    for record in wearable_rows(dataset, dataset.mme_records):
         if window.in_detailed(record.timestamp):
             wearable_subs.add(record.subscriber_id)
-    for record in dataset.phone_mme:
+    for record in phone_rows(dataset, dataset.mme_records):
         if window.in_detailed(record.timestamp):
             phone_subs.add(record.subscriber_id)
     for record in dataset.proxy_records:
@@ -541,7 +554,9 @@ def feed_columns(partials: dict, dataset) -> None:
 
 
 def feed_rows(partials: dict, dataset) -> None:
-    attributed = reference_attribute(dataset.wearable_proxy, SIGNATURES)
+    attributed = reference_attribute(
+        wearable_rows(dataset, dataset.proxy_records), SIGNATURES
+    )
     sessions = reference_sessionize(attributed)
     reference_mobility(partials["mobility"], dataset)
     reference_apps(partials["apps"], dataset, attributed, sessions)
@@ -603,12 +618,17 @@ class TestCrossRowFoldsMatchRowFolds:
     )
     @example(proxy=EQUIDISTANT, gap=60.0)
     def test_row_adapters(self, proxy, gap):
-        """``attribute_records`` and ``sessionize`` return what the row
-        bodies returned, in the same order."""
+        """``attribute_table`` and ``session_table``, read back as rows,
+        return what the row bodies returned, in the same order."""
         rows = [r for r in proxy if r.tac in DEVICE_DB.wearable_tacs()]
-        attributed = attribute_records(rows, SIGNATURES)
+        attribution = attribute_table(
+            ColumnTable.from_records(ProxyRecord, rows), SIGNATURES
+        )
+        attributed = attributed_rows(attribution)
         assert attributed == reference_attribute(rows, SIGNATURES)
-        assert sessionize(attributed, gap) == reference_sessionize(attributed, gap)
+        assert session_rows(
+            session_table(attribution, gap)
+        ) == reference_sessionize(attributed, gap)
 
 
 class TestNoRowObjects:

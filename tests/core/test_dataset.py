@@ -48,28 +48,28 @@ class TestStudyWindow:
 
 class TestPartitions:
     def test_proxy_partition_is_complete(self, small_dataset):
-        total = len(small_dataset.proxy_records)
-        assert (
-            len(small_dataset.wearable_proxy) + len(small_dataset.phone_proxy)
-            == total
-        )
+        mask = small_dataset.wearable_proxy_mask
+        assert len(mask) == len(small_dataset.proxy)
+        assert 0 < mask.sum() < len(mask)
 
     def test_wearable_proxy_tacs(self, small_dataset):
         tacs = small_dataset.wearable_tacs
-        assert all(r.tac in tacs for r in small_dataset.wearable_proxy)
-        assert all(r.tac not in tacs for r in small_dataset.phone_proxy)
+        mask = small_dataset.wearable_proxy_mask.tolist()
+        rows = small_dataset.proxy_records
+        assert all((r.tac in tacs) == wearable for r, wearable in zip(rows, mask))
 
     def test_mme_partition_is_complete(self, small_dataset):
-        total = len(small_dataset.mme_records)
-        assert (
-            len(small_dataset.wearable_mme) + len(small_dataset.phone_mme) == total
-        )
+        mask = small_dataset.wearable_mme_mask
+        assert len(mask) == len(small_dataset.mme)
+        assert 0 < mask.sum() < len(mask)
 
     def test_detailed_subset(self, small_dataset):
         window = small_dataset.window
+        mask = small_dataset.detailed_proxy_mask.tolist()
+        assert any(mask)
         assert all(
-            window.in_detailed(r.timestamp)
-            for r in small_dataset.wearable_proxy_detailed
+            window.in_detailed(r.timestamp) == detailed
+            for r, detailed in zip(small_dataset.proxy_records, mask)
         )
 
     def test_wearable_accounts_resolve(self, small_dataset):

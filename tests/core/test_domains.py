@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.app_mapping import AttributedRecord, Attribution
 from repro.core.parallel import DomainsPartial
-from repro.core.sessions import UsageSession
 from tests.core.helpers import (
+    AttributedRecord,
+    UsageSession,
+    attribution_of,
     day_ts,
     make_dataset,
     make_window,
@@ -53,7 +54,7 @@ def single_usage(sessions: list[UsageSession], min_usages: int):
     dataset = make_dataset([item.record for item in items], [], window=make_window())
     partial = DomainsPartial()
     partial.consume(
-        dataset, Attribution.from_records(items), session_table(sessions)
+        dataset, attribution_of(items), session_table(sessions)
     )
     return partial.finalize(min_usages=min_usages).per_app_usage
 

@@ -28,7 +28,7 @@ from repro.core.encounters import (
     summarize_encounters,
 )
 from repro.core.mobility import build_timelines
-from repro.core.parallel import EncountersPartial
+from repro.core.parallel import EncountersPartial, _sector_intervals
 from repro.logs.timeutil import SECONDS_PER_DAY
 from repro.stats.cdf import ECDF
 from tests.core.helpers import (
@@ -414,16 +414,18 @@ class TestShardedPartials:
     @given(events=_EVENTS, shards=st.sampled_from([2, 3, 5, 7]))
     @settings(max_examples=40, deadline=None)
     def test_sharded_union_equals_serial_join(self, events, shards):
+        """The intervals ``analyze_parallel`` routes to each shard,
+        joined per shard and merged, equal one join of the stream."""
         window = make_window()
         records = _records(events)
         serial = EncountersPartial()
-        serial.consume_stream(iter(records), window)
+        serial.consume_intervals(
+            stream_dwell_intervals(iter(records), window), window.study_start
+        )
         pieces = []
-        for shard in range(shards):
+        for intervals in _sector_intervals(make_dataset([], records), shards):
             piece = EncountersPartial()
-            piece.consume_stream(
-                iter(records), window, shard=shard, shards=shards
-            )
+            piece.consume_intervals(intervals, window.study_start)
             pieces.append(piece)
         # Events are disjoint across shards: per-shard event counts sum
         # to the serial total with nothing double-counted.
@@ -442,16 +444,14 @@ class TestShardedPartials:
     @settings(max_examples=25, deadline=None)
     def test_merge_order_is_immaterial(self, events, seed):
         window = make_window()
-        records = _records(events)
         shards = 4
+        routed = _sector_intervals(make_dataset([], _records(events)), shards)
 
         def build(order):
             pieces = []
             for shard in order:
                 piece = EncountersPartial()
-                piece.consume_stream(
-                    iter(records), window, shard=shard, shards=shards
-                )
+                piece.consume_intervals(routed[shard], window.study_start)
                 pieces.append(piece)
             merged = pieces[0]
             for piece in pieces[1:]:
@@ -545,16 +545,14 @@ class TestAnalyzeEncounters:
         assert result.fully_explained_fraction == pytest.approx(1.0)
 
     def test_matches_streaming_partial(self, result):
-        """Three sector-routed stream joins, merged, equal the study's
-        single-pass join."""
+        """Three sector-routed joins (``_sector_intervals``), merged,
+        equal the study's single-pass join."""
         dataset = two_household_dataset()
         merged = EncountersPartial()
         merged.consume(dataset)
-        for shard in range(3):
+        for intervals in _sector_intervals(dataset, 3):
             partial = EncountersPartial()
-            partial.consume_stream(
-                iter(dataset.mme_records), dataset.window, shard=shard, shards=3
-            )
+            partial.consume_intervals(intervals, dataset.window.study_start)
             merged.merge(partial)
         assert merged.finalize() == result
 

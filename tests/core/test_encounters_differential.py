@@ -15,7 +15,12 @@ This module covers the remaining acceptance axes:
 import pytest
 
 from repro.core.dataset import StudyDataset
-from repro.core.parallel import EncountersPartial, analyze_parallel
+from repro.core.encounters import stream_dwell_intervals
+from repro.core.parallel import (
+    EncountersPartial,
+    _sector_intervals,
+    analyze_parallel,
+)
 
 BIN_MATRIX = [(1, 1), (4, 1), (7, 4)]
 
@@ -74,7 +79,10 @@ class TestPairSetSharding:
     @pytest.fixture(scope="class")
     def serial(self, dataset):
         partial = EncountersPartial()
-        partial.consume_stream(iter(dataset.mme_records), dataset.window)
+        partial.consume_intervals(
+            stream_dwell_intervals(iter(dataset.mme_records), dataset.window),
+            dataset.window.study_start,
+        )
         return partial
 
     @pytest.mark.parametrize("shards", [2, 4, 7])
@@ -82,14 +90,9 @@ class TestPairSetSharding:
         self, dataset, serial, shards
     ):
         pieces = []
-        for shard in range(shards):
+        for intervals in _sector_intervals(dataset, shards):
             piece = EncountersPartial()
-            piece.consume_stream(
-                iter(dataset.mme_records),
-                dataset.window,
-                shard=shard,
-                shards=shards,
-            )
+            piece.consume_intervals(intervals, dataset.window.study_start)
             pieces.append(piece)
         # Order-normalized pair sets: each encounter pair is an
         # unordered edge; normalize before comparing across assembly

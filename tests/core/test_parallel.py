@@ -308,9 +308,11 @@ class TestExactSumProperty:
 
     def test_sharded_byte_total_equals_fsum(self, parallel_runs, small_dataset):
         run = parallel_runs[(7, 1)].report
-        values = [
-            float(r.total_bytes) for r in small_dataset.wearable_proxy_detailed
-        ]
+        proxy = small_dataset.proxy
+        rows = small_dataset.wearable_proxy_mask & small_dataset.detailed_proxy_mask
+        values = (
+            proxy.column("bytes_up")[rows] + proxy.column("bytes_down")[rows]
+        ).astype(float).tolist()
         expected = math.fsum(values)
         assert run.activity.mean_tx_bytes * len(values) == pytest.approx(
             expected, rel=1e-12

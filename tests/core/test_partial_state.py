@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro.core.encounters import stream_dwell_intervals
 from repro.core.parallel import (
     ActivityPartial,
     AdoptionPartial,
@@ -59,8 +60,10 @@ def computed(small_dataset):
     # The encounter join side is fed separately from the full MME stream
     # (see _analyze_shard); include it so the pair-keyed accumulators
     # (tuple dict keys) exercise the state codec too.
-    partials.encounters.consume_stream(
-        iter(small_dataset.mme_records), small_dataset.window
+    window = small_dataset.window
+    partials.encounters.consume_intervals(
+        stream_dwell_intervals(iter(small_dataset.mme_records), window),
+        window.study_start,
     )
     return partials
 

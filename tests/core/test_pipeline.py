@@ -17,8 +17,10 @@ class TestWearableStudy:
 
     def test_results_are_cached(self, small_study):
         assert small_study.adoption is small_study.adoption
-        assert small_study.attributed is small_study.attributed
-        assert small_study.sessions is small_study.sessions
+        assert small_study.attribution is small_study.attribution
+        assert small_study.usage is small_study.usage
+        assert small_study.attributed is small_study.attribution
+        assert small_study.sessions is small_study.usage
 
     def test_report_fields_match_properties(self, small_study):
         report = small_study.run_all()
@@ -26,16 +28,11 @@ class TestWearableStudy:
         assert report.mobility is small_study.mobility
 
     def test_attribution_covers_most_wearable_traffic(self, small_study):
-        from repro.core.app_mapping import attribution_coverage
-
-        assert attribution_coverage(small_study.attributed) > 0.85
+        assert (small_study.attribution.app >= 0).mean() > 0.85
 
     def test_sessions_cover_attributed_transactions(self, small_study):
-        attributed_with_app = sum(
-            1 for item in small_study.attributed if item.app is not None
-        )
-        session_tx = sum(s.tx_count for s in small_study.sessions)
-        assert session_tx == attributed_with_app
+        attributed_with_app = int((small_study.attribution.app >= 0).sum())
+        assert int(small_study.usage.tx_count.sum()) == attributed_with_app
 
     def test_app_categories_cover_catalog(self, small_study):
         from repro.simnet.appcatalog import APP_CATEGORIES

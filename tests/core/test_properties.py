@@ -9,16 +9,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.app_mapping import AttributedRecord
-from repro.core.sessions import sessionize
 from tests.core.helpers import (
     WATCH_IMEI,
+    AttributedRecord,
     day_ts,
     make_dataset,
     make_window,
     mme,
     panel,
     proxy,
+    sessionize,
 )
 
 SUBSCRIBERS = ("alice", "bob", "carol", "dave")

@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.core.app_mapping import AttributedRecord
 from repro.logs.records import ProxyRecord
-from tests.core.helpers import WATCH_IMEI, day_ts, make_dataset, make_window, panel
+from tests.core.helpers import (
+    WATCH_IMEI,
+    AttributedRecord,
+    day_ts,
+    make_dataset,
+    make_window,
+    panel,
+)
 
 D = 14
 

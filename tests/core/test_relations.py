@@ -42,7 +42,7 @@ from repro.core.app_mapping import SignatureCatalog
 from repro.core.dataset import StudyDataset
 from repro.core.parallel import PanelInputs, analyze_parallel
 from repro.core.pipeline import WearableStudy
-from repro.core.sessions import sessionize
+from repro.core.sessions import session_table
 from repro.devicedb.tac import make_imei, tac_of
 from repro.logs.binfmt import write_bin_rows
 from repro.logs.records import (
@@ -272,10 +272,10 @@ class TestSessionGap:
             if shards == 1
             else [small_dataset.shard(k, shards) for k in range(shards)]
         )
-        attributed = [PanelInputs(part).attributed for part in parts]
+        attributed = [PanelInputs(part).attribution for part in parts]
 
         def sessions(gap: float) -> int:
-            return sum(len(sessionize(items, gap)) for items in attributed)
+            return sum(len(session_table(items, gap)) for items in attributed)
 
         assert sessions(high) <= sessions(low)
 

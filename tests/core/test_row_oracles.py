@@ -14,22 +14,37 @@ and subscriber-days with a single event.  It requires an equal
 :class:`~repro.core.cohorts.CohortResult` (or the same error), and for
 the through-device analysis equal counts and float means within 1e-9
 relative: the row body sums its per-user means in set order.
+
+Two more tests pin what the columns bought.  Over the small preset
+written as ``.bin`` and loaded strictly or leniently, a batch run,
+validation and the two extensions build no row object; and the full
+through-device analysis gives the same bits under any ``PYTHONHASHSEED``,
+which the row body, summing over sets, did not.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cohorts import analyze_cohorts
+from repro.core.dataset import StudyDataset
+from repro.core.pipeline import WearableStudy
 from repro.core.throughdevice import TD_FINGERPRINT_HOSTS
 from repro.core.throughdevice_full import analyze_through_device_full
 from repro.devicedb.tac import make_imei
+from repro.logs import binfmt
+from repro.logs.columns import ColumnTable
 from repro.logs.records import EVENT_ATTACH, EVENT_HANDOVER, MmeRecord, ProxyRecord
 from repro.logs.validate import validate_trace
 from tests.core.helpers import PHONE_IMEI, WATCH_IMEI
@@ -182,3 +197,77 @@ class TestColumnsMatchRowBodies:
                 outcome(analyze_through_device_full, dataset),
                 outcome(reference_through_device_full, dataset, proxy, mme),
             )
+
+
+@pytest.fixture(scope="module")
+def bin_trace(small_output, tmp_path_factory):
+    path = tmp_path_factory.mktemp("row-oracles")
+    small_output.write(path, format="bin")
+    return path
+
+
+class TestNoRowObjects:
+    """Over a ``.bin`` trace, loaded strictly or leniently, the batch
+    callers never build a proxy or MME row."""
+
+    CALLS = {
+        "run_all": lambda dataset: WearableStudy(dataset).run_all().apps.per_app,
+        "validate_trace": lambda dataset: validate_trace(dataset).ok,
+        "analyze_cohorts": lambda dataset: analyze_cohorts(dataset).total_users,
+        "analyze_through_device_full": lambda dataset: (
+            analyze_through_device_full(dataset).through_device.users
+        ),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_builds_no_row(self, bin_trace, lenient, call):
+        refuse = AssertionError("rows built")
+        with patch.object(
+            ColumnTable, "_record_chunks", side_effect=refuse
+        ), patch.object(binfmt, "record_maker", side_effect=refuse):
+            dataset = StudyDataset.load(bin_trace, lenient=lenient, format="bin")
+            assert self.CALLS[call](dataset)
+
+
+#: Prints the full through-device analysis of a trace, floats as
+#: ``float.hex``.
+HEXED = """
+import dataclasses, json, sys
+from repro.core.dataset import StudyDataset
+from repro.core.throughdevice_full import analyze_through_device_full
+from repro.stats.cdf import ECDF
+
+def hexed(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, ECDF):
+        value = value.sample
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        return {name: hexed(item) for name, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hexed(item) for item in value]
+    return value
+
+dataset = StudyDataset.load(sys.argv[1], format="bin")
+print(json.dumps(hexed(analyze_through_device_full(dataset))))
+"""
+
+
+class TestHashSeed:
+    def test_same_bits_under_every_hash_seed(self, bin_trace):
+        """Fresh interpreters under ``PYTHONHASHSEED`` 0-3 print the same
+        ``float.hex`` for every field."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = {
+            seed: subprocess.run(
+                [sys.executable, "-c", HEXED, str(bin_trace)],
+                env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in range(4)
+        }
+        assert len(set(outputs.values())) == 1, outputs

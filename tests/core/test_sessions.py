@@ -1,16 +1,17 @@
-"""Unit and property tests for one-minute-gap sessionisation (§5.1)."""
+"""Unit and property tests for one-minute-gap sessionisation (§5.1).
+
+Each case is stated as attributed rows and run through
+:func:`~repro.core.sessions.session_table`, read back as rows
+(``tests.core.helpers.sessionize``).
+"""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.app_mapping import AttributedRecord
-from repro.core.sessions import (
-    DEFAULT_SESSION_GAP_S,
-    sessionize,
-    sessions_per_subscriber_day,
-)
+from repro.core.sessions import DEFAULT_SESSION_GAP_S
 from repro.logs.records import ProxyRecord
+from tests.core.helpers import AttributedRecord, sessionize
 
 
 def attributed(
@@ -128,15 +129,3 @@ class TestSessionizeProperties:
         wide = len(sessionize(items, gap_seconds=gap * 2))
         assert narrow >= wide
 
-
-class TestGrouping:
-    def test_sessions_per_subscriber_day(self):
-        from repro.logs.timeutil import SECONDS_PER_DAY
-
-        items = [
-            attributed(10.0, subscriber="a"),
-            attributed(SECONDS_PER_DAY + 10.0, subscriber="a"),
-            attributed(20.0, subscriber="b"),
-        ]
-        grouped = sessions_per_subscriber_day(sessionize(items), study_start=0.0)
-        assert set(grouped) == {("a", 0), ("a", 1), ("b", 0)}

@@ -118,8 +118,10 @@ class TestAnalysesSurviveAnonymization:
             StudyDataset.from_simulation(small_output)
         ).run_all()
         anonymized_dataset = StudyDataset(
-            proxy_records=anonymizer.proxy_records(small_output.proxy_records),
-            mme_records=anonymizer.mme_records(small_output.mme_records),
+            proxy_records=[
+                anonymizer.proxy_record(r) for r in small_output.proxy_records
+            ],
+            mme_records=[anonymizer.mme_record(r) for r in small_output.mme_records],
             device_db=small_output.device_db,
             sector_map=small_output.sector_map,
             account_directory=anonymizer.account_directory(

@@ -64,7 +64,8 @@ def test_pipeline_completes_with_sane_outputs(config):
 
     # Wearable traffic can legitimately be empty at extreme configs;
     # activity analysis must either succeed or fail cleanly.
-    if study.dataset.wearable_proxy_detailed:
+    dataset = study.dataset
+    if (dataset.wearable_proxy_mask & dataset.detailed_proxy_mask).any():
         activity = study.activity
         assert activity.median_tx_bytes > 0
         assert 0.0 <= activity.fraction_tx_under_10kb <= 1.0

@@ -7,7 +7,7 @@ PYTEST = PYTHONPATH=src $(PY) -m pytest
 .PHONY: test coverage chaos soak soak-tests bench bench-perf \
     bench-perf-check bench-gate trace obs-smoke analyze-smoke \
     encounters-smoke convert-smoke serve-smoke prof-smoke perfbench-selftest \
-    clean
+    examples-smoke clean
 
 # Chaos-soak knobs (override on the command line: make soak EPISODES=10).
 EPISODES ?= 25
@@ -288,6 +288,19 @@ prof-smoke:
 perfbench-selftest:
 	$(PY) perfbench/selftest.py
 
+## Examples smoke: run every script in examples/ with its default
+## arguments and fail if any exits non-zero.  Each script's stdout lands
+## in examples-smoke/ (gitignored); the traces the scripts export to a
+## temporary directory go to examples-smoke/tmp/, removed on success.
+examples-smoke:
+	rm -rf examples-smoke && mkdir -p examples-smoke/tmp
+	for example in examples/*.py; do \
+	    echo "examples-smoke: $$example"; \
+	    TMPDIR=$$PWD/examples-smoke/tmp PYTHONPATH=src $(PY) $$example \
+	        > examples-smoke/$$(basename $$example .py).out || exit 1; \
+	done
+	rm -rf examples-smoke/tmp
+
 ## Example end-to-end trace (sharded run, per-shard timings on stderr).
 trace:
 	PYTHONPATH=src $(PY) -m repro simulate --scale medium --seed 7 \
@@ -295,5 +308,5 @@ trace:
 
 clean:
 	rm -rf trace/ obs-smoke/ analyze-smoke/ encounters-smoke/ convert-smoke/ serve-smoke/ \
-	    prof-smoke/ soak-run/ .pytest_cache
+	    prof-smoke/ examples-smoke/ soak-run/ .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -69,6 +69,22 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+#: Each log's checks of one value per dictionary entry, in the order a
+#: row is checked after its order and window checks: (code, message).
+VALUE_CHECKS = {
+    "proxy": (
+        ("imei", "malformed IMEI in proxy log"),
+        ("tac", "proxy IMEI with TAC unknown to the device database"),
+        ("subscriber", "proxy subscriber missing from the billing directory"),
+    ),
+    "mme": (
+        ("sector", "MME sector missing from the cell plan"),
+        ("subscriber", "MME subscriber missing from the billing directory"),
+        ("imei", "malformed IMEI in MME log"),
+    ),
+}
+
+
 def validate_trace(dataset: StudyDataset) -> ValidationReport:
     """Validate a loaded trace; returns a report instead of raising.
 
@@ -94,84 +110,40 @@ def validate_trace(dataset: StudyDataset) -> ValidationReport:
     def unknown_tac(imei: str) -> bool:
         return not malformed(imei) and device_db.lookup_imei(imei) is None
 
-    def absent(subscriber: str) -> bool:
-        return subscriber not in directory
-
-    def unplanned(sector: str) -> bool:
-        return sector not in dataset.sector_map
-
-    # Per log: (code, field, failing value, example format, message) for
-    # each dictionary check; ``{:.8}`` shows a string's first 8
-    # characters, the TAC.
+    # code -> (field, whether a value fails, example format); ``{:.8}``
+    # shows a string's first 8 characters, the TAC.
+    value_checks = {
+        "imei": ("imei", malformed, " {!r}"),
+        "tac": ("imei", unknown_tac, " tac={:.8}"),
+        "subscriber": ("subscriber_id", lambda s: s not in directory, " {}"),
+        "sector": ("sector_id", lambda s: s not in dataset.sector_map, " {}"),
+    }
     issues = IssueSet()
-    for stream, name, table, checks in (
-        (
-            "proxy",
-            "proxy",
-            dataset.proxy,
-            (
-                ("imei", "imei", malformed, " {!r}", "malformed IMEI in proxy log"),
-                (
-                    "tac",
-                    "imei",
-                    unknown_tac,
-                    " tac={:.8}",
-                    "proxy IMEI with TAC unknown to the device database",
-                ),
-                (
-                    "subscriber",
-                    "subscriber_id",
-                    absent,
-                    " {}",
-                    "proxy subscriber missing from the billing directory",
-                ),
-            ),
-        ),
-        (
-            "mme",
-            "MME",
-            dataset.mme,
-            (
-                (
-                    "sector",
-                    "sector_id",
-                    unplanned,
-                    " {}",
-                    "MME sector missing from the cell plan",
-                ),
-                (
-                    "subscriber",
-                    "subscriber_id",
-                    absent,
-                    " {}",
-                    "MME subscriber missing from the billing directory",
-                ),
-                ("imei", "imei", malformed, " {!r}", "malformed IMEI in MME log"),
-            ),
-        ),
+    for stream, name, table in (
+        ("proxy", "proxy", dataset.proxy),
+        ("mme", "MME", dataset.mme),
     ):
         timestamps = table.column("timestamp")
         backwards = np.zeros(len(table), dtype=bool)
         backwards[1:] = timestamps[1:] < timestamps[:-1]
         outside = ~((lo <= timestamps) & (timestamps < hi))
-        _record(
-            issues,
-            stream,
-            [
-                ("order", f"{name} records out of time order", backwards, "", None),
-                (
-                    "window",
-                    f"{name} timestamp outside the declared window",
-                    outside,
-                    " ts={}",
-                    timestamps,
-                ),
-            ]
-            + [
-                (code, message, table.entry_mask(field, fails), form, table.column(field))
-                for code, field, fails, form, message in checks
-            ],
-        )
+        checks = [
+            ("order", f"{name} records out of time order", backwards, "", None),
+            (
+                "window",
+                f"{name} timestamp outside the declared window",
+                outside,
+                " ts={}",
+                timestamps,
+            ),
+        ]
+        for code, message in VALUE_CHECKS[stream]:
+            field, fails, form = value_checks[code]
+            column = table.column(field)
+            checks.append(
+                (code, message, table.entry_mask(field, fails), form, column)
+            )
+        _record(issues, stream, checks)
 
     merged: list[Issue] = []
     rows_quarantined = 0

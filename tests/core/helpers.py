@@ -174,10 +174,6 @@ class UsageSession:
     bytes_total: int
 
     @property
-    def duration_seconds(self) -> float:
-        return self.end - self.start
-
-    @property
     def is_interactive(self) -> bool:
         return self.tx_count >= INTERACTIVE_TX
 

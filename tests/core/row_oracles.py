@@ -31,8 +31,7 @@ from repro.logs.validate import WINDOW_SLACK_S, ValidationReport
 from repro.stats.cdf import ECDF
 from repro.stats.entropy import dwell_weighted_entropy
 from repro.stats.geo import GeoPoint, max_displacement_km
-from tests.core.helpers import phone_rows as phone
-from tests.core.helpers import wearable_rows as wearable
+from tests.core.helpers import phone_rows, wearable_rows
 
 
 def reference_validate(dataset, proxy_rows, mme_rows) -> ValidationReport:
@@ -128,7 +127,7 @@ def reference_cohorts(dataset, mme_rows, max_offset_weeks=None) -> CohortResult:
         max_offset_weeks = total_weeks - 1
 
     user_weeks: dict[str, set[int]] = defaultdict(set)
-    for record in wearable(dataset, mme_rows):
+    for record in wearable_rows(dataset, mme_rows):
         day = window.day_of(record.timestamp)
         if not 0 <= day < total_weeks * 7:
             continue
@@ -204,7 +203,7 @@ def reference_through_device_full(
     sync_bytes = 0
     sync_user_days: set[tuple[str, int]] = set()
     sync_hourly = [0] * 24
-    for record in phone(dataset, proxy_rows):
+    for record in phone_rows(dataset, proxy_rows):
         if not window.in_detailed(record.timestamp):
             continue
         if dataset.account_of(record.subscriber_id) in owner_accounts:
@@ -229,7 +228,7 @@ def reference_through_device_full(
     wearable_tx: dict[str, int] = defaultdict(int)
     wearable_bytes: dict[str, int] = defaultdict(int)
     wearable_hourly = [0] * 24
-    for record in wearable(dataset, proxy_rows):
+    for record in wearable_rows(dataset, proxy_rows):
         if not window.in_detailed(record.timestamp):
             continue
         wearable_tx[record.subscriber_id] += 1
@@ -239,13 +238,13 @@ def reference_through_device_full(
     # ------------------------------------------------------------ mobility
     detailed_phone_mme = [
         r
-        for r in phone(dataset, mme_rows)
+        for r in phone_rows(dataset, mme_rows)
         if window.in_detailed(r.timestamp)
         and dataset.account_of(r.subscriber_id) not in owner_accounts
     ]
     phone_timelines = build_timelines(detailed_phone_mme)
     wearable_timelines = build_timelines(
-        r for r in wearable(dataset, mme_rows) if window.in_detailed(r.timestamp)
+        r for r in wearable_rows(dataset, mme_rows) if window.in_detailed(r.timestamp)
     )
 
     def mobility_means(

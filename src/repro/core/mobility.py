@@ -20,8 +20,7 @@ events stably by timestamp, as :class:`SectorTimeline` sorts them),
 rule to it, :func:`dwell_entropy` and :func:`daily_displacement` reduce
 it per subscriber, and :func:`sector_at` is one ``searchsorted`` per
 looked-up row.  :class:`SectorTimeline` and :func:`build_timelines`,
-the row form, are kept for the benchmark's traced batch replay until
-ROADMAP item 1.
+the row form, are kept only for the benchmark's traced batch replay.
 """
 
 from __future__ import annotations

@@ -1736,8 +1736,8 @@ class PanelInputs:
     (§3.3) and the one-minute-gap sessions (§5.1) of the dataset's
     wearable traffic; both are cached here as columns
     (:attr:`attribution`, :attr:`usage`).  :attr:`attributed` and
-    :attr:`sessions` are aliases of them, kept for the benchmark's traced
-    batch replay, which takes their ``len()``, until ROADMAP item 1.
+    :attr:`sessions` are aliases of them, kept only for the benchmark's
+    traced batch replay, which takes their ``len()``.
     """
 
     def __init__(

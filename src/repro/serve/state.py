@@ -127,8 +127,8 @@ class ReplayBuffer:
         return len(self._table) + sum(map(len, self._slices))
 
     def __iter__(self):
-        """The rows as records, built from the table: the benchmark's
-        traced serve probe only, until ROADMAP item 1."""
+        """The rows as records, built from the table (only the
+        benchmark's traced serve probe reads them)."""
         return iter(self.table().records)
 
 

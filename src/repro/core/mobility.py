@@ -26,14 +26,18 @@ the row form, are kept only for the benchmark's traced batch replay.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import fsum
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.core.dataset import StudyDataset
+from repro.core.folds import _PartialState, _disjoint_update, _general, _int_add
 from repro.logs.columns import (
     ColumnTable,
     Dictionary,
+    add_counts as _add_counts,
     distinct,
     first_seen,
     group_searchsorted,
@@ -43,7 +47,7 @@ from repro.logs.records import MmeRecord
 from repro.logs.timeutil import SECONDS_PER_DAY, day_indices
 from repro.simnet.topology import SectorMap
 from repro.stats.cdf import ECDF
-from repro.stats.correlation import BinnedTrend
+from repro.stats.correlation import BinnedTrend, binned_means, pearson
 from repro.stats.entropy import entropy_bits
 from repro.stats.geo import haversine_km
 
@@ -312,3 +316,198 @@ class MobilityResult:
     #: Fig. 4(d): mean tx-per-active-hour binned by daily displacement.
     displacement_vs_tx_rate: list[BinnedTrend]
     displacement_tx_correlation: float
+
+
+def _entry_codes(names: np.ndarray, dictionary) -> np.ndarray:
+    """The code of each of ``names`` in ``dictionary``; -1 where absent."""
+    codes = {name: code for code, name in enumerate(dictionary.values.tolist())}
+    return np.fromiter(
+        (codes.get(name, -1) for name in names.tolist()),
+        dtype=np.int64,
+        count=len(names),
+    )
+
+
+def _daily_displacement(
+    dataset: StudyDataset, rows: np.ndarray
+) -> tuple[list[str], np.ndarray, list[float], list[float]]:
+    """Per subscriber of MME ``rows``, in first-row order: names,
+    dictionary codes, every subscriber-day's max displacement (days in
+    order) and the mean over days, summed in day order."""
+    subscribers = dataset.mme.column("subscriber_id")
+    codes, _ = first_seen(subscribers.codes[rows])
+    owner, displacement = daily_displacement(
+        dataset.mme, rows, dataset.window.study_start, dataset.sector_map
+    )
+    entries = len(subscribers.values)
+    rank = np.zeros(entries, dtype=np.int64)
+    rank[codes] = np.arange(len(codes))
+    days = displacement[np.argsort(rank[owner], kind="stable")].tolist()
+    means = np.bincount(owner, weights=displacement, minlength=entries)[
+        codes
+    ] / np.bincount(owner, minlength=entries)[codes]
+    return subscribers.values[codes].tolist(), codes, days, means.tolist()
+
+
+@dataclass
+class MobilityPartial(_PartialState):
+    """§4.4 mobility, reduced per subscriber inside the shard.
+
+    Timelines never leave the shard: each shard keeps per-subscriber
+    displacement means, entropies and transaction-join summaries —
+    all subscriber-keyed, hence disjoint across shards.
+    """
+
+    wearable_days: list[float] = field(default_factory=list)
+    general_days: list[float] = field(default_factory=list)
+    wearable_user_mean: dict[str, float] = field(default_factory=dict)
+    general_user_mean: dict[str, float] = field(default_factory=dict)
+    wearable_entropy: dict[str, float] = field(default_factory=dict)
+    general_entropy: dict[str, float] = field(default_factory=dict)
+    tx_sector_count: dict[str, int] = field(default_factory=dict)
+    tx_counts: dict[str, int] = field(default_factory=dict)
+    tx_hour_count: dict[str, int] = field(default_factory=dict)
+
+    def consume(self, dataset: StudyDataset) -> None:
+        mme = dataset.mme
+        window = dataset.window
+        detailed = dataset.detailed_mme_mask
+        wearable = np.flatnonzero(detailed & dataset.wearable_mme_mask)
+        general = np.flatnonzero(
+            detailed & ~dataset.wearable_mme_mask & _general(dataset, mme)
+        )
+        for rows, days_out, mean_out, entropy_out in (
+            (
+                wearable,
+                self.wearable_days,
+                self.wearable_user_mean,
+                self.wearable_entropy,
+            ),
+            (general, self.general_days, self.general_user_mean, self.general_entropy),
+        ):
+            names, codes, days, means = _daily_displacement(dataset, rows)
+            days_out.extend(days)
+            mean_out.update(zip(names, means))
+            entropy = dwell_entropy(dwell_intervals(mme, rows, window.study_start))
+            entropy_out.update(zip(names, entropy[codes].tolist()))
+
+        # Each detailed wearable transaction of a subscriber with a
+        # timeline, joined onto that timeline.  A subscriber absent from
+        # the MME dictionary has code -1, which reads the padding entry.
+        proxy = dataset.proxy
+        subscribers = proxy.column("subscriber_id")
+        timeline_code = _entry_codes(subscribers.values, mme.column("subscriber_id"))
+        has_timeline = np.zeros(len(mme.column("subscriber_id").values) + 1, bool)
+        has_timeline[mme.column("subscriber_id").codes[wearable]] = True
+        rows = np.flatnonzero(
+            dataset.wearable_proxy_mask
+            & dataset.detailed_proxy_mask
+            & has_timeline[timeline_code][subscribers.codes]
+        )
+        at = proxy.column("timestamp")[rows]
+        sector = sector_at(
+            mme,
+            timeline_rows(mme, wearable),
+            timeline_code[subscribers.codes[rows]],
+            at,
+        )
+        keys, group = first_seen(subscribers.codes[rows])
+        names = subscribers.values[keys].tolist()
+        located = sector >= 0
+        sectors = distinct(group[located], sector[located])[0]
+        offset = at - window.study_start
+        hours = distinct(
+            group,
+            day_indices(at, window.study_start),
+            np.floor_divide(np.remainder(offset, SECONDS_PER_DAY), 3600).astype(
+                np.int64
+            ),
+        )[0]
+        _add_counts(self.tx_counts, names, np.bincount(group, minlength=len(names)))
+        self.tx_sector_count.update(
+            zip(names, np.bincount(sectors, minlength=len(names)).tolist())
+        )
+        self.tx_hour_count.update(
+            zip(names, np.bincount(hours, minlength=len(names)).tolist())
+        )
+
+    def merge(self, other: "MobilityPartial") -> None:
+        self.wearable_days.extend(other.wearable_days)
+        self.general_days.extend(other.general_days)
+        _disjoint_update(self.wearable_user_mean, other.wearable_user_mean)
+        _disjoint_update(self.general_user_mean, other.general_user_mean)
+        _disjoint_update(self.wearable_entropy, other.wearable_entropy)
+        _disjoint_update(self.general_entropy, other.general_entropy)
+        _disjoint_update(self.tx_sector_count, other.tx_sector_count)
+        _int_add(self.tx_counts, other.tx_counts)
+        _disjoint_update(self.tx_hour_count, other.tx_hour_count)
+
+    def finalize(self) -> MobilityResult:
+        if not self.wearable_entropy or not self.general_entropy:
+            raise ValueError(
+                "need MME events for both wearable and general users"
+            )
+        wearable_user_values = [
+            self.wearable_user_mean[s] for s in sorted(self.wearable_user_mean)
+        ]
+        general_user_values = [
+            self.general_user_mean[s] for s in sorted(self.general_user_mean)
+        ]
+        mean_wearable_user = sum(wearable_user_values) / len(
+            wearable_user_values
+        )
+        mean_general_user = sum(general_user_values) / len(
+            general_user_values
+        )
+        wearable_entropy = [
+            self.wearable_entropy[s] for s in sorted(self.wearable_entropy)
+        ]
+        general_entropy = [
+            self.general_entropy[s] for s in sorted(self.general_entropy)
+        ]
+        mean_entropy_wearable = sum(wearable_entropy) / len(wearable_entropy)
+        mean_entropy_general = sum(general_entropy) / len(general_entropy)
+
+        data_users = [
+            s for s in sorted(self.tx_sector_count) if self.tx_sector_count[s]
+        ]
+        single = [s for s in data_users if self.tx_sector_count[s] == 1]
+        single_fraction = len(single) / len(data_users) if data_users else 0.0
+
+        xs: list[float] = []
+        ys: list[float] = []
+        for subscriber in data_users:
+            displacement = self.wearable_user_mean.get(subscriber)
+            if displacement is None:
+                continue
+            xs.append(displacement)
+            ys.append(
+                self.tx_counts[subscriber]
+                / max(1, self.tx_hour_count.get(subscriber, 0))
+            )
+        trend = binned_means(xs, ys, bins=8) if xs else []
+        correlation = pearson(xs, ys) if len(xs) >= 2 else 0.0
+
+        under_30 = sum(1 for v in wearable_user_values if v < 30.0)
+        return MobilityResult(
+            wearable_daily_displacement=ECDF(self.wearable_days),
+            general_daily_displacement=ECDF(self.general_days),
+            wearable_user_displacement=ECDF(wearable_user_values),
+            general_user_displacement=ECDF(general_user_values),
+            mean_user_displacement_wearable_km=mean_wearable_user,
+            mean_user_displacement_general_km=mean_general_user,
+            # ``wearable_days`` arrives in shard order: fsum makes the
+            # mean independent of it.
+            mean_daily_displacement_wearable_km=fsum(self.wearable_days)
+            / len(self.wearable_days),
+            fraction_users_under_30km=under_30 / len(wearable_user_values),
+            mean_entropy_wearable_bits=mean_entropy_wearable,
+            mean_entropy_general_bits=mean_entropy_general,
+            entropy_excess_percent=100.0
+            * (mean_entropy_wearable / mean_entropy_general - 1.0)
+            if mean_entropy_general > 0
+            else 0.0,
+            single_tx_location_fraction=single_fraction,
+            displacement_vs_tx_rate=trend,
+            displacement_tx_correlation=correlation,
+        )

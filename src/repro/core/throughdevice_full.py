@@ -22,8 +22,8 @@ from math import sqrt
 import numpy as np
 
 from repro.core.dataset import StudyDataset
-from repro.core.mobility import dwell_entropy, dwell_intervals
-from repro.core.parallel import _daily_displacement, _general
+from repro.core.folds import _general
+from repro.core.mobility import _daily_displacement, dwell_entropy, dwell_intervals
 from repro.core.throughdevice import TD_FINGERPRINT_HOSTS
 from repro.logs.columns import distinct, first_seen, group_sum
 from repro.logs.timeutil import day_indices, hours_and_weekdays

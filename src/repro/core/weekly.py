@@ -9,7 +9,7 @@ Section 4.2 makes two claims beyond the Fig. 3(a) hourly profiles:
   traffic of the ISP, we observe that the relative usage of wearables is
   slightly higher on weekends and evenings".
 
-:class:`StreamingWeekly` computes both from the full proxy table:
+:class:`WeeklyPartial` computes both from the full proxy table:
 per-day-of-week activity series for wearable traffic, and the wearable
 share of *total* ISP traffic per hour-of-day and per day-type,
 normalised so 1.0 means "the average share".  A dataset is folded in as
@@ -23,14 +23,13 @@ row while the totals stay below 2**53.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.dataset import StudyDataset, StudyWindow
+from repro.core.dataset import StudyDataset
+from repro.core.folds import _PartialState, _set_union
 from repro.logs.columns import distinct, first_seen, group_sum, runs
-from repro.state import decode_value, encode_value
 
 WEEKDAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
@@ -68,7 +67,8 @@ def _index(values: list[float]) -> list[float]:
     return [value / mean for value in values]
 
 
-class StreamingWeekly:
+@dataclass
+class WeeklyPartial(_PartialState):
     """Mergeable §4.2 aggregation over the full proxy stream.
 
     Consumes *every* proxy row — the wearable share of total ISP
@@ -80,41 +80,40 @@ class StreamingWeekly:
     the user/date accumulators are sets, so :meth:`merge` is exact.
     """
 
-    def __init__(self, window: StudyWindow, wearable_tacs: frozenset[str]) -> None:
-        self._window = window
-        self._tacs = wearable_tacs
-        self._dow_tx = [0.0] * 7
-        self._dow_bytes = [0.0] * 7
-        self._dow_users: list[set[tuple[str, int]]] = [set() for _ in range(7)]
-        self._hour_wearable = [0] * 24
-        self._hour_total = [0] * 24
-        self._daytype_wearable = {True: 0, False: 0}  # keyed by is_weekend
-        self._daytype_total = {True: 0, False: 0}
-        self._seen_dates: dict[int, set[int]] = defaultdict(set)
+    dow_tx: list[float] = field(default_factory=lambda: [0.0] * 7)
+    dow_bytes: list[float] = field(default_factory=lambda: [0.0] * 7)
+    dow_users: list[set[tuple[str, int]]] = field(
+        default_factory=lambda: [set() for _ in range(7)]
+    )
+    hour_wearable: list[int] = field(default_factory=lambda: [0] * 24)
+    hour_total: list[int] = field(default_factory=lambda: [0] * 24)
+    #: Keyed by is_weekend.
+    daytype_wearable: dict[bool, int] = field(
+        default_factory=lambda: {True: 0, False: 0}
+    )
+    daytype_total: dict[bool, int] = field(
+        default_factory=lambda: {True: 0, False: 0}
+    )
+    #: Day of week -> the study days seen on it, keys in first-row order.
+    seen_dates: dict[int, set[int]] = field(default_factory=dict)
 
-    def merge(self, other: "StreamingWeekly") -> "StreamingWeekly":
+    def merge(self, other: "WeeklyPartial") -> None:
         """Fold another shard's weekly state into this one."""
         for dow in range(7):
-            self._dow_tx[dow] += other._dow_tx[dow]
-            self._dow_bytes[dow] += other._dow_bytes[dow]
-            self._dow_users[dow] |= other._dow_users[dow]
+            self.dow_tx[dow] += other.dow_tx[dow]
+            self.dow_bytes[dow] += other.dow_bytes[dow]
+            self.dow_users[dow] |= other.dow_users[dow]
         for hour in range(24):
-            self._hour_wearable[hour] += other._hour_wearable[hour]
-            self._hour_total[hour] += other._hour_total[hour]
+            self.hour_wearable[hour] += other.hour_wearable[hour]
+            self.hour_total[hour] += other.hour_total[hour]
         for key in (True, False):
-            self._daytype_wearable[key] += other._daytype_wearable[key]
-            self._daytype_total[key] += other._daytype_total[key]
-        for dow, dates in other._seen_dates.items():
-            self._seen_dates[dow] |= dates
-        return self
+            self.daytype_wearable[key] += other.daytype_wearable[key]
+            self.daytype_total[key] += other.daytype_total[key]
+        _set_union(self.seen_dates, other.seen_dates)
 
-    def consume(self, dataset: StudyDataset) -> "StreamingWeekly":
-        """Fold a dataset's detailed-window proxy rows in.
-
-        Wearable rows are the dataset's wearable mask, drawn from the
-        same device database as the TAC set this fold carries in its
-        state.
-        """
+    def consume(self, dataset: StudyDataset) -> None:
+        """Fold a dataset's detailed-window proxy rows in; wearable rows
+        are the dataset's wearable mask."""
         time = dataset.detailed_proxy_time
         rows = np.flatnonzero(dataset.detailed_proxy_mask)
         hour = time.hour.astype(np.int64)
@@ -126,11 +125,13 @@ class StreamingWeekly:
         groups, dates = distinct(group, date)
         dates = dates.tolist()
         for index, start, end in runs(groups):
-            self._seen_dates[int(keys[index])].update(dates[start:end])
+            self.seen_dates.setdefault(int(keys[index]), set()).update(
+                dates[start:end]
+            )
         for hour_index, count in enumerate(np.bincount(hour, minlength=24).tolist()):
-            self._hour_total[hour_index] += count
-        self._daytype_total[True] += int(weekend.sum())
-        self._daytype_total[False] += int((~weekend).sum())
+            self.hour_total[hour_index] += count
+        self.daytype_total[True] += int(weekend.sum())
+        self.daytype_total[False] += int((~weekend).sum())
 
         wearable = dataset.wearable_proxy_mask[rows]
         hour = hour[wearable]
@@ -144,23 +145,22 @@ class StreamingWeekly:
         tx = np.bincount(dow, minlength=7).tolist()
         volume = group_sum(dow, size, 7).tolist()
         for day in range(7):
-            self._dow_tx[day] += tx[day]
-            self._dow_bytes[day] += volume[day]
+            self.dow_tx[day] += tx[day]
+            self.dow_bytes[day] += volume[day]
         days, users, dates = distinct(dow, codes, date[wearable])
         members = list(zip(subscribers.values[users].tolist(), dates.tolist()))
         for day, start, end in runs(days):
-            self._dow_users[day].update(members[start:end])
+            self.dow_users[day].update(members[start:end])
         for hour_index, count in enumerate(np.bincount(hour, minlength=24).tolist()):
-            self._hour_wearable[hour_index] += count
-        self._daytype_wearable[True] += int(weekend.sum())
-        self._daytype_wearable[False] += int((~weekend).sum())
-        return self
+            self.hour_wearable[hour_index] += count
+        self.daytype_wearable[True] += int(weekend.sum())
+        self.daytype_wearable[False] += int((~weekend).sum())
 
-    def result(self) -> WeeklyResult:
-        if sum(self._dow_tx) == 0:
+    def finalize(self) -> WeeklyResult:
+        if sum(self.dow_tx) == 0:
             raise ValueError("no wearable transactions in the detailed window")
 
-        day_count = {dow: len(dates) for dow, dates in self._seen_dates.items()}
+        day_count = {dow: len(dates) for dow, dates in self.seen_dates.items()}
 
         def per_day(series: list[float]) -> list[float]:
             return [
@@ -168,32 +168,32 @@ class StreamingWeekly:
                 for dow in range(7)
             ]
 
-        tx_index = _index(per_day(self._dow_tx))
-        bytes_index = _index(per_day(self._dow_bytes))
+        tx_index = _index(per_day(self.dow_tx))
+        bytes_index = _index(per_day(self.dow_bytes))
         users_index = _index(
-            per_day([float(len(users)) for users in self._dow_users])
+            per_day([float(len(users)) for users in self.dow_users])
         )
         max_deviation = max(abs(value - 1.0) for value in tx_index)
 
         shares = [
-            self._hour_wearable[hour] / self._hour_total[hour]
-            if self._hour_total[hour]
+            self.hour_wearable[hour] / self.hour_total[hour]
+            if self.hour_total[hour]
             else 0.0
             for hour in range(24)
         ]
         relative_by_hour = _index(shares)
 
         def share(weekend: bool) -> float:
-            total = self._daytype_total[weekend]
-            return self._daytype_wearable[weekend] / total if total else 0.0
+            total = self.daytype_total[weekend]
+            return self.daytype_wearable[weekend] / total if total else 0.0
 
         weekday_share = share(False)
         weekend_boost = share(True) / weekday_share if weekday_share else 0.0
 
-        evening_wearable = sum(self._hour_wearable[h] for h in EVENING_HOURS)
-        evening_total = sum(self._hour_total[h] for h in EVENING_HOURS)
-        rest_wearable = sum(self._hour_wearable) - evening_wearable
-        rest_total = sum(self._hour_total) - evening_total
+        evening_wearable = sum(self.hour_wearable[h] for h in EVENING_HOURS)
+        evening_total = sum(self.hour_total[h] for h in EVENING_HOURS)
+        rest_wearable = sum(self.hour_wearable) - evening_wearable
+        rest_total = sum(self.hour_total) - evening_total
         evening_share = (
             evening_wearable / evening_total if evening_total else 0.0
         )
@@ -209,46 +209,3 @@ class StreamingWeekly:
             weekend_relative_boost=weekend_boost,
             evening_relative_boost=evening_boost,
         )
-
-    def to_state(self) -> dict:
-        """Self-contained JSON-safe snapshot (window + TACs included)."""
-        return {
-            "v": 1,
-            "window": {
-                "study_start": self._window.study_start,
-                "total_days": self._window.total_days,
-                "detailed_days": self._window.detailed_days,
-            },
-            "tacs": encode_value(self._tacs),
-            "dow_tx": list(self._dow_tx),
-            "dow_bytes": list(self._dow_bytes),
-            "dow_users": encode_value(self._dow_users),
-            "hour_wearable": list(self._hour_wearable),
-            "hour_total": list(self._hour_total),
-            "daytype_wearable": encode_value(self._daytype_wearable),
-            "daytype_total": encode_value(self._daytype_total),
-            "seen_dates": encode_value(dict(self._seen_dates)),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "StreamingWeekly":
-        if state.get("v") != 1:
-            raise ValueError(
-                f"unsupported StreamingWeekly state: {state.get('v')!r}"
-            )
-        meta = state["window"]
-        window = StudyWindow(
-            study_start=meta["study_start"],
-            total_days=meta["total_days"],
-            detailed_days=meta["detailed_days"],
-        )
-        weekly = cls(window, frozenset(decode_value(state["tacs"])))
-        weekly._dow_tx = list(state["dow_tx"])
-        weekly._dow_bytes = list(state["dow_bytes"])
-        weekly._dow_users = decode_value(state["dow_users"])
-        weekly._hour_wearable = list(state["hour_wearable"])
-        weekly._hour_total = list(state["hour_total"])
-        weekly._daytype_wearable = decode_value(state["daytype_wearable"])
-        weekly._daytype_total = decode_value(state["daytype_total"])
-        weekly._seen_dates = defaultdict(set, decode_value(state["seen_dates"]))
-        return weekly

@@ -7,7 +7,7 @@ account side fold a dataset's column tables, and §3.3 attribution
 reference below is the row code they replaced, kept verbatim as the
 oracle the way ``tests/core/test_column_folds.py`` keeps the six
 group-bys' row folds: the bodies of the row ``consume`` methods
-(``self`` renamed ``partial``), of ``consume_classification``, and of
+(``self`` renamed ``partial``), of ``EncountersPartial.consume``, and of
 the row forms of attribution and sessionisation.  The references read
 the dataset's rows and split them into wearable and phone rows with its
 TAC rule where the bodies read its row partitions.

@@ -15,7 +15,7 @@ shards (``analyze_parallel``'s shape) gives identical results
 import pytest
 
 from repro.core.dataset import StudyDataset, StudyWindow
-from repro.core.weekly import StreamingWeekly
+from repro.core.weekly import WeeklyPartial
 from repro.devicedb import builtin_database
 from repro.logs.faults import FaultSpec, corrupt_trace
 from repro.logs.records import ProxyRecord
@@ -42,10 +42,9 @@ class TestStreamingWeeklyDifferential:
         assert len(streaming.relative_usage_by_hour) == 24
         assert streaming.max_daily_tx_deviation == batch.max_daily_tx_deviation
 
-    def test_empty_stream_raises(self, small_dataset):
-        empty = StreamingWeekly(small_dataset.window, small_dataset.wearable_tacs)
+    def test_empty_stream_raises(self):
         with pytest.raises(ValueError, match="no wearable"):
-            empty.result()
+            WeeklyPartial().finalize()
 
 
 class TestNonMidnightWeekly:

@@ -4,7 +4,7 @@ The kernel pieces (bucket clipping, cell index, all-pairs join) are
 tested on hand-crafted intervals with known overlap arithmetic and
 property-tested against ``reference_join``, a scalar dict-of-dicts
 oracle kept here; the panel folds are tested through
-``summarize_encounters`` with hand-built accumulators (the simulator
+``EncountersPartial.finalize`` with hand-built accumulators (the simulator
 never attaches owner-account phone SIMs to the MME, so panel 3 only
 lights up on crafted data); the streaming interval extractor and the
 sharded partials are property-tested against their batch counterparts.
@@ -25,7 +25,6 @@ from repro.core.encounters import (
     join_cells,
     sector_shard,
     stream_dwell_intervals,
-    summarize_encounters,
 )
 from repro.core.mobility import build_timelines
 from repro.core.parallel import EncountersPartial, _sector_intervals
@@ -593,7 +592,7 @@ class TestSummarizePanels:
             account_phones={"A": {"pa"}, "B": {"pb"}, "C": {"pc"}},
         )
         base.update(overrides)
-        return summarize_encounters(**base)
+        return EncountersPartial(**base).finalize()
 
     def test_explained_fractions(self):
         result = self.fold()

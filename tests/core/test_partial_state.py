@@ -33,7 +33,7 @@ from repro.core.parallel import (
     ShardPartials,
     ThroughDevicePartial,
 )
-from repro.core.weekly import StreamingWeekly
+from repro.core.weekly import WeeklyPartial
 from repro.logs.quarantine import QuarantineCollector
 from repro.state import decode_value, encode_value
 
@@ -46,7 +46,7 @@ PARTIAL_CLASSES = {
     "apps": AppsPartial,
     "domains": DomainsPartial,
     "through_device": ThroughDevicePartial,
-    "weekly": StreamingWeekly,
+    "weekly": WeeklyPartial,
     "protocols": ProtocolsPartial,
     "devices": DevicesPartial,
     "encounters": EncountersPartial,

@@ -3,16 +3,27 @@
 import pytest
 
 from repro.core.dataset import StudyDataset
-from repro.core.identification import WearableIdentifier
 from repro.devicedb.catalog import builtin_database
 from repro.devicedb.tac import make_imei
 from repro.logs.records import MmeRecord, ProxyRecord
 from tests.core.helpers import SECTORS, make_window, panel
 
 
+def dataset_of(mme_records: list[MmeRecord]) -> StudyDataset:
+    return StudyDataset(
+        proxy_records=[],
+        mme_records=mme_records,
+        device_db=builtin_database(),
+        sector_map=SECTORS,
+        account_directory={},
+        window=make_window(),
+    )
+
+
 @pytest.fixture(scope="module")
-def identifier() -> WearableIdentifier:
-    return WearableIdentifier(builtin_database())
+def dataset() -> StudyDataset:
+    """An empty dataset: its TAC rule over the built-in device database."""
+    return dataset_of([])
 
 
 def proxy(imei: str, subscriber: str = "s1") -> ProxyRecord:
@@ -36,15 +47,7 @@ def census_of(records: list[ProxyRecord]):
         )
         for index, record in enumerate(records)
     ]
-    dataset = StudyDataset(
-        proxy_records=[],
-        mme_records=registrations,
-        device_db=builtin_database(),
-        sector_map=SECTORS,
-        account_directory={},
-        window=make_window(),
-    )
-    return panel("census", dataset)
+    return panel("census", dataset_of(registrations))
 
 
 WATCH_IMEI = make_imei("35884708", 1)  # Gear S3 Frontier LTE
@@ -53,38 +56,21 @@ UNKNOWN_IMEI = make_imei("99999999", 1)
 
 
 class TestClassification:
-    def test_wearable_tac_detected(self, identifier):
-        assert identifier.is_wearable(WATCH_IMEI)
+    def test_wearable_tac_detected(self, dataset):
+        assert dataset.is_wearable_imei(WATCH_IMEI)
 
-    def test_phone_tac_rejected(self, identifier):
-        assert not identifier.is_wearable(PHONE_IMEI)
+    def test_phone_tac_rejected(self, dataset):
+        assert not dataset.is_wearable_imei(PHONE_IMEI)
 
-    def test_unknown_tac_rejected(self, identifier):
-        assert not identifier.is_wearable(UNKNOWN_IMEI)
+    def test_unknown_tac_rejected(self, dataset):
+        assert not dataset.is_wearable_imei(UNKNOWN_IMEI)
 
-    def test_model_lookup(self, identifier):
-        model = identifier.model_of(WATCH_IMEI)
-        assert model is not None
-        assert model.manufacturer == "Samsung"
-        assert identifier.model_of(UNKNOWN_IMEI) is None
-
-    def test_wearable_tacs_nonempty(self, identifier):
-        assert len(identifier.wearable_tacs) >= 5
-
-
-class TestFiltering:
-    def test_filter_keeps_only_wearables(self, identifier):
-        records = [proxy(WATCH_IMEI), proxy(PHONE_IMEI), proxy(WATCH_IMEI)]
-        filtered = identifier.filter_wearable(records)
-        assert len(filtered) == 2
-        assert all(identifier.is_wearable(r.imei) for r in filtered)
-
-    def test_filter_empty(self, identifier):
-        assert identifier.filter_wearable([]) == []
+    def test_wearable_tacs_nonempty(self, dataset):
+        assert len(dataset.wearable_tacs) >= 5
 
 
 class TestCensus:
-    def test_counts_distinct_devices(self, identifier):
+    def test_counts_distinct_devices(self):
         records = [
             proxy(WATCH_IMEI),
             proxy(WATCH_IMEI),  # same device twice

@@ -289,17 +289,23 @@ perfbench-selftest:
 	$(PY) perfbench/selftest.py
 
 ## Examples smoke: run every script in examples/ with its default
-## arguments and fail if any exits non-zero.  Each script's stdout lands
-## in examples-smoke/ (gitignored); the traces the scripts export to a
-## temporary directory go to examples-smoke/tmp/, removed on success.
+## arguments and fail if any exits non-zero or leaves anything in its
+## temporary directory.  Each script's stdout lands in examples-smoke/
+## (gitignored); the scripts run with TMPDIR=examples-smoke/tmp/, which
+## must be empty after each one.
 examples-smoke:
 	rm -rf examples-smoke && mkdir -p examples-smoke/tmp
 	for example in examples/*.py; do \
 	    echo "examples-smoke: $$example"; \
 	    TMPDIR=$$PWD/examples-smoke/tmp PYTHONPATH=src $(PY) $$example \
 	        > examples-smoke/$$(basename $$example .py).out || exit 1; \
+	    if [ -n "$$(ls -A examples-smoke/tmp)" ]; then \
+	        echo "examples-smoke: $$example left in its TMPDIR:" \
+	            $$(ls -A examples-smoke/tmp); \
+	        exit 1; \
+	    fi; \
 	done
-	rm -rf examples-smoke/tmp
+	rmdir examples-smoke/tmp
 
 ## Example end-to-end trace (sharded run, per-shard timings on stderr).
 trace:

@@ -49,11 +49,18 @@ def sparkline(values: list[float]) -> str:
 
 def main() -> None:
     args = parse_args()
-    trace_dir = args.trace_dir or Path(tempfile.mkdtemp(prefix="wearables-"))
+    if args.trace_dir:
+        dashboard(args.trace_dir, args.seed)
+    else:
+        # The default trace is removed on exit; a named --trace-dir stays.
+        with tempfile.TemporaryDirectory(prefix="wearables-") as scratch:
+            dashboard(Path(scratch), args.seed)
 
+
+def dashboard(trace_dir: Path, seed: int) -> None:
     # --- infrastructure side: export the five-month trace -------------
     print(f"Exporting synthetic operator trace to {trace_dir} ...")
-    output = Simulator(SimulationConfig.medium(seed=args.seed)).run()
+    output = Simulator(SimulationConfig.medium(seed=seed)).run()
     paths = output.write(trace_dir)
     for name, path in paths.items():
         print(f"  {name:9s} {path.stat().st_size / 1e6:8.2f} MB  {path.name}")

@@ -38,19 +38,19 @@ def parse_args() -> argparse.Namespace:
 
 def main() -> None:
     args = parse_args()
-    trace_dir = Path(tempfile.mkdtemp(prefix="wearables-stream-"))
+    with tempfile.TemporaryDirectory(prefix="wearables-stream-") as scratch:
+        trace_dir = Path(scratch)
+        print(f"Exporting a trace to {trace_dir} ...")
+        output = Simulator(SimulationConfig.medium(seed=args.seed)).run()
+        output.write(trace_dir)
+        n_records = len(output.proxy_records) + len(output.mme_records)
+        print(f"  {n_records:,} records on disk")
 
-    print(f"Exporting a trace to {trace_dir} ...")
-    output = Simulator(SimulationConfig.medium(seed=args.seed)).run()
-    output.write(trace_dir)
-    n_records = len(output.proxy_records) + len(output.mme_records)
-    print(f"  {n_records:,} records on disk")
-
-    # --- sharded side: one account shard in memory at a time -----------
-    print(f"Sharded pass ({args.shards} shards)...")
-    started = time.time()
-    run = analyze_parallel(trace_dir, shards=args.shards)
-    stream_seconds = time.time() - started
+        # --- sharded side: one account shard in memory at a time -------
+        print(f"Sharded pass ({args.shards} shards)...")
+        started = time.time()
+        run = analyze_parallel(trace_dir, shards=args.shards)
+        stream_seconds = time.time() - started
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     sharded = run.report
 

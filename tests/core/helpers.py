@@ -128,14 +128,21 @@ def make_dataset(
     mme_records: list[MmeRecord],
     account_directory: dict[str, str] | None = None,
     window: StudyWindow | None = None,
+    *,
+    sort: bool = True,
 ) -> StudyDataset:
+    """A dataset of the given rows, each log sorted by timestamp unless
+    ``sort`` is false."""
     if account_directory is None:
         subscribers = {r.subscriber_id for r in proxy_records}
         subscribers.update(r.subscriber_id for r in mme_records)
         account_directory = {s: f"acct-{s}" for s in subscribers}
+    if sort:
+        proxy_records = sorted(proxy_records, key=lambda r: r.timestamp)
+        mme_records = sorted(mme_records, key=lambda r: r.timestamp)
     return StudyDataset(
-        proxy_records=sorted(proxy_records, key=lambda r: r.timestamp),
-        mme_records=sorted(mme_records, key=lambda r: r.timestamp),
+        proxy_records=proxy_records,
+        mme_records=mme_records,
         device_db=DEVICE_DB,
         sector_map=SECTORS,
         account_directory=account_directory,

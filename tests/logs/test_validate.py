@@ -15,12 +15,15 @@ from tests.core.helpers import (
 )
 
 
-def clean_dataset() -> StudyDataset:
-    return make_dataset(
+def clean_rows() -> tuple[list, list]:
+    return (
         [proxy(day_ts(14, 100), "a"), proxy(day_ts(14, 200), "b", imei=PHONE_IMEI)],
         [mme(day_ts(14, 50), "a")],
-        window=make_window(),
     )
+
+
+def clean_dataset() -> StudyDataset:
+    return make_dataset(*clean_rows(), window=make_window())
 
 
 class TestCleanTrace:
@@ -41,8 +44,10 @@ class TestViolations:
         return next((i for i in report.issues if i.code == code), None)
 
     def test_out_of_order_proxy(self):
-        dataset = clean_dataset()
-        dataset.proxy_records.reverse()
+        proxy_rows, mme_rows = clean_rows()
+        dataset = make_dataset(
+            proxy_rows[::-1], mme_rows, window=make_window(), sort=False
+        )
         report = validate_trace(dataset)
         issue = self.find(report, "proxy-order")
         assert issue is not None and issue.count >= 1
